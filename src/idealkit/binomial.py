@@ -11,6 +11,7 @@ expansions are always compared against an independent route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import (
     IdealArgumentError,
@@ -116,19 +117,27 @@ def joined_sum(
     return joined, emb_a, emb_b, total
 
 
+def _expansion_terms(
+    i: MonomialIdeal, j: MonomialIdeal, s: int, power_a, power_b
+) -> list[MonomialIdeal]:
+    """The terms power_a(t) * power_b(s - t), t = 0..s, in the joined ring."""
+    _, emb_a, emb_b, _ = joined_sum(i, j)
+    return [
+        ideal_product(extend(power_a(t), emb_a), extend(power_b(s - t), emb_b))
+        for t in range(s + 1)
+    ]
+
+
 def binomial_saturated(
     i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
 ) -> MonomialIdeal:
     """Sum over i of (I^(i) wrt K) * (J^(s-i) wrt L), extended to the joined ring."""
     if s < 1:
         raise ValueError("power must be positive")
-    joined, emb_a, emb_b, _ = joined_sum(i, j)
-    total = MonomialIdeal.zero(joined)
-    for t in range(s + 1):
-        part_a = extend(saturated_power(i, k, t), emb_a)
-        part_b = extend(saturated_power(j, l, s - t), emb_b)
-        total = ideal_sum(total, ideal_product(part_a, part_b))
-    return total
+    terms = _expansion_terms(
+        i, j, s, lambda t: saturated_power(i, k, t), lambda t: saturated_power(j, l, t)
+    )
+    return reduce(ideal_sum, terms)
 
 
 def direct_saturated_sum(
@@ -148,13 +157,14 @@ def binomial_symbolic(
         raise ValueError("power must be positive")
     if i.is_unit or j.is_unit:
         raise IdealArgumentError("binomial symbolic expansion needs proper ideals")
-    joined, emb_a, emb_b, _ = joined_sum(i, j)
-    total = MonomialIdeal.zero(joined)
-    for t in range(s + 1):
-        part_a = extend(symbolic_power(i, t, notion), emb_a)
-        part_b = extend(symbolic_power(j, s - t, notion), emb_b)
-        total = ideal_sum(total, ideal_product(part_a, part_b))
-    return total
+    terms = _expansion_terms(
+        i,
+        j,
+        s,
+        lambda t: symbolic_power(i, t, notion),
+        lambda t: symbolic_power(j, t, notion),
+    )
+    return reduce(ideal_sum, terms)
 
 
 def symbolic_of_sum(
@@ -180,15 +190,10 @@ def check_term_inclusions(
     i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
 ) -> TermInclusionReport:
     direct = direct_saturated_sum(i, k, j, l, s)
-    _, emb_a, emb_b, _ = joined_sum(i, j)
-    flags = []
-    for t in range(s + 1):
-        term = ideal_product(
-            extend(saturated_power(i, k, t), emb_a),
-            extend(saturated_power(j, l, s - t), emb_b),
-        )
-        flags.append(direct.contains_ideal(term))
-    return TermInclusionReport(tuple(flags))
+    terms = _expansion_terms(
+        i, j, s, lambda t: saturated_power(i, k, t), lambda t: saturated_power(j, l, t)
+    )
+    return TermInclusionReport(tuple(direct.contains_ideal(term) for term in terms))
 
 
 @dataclass(frozen=True)

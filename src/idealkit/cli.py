@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import dsl, fuzz, verify
+from . import dsl, fuzz, homology, verify
 
 
 def _print_report_human(report: dict, out):
@@ -127,6 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        homology._require_char(getattr(args, "char", 0))
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     return args.func(args)
 
 

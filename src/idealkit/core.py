@@ -363,23 +363,17 @@ def colon(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
 
 
 def saturate(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
-    """a : k^infinity, computed as the fixpoint of repeated colons by k.
+    """a : k^infinity, the intersection over the generators g of k of a : g^infinity.
 
-    The chain a : k^t stabilizes no later than t = (max generator exponent
-    of a) * (number of generators of k); the hard cap below is a safety
-    net and exceeding it means a kernel bug.
+    a : g^infinity is a with the exponents of supp(g) set to zero
+    (Herzog-Hibi, Monomial Ideals, ch. 1), which is a : g^n once n is at
+    least every exponent of a.
     """
     _require_same_ring(a, k)
     if k.is_zero:
         raise IdealArgumentError("saturation by the zero ideal")
-    cap = a.max_exponent() * max(1, len(k.generators)) + 2
-    current = a
-    for _ in range(cap):
-        nxt = colon(current, k)
-        if nxt == current:
-            return current
-        current = nxt
-    raise AssertionError(f"saturation did not stabilize within {cap} colons")
+    n = a.max_exponent()
+    return intersect_all(a.ring, (colon_monomial(a, g.power(n)) for g in k.generators))
 
 
 def radical(a: MonomialIdeal) -> MonomialIdeal:

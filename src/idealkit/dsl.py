@@ -21,6 +21,7 @@ given, otherwise the most recently declared ring).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from . import binomial as _binomial
@@ -422,10 +423,7 @@ class Evaluator:
                 node.exponent,
             )
         if isinstance(node, CallOp):
-            handler = _FUNCTIONS.get(node.function)
-            if handler is None:
-                raise EvalError(f"unknown function {node.function!r}", node.pos)
-            return handler(self, node.args, ctx, node.pos)
+            return self._call(node, ctx)
         raise EvalError(f"cannot evaluate {node!r}", getattr(node, "pos", (0, 0)))
 
     def _wrap(self, fn, pos, *args):
@@ -433,6 +431,26 @@ class Evaluator:
             return fn(*args)
         except (_core.RingMismatchError, _core.IdealArgumentError, ValueError) as exc:
             raise EvalError(str(exc), pos) from exc
+
+    def _call(self, node, ctx):
+        signature = _SIGNATURES.get(node.function)
+        if signature is None:
+            raise EvalError(f"unknown function {node.function!r}", node.pos)
+        module, attr, kinds, optional, with_char = signature
+        kinds, optional = kinds.split(), optional.split()
+        counts = range(len(kinds), len(kinds) + len(optional) + 1)
+        if len(node.args) not in counts:
+            wanted = " or ".join(str(c) for c in counts)
+            raise EvalError(
+                f"{node.function} expects {wanted} arguments, got {len(node.args)}",
+                node.pos,
+            )
+        kinds += optional
+        values = [getattr(self, kind)(arg, ctx) for kind, arg in zip(kinds, node.args)]
+        values += [None] * (len(kinds) - len(values))
+        if with_char:
+            values.append(self.char)
+        return self._wrap(getattr(module, attr), node.pos, *values)
 
     def _literal_ideal(self, entries, pos, ctx):
         ring = None
@@ -500,7 +518,7 @@ class Evaluator:
             raise EvalError("expected a ring", node.pos)
         return value
 
-    def notion(self, node) -> str:
+    def notion(self, node, ctx=None) -> str:
         if isinstance(node, Name) and node.text in ("min", "ass"):
             return node.text
         raise EvalError("expected 'min' or 'ass'", getattr(node, "pos", (0, 0)))
@@ -573,347 +591,92 @@ class Evaluator:
         return self.output
 
 
-def _expect_args(args, count, pos, name):
-    if isinstance(count, int):
-        ok = len(args) == count
-        wanted = str(count)
-    else:
-        ok = len(args) in count
-        wanted = " or ".join(str(c) for c in count)
-    if not ok:
-        raise EvalError(f"{name} expects {wanted} arguments, got {len(args)}", pos)
-
-
-def _fn_intersect(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "intersect")
-    return ev._wrap(_core.intersect, pos, ev.ideal(args[0], ctx), ev.ideal(args[1], ctx))
-
-
-def _fn_colon(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "colon")
-    return ev._wrap(_core.colon, pos, ev.ideal(args[0], ctx), ev.ideal(args[1], ctx))
-
-
-def _fn_saturate(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "saturate")
-    return ev._wrap(_core.saturate, pos, ev.ideal(args[0], ctx), ev.ideal(args[1], ctx))
-
-
-def _fn_radical(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "radical")
-    return ev._wrap(_core.radical, pos, ev.ideal(args[0], ctx))
-
-
-def _fn_contains(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "contains")
-    return ev._wrap(_core.contains, pos, ev.ideal(args[0], ctx), ev.monomial(args[1], ctx))
-
-
-def _fn_satpow(ev, args, ctx, pos):
-    _expect_args(args, 3, pos, "satpow")
-    return ev._wrap(
-        _powers.saturated_power,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.integer(args[2], ctx),
-    )
-
-
-def _fn_symb_min(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "symb_min")
-    return ev._wrap(
-        _powers.symbolic_min, pos, ev.ideal(args[0], ctx), ev.integer(args[1], ctx)
-    )
-
-
-def _fn_symb_ass(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "symb_ass")
-    return ev._wrap(
-        _powers.symbolic_ass, pos, ev.ideal(args[0], ctx), ev.integer(args[1], ctx)
-    )
-
-
-def _fn_satk_min(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "satk_min")
-    return ev._wrap(
-        _powers.saturator_min, pos, ev.ideal(args[0], ctx), ev.integer(args[1], ctx)
-    )
-
-
-def _fn_satk_ass(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "satk_ass")
-    return ev._wrap(
-        _powers.saturator_ass, pos, ev.ideal(args[0], ctx), ev.integer(args[1], ctx)
-    )
-
-
-def _fn_satk_min_global(ev, args, ctx, pos):
-    _expect_args(args, (1, 2), pos, "satk_min_global")
-    n_max = ev.integer(args[1], ctx) if len(args) == 2 else None
-    return ev._wrap(_powers.saturator_min_global, pos, ev.ideal(args[0], ctx), n_max)
-
-
-def _fn_satk_ass_global(ev, args, ctx, pos):
-    _expect_args(args, (1, 2), pos, "satk_ass_global")
-    n_max = ev.integer(args[1], ctx) if len(args) == 2 else None
-    return ev._wrap(_powers.saturator_ass_global, pos, ev.ideal(args[0], ctx), n_max)
-
-
-def _fn_witness(ev, args, ctx, pos):
-    _expect_args(args, (2, 3), pos, "witness")
-    n_max = ev.integer(args[2], ctx) if len(args) == 3 else None
-    return ev._wrap(
-        _powers.regular_witness,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.notion(args[1]),
-        n_max,
-    )
-
-
-def _fn_ass(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "ass")
-    return ev._wrap(_decomposition.associated_primes, pos, ev.ideal(args[0], ctx))
-
-
-def _fn_min(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "min")
-    return ev._wrap(_decomposition.minimal_primes, pos, ev.ideal(args[0], ctx))
-
-
-def _fn_assstar(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "assstar")
-    primes, stabilized = ev._wrap(
-        _decomposition.ass_star_bounded,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.integer(args[1], ctx),
-    )
+def _fn_assstar(ideal, bound):
+    primes, stabilized = _decomposition.ass_star_bounded(ideal, bound)
     return f"{render_value(primes)} stabilized={render_value(stabilized)}"
 
 
-def _fn_decompose(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "decompose")
-    return ev._wrap(_decomposition.primary_decomposition, pos, ev.ideal(args[0], ctx))
+def _fn_join(a, b):
+    return _binomial.join_rings(a, b)[0]
 
 
-def _fn_irrdecomp(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "irrdecomp")
-    return ev._wrap(
-        _decomposition.irreducible_decomposition, pos, ev.ideal(args[0], ctx)
-    )
-
-
-def _fn_gradezero(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "gradezero")
-    return ev._wrap(
-        _decomposition.grade_zero, pos, ev.prime(args[0], ctx), ev.ideal(args[1], ctx)
-    )
-
-
-def _fn_assquot(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "assquot")
-    return ev._wrap(
-        _decomposition.ass_module_quotient,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.integer(args[1], ctx),
-    )
-
-
-def _fn_join(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "join")
-    joined, _, _ = ev._wrap(
-        _binomial.join_rings, pos, ev.ring_value(args[0], ctx), ev.ring_value(args[1], ctx)
-    )
-    return joined
-
-
-def _fn_extend(ev, args, ctx, pos):
-    _expect_args(args, 2, pos, "extend")
-    ideal = ev.ideal(args[0], ctx)
-    target = ev.ring_value(args[1], ctx)
+def _fn_extend(ideal, target):
+    """Extend an ideal into a ring holding all of its variable names."""
     index_map = []
     for name in ideal.ring.variables:
         if name not in target.variables:
-            raise EvalError(f"variable {name!r} missing from target ring", pos)
+            raise ValueError(f"variable {name!r} missing from target ring")
         index_map.append(target.index_of(name))
     emb = _binomial.RingEmbedding(ideal.ring, target, tuple(index_map))
-    return ev._wrap(_binomial.extend, pos, ideal, emb)
+    return _binomial.extend(ideal, emb)
 
 
-def _fn_binom_sat(ev, args, ctx, pos):
-    _expect_args(args, 5, pos, "binom_sat")
-    return ev._wrap(
-        _binomial.binomial_saturated,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.ideal(args[2], ctx),
-        ev.ideal(args[3], ctx),
-        ev.integer(args[4], ctx),
-    )
+_SCRIPT = sys.modules[__name__]  # the three handlers above
 
-
-def _fn_binom_symb(ev, args, ctx, pos):
-    _expect_args(args, 4, pos, "binom_symb")
-    return ev._wrap(
-        _binomial.binomial_symbolic,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.integer(args[2], ctx),
-        ev.notion(args[3]),
-    )
-
-
-def _fn_check_eq(ev, args, ctx, pos):
-    _expect_args(args, 5, pos, "check_eq")
-    return ev._wrap(
-        _binomial.check_equality_criteria,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.ideal(args[2], ctx),
-        ev.ideal(args[3], ctx),
-        ev.integer(args[4], ctx),
-    )
-
-
-def _fn_check_symb_eq(ev, args, ctx, pos):
-    _expect_args(args, 3, pos, "check_symb_eq")
-    return ev._wrap(
-        _binomial.check_symbolic_equality_implication,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.integer(args[2], ctx),
-    )
-
-
-def _fn_check_ass(ev, args, ctx, pos):
-    _expect_args(args, 3, pos, "check_ass")
-    return ev._wrap(
-        _binomial.check_ass_structure,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.integer(args[2], ctx),
-    )
-
-
-def _fn_check_filt(ev, args, ctx, pos):
-    _expect_args(args, 5, pos, "check_filt")
-    return ev._wrap(
-        _binomial.check_filtration_identities,
-        pos,
-        ev.ideal_list(args[0], ctx),
-        ev.ideal_list(args[1], ctx),
-        ev.ideal_list(args[2], ctx),
-        ev.ideal(args[3], ctx),
-        ev.integer(args[4], ctx),
-    )
-
-
-def _fn_check_terms(ev, args, ctx, pos):
-    _expect_args(args, 5, pos, "check_terms")
-    return ev._wrap(
-        _binomial.check_term_inclusions,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.ideal(args[2], ctx),
-        ev.ideal(args[3], ctx),
-        ev.integer(args[4], ctx),
-    )
-
-
-def _fn_depth(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "depth")
-    return ev._wrap(_homology.depth_quotient, pos, ev.ideal(args[0], ctx), ev.char)
-
-
-def _fn_reg(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "reg")
-    return ev._wrap(_homology.reg_quotient, pos, ev.ideal(args[0], ctx), ev.char)
-
-
-def _fn_betti(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "betti")
-    return ev._wrap(_homology.betti_table, pos, ev.ideal(args[0], ctx), ev.char)
-
-
-def _fn_dstar(ev, args, ctx, pos):
-    _expect_args(args, 1, pos, "dstar")
-    return ev._wrap(_homology.deriv_star, pos, ev.ideal(args[0], ctx))
-
-
-def _fn_check_depthreg(ev, args, ctx, pos):
-    _expect_args(args, 5, pos, "check_depthreg")
-    return ev._wrap(
-        _homology.check_depth_reg_binomial,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.ideal(args[2], ctx),
-        ev.ideal(args[3], ctx),
-        ev.integer(args[4], ctx),
-        ev.char,
-    )
-
-
-def _fn_check_depthreg_ass(ev, args, ctx, pos):
-    _expect_args(args, 3, pos, "check_depthreg_ass")
-    return ev._wrap(
-        _homology.check_depth_reg_symbolic_ass,
-        pos,
-        ev.ideal(args[0], ctx),
-        ev.ideal(args[1], ctx),
-        ev.integer(args[2], ctx),
-        ev.char,
-    )
-
-
-_FUNCTIONS = {
-    "intersect": _fn_intersect,
-    "colon": _fn_colon,
-    "saturate": _fn_saturate,
-    "radical": _fn_radical,
-    "contains": _fn_contains,
-    "satpow": _fn_satpow,
-    "symb_min": _fn_symb_min,
-    "symb_ass": _fn_symb_ass,
-    "satk_min": _fn_satk_min,
-    "satk_ass": _fn_satk_ass,
-    "satk_min_global": _fn_satk_min_global,
-    "satk_ass_global": _fn_satk_ass_global,
-    "witness": _fn_witness,
-    "ass": _fn_ass,
-    "min": _fn_min,
-    "assstar": _fn_assstar,
-    "decompose": _fn_decompose,
-    "irrdecomp": _fn_irrdecomp,
-    "gradezero": _fn_gradezero,
-    "assquot": _fn_assquot,
-    "join": _fn_join,
-    "extend": _fn_extend,
-    "binom_sat": _fn_binom_sat,
-    "binom_symb": _fn_binom_symb,
-    "check_eq": _fn_check_eq,
-    "check_symb_eq": _fn_check_symb_eq,
-    "check_ass": _fn_check_ass,
-    "check_filt": _fn_check_filt,
-    "check_terms": _fn_check_terms,
-    "depth": _fn_depth,
-    "reg": _fn_reg,
-    "betti": _fn_betti,
-    "dstar": _fn_dstar,
-    "check_depthreg": _fn_check_depthreg,
-    "check_depthreg_ass": _fn_check_depthreg_ass,
+# name -> (module, function name, argument kinds, optional trailing kinds,
+# whether the evaluator's characteristic is appended).  A kind names the
+# Evaluator method that reads the argument; an absent optional argument is
+# passed as None.  Functions are looked up by name at call time, so a
+# module attribute replaced after import (a monkeypatch, a tracer) is used.
+_SIGNATURES = {
+    "intersect": (_core, "intersect", "ideal ideal", "", False),
+    "colon": (_core, "colon", "ideal ideal", "", False),
+    "saturate": (_core, "saturate", "ideal ideal", "", False),
+    "radical": (_core, "radical", "ideal", "", False),
+    "contains": (_core, "contains", "ideal monomial", "", False),
+    "satpow": (_powers, "saturated_power", "ideal ideal integer", "", False),
+    "symb_min": (_powers, "symbolic_min", "ideal integer", "", False),
+    "symb_ass": (_powers, "symbolic_ass", "ideal integer", "", False),
+    "satk_min": (_powers, "saturator_min", "ideal integer", "", False),
+    "satk_ass": (_powers, "saturator_ass", "ideal integer", "", False),
+    "satk_min_global": (_powers, "saturator_min_global", "ideal", "integer", False),
+    "satk_ass_global": (_powers, "saturator_ass_global", "ideal", "integer", False),
+    "witness": (_powers, "regular_witness", "ideal notion", "integer", False),
+    "ass": (_decomposition, "associated_primes", "ideal", "", False),
+    "min": (_decomposition, "minimal_primes", "ideal", "", False),
+    "assstar": (_SCRIPT, "_fn_assstar", "ideal integer", "", False),
+    "decompose": (_decomposition, "primary_decomposition", "ideal", "", False),
+    "irrdecomp": (_decomposition, "irreducible_decomposition", "ideal", "", False),
+    "gradezero": (_decomposition, "grade_zero", "prime ideal", "", False),
+    "assquot": (_decomposition, "ass_module_quotient", "ideal integer", "", False),
+    "join": (_SCRIPT, "_fn_join", "ring_value ring_value", "", False),
+    "extend": (_SCRIPT, "_fn_extend", "ideal ring_value", "", False),
+    "binom_sat": (
+        _binomial, "binomial_saturated", "ideal ideal ideal ideal integer", "", False
+    ),
+    "binom_symb": (
+        _binomial, "binomial_symbolic", "ideal ideal integer notion", "", False
+    ),
+    "check_eq": (
+        _binomial, "check_equality_criteria",
+        "ideal ideal ideal ideal integer", "", False,
+    ),
+    "check_symb_eq": (
+        _binomial, "check_symbolic_equality_implication",
+        "ideal ideal integer", "", False,
+    ),
+    "check_ass": (_binomial, "check_ass_structure", "ideal ideal integer", "", False),
+    "check_filt": (
+        _binomial, "check_filtration_identities",
+        "ideal_list ideal_list ideal_list ideal integer", "", False,
+    ),
+    "check_terms": (
+        _binomial, "check_term_inclusions", "ideal ideal ideal ideal integer", "", False
+    ),
+    "depth": (_homology, "depth_quotient", "ideal", "", True),
+    "reg": (_homology, "reg_quotient", "ideal", "", True),
+    "betti": (_homology, "betti_table", "ideal", "", True),
+    "dstar": (_homology, "deriv_star", "ideal", "", False),
+    "check_depthreg": (
+        _homology, "check_depth_reg_binomial",
+        "ideal ideal ideal ideal integer", "", True,
+    ),
+    "check_depthreg_ass": (
+        _homology, "check_depth_reg_symbolic_ass", "ideal ideal integer", "", True
+    ),
 }
 
-FUNCTION_NAMES = tuple(sorted(_FUNCTIONS))
+FUNCTION_NAMES = tuple(sorted(_SIGNATURES))
 
 
 def run_script(text: str, char: int = 0) -> list[str]:
@@ -924,8 +687,6 @@ def run_script(text: str, char: int = 0) -> list[str]:
 
 def repl(stdin=None, stdout=None):  # pragma: no cover - thin interactive wrapper
     """Line-oriented REPL; every line must hold complete statements."""
-    import sys
-
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     evaluator = Evaluator()

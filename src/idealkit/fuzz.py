@@ -22,6 +22,7 @@ from . import binomial as _binomial
 from . import homology as _homology
 from . import powers as _powers
 from .core import MonomialIdeal, Ring, ideal_power, principal
+from .decomposition import ass_star_bounded
 
 SUITE_NAMES = (
     "thm38",
@@ -157,8 +158,6 @@ def symbolic_route_consistency(
     n_max, and the single-element route whenever a witness exists (valid
     as long as n_max >= s).  Returns the verdict and applicability counts.
     """
-    from .decomposition import ass_star_bounded
-
     counters = {"global_checked": 0, "global_skipped": 0, "witness_checked": 0, "witness_missing": 0}
     reference = _powers.symbolic_power(ideal, s, notion)
     if notion == "min":

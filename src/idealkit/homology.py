@@ -22,16 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .core import (
-    IdealArgumentError,
-    Monomial,
-    MonomialIdeal,
-    Ring,
-    ideal_power,
-    ideal_product,
-    saturate,
-)
-from .binomial import extend, joined_sum
+from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring
+from .binomial import direct_saturated_sum, symbolic_of_sum
 from .powers import saturated_power, symbolic_power
 
 
@@ -434,15 +426,23 @@ class DepthRegReport:
         )
 
 
-def _combine(depths_a, depths_b, regs_a, regs_b, s):
-    depth_candidates = []
-    reg_candidates = []
-    for i in range(1, s + 1):
-        depth_candidates.append(depths_a[i] + depths_b[s - i] + ExtendedInt(1))
-        depth_candidates.append(depths_a[i] + depths_b[s + 1 - i])
-        reg_candidates.append(regs_a[i] + regs_b[s - i] + ExtendedInt(1))
-        reg_candidates.append(regs_a[i] + regs_b[s + 1 - i])
-    return min(depth_candidates), max(reg_candidates)
+def _depth_reg_report(lhs: MonomialIdeal, power_a, power_b, s: int, char: int):
+    """Depth and regularity of R/lhs against the min/max formulas over the
+    per-side powers power_a(t), t = 1..s, and power_b(t), t = 0..s."""
+    lhs_table = betti_table(lhs, char)
+    side_a = {t: betti_table(power_a(t), char) for t in range(1, s + 1)}
+    side_b = {t: betti_table(power_b(t), char) for t in range(s + 1)}
+    depths = []
+    regs = []
+    for t in range(1, s + 1):
+        a, b, b_next = side_a[t], side_b[s - t], side_b[s + 1 - t]
+        depths.append(a.depth() + b.depth() + ExtendedInt(1))
+        depths.append(a.depth() + b_next.depth())
+        regs.append(a.regularity() + b.regularity() + ExtendedInt(1))
+        regs.append(a.regularity() + b_next.regularity())
+    return DepthRegReport(
+        lhs_table.depth(), min(depths), lhs_table.regularity(), max(regs)
+    )
 
 
 def check_depth_reg_binomial(
@@ -457,24 +457,13 @@ def check_depth_reg_binomial(
     against the min/max formulas over the per-side saturated powers."""
     if s < 1:
         raise ValueError("power must be positive")
-    _, emb_a, emb_b, total = joined_sum(i, j)
-    kl = ideal_product(extend(k, emb_a), extend(l, emb_b))
-    lhs_ideal = saturate(ideal_power(total, s), kl)
-    lhs_table = betti_table(lhs_ideal, char)
-    depths_a = {}
-    regs_a = {}
-    for t in range(1, s + 1):
-        table = betti_table(saturated_power(i, k, t), char)
-        depths_a[t] = table.depth()
-        regs_a[t] = table.regularity()
-    depths_b = {}
-    regs_b = {}
-    for t in range(0, s + 1):
-        table = betti_table(saturated_power(j, l, t), char)
-        depths_b[t] = table.depth()
-        regs_b[t] = table.regularity()
-    depth_rhs, reg_rhs = _combine(depths_a, depths_b, regs_a, regs_b, s)
-    return DepthRegReport(lhs_table.depth(), depth_rhs, lhs_table.regularity(), reg_rhs)
+    return _depth_reg_report(
+        direct_saturated_sum(i, k, j, l, s),
+        lambda t: saturated_power(i, k, t),
+        lambda t: saturated_power(j, l, t),
+        s,
+        char,
+    )
 
 
 def check_depth_reg_symbolic_ass(
@@ -487,19 +476,10 @@ def check_depth_reg_symbolic_ass(
     """
     if s < 1:
         raise ValueError("power must be positive")
-    _, _, _, total = joined_sum(i, j)
-    lhs_table = betti_table(symbolic_power(total, s, "ass"), char)
-    depths_a = {}
-    regs_a = {}
-    for t in range(1, s + 1):
-        table = betti_table(symbolic_power(i, t, "ass"), char)
-        depths_a[t] = table.depth()
-        regs_a[t] = table.regularity()
-    depths_b = {}
-    regs_b = {}
-    for t in range(0, s + 1):
-        table = betti_table(symbolic_power(j, t, "ass"), char)
-        depths_b[t] = table.depth()
-        regs_b[t] = table.regularity()
-    depth_rhs, reg_rhs = _combine(depths_a, depths_b, regs_a, regs_b, s)
-    return DepthRegReport(lhs_table.depth(), depth_rhs, lhs_table.regularity(), reg_rhs)
+    return _depth_reg_report(
+        symbolic_of_sum(i, j, s, "ass"),
+        lambda t: symbolic_power(i, t, "ass"),
+        lambda t: symbolic_power(j, t, "ass"),
+        s,
+        char,
+    )

@@ -44,6 +44,14 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "no-such-file.ik")
         assert code == 2
 
+    def test_bad_characteristic_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "depth.ik"
+        script.write_text("ring A = [a];\nprint depth((a));\n")
+        code, out, err = run_cli(capsys, "run", str(script), "--char", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: characteristic must be 0 or a prime, got 4\n"
+
 
 class TestVerify:
     def test_fresh_build_passes(self, capsys):
@@ -147,6 +155,17 @@ class TestFuzz:
     def test_invalid_cases_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "fuzz", "--cases", "0", "--suite", "thm38")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "char, suite", [("4", "thm38"), ("4", "thm44"), ("-3", "cor46")]
+    )
+    def test_bad_characteristic_is_usage_error(self, capsys, char, suite):
+        code, out, err = run_cli(
+            capsys, "fuzz", "--char", char, "--suite", suite, "--cases", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: characteristic must be 0 or a prime, got {char}\n"
 
 
 class TestRepl:

@@ -228,7 +228,7 @@ class TestSaturate:
             saturate(ideal(A, "a"), MonomialIdeal.zero(A))
 
     def test_saturator_with_more_generators_than_variables(self):
-        # exercises the iteration cap sized by the saturator's generator count
+        # more generators in the saturator than variables in the ring
         i = ideal(XY, "x^5*y^5")
         k = ideal(XY, "x^2, x*y, y^2")
         # the components (x^5) and (y^5) both survive: their radicals miss k
@@ -242,6 +242,18 @@ class TestSaturate:
         once = saturate(i, k)
         assert once.contains_ideal(i)
         assert saturate(once, k) == once
+
+    @given(ideals3, nonzero3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_colon_fixpoint(self, i, k):
+        # independent route: the chain i : k^t grows until it stabilizes
+        current = i
+        while True:
+            nxt = colon(current, k)
+            if nxt == current:
+                break
+            current = nxt
+        assert saturate(i, k) == current
 
 
 class TestRadical:

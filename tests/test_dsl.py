@@ -165,7 +165,13 @@ class TestErrors:
     def test_arity_error(self):
         with pytest.raises(EvalError) as err:
             run_script("ring A = [x];\nprint saturate((x));")
-        assert "arguments" in str(err.value)
+        assert str(err.value) == "2:7: saturate expects 2 arguments, got 1"
+        with pytest.raises(EvalError) as err:
+            run_script("ring A = [x];\nprint witness((x), min, 2, 3);")
+        assert str(err.value) == "2:7: witness expects 2 or 3 arguments, got 4"
+        with pytest.raises(EvalError) as err:
+            run_script("ring A = [x];\nprint satk_min_global();")
+        assert str(err.value) == "2:7: satk_min_global expects 1 or 2 arguments, got 0"
 
     def test_keyword_cannot_start_expression(self):
         with pytest.raises(ParseError):
@@ -192,47 +198,75 @@ class TestErrors:
         assert run_script(script, char=2) == ["2"]
 
 
-# every kernel operation must be reachable through the script language
+# every kernel operation must be reachable through the script language;
+# each snippet carries the exact lines it prints after PRELUDE
 COVERAGE_SNIPPETS = {
-    "minimalize": "ideal M = (x^2, x^3, x*y) in A; print M;",
-    "contains": "print contains(I, x^2);",
-    "ideal_sum": "print I + K;",
-    "ideal_product": "print I * K;",
-    "ideal_power": "print I^2;",
-    "intersect": "print intersect(I, K);",
-    "colon": "print colon(I, K);",
-    "saturate": "print saturate(I, K);",
-    "radical": "print radical(I);",
-    "irreducible_decomposition": "print irrdecomp(I);",
-    "primary_decomposition": "print decompose(I);",
-    "associated_primes": "print ass(I);",
-    "minimal_primes": "print min(I);",
-    "ass_star_bounded": "print assstar(I, 3);",
-    "grade_zero": "print gradezero((x), I);",
-    "ass_module_quotient": "print assquot(I, 1);",
-    "saturated_power": "print satpow(I, K, 2);",
-    "saturator_min": "print satk_min(I, 2);",
-    "saturator_ass": "print satk_ass(I, 2);",
-    "saturator_min_global": "print satk_min_global(I, 3);",
-    "saturator_ass_global": "print satk_ass_global(I, 3);",
-    "symbolic_min": "print symb_min(I, 2);",
-    "symbolic_ass": "print symb_ass(I, 2);",
-    "regular_witness": "print witness(I, min);",
-    "join_rings": "print join(A, B);",
-    "extend": "ring R = join(A, B); print extend(I, R);",
-    "binomial_saturated": "print binom_sat(I, K, J, L, 2);",
-    "binomial_symbolic": "print binom_symb(I, J, 2, min);",
-    "check_equality_criteria": "print check_eq(I, K, J, L, 2);",
-    "check_symbolic_equality_implication": "print check_symb_eq(I, J, 2);",
-    "check_ass_structure": "print check_ass(I, J, 1);",
-    "check_filtration_identities": "print check_filt([I], [K], [J], K, 1);",
-    "check_term_inclusions": "print check_terms(I, K, J, L, 2);",
-    "betti_table": "print betti(I);",
-    "depth_quotient": "print depth(I);",
-    "reg_quotient": "print reg(I);",
-    "deriv_star": "print dstar(I);",
-    "check_depth_reg_binomial": "print check_depthreg(I, K, J, L, 1);",
-    "check_depth_reg_symbolic_ass": "print check_depthreg_ass(I, J, 1);",
+    "minimalize": ("ideal M = (x^2, x^3, x*y) in A; print M;", ["(x^2, x*y)"]),
+    "contains": ("print contains(I, x^2);", ["true"]),
+    "ideal_sum": ("print I + K;", ["(x, y)"]),
+    "ideal_product": ("print I * K;", ["(x^3, x^2*y, x*y^2)"]),
+    "ideal_power": ("print I^2;", ["(x^4, x^3*y, x^2*y^2)"]),
+    "intersect": ("print intersect(I, K);", ["(x^2, x*y)"]),
+    "colon": ("print colon(I, K);", ["(x)"]),
+    "saturate": ("print saturate(I, K);", ["(x)"]),
+    "radical": ("print radical(I);", ["(x)"]),
+    "irreducible_decomposition": ("print irrdecomp(I);", ["{(x), (y, x^2)}"]),
+    "primary_decomposition": ("print decompose(I);", ["{(x): (x), (x, y): (y, x^2)}"]),
+    "associated_primes": ("print ass(I);", ["{(x), (x, y)}"]),
+    "minimal_primes": ("print min(I);", ["{(x)}"]),
+    "ass_star_bounded": ("print assstar(I, 3);", ["{(x), (x, y)} stabilized=true"]),
+    "grade_zero": ("print gradezero((x), I);", ["true"]),
+    "ass_module_quotient": ("print assquot(I, 1);", ["{(x), (x, y)}"]),
+    "saturated_power": ("print satpow(I, K, 2);", ["(x^2)"]),
+    "saturator_min": ("print satk_min(I, 2);", ["(x, y)"]),
+    "saturator_ass": ("print satk_ass(I, 2);", ["(1)"]),
+    "saturator_min_global": ("print satk_min_global(I, 3);", ["(x, y)"]),
+    "saturator_ass_global": ("print satk_ass_global(I, 3);", ["(1)"]),
+    "symbolic_min": ("print symb_min(I, 2);", ["(x^2)"]),
+    "symbolic_ass": ("print symb_ass(I, 2);", ["(x^4, x^3*y, x^2*y^2)"]),
+    "regular_witness": ("print witness(I, min);", ["y"]),
+    "join_rings": ("print join(A, B);", ["[x, y, z, t]"]),
+    "extend": ("ring R = join(A, B); print extend(I, R);", ["(x^2, x*y)"]),
+    "binomial_saturated": ("print binom_sat(I, K, J, L, 2);", ["(x^2, x*z, z^2)"]),
+    "binomial_symbolic": ("print binom_symb(I, J, 2, min);", ["(x^2, x*z, z^2)"]),
+    "check_equality_criteria": (
+        "print check_eq(I, K, J, L, 2);",
+        ["joint=no componentwise=no biconditional=pass"],
+    ),
+    "check_symbolic_equality_implication": (
+        "print check_symb_eq(I, J, 2);",
+        ["joint=yes implication=pass"],
+    ),
+    "check_ass_structure": (
+        "print check_ass(I, J, 1);",
+        [
+            "tensor=True lower=True upper=True quotients=True grade=True "
+            "global_min=True global_ass=True"
+        ],
+    ),
+    "check_filtration_identities": (
+        "print check_filt([I], [K], [J], K, 1);",
+        ["premises=True disjoint=True sum=True step=True long=True colon=True"],
+    ),
+    "check_term_inclusions": (
+        "print check_terms(I, K, J, L, 2);",
+        ["TermInclusionReport(term_included=(True, True, True))"],
+    ),
+    "betti_table": (
+        "print betti(I);",
+        ["{(0, 1): 1, (1, x^2): 1, (1, x*y): 1, (2, x^2*y): 1}"],
+    ),
+    "depth_quotient": ("print depth(I);", ["0"]),
+    "reg_quotient": ("print reg(I);", ["1"]),
+    "deriv_star": ("print dstar(I);", ["(x, y)"]),
+    "check_depth_reg_binomial": (
+        "print check_depthreg(I, K, J, L, 1);",
+        ["depth 2 vs 2; reg 0 vs 0"],
+    ),
+    "check_depth_reg_symbolic_ass": (
+        "print check_depthreg_ass(I, J, 1);",
+        ["depth 0 vs 0; reg 2 vs 2"],
+    ),
 }
 
 # side B first, so the ambient ring for bare literals in the snippets is A
@@ -249,12 +283,12 @@ PRELUDE = (
 class TestCoverageAudit:
     @pytest.mark.parametrize("operation", sorted(COVERAGE_SNIPPETS))
     def test_operation_reachable(self, operation):
-        output = run_script(PRELUDE + COVERAGE_SNIPPETS[operation])
-        assert output
+        snippet, expected = COVERAGE_SNIPPETS[operation]
+        assert run_script(PRELUDE + snippet) == expected
 
     def test_every_registered_function_is_exercised(self):
         used = set()
-        for snippet in COVERAGE_SNIPPETS.values():
+        for snippet, _ in COVERAGE_SNIPPETS.values():
             for name in dsl.FUNCTION_NAMES:
                 if name + "(" in snippet:
                     used.add(name)
