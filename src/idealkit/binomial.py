@@ -34,6 +34,7 @@ from .decomposition import (
     grade_zero,
 )
 from .powers import (
+    _require_positive,
     saturated_power,
     saturator_ass_global,
     saturator_min_global,
@@ -132,8 +133,7 @@ def binomial_saturated(
     i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
 ) -> MonomialIdeal:
     """Sum over i of (I^(i) wrt K) * (J^(s-i) wrt L), extended to the joined ring."""
-    if s < 1:
-        raise ValueError("power must be positive")
+    _require_positive(s)
     terms = _expansion_terms(
         i, j, s, lambda t: saturated_power(i, k, t), lambda t: saturated_power(j, l, t)
     )
@@ -153,8 +153,7 @@ def binomial_symbolic(
     i: MonomialIdeal, j: MonomialIdeal, s: int, notion: str
 ) -> MonomialIdeal:
     """Sum over i of symbolic(I, i) * symbolic(J, s-i) in the joined ring."""
-    if s < 1:
-        raise ValueError("power must be positive")
+    _require_positive(s)
     if i.is_unit or j.is_unit:
         raise IdealArgumentError("binomial symbolic expansion needs proper ideals")
     terms = _expansion_terms(
@@ -184,6 +183,10 @@ class TermInclusionReport:
     @property
     def passed(self) -> bool:
         return all(self.term_included)
+
+    def __str__(self):
+        terms = ",".join("yes" if t else "no" for t in self.term_included)
+        return f"terms={terms} inclusion={'pass' if self.passed else 'FAIL'}"
 
 
 def check_term_inclusions(
@@ -333,6 +336,7 @@ def check_ass_structure(
     box-complete oracle on every power it touches; a disagreement means the
     witness bound missed a prime and fails the report.
     """
+    _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
         raise IdealArgumentError("structure check needs nonzero proper ideals")
     if n_max is None:
@@ -462,8 +466,7 @@ def check_filtration_identities(
     unit ideal is prepended as index 0.  ``colon_ideal`` must be a nonzero
     ideal on the same side as the first two filtrations.
     """
-    if s < 1:
-        raise ValueError("power must be positive")
+    _require_positive(s)
     i_terms = list(i_filtration)
     k_terms = list(k_filtration)
     j_terms = list(j_filtration)
@@ -489,11 +492,10 @@ def check_filtration_identities(
     ext_k = [extend(t, emb_a) for t in k_terms[: s + 1]]
     ext_j = [extend(t, emb_b) for t in j_terms[: s + 1]]
 
-    def cross_sum(a_terms, b_terms, top):
-        total = MonomialIdeal.zero(joined)
-        for t in range(top + 1):
-            total = ideal_sum(total, ideal_product(a_terms[t], b_terms[top - t]))
-        return total
+    def cross_sum(a_terms, b_terms, last=s):
+        """Sum of a_terms[t] * b_terms[s - t] over t = 0..last."""
+        products = (ideal_product(a_terms[t], b_terms[s - t]) for t in range(last + 1))
+        return reduce(ideal_sum, products, MonomialIdeal.zero(joined))
 
     disjoint = ideal_product(ext_i[1], ext_j[1]) == intersect(ext_i[1], ext_j[1])
 
@@ -503,32 +505,17 @@ def check_filtration_identities(
     rhs_sum = ideal_sum(intersect(ext_i[1], ext_k[1]), ext_j[1])
     sum_equal = lhs_sum == rhs_sum
 
-    partial = MonomialIdeal.zero(joined)
-    for t in range(max(0, s - 1)):
-        partial = ideal_sum(partial, ideal_product(ext_i[t], ext_j[s - t]))
-    partial = ideal_sum(partial, ext_i[s - 1])
-    rhs_step = MonomialIdeal.zero(joined)
-    for t in range(s):
-        rhs_step = ideal_sum(rhs_step, ideal_product(ext_i[t], ext_j[s - t]))
-    step_equal = intersect(ext_j[1], partial) == rhs_step
+    partial = ideal_sum(cross_sum(ext_i, ext_j, s - 2), ext_i[s - 1])
+    step_equal = intersect(ext_j[1], partial) == cross_sum(ext_i, ext_j, s - 1)
 
-    lhs_long = intersect(cross_sum(ext_i, ext_j, s), cross_sum(ext_k, ext_j, s))
-    rhs_long = MonomialIdeal.zero(joined)
-    for t in range(s + 1):
-        rhs_long = ideal_sum(
-            rhs_long, ideal_product(intersect(ext_i[t], ext_k[t]), ext_j[s - t])
-        )
+    sum_ij = cross_sum(ext_i, ext_j)
+    lhs_long = intersect(sum_ij, cross_sum(ext_k, ext_j))
+    rhs_long = cross_sum([intersect(a, k) for a, k in zip(ext_i, ext_k)], ext_j)
     long_equal = lhs_long == rhs_long
 
-    ext_c = extend(colon_ideal, emb_a)
-    lhs_colon = colon(cross_sum(ext_i, ext_j, s), ext_c)
-    rhs_colon = MonomialIdeal.zero(joined)
-    for t in range(s + 1):
-        rhs_colon = ideal_sum(
-            rhs_colon,
-            ideal_product(extend(colon(i_terms[t], colon_ideal), emb_a), ext_j[s - t]),
-        )
-    colon_equal = lhs_colon == rhs_colon
+    lhs_colon = colon(sum_ij, extend(colon_ideal, emb_a))
+    colons = [extend(colon(t, colon_ideal), emb_a) for t in i_terms[: s + 1]]
+    colon_equal = lhs_colon == cross_sum(colons, ext_j)
 
     return FiltrationReport(
         premises_ok=True,

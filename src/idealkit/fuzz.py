@@ -15,10 +15,12 @@ instance and prints both sides of the failed identity.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
 from . import binomial as _binomial
+from . import dsl as _dsl
 from . import homology as _homology
 from . import powers as _powers
 from .core import MonomialIdeal, Ring, ideal_power, principal
@@ -241,46 +243,7 @@ def _check_lem32_36(inst: Instance, char: int) -> CaseOutcome:
     return CaseOutcome(
         ok=ok,
         expected="all filtration identities and term inclusions hold",
-        actual=f"ordinary: {ordinary}; saturated: {saturated}; terms: {terms.term_included}",
-        script_body=body,
-    )
-
-
-def _check_lem25_29(inst: Instance, char: int) -> CaseOutcome:
-    report = _binomial.check_ass_structure(inst.ideal_i, inst.ideal_j, inst.s)
-    counters = {"inconclusive": 1 if report.inconclusive else 0}
-    body = f"print check_ass(I, J, {inst.s});"
-    return CaseOutcome(
-        ok=report.passed,
-        expected="tensor, bounds, grade and saturator checks all hold",
-        actual=str(report),
-        script_body=body,
-        counters=counters,
-    )
-
-
-def _check_thm44(inst: Instance, char: int) -> CaseOutcome:
-    report = _homology.check_depth_reg_binomial(
-        inst.ideal_i, inst.sat_k, inst.ideal_j, inst.sat_l, inst.s, char
-    )
-    body = f"print check_depthreg(I, K, J, L, {inst.s});"
-    return CaseOutcome(
-        ok=report.passed,
-        expected="depth and regularity formulas agree",
-        actual=str(report),
-        script_body=body,
-    )
-
-
-def _check_cor46(inst: Instance, char: int) -> CaseOutcome:
-    report = _homology.check_depth_reg_symbolic_ass(
-        inst.ideal_i, inst.ideal_j, inst.s, char
-    )
-    body = f"print check_depthreg_ass(I, J, {inst.s});"
-    return CaseOutcome(
-        ok=report.passed,
-        expected="depth and regularity formulas agree",
-        actual=str(report),
+        actual=f"ordinary: {ordinary}; saturated: {saturated}; {terms}",
         script_body=body,
     )
 
@@ -302,31 +265,42 @@ def _check_lem45(inst: Instance, char: int) -> CaseOutcome:
     )
 
 
-def _check_cor39_310(inst: Instance, char: int) -> CaseOutcome:
-    report = _binomial.check_equality_criteria(
-        inst.ideal_i, inst.sat_k, inst.ideal_j, inst.sat_l, inst.s
-    )
-    body = f"print check_eq(I, K, J, L, {inst.s});"
-    return CaseOutcome(
-        ok=report.passed,
-        expected="joint equality iff componentwise equalities",
-        actual=str(report),
-        script_body=body,
-    )
+# suite -> (script built-in, argument letters, expected text, counter): the
+# suite calls the built-in on the named ideals and s, and passes when the
+# returned report does; a counter names a report flag tallied per case.
+_REPORT_SUITES = {
+    "lem25_29": (
+        "check_ass", "IJ", "tensor, bounds, grade and saturator checks all hold",
+        "inconclusive",
+    ),
+    "thm44": ("check_depthreg", "IKJL", "depth and regularity formulas agree", None),
+    "cor46": ("check_depthreg_ass", "IJ", "depth and regularity formulas agree", None),
+    "cor39_310": (
+        "check_eq", "IKJL", "joint equality iff componentwise equalities", None
+    ),
+    "cor43": (
+        "check_symb_eq", "IJ", "ordinary symbolic equality propagates to both sides",
+        "joint_equal",
+    ),
+}
+
+_LETTERS = {"I": "ideal_i", "K": "sat_k", "J": "ideal_j", "L": "sat_l"}
 
 
-def _check_cor43(inst: Instance, char: int) -> CaseOutcome:
-    report = _binomial.check_symbolic_equality_implication(
-        inst.ideal_i, inst.ideal_j, inst.s
-    )
-    counters = {"joint_equal": 1 if report.joint_equal else 0}
-    body = f"print check_symb_eq(I, J, {inst.s});"
+def _check_report(builtin, letters, expected, counter, inst: Instance, char: int):
+    """Run a report-returning built-in; its function and whether it takes the
+    characteristic are read from the script language's table at call time."""
+    module, attr, _, _, with_char = _dsl._SIGNATURES[builtin]
+    args = [getattr(inst, _LETTERS[letter]) for letter in letters] + [inst.s]
+    if with_char:
+        args.append(char)
+    report = getattr(module, attr)(*args)
     return CaseOutcome(
         ok=report.passed,
-        expected="ordinary symbolic equality propagates to both sides",
+        expected=expected,
         actual=str(report),
-        script_body=body,
-        counters=counters,
+        script_body=f"print {builtin}({', '.join(letters)}, {inst.s});",
+        counters={counter: 1 if getattr(report, counter) else 0} if counter else {},
     )
 
 
@@ -335,12 +309,11 @@ _SUITE_CHECKS = {
     "thm41_min": lambda inst, char: _check_thm41(inst, char, "min"),
     "thm41_ass": lambda inst, char: _check_thm41(inst, char, "ass"),
     "lem32_36": _check_lem32_36,
-    "lem25_29": _check_lem25_29,
-    "thm44": _check_thm44,
-    "cor46": _check_cor46,
     "lem45": _check_lem45,
-    "cor39_310": _check_cor39_310,
-    "cor43": _check_cor43,
+    **{
+        name: functools.partial(_check_report, *row)
+        for name, row in _REPORT_SUITES.items()
+    },
 }
 
 

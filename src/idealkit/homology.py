@@ -24,7 +24,7 @@ from functools import reduce
 
 from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring
 from .binomial import direct_saturated_sum, symbolic_of_sum
-from .powers import saturated_power, symbolic_power
+from .powers import _require_positive, saturated_power, symbolic_power
 
 
 @dataclass(frozen=True)
@@ -455,8 +455,7 @@ def check_depth_reg_binomial(
 ) -> DepthRegReport:
     """Depth and regularity of R modulo the saturated power of the sum,
     against the min/max formulas over the per-side saturated powers."""
-    if s < 1:
-        raise ValueError("power must be positive")
+    _require_positive(s)
     return _depth_reg_report(
         direct_saturated_sum(i, k, j, l, s),
         lambda t: saturated_power(i, k, t),
@@ -474,8 +473,7 @@ def check_depth_reg_symbolic_ass(
     The left-hand side is the symbolic power of the sum computed directly
     from its primary decomposition in the joined ring.
     """
-    if s < 1:
-        raise ValueError("power must be positive")
+    _require_positive(s)
     return _depth_reg_report(
         symbolic_of_sum(i, j, s, "ass"),
         lambda t: symbolic_power(i, t, "ass"),

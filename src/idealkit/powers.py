@@ -36,6 +36,11 @@ def _require_notion(notion: str):
         raise ValueError(f"notion must be one of {NOTIONS}, got {notion!r}")
 
 
+def _require_positive(s: int):
+    if s < 1:
+        raise ValueError("power must be positive")
+
+
 def saturated_power(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialIdeal:
     """The s-th saturated power I^s : K^infinity.
 
@@ -52,6 +57,7 @@ def saturator_min(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
 
     An empty intersection is the unit ideal.
     """
+    _require_positive(s)
     mins = minimal_primes(ideal)
     embedded = [
         p for p in associated_primes(ideal_power(ideal, s)) if p not in mins
@@ -72,6 +78,7 @@ def saturator_min_global(
 
 def saturator_ass(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
     """Intersection of the primes of Ass(I^s) of positive grade on A/I."""
+    _require_positive(s)
     keep = [
         p
         for p in associated_primes(ideal_power(ideal, s))

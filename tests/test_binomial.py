@@ -10,6 +10,7 @@ from idealkit.core import (
 )
 from idealkit.binomial import (
     RingEmbedding,
+    TermInclusionReport,
     binomial_saturated,
     binomial_symbolic,
     check_ass_structure,
@@ -139,6 +140,12 @@ class TestBinomialSaturated:
     @settings(max_examples=25, deadline=None)
     def test_each_term_included(self, i, k, j, l, s):
         assert check_term_inclusions(i, k, j, l, s).passed
+
+    def test_term_report_renders_each_term(self):
+        passing = TermInclusionReport((True, True))
+        failing = TermInclusionReport((True, False, True))
+        assert str(passing) == "terms=yes,yes inclusion=pass"
+        assert str(failing) == "terms=yes,no,yes inclusion=FAIL"
 
 
 class TestBinomialSymbolic:

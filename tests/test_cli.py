@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from idealkit import core
+from idealkit import core, dsl, fuzz
 from idealkit.cli import main
 
 
@@ -10,6 +11,32 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the golden check names in report order; saved reports are read by name
+VERIFY_CHECK_NAMES = [
+    "power_of_example_ideal",
+    "disjoint_product_equals_intersection",
+    "example_ideal_component_intersection",
+    "sum_example_saturation",
+    "example_ideal_saturation",
+    "sum_example_irreducible_decomposition",
+    "sum_example_primary_keys",
+    "example_ideal_ass_and_min",
+    "example_ideal_ass_star",
+    "example_ideal_grade_zero",
+    "example_ideal_quotient_ass",
+    "example_ideal_saturated_powers",
+    "example_ideal_saturators",
+    "example_ideal_symbolic_powers",
+    "example_ideal_regular_witness",
+    "binomial_symbolic_ass_is_ordinary_square",
+    "join_of_disjoint_rings",
+    "zero_module_depth_reg_conventions",
+    "sum_example_ass_structure",
+    "script_symbolic_power_render",
+    "script_saturation_render",
+]
 
 
 class TestRun:
@@ -82,6 +109,35 @@ class TestVerify:
         assert "disjoint_product_equals_intersection" in out
 
 
+    def test_check_names_are_pinned_in_order(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--json")
+        names = [check["name"] for check in json.loads(out)["checks"]]
+        assert names == VERIFY_CHECK_NAMES
+
+    def test_raising_kernel_fails_the_named_checks(self, capsys, monkeypatch):
+        def broken(ideal, k):
+            raise RuntimeError("saturate is broken")
+
+        monkeypatch.setattr(core, "saturate", broken)
+        code, out, err = run_cli(capsys, "verify", "--json")
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        failures = {f["name"]: f for f in report["failures"]}
+        assert list(failures) == [
+            "sum_example_saturation",
+            "example_ideal_saturation",
+            "script_saturation_render",
+        ]
+        for failure in failures.values():
+            assert failure["actual"] == "RuntimeError('saturate is broken')"
+            assert "print saturate(" in failure["instance_script"]
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 1
+        assert "Traceback" not in out + err
+        assert "FAIL [example_ideal_saturation]" in out
+
+
 class TestFuzz:
     def test_small_suite_passes(self, capsys):
         code, out, err = run_cli(
@@ -116,14 +172,43 @@ class TestFuzz:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_different_seeds_differ(self, capsys):
-        _, first, _ = run_cli(
-            capsys, "fuzz", "--seed", "1", "--cases", "1", "--suite", "thm38", "--json"
+    def test_different_seeds_differ(self):
+        # reports may coincide; the instances drawn must not
+        first, second = (
+            fuzz.generate_instance(random.Random(seed), fuzz.FuzzConfig()).script()
+            for seed in (1, 2)
         )
-        _, second, _ = run_cli(
-            capsys, "fuzz", "--seed", "2", "--cases", "1", "--suite", "thm38", "--json"
-        )
-        assert first != second or True  # reports may coincide; instances must not
+        assert first != second
+
+    @pytest.mark.parametrize(
+        "suite, builtin",
+        [
+            ("lem25_29", "check_ass"),
+            ("thm44", "check_depthreg"),
+            ("cor46", "check_depthreg_ass"),
+            ("cor39_310", "check_eq"),
+            ("cor43", "check_symb_eq"),
+        ],
+    )
+    def test_report_suite_reproducer_reruns_the_checked_call(
+        self, suite, builtin, monkeypatch
+    ):
+        # a failing report must come with a script that reruns the very call
+        module, attr = dsl._SIGNATURES[builtin][:2]
+
+        class Failing:
+            passed = inconclusive = joint_equal = False
+
+            def __str__(self):
+                return f"failing {attr}"
+
+        monkeypatch.setattr(module, attr, lambda *args: Failing())
+        report = fuzz.run_suite(suite, fuzz.FuzzConfig(seed=2, cases=2))
+        assert report["passes"] == 0
+        for failure in report["failures"]:
+            last_line = failure["instance_script"].splitlines()[-1]
+            assert last_line.startswith(f"print {builtin}(")
+            assert dsl.run_script(failure["instance_script"]) == [failure["actual"]]
 
     def test_counterexample_script_reruns(self, tmp_path, capsys, monkeypatch):
         # break the expansion and confirm the reported script is executable

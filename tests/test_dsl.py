@@ -173,6 +173,19 @@ class TestErrors:
             run_script("ring A = [x];\nprint satk_min_global();")
         assert str(err.value) == "2:7: satk_min_global expects 1 or 2 arguments, got 0"
 
+    @pytest.mark.parametrize(
+        "call", ["check_ass(I, J, 0)", "satk_min(I, 0)", "satk_ass(I, 0)"]
+    )
+    def test_power_zero_is_rejected(self, call):
+        script = (
+            "ring A = [x, y];\nideal I = (x^2, x*y) in A;\n"
+            "ring B = [z, t];\nideal J = (z^2, z*t) in B;\n"
+            f"print {call};"
+        )
+        with pytest.raises(EvalError) as err:
+            run_script(script)
+        assert str(err.value) == "5:7: power must be positive"
+
     def test_keyword_cannot_start_expression(self):
         with pytest.raises(ParseError):
             parse("print ring;")
@@ -250,7 +263,7 @@ COVERAGE_SNIPPETS = {
     ),
     "check_term_inclusions": (
         "print check_terms(I, K, J, L, 2);",
-        ["TermInclusionReport(term_included=(True, True, True))"],
+        ["terms=yes,yes,yes inclusion=pass"],
     ),
     "betti_table": (
         "print betti(I);",
