@@ -192,6 +192,7 @@ class TermInclusionReport:
 def check_term_inclusions(
     i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
 ) -> TermInclusionReport:
+    _require_positive(s)
     direct = direct_saturated_sum(i, k, j, l, s)
     terms = _expansion_terms(
         i, j, s, lambda t: saturated_power(i, k, t), lambda t: saturated_power(j, l, t)
@@ -231,6 +232,7 @@ def check_equality_criteria(
     Powers of a nonzero proper monomial ideal never repeat, so the
     hypothesis of the converse direction holds automatically.
     """
+    _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
         raise IdealArgumentError("equality criteria need nonzero proper ideals")
     i_eq = tuple(
@@ -266,6 +268,7 @@ class SymbolicEqualityReport:
 def check_symbolic_equality_implication(
     i: MonomialIdeal, j: MonomialIdeal, s: int
 ) -> SymbolicEqualityReport:
+    _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
         raise IdealArgumentError("implication check needs nonzero proper ideals")
     _, _, _, total = joined_sum(i, j)

@@ -10,6 +10,7 @@ consecutive power quotients I^(i-1)/I^i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     IdealArgumentError,
@@ -95,61 +96,85 @@ def _require_nonzero_proper(ideal: MonomialIdeal):
         raise IdealArgumentError("the unit ideal has no primary decomposition")
 
 
-# Memoized across calls; results depend only on the ideal value.
-_SPLIT_CACHE: dict[MonomialIdeal, frozenset[IrreducibleComponent]] = {}
+def _split(gens: frozenset[tuple[int, ...]], memo: dict) -> frozenset:
+    """Irreducible components of the ideal with minimal generators ``gens``.
 
-
-def _component_of_pure_powers(ideal: MonomialIdeal) -> IrreducibleComponent:
-    powers = []
-    for g in ideal.generators:
-        (v,) = g.support()
-        powers.append((v, g.exponents[v]))
-    return IrreducibleComponent(ideal.ring, tuple(powers))
-
-
-def _split(ideal: MonomialIdeal) -> frozenset[IrreducibleComponent]:
-    cached = _SPLIT_CACHE.get(ideal)
+    ``gens`` is a frozenset of exponent tuples and each component is a
+    sorted tuple of (variable index, exponent) pairs.  The pivot is the
+    first mixed generator in canonical order, and x_v^a m' = m splits into
+    (I + (x_v^a)) cap (I + (m')).  Adjoining either part drops only the
+    generators it divides: neither part is divisible by another generator,
+    so the sets stay minimal.  ``memo`` is local to one decomposition.
+    """
+    cached = memo.get(gens)
     if cached is not None:
         return cached
-    pivot = None
-    for g in ideal.generators:
-        if len(g.support()) >= 2:
-            pivot = g
-            break
-    if pivot is None:
-        result = frozenset({_component_of_pure_powers(ideal)})
+    mixed = [g for g in gens if len(g) - g.count(0) >= 2]
+    if not mixed:
+        powers = []
+        for g in gens:
+            e = max(g)
+            powers.append((g.index(e), e))
+        result = frozenset({tuple(sorted(powers))})
     else:
-        v = pivot.support()[0]
-        exps = [0] * ideal.ring.nvars
-        exps[v] = pivot.exponents[v]
-        head = Monomial(ideal.ring, tuple(exps))
-        tail = pivot.divide_exact(head)
-        left = MonomialIdeal(ideal.ring, ideal.generators + (head,))
-        right = MonomialIdeal(ideal.ring, ideal.generators + (tail,))
-        result = _split(left) | _split(right)
-    _SPLIT_CACHE[ideal] = result
+        # Canonical order is lowest degree first, then revlex, which among
+        # equal degrees is the lexicographically largest exponent tuple.
+        low = min(map(sum, mixed))
+        pivot = max(g for g in mixed if sum(g) == low)
+        v = next(i for i, e in enumerate(pivot) if e)
+        a = pivot[v]
+        head = tuple(a if i == v else 0 for i in range(len(pivot)))
+        tail = pivot[:v] + (0,) + pivot[v + 1:]
+        left = frozenset(g for g in gens if g[v] < a) | {head}
+        right = frozenset(
+            g for g in gens if not all(t <= e for t, e in zip(tail, g))
+        ) | {tail}
+        result = _split(left, memo) | _split(right, memo)
+    memo[gens] = result
     return result
+
+
+@lru_cache(maxsize=1024)
+def _irredundant(gens: frozenset) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Ring-free irredundant components of ``gens``, canonically sorted.
+
+    c is kept iff it contains no other component d; only the d whose
+    support lies in c's can be contained in it.
+    """
+    raw = sorted(_split(gens, {}), key=lambda d: (len(d), d))
+    by_support: dict[int, list] = {}
+    for d in raw:
+        by_support.setdefault(sum(1 << i for i, _ in d), []).append(d)
+    kept = []
+    for c in raw:
+        powers = dict(c)
+        support = sum(1 << i for i in powers)
+        if not any(
+            d is not c and all(powers[i] <= e for i, e in d)
+            for mask, group in by_support.items()
+            if not mask & ~support
+            for d in group
+        ):
+            kept.append(c)
+    return tuple(kept)
 
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The unique irredundant set of irreducible components, canonically sorted.
 
-    Splits a generator m = x^e * rest into (I + (x^e)) cap (I + (rest))
-    until all generators are pure powers.  An irreducible component is
-    redundant iff it contains another one, so pruning to the
-    containment-minimal components yields the irredundant set.
+    Splits the first mixed generator in canonical order (lowest degree,
+    then revlex), m = x_v^a * rest with v its first variable, into
+    (I + (x_v^a)) cap (I + (rest)) until all generators are pure powers.
+    An irreducible component is redundant iff it contains another one, and
+    c contains d iff every x_i^e of d has some x_i^a in c with a <= e, so
+    pruning compares the (variable index, exponent) pairs of c with those
+    of each d whose support lies in c's.  The irredundant result is
+    memoised, ring-free and keyed by the generator exponent set, for the
+    last 1024 distinct ideals.
     """
     _require_nonzero_proper(ideal)
-    raw = sorted(_split(ideal), key=IrreducibleComponent.sort_key)
-    ideals = {c: c.as_ideal() for c in raw}
-    kept = [
-        c
-        for c in raw
-        if not any(
-            d is not c and ideals[c].contains_ideal(ideals[d]) for d in raw
-        )
-    ]
-    return tuple(kept)
+    gens = frozenset(g.exponents for g in ideal.generators)
+    return tuple(IrreducibleComponent(ideal.ring, c) for c in _irredundant(gens))
 
 
 def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:

@@ -1,6 +1,11 @@
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealkit import decomposition
 from idealkit.core import (
     IdealArgumentError,
     MonomialIdeal,
@@ -13,6 +18,7 @@ from idealkit.core import (
     radical,
 )
 from idealkit.decomposition import (
+    IrreducibleComponent,
     ass_module_quotient,
     ass_module_quotient_exhaustive,
     ass_star_bounded,
@@ -43,6 +49,56 @@ proper3 = (
     .map(lambda gens: MonomialIdeal(R3, tuple(gens)))
     .filter(lambda i: not i.is_zero and not i.is_unit)
 )
+
+
+monomials4 = st.tuples(*[st.integers(0, 3)] * 4).map(R4.monomial)
+proper4 = (
+    st.lists(monomials4, min_size=1, max_size=4)
+    .map(lambda gens: MonomialIdeal(R4, tuple(gens)))
+    .filter(lambda i: not i.is_zero and not i.is_unit)
+)
+
+
+def reference_split(i, memo):
+    """Irreducible components by splitting, one canonical MonomialIdeal per node.
+
+    This is the splitter the exponent-tuple kernel replaced; it is kept as
+    an independent oracle for it.
+    """
+    if i in memo:
+        return memo[i]
+    pivot = next((g for g in i.generators if len(g.support()) >= 2), None)
+    if pivot is None:
+        powers = tuple((g.support()[0], g.degree()) for g in i.generators)
+        result = frozenset({IrreducibleComponent(i.ring, powers)})
+    else:
+        v = pivot.support()[0]
+        head = i.ring.variable(v).power(pivot.exponents[v])
+        tail = pivot.divide_exact(head)
+        left = MonomialIdeal(i.ring, i.generators + (head,))
+        right = MonomialIdeal(i.ring, i.generators + (tail,))
+        result = reference_split(left, memo) | reference_split(right, memo)
+    memo[i] = result
+    return result
+
+
+def reference_decomposition(i):
+    """Split, then drop every component that contains another one as an ideal."""
+    raw = sorted(reference_split(i, {}), key=IrreducibleComponent.sort_key)
+    ideals = {c: c.as_ideal() for c in raw}
+    return tuple(
+        c
+        for c in raw
+        if not any(d is not c and ideals[c].contains_ideal(ideals[d]) for d in raw)
+    )
+
+
+def module_container_sizes():
+    return sum(
+        len(value)
+        for value in vars(decomposition).values()
+        if isinstance(value, (dict, set, list))
+    )
 
 
 def ass_by_colon_oracle(i):
@@ -109,6 +165,82 @@ class TestIrreducibleDecomposition:
         rnd.shuffle(gens)
         again = MonomialIdeal(R3, tuple(gens))
         assert irreducible_decomposition(i) == irreducible_decomposition(again)
+
+    @given(proper4)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_splitter(self, i):
+        for power in (i, ideal_power(i, 2)):
+            assert irreducible_decomposition(power) == reference_decomposition(power)
+
+    def test_roadmap_pathological_square(self):
+        ring = Ring(tuple("abcdefghijkl"))
+        square = ideal_power(ideal(ring, "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"), 2)
+        assert len(irreducible_decomposition(square)) == 400
+        assert len(associated_primes(square)) == 64
+
+
+class TestDecompositionMemo:
+    def test_result_carries_the_callers_ring(self):
+        other = Ring.of("p", "q", "r", "s")
+        first = irreducible_decomposition(ideal(R4, "x^2*y, y*z^3, z*t"))
+        second = irreducible_decomposition(ideal(other, "p^2*q, q*r^3, r*s"))
+        assert [c.powers for c in first] == [c.powers for c in second]
+        assert all(c.ring == R4 for c in first)
+        assert all(c.ring == other for c in second)
+        assert [str(c) for c in first] == [
+            "(z, x^2)", "(y, z)", "(y, t)", "(t, x^2, z^3)"
+        ]
+        assert [str(c) for c in second] == [
+            "(r, p^2)", "(q, r)", "(q, s)", "(s, p^2, r^3)"
+        ]
+
+    def test_memo_is_bounded(self):
+        before = module_container_sizes()
+        for a in range(1, 35):
+            for b in range(2, 36):
+                irreducible_decomposition(ideal(XY, f"x^{a}*y, y^{b}"))
+        assert module_container_sizes() == before
+        info = decomposition._irredundant.cache_info()
+        assert info.maxsize == 1024
+        assert info.currsize <= 1024
+
+    def test_concurrent_use_matches_serial(self):
+        rnd = random.Random(11)
+        ideals = []
+        while len(ideals) < 150:
+            gens = [
+                R4.monomial([rnd.randint(0, 3) for _ in range(4)])
+                for _ in range(rnd.randint(1, 4))
+            ]
+            i = MonomialIdeal(R4, tuple(gens))
+            if not i.is_zero and not i.is_unit:
+                ideals += [i, ideal_power(i, 2)]
+        # More distinct ideals than the memo holds, so threads also evict.
+        ideals += [
+            ideal(XY, f"x^{a}, x*y, y^{b}") for a in range(2, 40) for b in range(2, 40)
+        ]
+        serial = {i: irreducible_decomposition(i) for i in ideals}
+        decomposition._irredundant.cache_clear()
+        results = [{} for _ in range(4)]
+
+        def work(k):
+            order = list(ideals)
+            random.Random(k).shuffle(order)
+            for i in order:
+                results[k][i] = irreducible_decomposition(i)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r == serial for r in results)
 
 
 class TestPrimaryDecomposition:

@@ -174,12 +174,20 @@ class TestErrors:
         assert str(err.value) == "2:7: satk_min_global expects 1 or 2 arguments, got 0"
 
     @pytest.mark.parametrize(
-        "call", ["check_ass(I, J, 0)", "satk_min(I, 0)", "satk_ass(I, 0)"]
+        "call",
+        [
+            "check_ass(I, J, 0)",
+            "satk_min(I, 0)",
+            "satk_ass(I, 0)",
+            "check_terms(I, K, J, L, 0)",
+            "check_eq(I, K, J, L, 0)",
+            "check_symb_eq(I, J, 0)",
+        ],
     )
     def test_power_zero_is_rejected(self, call):
         script = (
-            "ring A = [x, y];\nideal I = (x^2, x*y) in A;\n"
-            "ring B = [z, t];\nideal J = (z^2, z*t) in B;\n"
+            "ring A = [x, y];\nideal I = (x^2, x*y) in A; ideal K = (x, y) in A;\n"
+            "ring B = [z, t];\nideal J = (z^2, z*t) in B; ideal L = (z, t) in B;\n"
             f"print {call};"
         )
         with pytest.raises(EvalError) as err:
