@@ -20,6 +20,7 @@ from .core import (
     Ring,
     colon_monomial,
     ideal_power,
+    ideal_product,
     intersect_all,
     monomials_below,
 )
@@ -231,9 +232,11 @@ def ass_star_bounded(
     union: set[MonomialPrime] = set()
     previous: frozenset[MonomialPrime] = frozenset()
     current: frozenset[MonomialPrime] = frozenset()
+    power = MonomialIdeal.unit(ideal.ring)
     for n in range(1, n_max + 1):
         previous = current
-        current = associated_primes(ideal_power(ideal, n))
+        power = ideal_product(power, ideal)
+        current = associated_primes(power)
         union |= current
     return frozenset(union), previous == current
 

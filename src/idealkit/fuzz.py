@@ -23,7 +23,7 @@ from . import binomial as _binomial
 from . import dsl as _dsl
 from . import homology as _homology
 from . import powers as _powers
-from .core import MonomialIdeal, Ring, ideal_power, principal
+from .core import MonomialIdeal, Ring, ideal_product, principal
 from .decomposition import ass_star_bounded
 
 SUITE_NAMES = (
@@ -207,18 +207,27 @@ def _check_thm41(inst: Instance, char: int, notion: str) -> CaseOutcome:
     return outcome
 
 
+def _power_list(ideal: MonomialIdeal, s: int) -> list[MonomialIdeal]:
+    """[I^1, ..., I^s], each power one product from the one before."""
+    powers = [ideal]
+    while len(powers) < s:
+        powers.append(ideal_product(powers[-1], ideal))
+    return powers
+
+
 def _check_lem32_36(inst: Instance, char: int) -> CaseOutcome:
     s = inst.s
+    k_powers = _power_list(inst.sat_k, s)
     ordinary = _binomial.check_filtration_identities(
-        [ideal_power(inst.ideal_i, t) for t in range(1, s + 1)],
-        [ideal_power(inst.sat_k, t) for t in range(1, s + 1)],
-        [ideal_power(inst.ideal_j, t) for t in range(1, s + 1)],
+        _power_list(inst.ideal_i, s),
+        k_powers,
+        _power_list(inst.ideal_j, s),
         inst.sat_k,
         s,
     )
     saturated = _binomial.check_filtration_identities(
         [_powers.saturated_power(inst.ideal_i, inst.sat_k, t) for t in range(1, s + 1)],
-        [ideal_power(inst.sat_k, t) for t in range(1, s + 1)],
+        k_powers,
         [_powers.saturated_power(inst.ideal_j, inst.sat_l, t) for t in range(1, s + 1)],
         inst.sat_k,
         s,

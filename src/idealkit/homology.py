@@ -8,9 +8,19 @@ at b).  The convention used and tested throughout is
     beta_{i,b}(R/I) = dim H~_{i-2}(K^b)       for i >= 1,
 
 with beta_{0,0}(R/I) = 1; so a minimal generator contributes via the
-homology of the one-point complex {emptyset} in degree -1.  Homology ranks
-are exact: fraction-free (Bareiss) elimination over the integers in
-characteristic zero, Gaussian elimination over GF(p) otherwise.
+homology of the one-point complex {emptyset} in degree -1.
+
+K^b has a closed form (Miller-Sturmfels, Combinatorial Commutative
+Algebra, Thm 1.34 and ch. 5): x^(b-t) lies in I iff some generator g
+divides b with t inside S_g(b) = {i : g_i < b_i}, so K^b is the complex
+generated by the sets S_g(b) of the generators g dividing b.  The lattice,
+the sets S_g(b) and the faces are computed on exponent tuples and vertex
+bitmasks; a Monomial is built only for a multidegree with a nonzero Betti
+number.  When all maximal S_g(b) share a vertex, K^b is a cone and has no
+reduced homology, so no rank is computed; the one-facet complex {emptyset}
+of a minimal generator is not a cone.  Homology ranks are exact:
+fraction-free (Bareiss) elimination over the integers in characteristic
+zero, Gaussian elimination over GF(p) otherwise.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it never shares code
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import and_
 
 from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring
 from .binomial import direct_saturated_sum, symbolic_of_sum
@@ -150,27 +161,39 @@ def _rank(rows, char):
     return rank_fraction_free(rows) if char == 0 else rank_mod_p(rows, char)
 
 
-def _chain_ranks(faces_by_size: dict[int, list[tuple[int, ...]]], char: int):
-    """Boundary ranks of the reduced chain complex of a simplicial complex.
+def _homology_dims(faces, char: int) -> dict[int, int]:
+    """Reduced homology dims of a simplicial complex whose faces are given
+    as vertex bitmasks, closed under taking subsets.
 
-    faces_by_size maps t to the size-t faces (t = 0 is the empty face).
-    Returns {t: rank of the boundary from size-t faces to size-(t-1) faces}.
+    Keys are homological degrees (the empty face sits in degree -1).  The
+    boundary drops the k-th lowest vertex of a face with sign (-1)^k.
     """
+    by_size: dict[int, list[int]] = {}
+    for face in sorted(faces):
+        by_size.setdefault(face.bit_count(), []).append(face)
     ranks = {}
-    for t, faces in faces_by_size.items():
+    for t, members in by_size.items():
         if t == 0:
             continue
-        below = {f: idx for idx, f in enumerate(faces_by_size.get(t - 1, []))}
-        if not below or not faces:
-            ranks[t] = 0
-            continue
-        matrix = [[0] * len(faces) for _ in range(len(below))]
-        for col, face in enumerate(faces):
-            for drop in range(t):
-                sub = face[:drop] + face[drop + 1 :]
-                matrix[below[sub]][col] = -1 if drop % 2 else 1
+        below = {face: row for row, face in enumerate(by_size[t - 1])}
+        matrix = [[0] * len(members) for _ in below]
+        for col, face in enumerate(members):
+            sign, rest = 1, face
+            while rest:
+                vertex = rest & -rest
+                matrix[below[face ^ vertex]][col] = sign
+                sign, rest = -sign, rest ^ vertex
         ranks[t] = _rank(matrix, char)
-    return ranks
+    dims = {}
+    for t, members in sorted(by_size.items()):
+        h = len(members) - ranks.get(t, 0) - ranks.get(t + 1, 0)
+        if h:
+            dims[t - 1] = h
+    return dims
+
+
+def _show_face(face) -> str:
+    return "{" + ", ".join(str(v) for v in face) + "}"
 
 
 def reduced_homology_dimensions(
@@ -180,66 +203,73 @@ def reduced_homology_dimensions(
 
     The empty face must be a member for nonvoid complexes; a void complex
     (empty face set) has no homology at all.  Keys are homological degrees
-    (the empty face sits in degree -1).
+    (the empty face sits in degree -1).  A face set that is not closed
+    under taking subsets raises ValueError naming the first missing face:
+    the empty face, or else a codimension-one subface of the smallest face
+    (by size, then sorted vertices) that lacks one.
     """
     _require_char(char)
     if not faces:
         return {}
-    faces_by_size: dict[int, list[tuple[int, ...]]] = {}
-    for f in faces:
-        faces_by_size.setdefault(len(f), []).append(tuple(sorted(f)))
-    for t in faces_by_size:
-        faces_by_size[t].sort()
-    ranks = _chain_ranks(faces_by_size, char)
-    dims = {}
-    for t, members in faces_by_size.items():
-        h = len(members) - ranks.get(t, 0) - ranks.get(t + 1, 0)
-        if h:
-            dims[t - 1] = h
-    return dims
+    if frozenset() not in faces:
+        raise ValueError("not a simplicial complex: the empty face {} is missing")
+    for face in sorted((tuple(sorted(f)) for f in faces), key=lambda f: (len(f), f)):
+        for sub in sorted(face[:k] + face[k + 1 :] for k in range(len(face))):
+            if frozenset(sub) not in faces:
+                raise ValueError(
+                    f"not a simplicial complex: face {_show_face(sub)} "
+                    f"of {_show_face(face)} is missing"
+                )
+    vertices = sorted(set().union(*faces))
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    return _homology_dims((sum(bit[v] for v in f) for f in faces), char)
+
+
+def _lcm_closure(gens) -> set[tuple[int, ...]]:
+    """Exponent tuples of the lcms of all nonempty subsets of ``gens``.
+
+    One pass per generator g: L <- L + {g} + {lcm(p, g) : p in L}.
+    """
+    points: set[tuple[int, ...]] = set()
+    for g in gens:
+        points |= {tuple(map(max, p, g)) for p in points}
+        points.add(g)
+    return points
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
     """All lcms of nonempty generator subsets, deduplicated, in canonical order."""
-    if ideal.is_zero:
-        return []
-    points = set(ideal.generators)
-    frontier = set(ideal.generators)
-    while frontier:
-        new = set()
-        for b in frontier:
-            for g in ideal.generators:
-                m = b.lcm(g)
-                if m not in points:
-                    new.add(m)
-        points |= new
-        frontier = new
-    return sorted(points, key=Monomial.sort_key)
-
-
-def _upper_koszul_faces(ideal: MonomialIdeal, b: Monomial) -> set[frozenset[int]]:
-    """Faces t <= supp(b) with x^(b-t) in the ideal; downward closed."""
     ring = ideal.ring
-    if not ideal.contains(b):
-        return set()
-    faces = {frozenset()}
-    support = b.support()
-    frontier = [frozenset()]
-    while frontier:
-        new = []
-        for face in frontier:
-            top = max(face) if face else -1
-            for v in support:
-                if v <= top:
-                    continue
-                candidate = face | {v}
-                exps = list(b.exponents)
-                for w in candidate:
-                    exps[w] -= 1
-                if ideal.contains(Monomial(ring, tuple(exps))):
-                    faces.add(candidate)
-                    new.append(candidate)
-        frontier = new
+    points = _lcm_closure([g.exponents for g in ideal.generators])
+    return sorted((Monomial(ring, b) for b in points), key=Monomial.sort_key)
+
+
+def _koszul_facets(gens, b: tuple[int, ...]) -> list[int]:
+    """Maximal faces of K^b as bitmasks: the sets S_g(b) = {i : g_i < b_i}
+    of the generators g dividing b, less those inside another."""
+    masks = set()
+    for g in gens:
+        mask = 0
+        for i, (e, top) in enumerate(zip(g, b)):
+            if e > top:
+                break
+            if e < top:
+                mask |= 1 << i
+        else:
+            masks.add(mask)
+    return [m for m in masks if not any(m != o and m & o == m for o in masks)]
+
+
+def _upper_koszul_faces(facets: list[int]) -> set[int]:
+    """Faces of the complex generated by ``facets``: all their submasks."""
+    faces = set()
+    for facet in facets:
+        sub = facet
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & facet
     return faces
 
 
@@ -307,12 +337,16 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     if ideal.is_unit:
         return BettiTable(ring, ideal, ())
     entries: dict[tuple[int, Monomial], int] = {(0, ring.one()): 1}
-    for b in lcm_lattice(ideal):
-        faces = _upper_koszul_faces(ideal, b)
-        if not faces:
-            continue
-        for degree, dim in reduced_homology_dimensions(faces, char).items():
-            entries[(degree + 2, b)] = dim
+    gens = [g.exponents for g in ideal.generators]
+    for b in _lcm_closure(gens):
+        facets = _koszul_facets(gens, b)
+        if reduce(and_, facets):
+            continue  # a cone: every maximal face holds a common vertex
+        dims = _homology_dims(_upper_koszul_faces(facets), char)
+        if dims:
+            m = Monomial(ring, b)
+            for degree, dim in dims.items():
+                entries[(degree + 2, m)] = dim
     return BettiTable(ring, ideal, _freeze_entries(entries))
 
 

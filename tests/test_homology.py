@@ -1,11 +1,17 @@
+from functools import reduce
+from itertools import combinations
+from operator import and_
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit.core import MonomialIdeal, Ring, ideal_power
+from idealkit.core import Monomial, MonomialIdeal, Ring, ideal_power
 from idealkit.homology import (
     NEG_INF,
     POS_INF,
     ExtendedInt,
+    _koszul_facets,
+    _upper_koszul_faces,
     betti_table,
     check_depth_reg_binomial,
     check_depth_reg_symbolic_ass,
@@ -88,6 +94,34 @@ class TestReducedHomology:
         faces = {frozenset(), frozenset({0}), frozenset({1})}
         assert reduced_homology_dimensions(faces) == {0: 1}
 
+    def test_vertex_labels_need_not_be_consecutive(self):
+        faces = {frozenset(), frozenset({3}), frozenset({7}), frozenset({9})}
+        faces |= {frozenset({3, 7}), frozenset({3, 9}), frozenset({7, 9})}
+        assert reduced_homology_dimensions(faces) == {1: 1}
+        assert reduced_homology_dimensions(faces, 3) == {1: 1}
+
+    @pytest.mark.parametrize(
+        "faces, missing",
+        [
+            ({frozenset(), frozenset({0, 1})}, "face {0} of {0, 1} is missing"),
+            ({frozenset({0})}, "the empty face {} is missing"),
+            (
+                {
+                    frozenset(),
+                    frozenset({0}),
+                    frozenset({1}),
+                    frozenset({0, 1}),
+                    frozenset({0, 1, 2}),
+                },
+                "face {0, 2} of {0, 1, 2} is missing",
+            ),
+        ],
+    )
+    def test_face_sets_not_closed_under_subsets_are_rejected(self, faces, missing):
+        with pytest.raises(ValueError, match="not a simplicial complex") as info:
+            reduced_homology_dimensions(faces)
+        assert missing in str(info.value)
+
 
 class TestBettiTable:
     def test_single_variable(self):
@@ -144,12 +178,96 @@ class TestBettiTable:
         assert set(i.generators) <= set(lattice)
         assert i.lcm_of_generators() in lattice
 
+    def test_lattice_of_zero_ideal_is_empty(self):
+        assert lcm_lattice(MonomialIdeal.zero(R3)) == []
+
+    def test_cone_multidegree_has_no_betti_number(self):
+        # At a^2*b^2 the generator a*b gives the facet {a, b}, which holds
+        # the facets {b} of a^2 and {a} of b^2: K^b is a simplex, a cone.
+        i = ideal(AB, "a^2, a*b, b^2")
+        b = AB.monomial((2, 2))
+        assert b in lcm_lattice(i)
+        facets = _koszul_facets([g.exponents for g in i.generators], b.exponents)
+        assert facets == [0b11]
+        table = betti_table(i)
+        assert all(table.multiplicity(k, b) == 0 for k in range(4))
+        assert table == taylor_betti_table(i)
+
+    def test_hollow_triangle_multidegree(self):
+        # At x^2*y^2*z^2 the three generators give the three edges of a
+        # triangle and nothing more: H~_1 = 1, so beta_{3,b} = 1.
+        i = ideal(R3, "x*y*z^2, x*y^2*z, x^2*y*z")
+        b = R3.monomial((2, 2, 2))
+        facets = _koszul_facets([g.exponents for g in i.generators], b.exponents)
+        assert sorted(facets) == [0b011, 0b101, 0b110]
+        assert reduce(and_, facets) == 0
+        for char in (0, 2, 3):
+            table = betti_table(i, char)
+            assert table.multiplicity(3, b) == 1
+            assert table == taylor_betti_table(i, char)
+
 
 small_vectors = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 random_ideals = (
     st.lists(small_vectors.map(lambda e: R3.monomial(e)), min_size=1, max_size=5)
     .map(lambda gens: MonomialIdeal(R3, tuple(gens)))
     .filter(lambda i: not i.is_zero and not i.is_unit)
+)
+
+
+def all_subset_lcms(i):
+    gens = i.generators
+    return {
+        reduce(Monomial.lcm, subset)
+        for size in range(1, len(gens) + 1)
+        for subset in combinations(gens, size)
+    }
+
+
+def bfs_upper_koszul_faces(i, b):
+    """Faces t <= supp(b) with x^(b-t) in i, found breadth first with one
+    membership probe per candidate face, as frozensets of variables."""
+    if not i.contains(b):
+        return set()
+    faces = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        new = []
+        for face in frontier:
+            top = max(face) if face else -1
+            for v in b.support():
+                if v <= top:
+                    continue
+                candidate = face | {v}
+                exps = list(b.exponents)
+                for w in candidate:
+                    exps[w] -= 1
+                if i.contains(Monomial(i.ring, tuple(exps))):
+                    faces.add(candidate)
+                    new.append(candidate)
+        frontier = new
+    return faces
+
+
+def as_mask(face):
+    return sum(1 << v for v in face)
+
+
+R5 = Ring.of("a", "b", "c", "d", "e")
+
+
+def wide_generators(ring, count):
+    vector = st.tuples(*[st.integers(0, 3)] * ring.nvars).filter(lambda e: sum(e) >= 4)
+    return st.lists(vector.map(ring.monomial), min_size=count, max_size=count)
+
+
+# Ideals in 4-5 variables with exponents up to 3 and at most 14 generators,
+# the Taylor oracle's cap; the generator count is drawn first so that long
+# generator lists are as likely as short ones.
+wide_ideals = st.tuples(st.sampled_from([R4, R5]), st.integers(1, 14)).flatmap(
+    lambda shape: wide_generators(*shape).map(
+        lambda gens: MonomialIdeal(shape[0], tuple(gens))
+    )
 )
 
 
@@ -173,6 +291,25 @@ class TestOracleAgreement:
     @settings(max_examples=15, deadline=None)
     def test_char_two_agrees_with_taylor(self, i):
         assert betti_table(i, 2) == taylor_betti_table(i, 2)
+
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_ideals_agree_with_taylor(self, i, char):
+        assert betti_table(i, char) == taylor_betti_table(i, char)
+
+    @given(wide_ideals)
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_faces_match_membership_search(self, i):
+        gens = [g.exponents for g in i.generators]
+        for b in lcm_lattice(i):
+            expected = {as_mask(f) for f in bfs_upper_koszul_faces(i, b)}
+            assert _upper_koszul_faces(_koszul_facets(gens, b.exponents)) == expected
+
+    @given(wide_ideals.filter(lambda i: len(i.generators) <= 8))
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_is_every_subset_lcm(self, i):
+        expected = sorted(all_subset_lcms(i), key=Monomial.sort_key)
+        assert lcm_lattice(i) == expected
 
 
 class TestDerivStar:
