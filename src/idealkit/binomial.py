@@ -96,10 +96,6 @@ def extend(ideal: MonomialIdeal, emb: RingEmbedding) -> MonomialIdeal:
     )
 
 
-def extend_prime(p: MonomialPrime, emb: RingEmbedding) -> MonomialPrime:
-    return MonomialPrime(emb.target, tuple(emb.index_map[i] for i in p.support))
-
-
 def prime_sum(
     p: MonomialPrime, q: MonomialPrime, emb_a: RingEmbedding, emb_b: RingEmbedding
 ) -> MonomialPrime:
@@ -335,9 +331,9 @@ def check_ass_structure(
     """Tensor Ass equality, power-quotient bounds, grade additivity, and the
     global-saturator identities, all in the joined ring.
 
-    The witness-bounded quotient Ass computation is compared against the
-    box-complete oracle on every power it touches; a disagreement means the
-    witness bound missed a prime and fails the report.
+    The corner-form quotient Ass computation is compared against the
+    box-complete oracle on every power it touches; a disagreement fails
+    the report.
     """
     _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
@@ -358,9 +354,9 @@ def check_ass_structure(
 
     def quotient_ass(ideal, index):
         nonlocal quotient_agrees
-        bounded = ass_module_quotient(ideal, index)
+        corners = ass_module_quotient(ideal, index)
         oracle = ass_module_quotient_exhaustive(ideal, index)
-        if bounded != oracle:
+        if corners != oracle:
             quotient_agrees = False
         return oracle
 

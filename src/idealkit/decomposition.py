@@ -266,28 +266,41 @@ def _prime_from_variable_ideal(ideal: MonomialIdeal) -> MonomialPrime | None:
 
 
 def ass_module_quotient(ideal: MonomialIdeal, i: int) -> frozenset[MonomialPrime]:
-    """Associated primes of I^(i-1)/I^i.
+    """Associated primes of I^(i-1)/I^i, read off the corners of I^i.
 
-    A prime p is associated iff p = (I^i : m) for a monomial
-    m in I^(i-1) \\ I^i.  Witnesses are searched over products g*d with
-    g a generator of I^(i-1) and d dividing the lcm of the generators of
-    I^i; ``ass_module_quotient_exhaustive`` cross-checks this bound.
+    Let N be the largest exponent among the generators of I^(i-1) and I^i.
+    The corner of an irredundant irreducible component
+    Q = (x_j^(e_j) : j in T) of I^i is the monomial m with m_j = e_j - 1 on
+    T and m_j = N off T.  Then P_T is associated iff some component with
+    support T has its corner in I^(i-1); no colon is needed:
+
+    * I^i : m = P_T, so m is not in I^i.  Q : m = P_T, and m lies in every
+      other component Q' = (x_k^(e'_k)).  If the support of Q' leaves T,
+      m holds some x_k^(e'_k) with k off T, as e'_k <= N.  If it lies in
+      T, Q does not contain Q' (the decomposition is irredundant), so
+      e'_k <= e_k - 1 = m_k for some k.
+    * The form is complete.  Let I^i : f = P_T with f in I^(i-1).  Raising
+      f to N off T keeps it in I^(i-1) and keeps the colon P_T, since
+      membership in I^i ignores exponents above N.  The raised f lies in
+      every component whose support leaves T, so it misses some Q with
+      support in T.  P_T inside Q : f forces that support to be T and
+      f_j = e_j - 1 on T, so f is the corner of Q.
+
+    ``ass_module_quotient_exhaustive`` cross-checks this against a box scan.
     """
     _require_nonzero_proper(ideal)
     if i < 1:
         raise ValueError("quotient index must be positive")
-    high = ideal_power(ideal, i)
     low = ideal_power(ideal, i - 1)
-    bound = high.lcm_of_generators()
+    high = ideal_product(low, ideal)
+    n = max(low.max_exponent(), high.max_exponent())
     primes: set[MonomialPrime] = set()
-    for g in low.generators:
-        for d in monomials_below(bound):
-            m = g * d
-            if high.contains(m):
-                continue
-            prime = _prime_from_variable_ideal(colon_monomial(high, m))
-            if prime is not None:
-                primes.add(prime)
+    for c in irreducible_decomposition(high):
+        corner = [n] * ideal.ring.nvars
+        for j, e in c.powers:
+            corner[j] = e - 1
+        if low.contains(ideal.ring.monomial(corner)):
+            primes.add(c.radical())
     return frozenset(primes)
 
 
@@ -304,8 +317,8 @@ def ass_module_quotient_exhaustive(
     _require_nonzero_proper(ideal)
     if i < 1:
         raise ValueError("quotient index must be positive")
-    high = ideal_power(ideal, i)
     low = ideal_power(ideal, i - 1)
+    high = ideal_product(low, ideal)
     box = high.lcm_of_generators().lcm(low.lcm_of_generators())
     primes: set[MonomialPrime] = set()
     for m in monomials_below(box):

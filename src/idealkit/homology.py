@@ -353,56 +353,50 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
 def taylor_betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     """Betti numbers of R/I from the multigraded strands of the Taylor complex.
 
-    Exponential in the number of generators; meant as a brute-force oracle
-    for small inputs.
+    Generator subsets are bitmasks.  The lcm of a subset S is computed once,
+    as lcm(S - {max S}) joined with the generator max S, and the subsets
+    are grouped into strands by lcm.  A boundary entry of S drops one bit
+    and looks the smaller subset up in the same strand.  Exponential in the
+    number of generators; meant as a brute-force oracle for small inputs.
     """
     _require_char(char)
     ring = ideal.ring
     if ideal.is_unit:
         return BettiTable(ring, ideal, ())
-    gens = ideal.generators
+    gens = [g.exponents for g in ideal.generators]
     if len(gens) > 14:
         raise IdealArgumentError("Taylor oracle limited to 14 generators")
-    subsets_by_lcm: dict[Monomial, list[tuple[int, ...]]] = {}
-    for mask in range(1 << len(gens)):
-        subset = tuple(i for i in range(len(gens)) if mask >> i & 1)
-        m = reduce(Monomial.lcm, (gens[i] for i in subset), ring.one())
-        subsets_by_lcm.setdefault(m, []).append(subset)
+    lcms = [(0,) * ring.nvars]
+    for mask in range(1, 1 << len(gens)):
+        top = mask.bit_length() - 1
+        lcms.append(tuple(map(max, lcms[mask ^ (1 << top)], gens[top])))
+    strands: dict[tuple[int, ...], list[int]] = {}
+    for mask, b in enumerate(lcms):
+        strands.setdefault(b, []).append(mask)
     entries: dict[tuple[int, Monomial], int] = {}
-    for b, strand in subsets_by_lcm.items():
-        by_size: dict[int, list[tuple[int, ...]]] = {}
-        for subset in strand:
-            by_size.setdefault(len(subset), []).append(subset)
-        for size in by_size:
-            by_size[size].sort()
-        index = {
-            (size, subset): k
-            for size, members in by_size.items()
-            for k, subset in enumerate(members)
-        }
+    for b, strand in strands.items():
+        by_size: dict[int, dict[int, int]] = {}  # subset mask -> row index
+        for mask in strand:
+            members = by_size.setdefault(mask.bit_count(), {})
+            members[mask] = len(members)
         ranks: dict[int, int] = {}
         for size, members in by_size.items():
-            if size == 0:
-                continue
-            below = by_size.get(size - 1, [])
+            below = by_size.get(size - 1)
             if not below:
-                ranks[size] = 0
                 continue
-            matrix = [[0] * len(members) for _ in range(len(below))]
-            for col, subset in enumerate(members):
-                full = reduce(Monomial.lcm, (gens[i] for i in subset), ring.one())
-                for drop in range(size):
-                    sub = subset[:drop] + subset[drop + 1 :]
-                    partial = reduce(
-                        Monomial.lcm, (gens[i] for i in sub), ring.one()
-                    )
-                    if partial == full:
-                        matrix[index[(size - 1, sub)]][col] = -1 if drop % 2 else 1
+            matrix = [[0] * len(members) for _ in below]
+            for col, mask in enumerate(members):
+                sign, rest = 1, mask
+                while rest:
+                    bit = rest & -rest
+                    if lcms[mask ^ bit] == b:
+                        matrix[below[mask ^ bit]][col] = sign
+                    sign, rest = -sign, rest ^ bit
             ranks[size] = _rank(matrix, char)
         for size, members in by_size.items():
             h = len(members) - ranks.get(size, 0) - ranks.get(size + 1, 0)
             if h:
-                entries[(size, b)] = h
+                entries[(size, Monomial(ring, b))] = h
     return BettiTable(ring, ideal, _freeze_entries(entries))
 
 

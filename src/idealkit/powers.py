@@ -16,7 +16,6 @@ from .core import (
     ideal_power,
     intersect_all,
     monomials_of_degree_at_most,
-    principal,
     saturate,
 )
 from .decomposition import (
@@ -181,10 +180,3 @@ def regular_witness(
     """
     candidates = regular_witness_candidates(ideal, notion, n_max, max_degree)
     return candidates[0] if candidates else None
-
-
-def witness_saturated_power(
-    ideal: MonomialIdeal, witness: Monomial, s: int
-) -> MonomialIdeal:
-    """Saturated power by the principal ideal of a witness monomial."""
-    return saturated_power(ideal, principal(witness), s)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealkit import binomial
 from idealkit.core import (
     IdealArgumentError,
     MonomialIdeal,
@@ -263,6 +264,18 @@ class TestAssStructure:
         report = check_ass_structure(i, j, s)
         assert report.quotient_ass_agrees
         assert report.passed
+
+    def test_cross_check_catches_a_dropped_quotient_prime(self, monkeypatch):
+        healthy = binomial.ass_module_quotient
+
+        def dropping(ideal, index):
+            primes = healthy(ideal, index)
+            return primes - {max(primes, key=MonomialPrime.sort_key)}
+
+        monkeypatch.setattr(binomial, "ass_module_quotient", dropping)
+        report = check_ass_structure(ideal(AB, "a^2, a*b"), ideal(CD, "c^2, c*d"), 2)
+        assert report.quotient_ass_agrees is False
+        assert not report.passed
 
     def test_unstabilized_bound_reports_inconclusive(self):
         # the edge ideal of a triangle picks up the maximal ideal only at

@@ -59,6 +59,20 @@ proper4 = (
 )
 
 
+RINGS_UP_TO_4 = [Ring(tuple("xyzt"[:n])) for n in range(1, 5)]
+proper_up_to_4 = (
+    st.sampled_from(RINGS_UP_TO_4)
+    .flatmap(
+        lambda ring: st.lists(
+            st.tuples(*[st.integers(0, 3)] * ring.nvars).map(ring.monomial),
+            min_size=1,
+            max_size=4,
+        ).map(lambda gens: MonomialIdeal(ring, tuple(gens)))
+    )
+    .filter(lambda i: not i.is_zero and not i.is_unit)
+)
+
+
 def reference_split(i, memo):
     """Irreducible components by splitting, one canonical MonomialIdeal per node.
 
@@ -374,9 +388,17 @@ class TestQuotientAss:
         with pytest.raises(ValueError):
             ass_module_quotient(ideal(A, "a"), 0)
 
-    @given(proper3, st.integers(1, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_witness_bound_matches_exhaustive_box(self, i, index):
+    def test_corner_is_raised_off_its_support(self):
+        # I^2 = (x^2*y^2) has components (x^2) and (y^2); the corner of (x^2)
+        # is x*y^2, which lies in I.  Left at x it would miss I.
+        assert ass_module_quotient(ideal(XY, "x*y"), 2) == {
+            MonomialPrime.of_names(XY, "x"),
+            MonomialPrime.of_names(XY, "y"),
+        }
+
+    @given(proper_up_to_4, st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_corner_form_matches_exhaustive_box(self, i, index):
         assert ass_module_quotient(i, index) == ass_module_quotient_exhaustive(
             i, index
         )

@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -5,7 +6,13 @@ from operator import and_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit.core import Monomial, MonomialIdeal, Ring, ideal_power
+from idealkit.core import (
+    IdealArgumentError,
+    Monomial,
+    MonomialIdeal,
+    Ring,
+    ideal_power,
+)
 from idealkit.homology import (
     NEG_INF,
     POS_INF,
@@ -296,6 +303,25 @@ class TestOracleAgreement:
     @settings(max_examples=40, deadline=None)
     def test_wide_ideals_agree_with_taylor(self, i, char):
         assert betti_table(i, char) == taylor_betti_table(i, char)
+
+    def test_fourteen_generator_antichain_agrees_with_taylor(self):
+        # Every second degree-5 monomial of R4 in descending lex order, up to
+        # the Taylor oracle's cap of 14 generators.
+        i = ideal(
+            R4,
+            "x^5, x^4*z, x^3*y^2, x^3*y*t, x^3*z*t, x^2*y^3, x^2*y^2*t, "
+            "x^2*y*z*t, x^2*z^3, x^2*z*t^2, x*y^4, x*y^3*t, x*y^2*z*t, x*y*z^3",
+        )
+        assert len(i.generators) == 14
+        started = time.monotonic()
+        assert betti_table(i, 3) == taylor_betti_table(i, 3)
+        assert time.monotonic() - started < 5
+
+    def test_taylor_oracle_rejects_fifteen_generators(self):
+        i = ideal(R4, ", ".join(f"x^{k}*y^{14 - k}" for k in range(15)))
+        assert len(i.generators) == 15
+        with pytest.raises(IdealArgumentError, match="14 generators"):
+            taylor_betti_table(i)
 
     @given(wide_ideals)
     @settings(max_examples=40, deadline=None)
