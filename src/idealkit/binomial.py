@@ -34,10 +34,10 @@ from .decomposition import (
     grade_zero,
 )
 from .powers import (
+    NOTIONS,
     _require_positive,
+    _saturator,
     saturated_power,
-    saturator_ass_global,
-    saturator_min_global,
     symbolic_power,
 )
 
@@ -125,15 +125,21 @@ def _expansion_terms(
     ]
 
 
+def _saturated_terms(
+    i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
+) -> list[MonomialIdeal]:
+    """The terms (I^t : K^inf) * (J^(s-t) : L^inf), t = 0..s, in the joined ring."""
+    return _expansion_terms(
+        i, j, s, lambda t: saturated_power(i, k, t), lambda t: saturated_power(j, l, t)
+    )
+
+
 def binomial_saturated(
     i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
 ) -> MonomialIdeal:
     """Sum over i of (I^(i) wrt K) * (J^(s-i) wrt L), extended to the joined ring."""
     _require_positive(s)
-    terms = _expansion_terms(
-        i, j, s, lambda t: saturated_power(i, k, t), lambda t: saturated_power(j, l, t)
-    )
-    return reduce(ideal_sum, terms)
+    return reduce(ideal_sum, _saturated_terms(i, k, j, l, s))
 
 
 def direct_saturated_sum(
@@ -190,10 +196,13 @@ def check_term_inclusions(
 ) -> TermInclusionReport:
     _require_positive(s)
     direct = direct_saturated_sum(i, k, j, l, s)
-    terms = _expansion_terms(
-        i, j, s, lambda t: saturated_power(i, k, t), lambda t: saturated_power(j, l, t)
-    )
+    terms = _saturated_terms(i, k, j, l, s)
     return TermInclusionReport(tuple(direct.contains_ideal(term) for term in terms))
+
+
+def _equal_to_powers(power, ideal: MonomialIdeal, s: int) -> tuple[bool, ...]:
+    """Whether power(t) == I^t, for t = 1..s."""
+    return tuple(power(t) == ideal_power(ideal, t) for t in range(1, s + 1))
 
 
 @dataclass(frozen=True)
@@ -231,12 +240,8 @@ def check_equality_criteria(
     _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
         raise IdealArgumentError("equality criteria need nonzero proper ideals")
-    i_eq = tuple(
-        saturated_power(i, k, t) == ideal_power(i, t) for t in range(1, s + 1)
-    )
-    j_eq = tuple(
-        saturated_power(j, l, t) == ideal_power(j, t) for t in range(1, s + 1)
-    )
+    i_eq = _equal_to_powers(lambda t: saturated_power(i, k, t), i, s)
+    j_eq = _equal_to_powers(lambda t: saturated_power(j, l, t), j, s)
     _, _, _, total = joined_sum(i, j)
     joint = direct_saturated_sum(i, k, j, l, s) == ideal_power(total, s)
     return EqualityCriteriaReport(i_eq, j_eq, joint)
@@ -269,12 +274,8 @@ def check_symbolic_equality_implication(
         raise IdealArgumentError("implication check needs nonzero proper ideals")
     _, _, _, total = joined_sum(i, j)
     joint = symbolic_power(total, s, "ass") == ideal_power(total, s)
-    i_eq = tuple(
-        symbolic_power(i, t, "ass") == ideal_power(i, t) for t in range(1, s + 1)
-    )
-    j_eq = tuple(
-        symbolic_power(j, t, "ass") == ideal_power(j, t) for t in range(1, s + 1)
-    )
+    i_eq = _equal_to_powers(lambda t: symbolic_power(i, t, "ass"), i, s)
+    j_eq = _equal_to_powers(lambda t: symbolic_power(j, t, "ass"), j, s)
     return SymbolicEqualityReport(joint, i_eq, j_eq)
 
 
@@ -360,7 +361,8 @@ def check_ass_structure(
             quotient_agrees = False
         return oracle
 
-    ass_power_total = associated_primes(ideal_power(total, s))
+    power_total = ideal_power(total, s)
+    ass_power_total = associated_primes(power_total)
     lower: set[MonomialPrime] = set()
     upper: set[MonomialPrime] = set()
     for t in range(1, s + 1):
@@ -379,22 +381,17 @@ def check_ass_structure(
         for q in ass_j
     )
 
-    _, stab_i = ass_star_bounded(i, n_max)
-    _, stab_j = ass_star_bounded(j, n_max)
+    star_i, stab_i = ass_star_bounded(i, n_max)
+    star_j, stab_j = ass_star_bounded(j, n_max)
     stabilized = stab_i and stab_j
-    sat_min_equal = None
-    sat_ass_equal = None
+    saturator_equal = dict.fromkeys(NOTIONS)
     if stabilized:
-        k_min = extend(saturator_min_global(i, n_max), emb_a)
-        l_min = extend(saturator_min_global(j, n_max), emb_b)
-        sat_min_equal = saturate(
-            ideal_power(total, s), ideal_product(k_min, l_min)
-        ) == symbolic_power(total, s, "min")
-        k_ass = extend(saturator_ass_global(i, n_max), emb_a)
-        l_ass = extend(saturator_ass_global(j, n_max), emb_b)
-        sat_ass_equal = saturate(
-            ideal_power(total, s), ideal_product(k_ass, l_ass)
-        ) == symbolic_power(total, s, "ass")
+        for notion in NOTIONS:
+            k = extend(_saturator(i, star_i, notion), emb_a)
+            l = extend(_saturator(j, star_j, notion), emb_b)
+            saturator_equal[notion] = saturate(
+                power_total, ideal_product(k, l)
+            ) == symbolic_power(total, s, notion)
 
     return AssStructureReport(
         tensor_ass_equal=tensor_equal,
@@ -402,8 +399,8 @@ def check_ass_structure(
         upper_bound_holds=upper_holds,
         quotient_ass_agrees=quotient_agrees,
         grade_dichotomy_holds=grade_holds,
-        saturator_min_equal=sat_min_equal,
-        saturator_ass_equal=sat_ass_equal,
+        saturator_min_equal=saturator_equal["min"],
+        saturator_ass_equal=saturator_equal["ass"],
         stabilized=stabilized,
     )
 

@@ -36,6 +36,9 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"error: {args.file}: {exc}\n")
+        return 2
     try:
         for line in dsl.run_script(text, char=args.char):
             sys.stdout.write(line + "\n")

@@ -47,6 +47,9 @@ class EvalError(ValueError):
 
 
 KEYWORDS = {"ring", "ideal", "print", "in"}
+# Work budget: the deepest expression accepted, counting each '+'/'*' link, '^',
+# call, parenthesis and bracket on a path; keeps the recursion off the stack limit.
+MAX_DEPTH = 100
 PUNCT = {"(", ")", "[", "]", ",", ";", "+", "*", "^", "="}
 
 
@@ -181,6 +184,8 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        self.level = 0
+        self.depth = 0
 
     @property
     def current(self) -> Token:
@@ -242,11 +247,23 @@ class Parser:
             return PrintStmt(value, (tok.line, tok.column))
         self._fail("expected 'ring', 'ideal' or 'print'")
 
+    # parse_* leave the depth of the node they return in ``self.depth``;
+    # ``self.level`` counts the calls, parentheses and brackets around it.
+
+    def _deeper(self, tok, depth: int, other: int = 0):
+        """Set ``self.depth`` one over the larger depth; past MAX_DEPTH, fail at ``tok``."""
+        self.depth = (depth if depth > other else other) + 1
+        if self.level + self.depth > MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise ParseError(message, tok.line, tok.column)
+
     def parse_expr(self):
         node = self.parse_term()
         while self._at_punct("+"):
             tok = self._advance()
+            depth = self.depth
             right = self.parse_term()
+            self._deeper(tok, depth, self.depth)
             node = AddOp(node, right, (tok.line, tok.column))
         return node
 
@@ -254,7 +271,9 @@ class Parser:
         node = self.parse_factor()
         while self._at_punct("*"):
             tok = self._advance()
+            depth = self.depth
             right = self.parse_factor()
+            self._deeper(tok, depth, self.depth)
             node = MulOp(node, right, (tok.line, tok.column))
         return node
 
@@ -265,47 +284,50 @@ class Parser:
             if self.current.kind != "int":
                 self._fail("expected an integer exponent")
             exponent = int(self._advance().text)
+            self._deeper(tok, self.depth)
             node = PowOp(node, exponent, (tok.line, tok.column))
         return node
 
+    def _parse_entries(self, tok, close, allow_empty=False):
+        """Comma-separated expressions up to ``close``, one level below ``tok``."""
+        self._deeper(tok, 0)
+        self.level += 1
+        entries, depth = [], 0
+        if not (allow_empty and self._at_punct(close)):
+            entries.append(self.parse_expr())
+            depth = self.depth
+            while self._at_punct(","):
+                self._advance()
+                entries.append(self.parse_expr())
+                depth = max(depth, self.depth)
+        self._expect_punct(close)
+        self.level -= 1
+        self._deeper(tok, depth)
+        return tuple(entries)
+
     def parse_atom(self):
         tok = self.current
+        pos = (tok.line, tok.column)
         if tok.kind == "int":
             self._advance()
-            return IntLit(int(tok.text), (tok.line, tok.column))
+            self.depth = 0
+            return IntLit(int(tok.text), pos)
         if tok.kind == "name":
             if tok.text in KEYWORDS:
                 self._fail(f"keyword {tok.text!r} cannot start an expression")
             self._advance()
             if self._at_punct("("):
                 self._advance()
-                args = []
-                if not self._at_punct(")"):
-                    args.append(self.parse_expr())
-                    while self._at_punct(","):
-                        self._advance()
-                        args.append(self.parse_expr())
-                self._expect_punct(")")
-                return CallOp(tok.text, tuple(args), (tok.line, tok.column))
-            return Name(tok.text, (tok.line, tok.column))
+                return CallOp(tok.text, self._parse_entries(tok, ")", True), pos)
+            self.depth = 0
+            return Name(tok.text, pos)
         if self._at_punct("("):
             self._advance()
-            entries = [self.parse_expr()]
-            while self._at_punct(","):
-                self._advance()
-                entries.append(self.parse_expr())
-            self._expect_punct(")")
-            if len(entries) == 1:
-                return entries[0]
-            return IdealLit(tuple(entries), (tok.line, tok.column))
+            entries = self._parse_entries(tok, ")")
+            return entries[0] if len(entries) == 1 else IdealLit(entries, pos)
         if self._at_punct("["):
             self._advance()
-            entries = [self.parse_expr()]
-            while self._at_punct(","):
-                self._advance()
-                entries.append(self.parse_expr())
-            self._expect_punct("]")
-            return BracketList(tuple(entries), (tok.line, tok.column))
+            return BracketList(self._parse_entries(tok, "]"), pos)
         self._fail("expected an expression")
 
 
@@ -524,15 +546,10 @@ class Evaluator:
         raise EvalError("expected 'min' or 'ass'", getattr(node, "pos", (0, 0)))
 
     def prime(self, node, ctx) -> MonomialPrime:
-        ideal = self.ideal(node, ctx)
-        if ideal.is_zero or ideal.is_unit:
+        prime = _decomposition._prime_from_variable_ideal(self.ideal(node, ctx))
+        if prime is None:
             raise EvalError("expected a prime generated by variables", node.pos)
-        support = []
-        for g in ideal.generators:
-            if g.degree() != 1:
-                raise EvalError("expected a prime generated by variables", node.pos)
-            support.append(g.support()[0])
-        return MonomialPrime(ideal.ring, tuple(support))
+        return prime
 
     def ideal_list(self, node, ctx) -> list[MonomialIdeal]:
         value = self._eval(node, ctx)

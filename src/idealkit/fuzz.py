@@ -23,8 +23,8 @@ from . import binomial as _binomial
 from . import dsl as _dsl
 from . import homology as _homology
 from . import powers as _powers
-from .core import MonomialIdeal, Ring, ideal_product, principal
-from .decomposition import ass_star_bounded
+from .core import MonomialIdeal, Ring, ideal_power, ideal_product, principal
+from .decomposition import ass_star_bounded, associated_primes
 
 SUITE_NAMES = (
     "thm38",
@@ -162,16 +162,12 @@ def symbolic_route_consistency(
     """
     counters = {"global_checked": 0, "global_skipped": 0, "witness_checked": 0, "witness_missing": 0}
     reference = _powers.symbolic_power(ideal, s, notion)
-    if notion == "min":
-        per_power = _powers.saturator_min(ideal, s)
-        global_saturator = _powers.saturator_min_global(ideal, n_max)
-    else:
-        per_power = _powers.saturator_ass(ideal, s)
-        global_saturator = _powers.saturator_ass_global(ideal, n_max)
+    per_power = _powers._saturator(ideal, associated_primes(ideal_power(ideal, s)), notion)
     ok = reference == _powers.saturated_power(ideal, per_power, s)
-    _, stabilized = ass_star_bounded(ideal, n_max)
+    star, stabilized = ass_star_bounded(ideal, n_max)
     if stabilized:
         counters["global_checked"] = 1
+        global_saturator = _powers._saturator(ideal, star, notion)
         ok = ok and reference == _powers.saturated_power(ideal, global_saturator, s)
     else:
         counters["global_skipped"] = 1
@@ -191,7 +187,7 @@ def _check_thm41(inst: Instance, char: int, notion: str) -> CaseOutcome:
     ok_i, counters_i = symbolic_route_consistency(inst.ideal_i, inst.s, notion, n_max)
     ok_j, counters_j = symbolic_route_consistency(inst.ideal_j, inst.s, notion, n_max)
     counters = {k: counters_i[k] + counters_j[k] for k in counters_i}
-    fn = "symb_min" if notion == "min" else "symb_ass"
+    fn = f"symb_{notion}"
     body = (
         f"print binom_symb(I, J, {inst.s}, {notion});\n"
         "ring R = join(A, B);\n"
@@ -313,6 +309,26 @@ def _check_report(builtin, letters, expected, counter, inst: Instance, char: int
     )
 
 
+def _check_symbolic_consistency(inst: Instance, char: int) -> CaseOutcome:
+    """Route consistency for both notions on the side-A ideal."""
+    n_max = max(2, inst.s + 2)
+    ok = True
+    counters = {}
+    for notion in _powers.NOTIONS:
+        notion_ok, notion_counters = symbolic_route_consistency(
+            inst.ideal_i, inst.s, notion, n_max
+        )
+        ok = ok and notion_ok
+        counters.update({f"{notion}_{k}": v for k, v in notion_counters.items()})
+    return CaseOutcome(
+        ok=ok,
+        expected="all symbolic-power routes agree",
+        actual="routes agree" if ok else "routes disagreed",
+        script_body=f"print symb_min(I, {inst.s});\nprint symb_ass(I, {inst.s});",
+        counters=counters,
+    )
+
+
 _SUITE_CHECKS = {
     "thm38": _check_thm38,
     "thm41_min": lambda inst, char: _check_thm41(inst, char, "min"),
@@ -326,12 +342,9 @@ _SUITE_CHECKS = {
 }
 
 
-def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
-    """Run one suite over the seeded instance stream and report results."""
-    if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}")
+def _run_cases(name: str, check, config: FuzzConfig, char: int) -> dict:
+    """Run ``check`` over the seeded instance stream and report results."""
     rng = random.Random(config.seed)
-    check = _SUITE_CHECKS[name]
     passes = 0
     failures = []
     counters: dict[str, int] = {}
@@ -362,6 +375,13 @@ def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
     return report
 
 
+def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
+    """Run one suite over the seeded instance stream and report results."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _run_cases(name, _SUITE_CHECKS[name], config, char)
+
+
 def run_fuzz(config: FuzzConfig, char: int = 0) -> tuple[int, list[dict]]:
     """Run the configured suites; exit status 0 iff every case passed."""
     reports = [run_suite(name, config, char) for name in config.suites]
@@ -375,38 +395,4 @@ def run_symbolic_consistency(config: FuzzConfig) -> dict:
     Uses the side-A ideal of each instance.  Applicability of the global
     and witness routes is counted per case and never silently dropped.
     """
-    rng = random.Random(config.seed)
-    passes = 0
-    failures = []
-    counters: dict[str, int] = {}
-    for _ in range(config.cases):
-        instance = generate_instance(rng, config)
-        n_max = max(2, instance.s + 2)
-        ok = True
-        for notion in ("min", "ass"):
-            notion_ok, notion_counters = symbolic_route_consistency(
-                instance.ideal_i, instance.s, notion, n_max
-            )
-            ok = ok and notion_ok
-            for key, value in notion_counters.items():
-                counters[f"{notion}_{key}"] = counters.get(f"{notion}_{key}", 0) + value
-        if ok:
-            passes += 1
-        elif len(failures) < 5:
-            failures.append(
-                {
-                    "instance_script": instance.script(
-                        f"print symb_min(I, {instance.s});\nprint symb_ass(I, {instance.s});"
-                    ),
-                    "expected": "all symbolic-power routes agree",
-                    "actual": "routes disagreed",
-                }
-            )
-    return {
-        "schema": REPORT_SCHEMA,
-        "suite": "symbolic_consistency",
-        "cases": config.cases,
-        "passes": passes,
-        "failures": failures,
-        "counters": dict(sorted(counters.items())),
-    }
+    return _run_cases("symbolic_consistency", _check_symbolic_consistency, config, 0)

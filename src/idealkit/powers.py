@@ -1,10 +1,11 @@
 """Saturated powers and both notions of symbolic powers.
 
-The minimal-primes notion intersects the components of I^s lying over
-minimal primes of I; the associated-primes notion keeps the components
-whose prime is contained in an associated prime of I.  Both are also
-saturations of I^s by suitable saturator ideals, which this module
-constructs; the test suite cross-checks the two routes against each other.
+Both symbolic powers are saturations of I^s; the notions differ only in
+the primes they keep (``_kept``): "min" keeps Min(I), "ass" keeps the
+primes of grade zero on A/I.  The decomposition route intersects the
+irreducible components of I^s over kept primes; the saturation route
+saturates I^s by the primes of Ass(I^s), or of their bounded union over
+powers, that are not kept.  The tests cross-check the two routes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .decomposition import (
     associated_primes,
     default_power_bound,
     grade_zero,
+    irreducible_decomposition,
     minimal_primes,
-    primary_decomposition,
 )
 
 NOTIONS = ("min", "ass")
@@ -38,6 +39,26 @@ def _require_notion(notion: str):
 def _require_positive(s: int):
     if s < 1:
         raise ValueError("power must be positive")
+
+
+def _kept(ideal: MonomialIdeal, notion: str):
+    """The predicate on primes that ``notion`` keeps for ``ideal``.
+
+    "min" keeps the minimal primes of I; "ass" keeps the primes of grade
+    zero on A/I.  The notion must already be validated.
+    """
+    if notion == "min":
+        return minimal_primes(ideal).__contains__
+    return lambda p: grade_zero(p, ideal)
+
+
+def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:
+    """Intersection of the ``primes`` that ``notion`` does not keep.
+
+    An empty intersection is the unit ideal.
+    """
+    kept = _kept(ideal, notion)
+    return intersect_all(ideal.ring, (p.as_ideal() for p in primes if not kept(p)))
 
 
 def saturated_power(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialIdeal:
@@ -57,75 +78,52 @@ def saturator_min(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
     An empty intersection is the unit ideal.
     """
     _require_positive(s)
-    mins = minimal_primes(ideal)
-    embedded = [
-        p for p in associated_primes(ideal_power(ideal, s)) if p not in mins
-    ]
-    return intersect_all(ideal.ring, (p.as_ideal() for p in embedded))
+    return _saturator(ideal, associated_primes(ideal_power(ideal, s)), "min")
 
 
 def saturator_min_global(
     ideal: MonomialIdeal, n_max: int | None = None
 ) -> MonomialIdeal:
     """Same as ``saturator_min`` but over the bounded union of Ass(I^n)."""
-    star, _ = ass_star_bounded(ideal, n_max)
-    mins = minimal_primes(ideal)
-    return intersect_all(
-        ideal.ring, (p.as_ideal() for p in star if p not in mins)
-    )
+    return _saturator(ideal, ass_star_bounded(ideal, n_max)[0], "min")
 
 
 def saturator_ass(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
     """Intersection of the primes of Ass(I^s) of positive grade on A/I."""
     _require_positive(s)
-    keep = [
-        p
-        for p in associated_primes(ideal_power(ideal, s))
-        if not grade_zero(p, ideal)
-    ]
-    return intersect_all(ideal.ring, (p.as_ideal() for p in keep))
+    return _saturator(ideal, associated_primes(ideal_power(ideal, s)), "ass")
 
 
 def saturator_ass_global(
     ideal: MonomialIdeal, n_max: int | None = None
 ) -> MonomialIdeal:
-    star, _ = ass_star_bounded(ideal, n_max)
-    keep = [p for p in star if not grade_zero(p, ideal)]
-    return intersect_all(ideal.ring, (p.as_ideal() for p in keep))
+    return _saturator(ideal, ass_star_bounded(ideal, n_max)[0], "ass")
 
 
 def symbolic_min(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
     """Symbolic power via minimal primes, from the decomposition of I^s."""
-    if s == 0:
-        return MonomialIdeal.unit(ideal.ring)
-    mins = minimal_primes(ideal)
-    decomposition = primary_decomposition(ideal_power(ideal, s))
-    return intersect_all(
-        ideal.ring, (q for p, q in decomposition if p in mins)
-    )
+    return symbolic_power(ideal, s, "min")
 
 
 def symbolic_ass(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
     """Symbolic power via associated primes, from the decomposition of I^s."""
-    if s == 0:
-        return MonomialIdeal.unit(ideal.ring)
-    decomposition = primary_decomposition(ideal_power(ideal, s))
-    return intersect_all(
-        ideal.ring, (q for p, q in decomposition if grade_zero(p, ideal))
-    )
+    return symbolic_power(ideal, s, "ass")
 
 
 def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
+    """Intersection of the components of I^s over kept primes; (1) at s = 0."""
     _require_notion(notion)
-    return symbolic_min(ideal, s) if notion == "min" else symbolic_ass(ideal, s)
-
-
-def _avoided_support(ideal: MonomialIdeal, notion: str) -> set[int]:
-    if notion == "min":
-        primes = minimal_primes(ideal)
-    else:
-        primes = associated_primes(ideal)
-    return {i for p in primes for i in p.support}
+    if s == 0:
+        return MonomialIdeal.unit(ideal.ring)
+    kept = _kept(ideal, notion)
+    return intersect_all(
+        ideal.ring,
+        (
+            c.as_ideal()
+            for c in irreducible_decomposition(ideal_power(ideal, s))
+            if kept(c.radical())
+        ),
+    )
 
 
 def regular_witness_candidates(
@@ -136,24 +134,21 @@ def regular_witness_candidates(
 ) -> list[Monomial]:
     """Monomials usable as the single saturating element, in canonical order.
 
-    A candidate lies in the global saturator and avoids every minimal
-    prime (notion "min": regular on A over the radical) or every
-    associated prime (notion "ass": regular on A/I).  The unit monomial is
-    the sole candidate when there is nothing to saturate away.
+    A candidate lies in the global saturator and avoids every kept prime
+    of Ass(I): every minimal prime (notion "min": regular on A over the
+    radical) or every associated prime (notion "ass": regular on A/I).
+    The unit monomial is the sole candidate when there is nothing to
+    saturate away.
     """
     _require_notion(notion)
     if n_max is None:
         n_max = default_power_bound(ideal)
     star, _ = ass_star_bounded(ideal, n_max)
-    if notion == "min":
-        mins = minimal_primes(ideal)
-        relevant = [p for p in star if p not in mins]
-    else:
-        relevant = [p for p in star if not grade_zero(p, ideal)]
-    if not relevant:
+    saturator = _saturator(ideal, star, notion)
+    if saturator.is_unit:
         return [ideal.ring.one()]
-    saturator = intersect_all(ideal.ring, (p.as_ideal() for p in relevant))
-    avoided = _avoided_support(ideal, notion)
+    kept = _kept(ideal, notion)
+    avoided = {i for p in associated_primes(ideal) if kept(p) for i in p.support}
     if max_degree is None:
         max_degree = ideal.ring.nvars
     out = []

@@ -71,6 +71,34 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "no-such-file.ik")
         assert code == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "bad.txt"
+        script.write_bytes(b"ring A = [a];\nprint \xff;\n")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {script}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "+".join(["a"] * 3000),
+            "(" * 250 + "a" + ")" * 250,
+            "radical(" * 250 + "a" + ")" * 250,
+        ],
+        ids=["sum_chain", "parentheses", "calls"],
+    )
+    def test_deep_script_exits_2(self, tmp_path, capsys, expression):
+        script = tmp_path / "deep.ik"
+        script.write_text(f"ring A = [a];\nprint {expression};\n")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {script}:2:")
+        assert err.endswith(f"deeper than {dsl.MAX_DEPTH} levels\n")
+        assert err.count("\n") == 1
+
     def test_bad_characteristic_exits_2(self, tmp_path, capsys):
         script = tmp_path / "depth.ik"
         script.write_text("ring A = [a];\nprint depth((a));\n")
@@ -268,3 +296,19 @@ class TestRepl:
         assert code == 0
         assert "(a^2)" in out
         assert "unknown function" in out
+
+    def test_deep_statement_is_an_error_and_the_loop_carries_on(
+        self, capsys, monkeypatch
+    ):
+        import io
+
+        lines = (
+            "ring A = [a];\n"
+            f"print {'+'.join(['a'] * 3000)};\n"
+            "print a^2;\n"
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, err = run_cli(capsys, "repl")
+        assert code == 0
+        assert f"error: 1:{6 + 2 * (dsl.MAX_DEPTH + 1)}: " in out
+        assert out.endswith("a^2\n")

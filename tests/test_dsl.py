@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import pytest
 
 from idealkit import dsl
@@ -194,6 +197,37 @@ class TestErrors:
             run_script(script)
         assert str(err.value) == "5:7: power must be positive"
 
+    @pytest.mark.parametrize(
+        "shape, crossing_column",
+        [
+            # n '+' links; the (cap + 1)-th '+' crosses the budget
+            (lambda n: "+".join(["a"] * (n + 1)), lambda cap: 6 + 2 * (cap + 1)),
+            # n nested parentheses; the (cap + 1)-th '(' crosses it
+            (lambda n: "(" * n + "a" + ")" * n, lambda cap: 6 + (cap + 1)),
+            # n nested calls; the (cap + 1)-th call's name crosses it
+            (
+                lambda n: "radical(" * n + "a" + ")" * n,
+                lambda cap: 7 + 8 * cap,
+            ),
+        ],
+        ids=["sum_chain", "parentheses", "calls"],
+    )
+    def test_depth_budget(self, shape, crossing_column):
+        cap = dsl.MAX_DEPTH
+        assert run_script(f"ring A = [a];\nprint {shape(cap)};") in (["a"], ["(a)"])
+        with pytest.raises(ParseError) as err:
+            run_script(f"ring A = [a];\nprint {shape(cap + 1)};")
+        assert (err.value.line, err.value.column) == (2, crossing_column(cap))
+        assert f"deeper than {cap} levels" in str(err.value)
+
+    def test_depth_counts_products_powers_and_brackets(self):
+        # a*a^2 is two levels and each bracket one more
+        cap = dsl.MAX_DEPTH
+        text = "[" * (cap - 2) + "a*a^2" + "]" * (cap - 2)
+        parse(f"print {text};")
+        with pytest.raises(ParseError):
+            parse(f"print [{text}];")
+
     def test_keyword_cannot_start_expression(self):
         with pytest.raises(ParseError):
             parse("print ring;")
@@ -314,3 +348,17 @@ class TestCoverageAudit:
                 if name + "(" in snippet:
                     used.add(name)
         assert used == set(dsl.FUNCTION_NAMES)
+
+    def test_readme_rows_name_the_registered_functions(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        rows = re.findall(
+            r"^\| `(\w+)\(.*?\)` \| `(\w+)`", readme.read_text(), re.MULTILINE
+        )
+        assert sorted(name for name, _ in rows) == sorted(dsl.FUNCTION_NAMES)
+        for name, function in rows:
+            module, attr = dsl._SIGNATURES[name][:2]
+            if module is dsl:
+                # a script-side handler: it calls the library function named
+                assert function in getattr(dsl, attr).__code__.co_names, name
+            else:
+                assert attr == function, name

@@ -10,12 +10,22 @@ from idealkit.core import (
     monomials_of_degree_at_most,
     principal,
 )
-from idealkit.decomposition import associated_primes, minimal_primes
+import idealkit
+from idealkit import binomial, decomposition, fuzz, powers
+from idealkit.core import intersect_all
+from idealkit.decomposition import (
+    ass_star_bounded,
+    associated_primes,
+    grade_zero,
+    minimal_primes,
+    primary_decomposition,
+)
 from idealkit.powers import (
     regular_witness,
     regular_witness_candidates,
     saturated_power,
     saturator_ass,
+    saturator_ass_global,
     saturator_min,
     saturator_min_global,
     symbolic_ass,
@@ -235,3 +245,158 @@ class TestRegularWitness:
             assert not p.contains_monomial(witness)
         via_witness = saturated_power(i, principal(witness), 2)
         assert via_witness == symbolic_power(i, 2, notion)
+
+
+# The decomposition-grouping bodies the kept-prime rule replaced, kept as
+# independent references: each spells out its notion instead of asking
+# ``powers._kept``.
+
+
+def reference_symbolic_min(ideal, s):
+    if s == 0:
+        return MonomialIdeal.unit(ideal.ring)
+    mins = minimal_primes(ideal)
+    decomposition = primary_decomposition(ideal_power(ideal, s))
+    return intersect_all(ideal.ring, (q for p, q in decomposition if p in mins))
+
+
+def reference_symbolic_ass(ideal, s):
+    if s == 0:
+        return MonomialIdeal.unit(ideal.ring)
+    decomposition = primary_decomposition(ideal_power(ideal, s))
+    return intersect_all(
+        ideal.ring, (q for p, q in decomposition if grade_zero(p, ideal))
+    )
+
+
+def reference_saturator_min(ideal, s):
+    if s < 1:
+        raise ValueError("power must be positive")
+    mins = minimal_primes(ideal)
+    embedded = [p for p in associated_primes(ideal_power(ideal, s)) if p not in mins]
+    return intersect_all(ideal.ring, (p.as_ideal() for p in embedded))
+
+
+def reference_saturator_min_global(ideal, n_max=None):
+    star, _ = ass_star_bounded(ideal, n_max)
+    mins = minimal_primes(ideal)
+    return intersect_all(ideal.ring, (p.as_ideal() for p in star if p not in mins))
+
+
+def reference_saturator_ass(ideal, s):
+    if s < 1:
+        raise ValueError("power must be positive")
+    keep = [
+        p
+        for p in associated_primes(ideal_power(ideal, s))
+        if not grade_zero(p, ideal)
+    ]
+    return intersect_all(ideal.ring, (p.as_ideal() for p in keep))
+
+
+def reference_saturator_ass_global(ideal, n_max=None):
+    star, _ = ass_star_bounded(ideal, n_max)
+    keep = [p for p in star if not grade_zero(p, ideal)]
+    return intersect_all(ideal.ring, (p.as_ideal() for p in keep))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, IdealArgumentError) as exc:
+        return type(exc), str(exc)
+
+
+class TestKeptPrimeRule:
+    @given(proper3, st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_symbolic_powers_match_the_decomposition_references(self, i, s):
+        assert symbolic_min(i, s) == reference_symbolic_min(i, s)
+        assert symbolic_ass(i, s) == reference_symbolic_ass(i, s)
+
+    @given(proper3, st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_saturators_match_the_references(self, i, s):
+        assert outcome(saturator_min, i, s) == outcome(reference_saturator_min, i, s)
+        assert outcome(saturator_ass, i, s) == outcome(reference_saturator_ass, i, s)
+        n_max = s + 1
+        assert outcome(saturator_min_global, i, n_max) == outcome(
+            reference_saturator_min_global, i, n_max
+        )
+        assert outcome(saturator_ass_global, i, n_max) == outcome(
+            reference_saturator_ass_global, i, n_max
+        )
+
+    @pytest.mark.parametrize(
+        "new, reference",
+        [
+            (symbolic_min, reference_symbolic_min),
+            (symbolic_ass, reference_symbolic_ass),
+            (saturator_min, reference_saturator_min),
+            (saturator_ass, reference_saturator_ass),
+        ],
+    )
+    @pytest.mark.parametrize("s", [-1, 0, 1, 2])
+    def test_zero_and_unit_ideals_fail_as_before(self, new, reference, s):
+        for i in (MonomialIdeal.zero(XY), MonomialIdeal.unit(XY)):
+            assert outcome(new, i, s) == outcome(reference, i, s)
+
+    @pytest.mark.parametrize("n_max", [None, 1, 2])
+    def test_global_saturators_fail_as_before(self, n_max):
+        for i in (MonomialIdeal.zero(XY), MonomialIdeal.unit(XY), ideal(XY, "x^2, x*y")):
+            assert outcome(saturator_min_global, i, n_max) == outcome(
+                reference_saturator_min_global, i, n_max
+            )
+            assert outcome(saturator_ass_global, i, n_max) == outcome(
+                reference_saturator_ass_global, i, n_max
+            )
+
+    def test_powers_names_stay_exported(self):
+        names = [
+            "regular_witness",
+            "saturated_power",
+            "saturator_ass",
+            "saturator_ass_global",
+            "saturator_min",
+            "saturator_min_global",
+            "symbolic_ass",
+            "symbolic_min",
+            "symbolic_power",
+        ]
+        for name in names:
+            assert getattr(idealkit, name) is getattr(powers, name)
+
+
+class TestAssStarReuse:
+    """Each side's bounded union of Ass(I^n) is computed once per use."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ass_star_bounded(*args)
+
+        for module in (binomial, decomposition, fuzz, powers):
+            monkeypatch.setattr(module, "ass_star_bounded", counted)
+        return calls
+
+    def test_structure_check_computes_it_once_per_side(self, monkeypatch):
+        i = ideal(A, "a^2, a*b")
+        j = ideal(XY, "x^2, x*y")
+        calls = self.count_calls(monkeypatch)
+        report = binomial.check_ass_structure(i, j, 2)
+        assert report.stabilized and report.passed
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("notion", powers.NOTIONS)
+    def test_route_consistency_computes_it_twice(self, monkeypatch, notion):
+        # once for the stability flag and the global saturator, once inside
+        # the witness search
+        i = ideal(R3, "x^2, x*y, y*z^2")
+        calls = self.count_calls(monkeypatch)
+        ok, counters = fuzz.symbolic_route_consistency(i, 2, notion, 4)
+        assert ok
+        assert len(calls) == 2
