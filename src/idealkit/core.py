@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 
 class RingMismatchError(ValueError):
@@ -113,12 +113,6 @@ class Monomial:
         _require_same_ring(self, other)
         return Monomial(
             self.ring, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _require_same_ring(self, other)
-        return Monomial(
-            self.ring, tuple(min(a, b) for a, b in zip(self.exponents, other.exponents))
         )
 
     def divide_out(self, other: "Monomial") -> "Monomial":
@@ -232,10 +226,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_one()
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def contains(self, m: Monomial) -> bool:
         _require_same_ring(self, m)
         return any(g.divides(m) for g in self.generators)
@@ -324,13 +314,31 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     )
 
 
+_POWER_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_POWER_MEMO_SIZE)
+def _power(a: MonomialIdeal, t: int) -> MonomialIdeal:
+    """a^t for t >= 1, one product with the a^(t - 1) stored just before.
+
+    ``ideal_power`` asks for t = 1, 2, ... in turn, so recursion stays one
+    level deep unless other threads insert 1024 entries between two steps.
+    """
+    return a if t == 1 else ideal_product(_power(a, t - 1), a)
+
+
 def ideal_power(a: MonomialIdeal, s: int) -> MonomialIdeal:
+    """a^s, from a memo of the last 1024 (ideal, exponent) pairs.
+
+    The key holds the ring, so a result is always in the caller's ring.
+    """
     if s < 0:
         raise ValueError("negative ideal power")
-    result = MonomialIdeal.unit(a.ring)
-    for _ in range(s):
-        result = ideal_product(result, a)
-    return result
+    if s == 0:
+        return MonomialIdeal.unit(a.ring)
+    for t in range(1, s):
+        _power(a, t)
+    return _power(a, s)
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -20,7 +20,6 @@ from .core import (
     Ring,
     colon_monomial,
     ideal_power,
-    ideal_product,
     intersect_all,
     monomials_below,
 )
@@ -232,11 +231,9 @@ def ass_star_bounded(
     union: set[MonomialPrime] = set()
     previous: frozenset[MonomialPrime] = frozenset()
     current: frozenset[MonomialPrime] = frozenset()
-    power = MonomialIdeal.unit(ideal.ring)
     for n in range(1, n_max + 1):
         previous = current
-        power = ideal_product(power, ideal)
-        current = associated_primes(power)
+        current = associated_primes(ideal_power(ideal, n))
         union |= current
     return frozenset(union), previous == current
 
@@ -250,8 +247,13 @@ def grade_zero(p: MonomialPrime, ideal: MonomialIdeal) -> bool:
     if not p.support:
         raise IdealArgumentError("prime with empty support")
     _require_nonzero_proper(ideal)
+    return _in_some(p, associated_primes(ideal))
+
+
+def _in_some(p: MonomialPrime, primes) -> bool:
+    """True iff p lies in one of ``primes``; by prime avoidance, in their union."""
     target = set(p.support)
-    return any(target <= set(q.support) for q in associated_primes(ideal))
+    return any(target <= set(q.support) for q in primes)
 
 
 def _prime_from_variable_ideal(ideal: MonomialIdeal) -> MonomialPrime | None:
@@ -292,7 +294,7 @@ def ass_module_quotient(ideal: MonomialIdeal, i: int) -> frozenset[MonomialPrime
     if i < 1:
         raise ValueError("quotient index must be positive")
     low = ideal_power(ideal, i - 1)
-    high = ideal_product(low, ideal)
+    high = ideal_power(ideal, i)
     n = max(low.max_exponent(), high.max_exponent())
     primes: set[MonomialPrime] = set()
     for c in irreducible_decomposition(high):
@@ -318,7 +320,7 @@ def ass_module_quotient_exhaustive(
     if i < 1:
         raise ValueError("quotient index must be positive")
     low = ideal_power(ideal, i - 1)
-    high = ideal_product(low, ideal)
+    high = ideal_power(ideal, i)
     box = high.lcm_of_generators().lcm(low.lcm_of_generators())
     primes: set[MonomialPrime] = set()
     for m in monomials_below(box):

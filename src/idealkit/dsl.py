@@ -77,9 +77,9 @@ def tokenize(text: str) -> list[Token]:
         elif ch == "#":
             while i < len(text) and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             tokens.append(Token("int", text[start:i], line, column))
             column += i - start

@@ -49,10 +49,6 @@ class ExtendedInt:
         if isinstance(v, float) and v not in (float("inf"), float("-inf")):
             raise ValueError(f"not an extended integer: {v!r}")
 
-    @property
-    def is_finite(self) -> bool:
-        return isinstance(self.value, int)
-
     def __add__(self, other: "ExtendedInt") -> "ExtendedInt":
         a, b = self.value, other.value
         if isinstance(a, int) and isinstance(b, int):
@@ -62,9 +58,6 @@ class ExtendedInt:
         if a == float("-inf") and b == float("inf"):
             raise ValueError("cannot add +inf and -inf")
         return ExtendedInt(a if isinstance(a, float) else b)
-
-    def plus(self, k: int) -> "ExtendedInt":
-        return self + ExtendedInt(k)
 
     def __lt__(self, other: "ExtendedInt") -> bool:
         return self.value < other.value

@@ -10,6 +10,8 @@ powers, that are not kept.  The tests cross-check the two routes.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import (
     IdealArgumentError,
     Monomial,
@@ -20,10 +22,10 @@ from .core import (
     saturate,
 )
 from .decomposition import (
+    _in_some,
     ass_star_bounded,
     associated_primes,
     default_power_bound,
-    grade_zero,
     irreducible_decomposition,
     minimal_primes,
 )
@@ -45,11 +47,13 @@ def _kept(ideal: MonomialIdeal, notion: str):
     """The predicate on primes that ``notion`` keeps for ``ideal``.
 
     "min" keeps the minimal primes of I; "ass" keeps the primes of grade
-    zero on A/I.  The notion must already be validated.
+    zero on A/I, read from Ass(I) once, on the first test.  The notion
+    must already be validated.
     """
     if notion == "min":
         return minimal_primes(ideal).__contains__
-    return lambda p: grade_zero(p, ideal)
+    ass = cache(lambda: associated_primes(ideal))
+    return lambda p: _in_some(p, ass())
 
 
 def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:

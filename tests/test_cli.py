@@ -99,6 +99,14 @@ class TestRun:
         assert err.endswith(f"deeper than {dsl.MAX_DEPTH} levels\n")
         assert err.count("\n") == 1
 
+    def test_unicode_digit_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "square.ik"
+        script.write_text("ring A = [x];\nprint x^\u00b2;\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {script}:2:9: unexpected character '\u00b2'\n"
+
     def test_bad_characteristic_exits_2(self, tmp_path, capsys):
         script = tmp_path / "depth.ik"
         script.write_text("ring A = [a];\nprint depth((a));\n")
@@ -279,6 +287,22 @@ class TestFuzz:
         assert code == 2
         assert out == ""
         assert err == f"error: characteristic must be 0 or a prime, got {char}\n"
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_larger_tier_passes_every_suite(self, seed):
+        config = fuzz.FuzzConfig(
+            seed=seed,
+            max_vars_per_side=4,
+            max_generators=5,
+            max_exponent=4,
+            max_s=4,
+            cases=5,
+        )
+        status, reports = fuzz.run_fuzz(config)
+        assert [r["suite"] for r in reports] == list(fuzz.SUITE_NAMES)
+        assert [(r["passes"], r["failures"]) for r in reports] == [(5, [])] * 10
+        assert status == 0
 
 
 class TestRepl:

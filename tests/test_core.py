@@ -1,6 +1,11 @@
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealkit import core
 from idealkit.core import (
     IdealArgumentError,
     Monomial,
@@ -19,6 +24,7 @@ from idealkit.core import (
     radical,
     saturate,
 )
+from idealkit.dsl import run_script
 
 A = Ring.of("a", "b")
 XY = Ring.of("x", "y")
@@ -149,6 +155,127 @@ class TestArithmetic:
         if supports_i & supports_j:
             return
         assert ideal_product(i, j) == intersect(i, j)
+
+
+def product_loop(i, s):
+    """I^s as s products from the unit ideal, with no memo."""
+    result = MonomialIdeal.unit(i.ring)
+    for _ in range(s):
+        result = ideal_product(result, i)
+    return result
+
+
+def module_container_sizes():
+    return sum(
+        len(value)
+        for value in vars(core).values()
+        if isinstance(value, (dict, set, list))
+    )
+
+
+class TestPowerMemo:
+    @given(
+        st.one_of(
+            ideals3, st.sampled_from([MonomialIdeal.zero(R3), MonomialIdeal.unit(R3)])
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_product_loop(self, i):
+        for s in range(5):
+            assert ideal_power(i, s) == product_loop(i, s)
+
+    def test_result_carries_the_callers_ring(self):
+        other = Ring.of("p", "q")
+        first = ideal_power(ideal(XY, "x^2, x*y"), 3)
+        second = ideal_power(ideal(other, "p^2, p*q"), 3)
+        assert [g.exponents for g in first.generators] == [
+            g.exponents for g in second.generators
+        ]
+        assert first.ring == XY
+        assert second.ring == other
+        assert str(first) == "(x^6, x^5*y, x^4*y^2, x^3*y^3)"
+        assert str(second) == "(p^6, p^5*q, p^4*q^2, p^3*q^3)"
+
+    def test_repeated_power_is_the_stored_value(self):
+        i = ideal(R3, "x^2, y*z, x*z^3")
+        assert ideal_power(i, 3) is ideal_power(i, 3)
+
+    def test_each_new_power_is_one_product(self, monkeypatch):
+        products = []
+        real = core.ideal_product
+
+        def counted(a, b):
+            products.append((a, b))
+            return real(a, b)
+
+        i = ideal(R3, "x^2, y*z, x*z^3")
+        core._power.cache_clear()
+        monkeypatch.setattr(core, "ideal_product", counted)
+        try:
+            assert ideal_power(i, 4) == product_loop(i, 4)
+            assert len(products) == 3
+            assert ideal_power(i, 6) == product_loop(i, 6)
+            assert len(products) == 5
+            ideal_power(i, 5)
+            assert len(products) == 5
+            assert all(b == i for _, b in products)
+        finally:
+            # The memo now holds powers built by the patched product.
+            core._power.cache_clear()
+
+    def test_memo_is_bounded(self):
+        before = module_container_sizes()
+        for a in range(1, 61):
+            ideal_power(ideal(XY, f"x^{a}, y"), 20)
+        assert module_container_sizes() == before
+        info = core._power.cache_info()
+        assert info.maxsize == core._POWER_MEMO_SIZE == 1024
+        assert info.currsize <= 1024
+
+    def test_concurrent_use_matches_serial(self):
+        rnd = random.Random(5)
+        cases = []
+        while len(cases) < 60:
+            gens = [
+                R3.monomial([rnd.randint(0, 3) for _ in range(3)])
+                for _ in range(rnd.randint(1, 4))
+            ]
+            cases.append((MonomialIdeal(R3, tuple(gens)), rnd.randint(0, 5)))
+        # More distinct powers than the memo holds, so threads also evict.
+        cases += [
+            (ideal(XY, f"x^{a}, x*y, y^{b}"), 10) for a in range(2, 14) for b in range(2, 14)
+        ]
+        serial = [product_loop(i, s) for i, s in cases]
+        core._power.cache_clear()
+        results = [None] * 4
+
+        def work(k):
+            order = list(range(len(cases)))
+            random.Random(k).shuffle(order)
+            found = [None] * len(cases)
+            for n in order:
+                found[n] = ideal_power(*cases[n])
+            results[k] = found
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r == serial for r in results)
+
+    def test_long_chain_stays_shallow(self):
+        core._power.cache_clear()
+        assert run_script("ring A = [x];\nprint (x)^5000;") == ["x^5000"]
+        # (x) alone is a monomial; the declared ideal takes the ideal power.
+        script = "ring A = [x];\nideal I = (x) in A;\nprint I^5000;"
+        assert run_script(script) == ["(x^5000)"]
 
 
 def brute_force_colon(i, k, degree_cap):

@@ -136,6 +136,13 @@ class TestErrors:
         assert err.value.line == 2
         assert "?" in str(err.value)
 
+    def test_unicode_digit_is_not_an_integer(self):
+        with pytest.raises(ParseError) as err:
+            parse("ring A = [x];\nprint x^\u00b2;")
+        assert (err.value.line, err.value.column) == (2, 9)
+        assert "unexpected character '\u00b2'" in str(err.value)
+        assert [(t.kind, t.text) for t in dsl.tokenize("x\u00b2")][0] == ("name", "x\u00b2")
+
     def test_syntax_error_reports_token(self):
         with pytest.raises(ParseError) as err:
             parse("ideal I = (x^2,, y) in A;")

@@ -17,6 +17,7 @@ from idealkit.decomposition import (
     ass_star_bounded,
     associated_primes,
     grade_zero,
+    irreducible_decomposition,
     minimal_primes,
     primary_decomposition,
 )
@@ -341,6 +342,21 @@ class TestKeptPrimeRule:
     def test_zero_and_unit_ideals_fail_as_before(self, new, reference, s):
         for i in (MonomialIdeal.zero(XY), MonomialIdeal.unit(XY)):
             assert outcome(new, i, s) == outcome(reference, i, s)
+
+    def test_ass_notion_reads_ass_once(self, monkeypatch):
+        calls = []
+        real = decomposition.associated_primes
+
+        def counted(i):
+            calls.append(i)
+            return real(i)
+
+        monkeypatch.setattr(decomposition, "associated_primes", counted)
+        monkeypatch.setattr(powers, "associated_primes", counted)
+        i = ideal(R3, "x^2*y, y*z^3, x*z")
+        assert len(irreducible_decomposition(ideal_power(i, 3))) > 1
+        symbolic_ass(i, 3)
+        assert calls == [i]
 
     @pytest.mark.parametrize("n_max", [None, 1, 2])
     def test_global_saturators_fail_as_before(self, n_max):
