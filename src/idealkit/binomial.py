@@ -19,6 +19,7 @@ from .core import (
     MonomialIdeal,
     MonomialPrime,
     Ring,
+    _ideal,
     colon,
     ideal_power,
     ideal_product,
@@ -27,11 +28,11 @@ from .core import (
     saturate,
 )
 from .decomposition import (
+    _in_some,
     ass_module_quotient,
     ass_module_quotient_exhaustive,
     ass_star_bounded,
     associated_primes,
-    grade_zero,
 )
 from .powers import (
     NOTIONS,
@@ -91,9 +92,14 @@ def extend_monomial(m: Monomial, emb: RingEmbedding) -> Monomial:
 def extend(ideal: MonomialIdeal, emb: RingEmbedding) -> MonomialIdeal:
     if ideal.ring != emb.source:
         raise IdealArgumentError("ideal does not live in the embedding source")
-    return MonomialIdeal(
-        emb.target, tuple(extend_monomial(g, emb) for g in ideal.generators)
-    )
+    zeros = [0] * emb.target.nvars
+    extended = []
+    for g in ideal.generators:
+        exps = zeros.copy()
+        for i, e in zip(emb.index_map, g.exponents):
+            exps[i] = e
+        extended.append(tuple(exps))
+    return _ideal(emb.target, extended)
 
 
 def prime_sum(
@@ -374,9 +380,11 @@ def check_ass_structure(
     lower_holds = lower <= set(ass_power_total)
     upper_holds = set(ass_power_total) <= upper
 
+    # grade_zero against the Ass sets in hand: every prime here has nonempty
+    # support and all three ideals are nonzero and proper.
     grade_holds = all(
-        grade_zero(prime_sum(p, q, emb_a, emb_b), total)
-        == (grade_zero(p, i) and grade_zero(q, j))
+        _in_some(prime_sum(p, q, emb_a, emb_b), ass_total)
+        == (_in_some(p, ass_i) and _in_some(q, ass_j))
         for p in ass_i
         for q in ass_j
     )

@@ -11,6 +11,7 @@ generator tuples are equal.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -52,7 +53,7 @@ class Ring:
         return len(self.variables)
 
     def one(self) -> "Monomial":
-        return Monomial(self, (0,) * self.nvars)
+        return _monomial(self, (0,) * self.nvars)
 
     def variable(self, index: int) -> "Monomial":
         exps = [0] * self.nvars
@@ -131,9 +132,6 @@ class Monomial:
             self.ring, tuple(a - b for a, b in zip(self.exponents, other.exponents))
         )
 
-    def squarefree_part(self) -> "Monomial":
-        return Monomial(self.ring, tuple(1 if e > 0 else 0 for e in self.exponents))
-
     def sort_key(self):
         # Total degree first, then reverse-lexicographic exponent vectors,
         # so (a^2, a*b) and (a^4, a^3*b, a^2*b^2) render in the usual order.
@@ -171,14 +169,64 @@ def _require_same_ring(a, b):
         raise RingMismatchError(f"ring mismatch: {a.ring} vs {b.ring}")
 
 
-def _antichain(gens: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
-    """Canonical minimal generating set: sorted divisibility antichain."""
-    ordered = sorted(set(gens), key=Monomial.sort_key)
-    kept: list[Monomial] = []
+_new = object.__new__
+_le = operator.le
+
+
+def _monomial(ring: Ring, exponents: tuple[int, ...]) -> Monomial:
+    """A Monomial from exponents already known to be valid for ``ring``; no checks."""
+    m = _new(Monomial)
+    fields = m.__dict__
+    fields["ring"] = ring
+    fields["exponents"] = exponents
+    return m
+
+
+def _antichain(exps) -> list[tuple[int, ...]]:
+    """Canonical minimal generating set of a sized collection of exponent tuples.
+
+    Returns the divisibility antichain sorted by total degree and then by
+    descending tuple, which is the order of ``Monomial.sort_key``: the
+    second sort is stable, so ties in degree keep the descending order of
+    the first.  Only a tuple of lower degree can properly divide another.
+    """
+    ordered = sorted(set(exps), reverse=True)
+    ordered.sort(key=sum)
+    kept: list[tuple[int, ...]] = []
     for m in ordered:
-        if not any(k.divides(m) for k in kept):
+        for k in kept:
+            if all(map(_le, k, m)):
+                break
+        else:
             kept.append(m)
-    return tuple(kept)
+    return kept
+
+
+def _canonical(ring: Ring, exps) -> tuple[Monomial, ...]:
+    """Canonical generators, through the module-level ``_antichain``."""
+    return tuple(_monomial(ring, e) for e in _antichain(exps))
+
+
+def _unchecked(cls, **fields):
+    """A value of the frozen dataclass ``cls`` from fields known to be valid.
+
+    ``__post_init__`` does not run, so nothing is validated or normalised.
+    """
+    value = _new(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+def _ideal(ring: Ring, exps) -> "MonomialIdeal":
+    """The ideal generated by exponent tuples already known to be valid for ``ring``.
+
+    Nothing is validated again; only the canonical form is computed.
+    """
+    return _unchecked(MonomialIdeal, ring=ring, generators=_canonical(ring, exps))
+
+
+def _exponents(ideal: "MonomialIdeal") -> list[tuple[int, ...]]:
+    return [g.exponents for g in ideal.generators]
 
 
 @dataclass(frozen=True)
@@ -198,15 +246,17 @@ class MonomialIdeal:
         for g in gens:
             if g.ring != self.ring:
                 raise RingMismatchError(f"generator {g} not in {self.ring}")
-        object.__setattr__(self, "generators", _antichain(gens))
+        object.__setattr__(
+            self, "generators", _canonical(self.ring, [g.exponents for g in gens])
+        )
 
     @classmethod
     def zero(cls, ring: Ring) -> "MonomialIdeal":
-        return cls(ring, ())
+        return _ideal(ring, ())
 
     @classmethod
     def unit(cls, ring: Ring) -> "MonomialIdeal":
-        return cls(ring, (ring.one(),))
+        return _ideal(ring, ((0,) * ring.nvars,))
 
     @classmethod
     def parse(cls, ring: Ring, text: str) -> "MonomialIdeal":
@@ -228,7 +278,11 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         _require_same_ring(self, m)
-        return any(g.divides(m) for g in self.generators)
+        e = m.exponents
+        for g in self.generators:
+            if all(map(_le, g.exponents, e)):
+                return True
+        return False
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         _require_same_ring(self, other)
@@ -302,16 +356,16 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, b)
-    return MonomialIdeal(a.ring, a.generators + b.generators)
+    return _ideal(a.ring, _exponents(a) + _exponents(b))
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.ring)
-    return MonomialIdeal(
-        a.ring, tuple(g * h for g in a.generators for h in b.generators)
-    )
+    add = operator.add
+    hs = _exponents(b)
+    return _ideal(a.ring, [tuple(map(add, g, h)) for g in _exponents(a) for h in hs])
 
 
 _POWER_MEMO_SIZE = 1024
@@ -345,8 +399,8 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.ring)
-    lcms = {g.lcm(h) for g in a.generators for h in b.generators}
-    return MonomialIdeal(a.ring, tuple(lcms))
+    hs = _exponents(b)
+    return _ideal(a.ring, {tuple(map(max, g, h)) for g in _exponents(a) for h in hs})
 
 
 def intersect_all(ring: Ring, ideals) -> MonomialIdeal:
@@ -359,7 +413,10 @@ def intersect_all(ring: Ring, ideals) -> MonomialIdeal:
 
 def colon_monomial(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     _require_same_ring(a, m)
-    return MonomialIdeal(a.ring, tuple(g.divide_out(m) for g in a.generators))
+    sub = operator.sub
+    e = m.exponents
+    zeros = (0,) * len(e)
+    return _ideal(a.ring, [tuple(map(max, map(sub, g, e), zeros)) for g in _exponents(a)])
 
 
 def colon(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
@@ -380,12 +437,18 @@ def saturate(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, k)
     if k.is_zero:
         raise IdealArgumentError("saturation by the zero ideal")
-    n = a.max_exponent()
-    return intersect_all(a.ring, (colon_monomial(a, g.power(n)) for g in k.generators))
+    mul = operator.mul
+    exps = _exponents(a)
+    saturations = []
+    for g in k.generators:
+        kept = tuple(0 if e else 1 for e in g.exponents)
+        saturations.append(_ideal(a.ring, [tuple(map(mul, e, kept)) for e in exps]))
+    return intersect_all(a.ring, saturations)
 
 
 def radical(a: MonomialIdeal) -> MonomialIdeal:
-    return MonomialIdeal(a.ring, tuple(g.squarefree_part() for g in a.generators))
+    ones = (1,) * a.ring.nvars
+    return _ideal(a.ring, [tuple(map(min, g, ones)) for g in _exponents(a)])
 
 
 def monomials_below(bound: Monomial):

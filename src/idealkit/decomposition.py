@@ -14,10 +14,11 @@ from functools import lru_cache
 
 from .core import (
     IdealArgumentError,
-    Monomial,
     MonomialIdeal,
     MonomialPrime,
     Ring,
+    _ideal,
+    _unchecked,
     colon_monomial,
     ideal_power,
     intersect_all,
@@ -43,15 +44,14 @@ class IrreducibleComponent:
         object.__setattr__(self, "powers", powers)
 
     def as_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i, e in self.powers:
-            exps = [0] * self.ring.nvars
-            exps[i] = e
-            gens.append(Monomial(self.ring, tuple(exps)))
-        return MonomialIdeal(self.ring, tuple(gens))
+        zeros = (0,) * self.ring.nvars
+        return _ideal(self.ring, [zeros[:i] + (e,) + zeros[i + 1:] for i, e in self.powers])
 
     def radical(self) -> MonomialPrime:
-        return MonomialPrime(self.ring, tuple(i for i, _ in self.powers))
+        # The powers are sorted by variable index, so the support already is.
+        return _unchecked(
+            MonomialPrime, ring=self.ring, support=tuple(i for i, _ in self.powers)
+        )
 
     def sort_key(self):
         return (len(self.powers), self.powers)
@@ -174,7 +174,11 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     """
     _require_nonzero_proper(ideal)
     gens = frozenset(g.exponents for g in ideal.generators)
-    return tuple(IrreducibleComponent(ideal.ring, c) for c in _irredundant(gens))
+    # _irredundant's pairs are sorted, with distinct indices and positive exponents.
+    return tuple(
+        _unchecked(IrreducibleComponent, ring=ideal.ring, powers=c)
+        for c in _irredundant(gens)
+    )
 
 
 def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:

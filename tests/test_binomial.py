@@ -277,6 +277,28 @@ class TestAssStructure:
         assert report.quotient_ass_agrees is False
         assert not report.passed
 
+    def test_grade_check_reads_the_ass_sets_in_hand(self, monkeypatch):
+        from idealkit import decomposition
+
+        asked = []
+        real = decomposition.associated_primes
+
+        def counted(ideal):
+            asked.append(ideal)
+            return real(ideal)
+
+        monkeypatch.setattr(binomial, "associated_primes", counted)
+        monkeypatch.setattr(decomposition, "associated_primes", counted)
+        i = ideal(AB, "a^2, a*b")
+        j = ideal(CD, "c^2, c*d")
+        s, n_max = 2, 3
+        assert check_ass_structure(i, j, s, n_max).passed
+        # Ass of I, J and I+J, of (I+J)^s, of I^t for t = 1..s, of the n_max
+        # powers on each side in ass_star_bounded, and once more of I, J and
+        # I+J for their minimal primes in the "min" saturator identity; the
+        # grade check over the 2 x 2 prime pairs asks for none.
+        assert len(asked) == 4 + s + 2 * n_max + 3
+
     def test_unstabilized_bound_reports_inconclusive(self):
         # the edge ideal of a triangle picks up the maximal ideal only at
         # the square, so comparing the first two powers is inconclusive

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 
@@ -10,9 +11,11 @@ from idealkit.core import (
     IdealArgumentError,
     Monomial,
     MonomialIdeal,
+    MonomialPrime,
     Ring,
     RingMismatchError,
     colon,
+    colon_monomial,
     contains,
     ideal_power,
     ideal_product,
@@ -24,6 +27,7 @@ from idealkit.core import (
     radical,
     saturate,
 )
+from idealkit.decomposition import IrreducibleComponent, irreducible_decomposition
 from idealkit.dsl import run_script
 
 A = Ring.of("a", "b")
@@ -417,3 +421,173 @@ class TestParsing:
         assert MonomialIdeal.parse(A, " a^2 ,  a * b ".replace(" * ", "*")) == ideal(
             A, "a^2, a*b"
         )
+
+
+# -- the Monomial-based kernel that the exponent-tuple kernel replaced --
+
+
+def ref_antichain(gens):
+    ordered = sorted(set(gens), key=Monomial.sort_key)
+    kept = []
+    for m in ordered:
+        if not any(k.divides(m) for k in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
+def ref_one(ring):
+    return Monomial(ring, (0,) * ring.nvars)
+
+
+def ref_sum(a, b):
+    return ref_antichain(a.generators + b.generators)
+
+
+def ref_product(a, b):
+    if a.is_zero or b.is_zero:
+        return ()
+    return ref_antichain(tuple(g * h for g in a.generators for h in b.generators))
+
+
+def ref_intersect_gens(gs, hs):
+    if not gs or not hs:
+        return ()
+    return ref_antichain(tuple({g.lcm(h) for g in gs for h in hs}))
+
+
+def ref_intersect(a, b):
+    return ref_intersect_gens(a.generators, b.generators)
+
+
+def ref_colon_monomial(a, m):
+    return ref_antichain(tuple(g.divide_out(m) for g in a.generators))
+
+
+def ref_saturate(a, k):
+    n = a.max_exponent()
+    result = (ref_one(a.ring),)
+    for g in k.generators:
+        result = ref_intersect_gens(result, ref_colon_monomial(a, g.power(n)))
+    return result
+
+
+def ref_radical(a):
+    return ref_antichain(
+        tuple(
+            Monomial(a.ring, tuple(1 if e > 0 else 0 for e in g.exponents))
+            for g in a.generators
+        )
+    )
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A ring of 1-5 variables, two ideals (zero and unit included) and a monomial."""
+    ring = Ring(tuple(f"x{i}" for i in range(draw(st.integers(1, 5)))))
+    exponent = st.one_of(st.integers(0, 3), st.integers(128, 300))
+    monomials = st.lists(exponent, min_size=ring.nvars, max_size=ring.nvars).map(
+        lambda e: Monomial(ring, tuple(e))
+    )
+    ideals = st.one_of(
+        st.lists(monomials, max_size=5).map(lambda g: MonomialIdeal(ring, tuple(g))),
+        st.sampled_from([MonomialIdeal.zero(ring), MonomialIdeal.unit(ring)]),
+    )
+    return ring, draw(ideals), draw(ideals), draw(monomials)
+
+
+def assert_same_value(built, expected_gens):
+    """``built`` equals and hashes like the publicly constructed ideal and generators."""
+    public = MonomialIdeal(built.ring, expected_gens)
+    assert built == public and hash(built) == hash(public)
+    assert built.generators == expected_gens
+    for g, h in zip(built.generators, expected_gens):
+        assert hash(g) == hash(h) and all(type(e) is int for e in g.exponents)
+    assert MonomialIdeal(built.ring, built.generators) == built
+
+
+class TestTupleKernel:
+    @given(kernel_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_monomial_kernel(self, inputs):
+        ring, a, b, m = inputs
+        assert core._antichain([g.exponents for g in a.generators + b.generators]) == [
+            g.exponents for g in ref_sum(a, b)
+        ]
+        assert_same_value(a, ref_antichain(a.generators))
+        assert_same_value(ideal_sum(a, b), ref_sum(a, b))
+        assert_same_value(ideal_product(a, b), ref_product(a, b))
+        assert_same_value(intersect(a, b), ref_intersect(a, b))
+        assert_same_value(colon_monomial(a, m), ref_colon_monomial(a, m))
+        assert_same_value(radical(a), ref_radical(a))
+        if not b.is_zero:
+            assert_same_value(saturate(a, b), ref_saturate(a, b))
+        for g in b.generators:
+            assert a.contains(g) == any(h.divides(g) for h in a.generators)
+
+    def test_internal_constants_equal_the_public_ones(self):
+        for ring in (A, R3, Ring.of("x0", "x1", "x2", "x3", "x4")):
+            one = ring.one()
+            assert one == Monomial(ring, (0,) * ring.nvars) and hash(one) == hash(
+                Monomial(ring, (0,) * ring.nvars)
+            )
+            assert_same_value(MonomialIdeal.unit(ring), (Monomial(ring, one.exponents),))
+            assert_same_value(MonomialIdeal.zero(ring), ())
+
+    def test_components_equal_the_public_ones(self):
+        i = ideal(R3, "x^2*y, x*z^3, y^130*z")
+        for c in irreducible_decomposition(i):
+            public = IrreducibleComponent(R3, c.powers)
+            assert c == public and hash(c) == hash(public)
+            prime = MonomialPrime(R3, [v for v, _ in c.powers])
+            assert c.radical() == prime and hash(c.radical()) == hash(prime)
+            gens = tuple(
+                R3.monomial([e if v == j else 0 for j in range(3)]) for v, e in c.powers
+            )
+            assert_same_value(c.as_ideal(), ref_antichain(gens))
+
+    def test_public_constructors_still_validate(self):
+        with pytest.raises(ValueError, match=re.escape("negative exponent in (1, -1, 0)")):
+            Monomial(R3, (1, -1, 0))
+        with pytest.raises(ValueError, match=re.escape("expected 3 exponents, got 2")):
+            Monomial(R3, (1, 1))
+        with pytest.raises(ValueError, match=re.escape("expected 3 exponents, got 2")):
+            R3.monomial((1, 1))
+        with pytest.raises(RingMismatchError, match=re.escape("generator a not in [x, y, z]")):
+            MonomialIdeal(R3, (Monomial.parse(A, "a"),))
+        with pytest.raises(RingMismatchError, match=re.escape("ring mismatch: [a, b] vs [x, y]")):
+            ideal_product(ideal(A, "a"), ideal(XY, "x"))
+        with pytest.raises(RingMismatchError, match=re.escape("ring mismatch: [a, b] vs [x, y]")):
+            ideal(A, "a").contains(Monomial.parse(XY, "x"))
+
+
+class TestCanonicalisationSpan:
+    def test_each_operation_reaches_the_module_antichain(self, monkeypatch):
+        # The benchmark tracer spans canonicalisation by replacing the
+        # module global core._antichain and reads len() of its argument
+        # and result.
+        i = ideal(R3, "x^2*y, y*z, x*z^3")
+        j = ideal(R3, "x*y, z^2")
+        m = Monomial.parse(R3, "x*z")
+        calls = []
+        real = core._antichain
+
+        def counted(exps):
+            calls.append(len(exps))
+            result = real(exps)
+            len(result)
+            return result
+
+        monkeypatch.setattr(core, "_antichain", counted)
+        operations = {
+            "ideal_product": lambda: ideal_product(i, j),
+            "ideal_sum": lambda: ideal_sum(i, j),
+            "intersect": lambda: intersect(i, j),
+            "colon_monomial": lambda: colon_monomial(i, m),
+            "saturate": lambda: saturate(i, j),
+            "radical": lambda: radical(i),
+            "MonomialIdeal": lambda: MonomialIdeal(R3, i.generators),
+        }
+        for name, operation in operations.items():
+            calls.clear()
+            operation()
+            assert calls, name
