@@ -174,7 +174,7 @@ _le = operator.le
 
 
 def _monomial(ring: Ring, exponents: tuple[int, ...]) -> Monomial:
-    """A Monomial from exponents already known to be valid for ``ring``; no checks."""
+    """``_unchecked(Monomial, ...)`` for the hot path: exponents already valid for ``ring``."""
     m = _new(Monomial)
     fields = m.__dict__
     fields["ring"] = ring
