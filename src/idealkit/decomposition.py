@@ -318,7 +318,11 @@ def ass_module_quotient_exhaustive(
     Membership in I^(i-1) and I^i and the colon I^i : m only depend on the
     exponentwise minimum of m with the generator lcms, so scanning the box
     below max(lcm(G(I^(i-1))), lcm(G(I^i))) sees a representative of every
-    possible witness.
+    possible witness.  When no x_j * m lies in I^i, the colon I^i : m holds
+    no variable, so it is no prime P_T with T nonempty and is not built.
+    For m outside I^i, x_j * m lies in I^i iff some generator g of I^i
+    exceeds m in x_j alone and by one, so the scan skips m when every g
+    exceeds m by more than one in total.
     """
     _require_nonzero_proper(ideal)
     if i < 1:
@@ -326,9 +330,13 @@ def ass_module_quotient_exhaustive(
     low = ideal_power(ideal, i - 1)
     high = ideal_power(ideal, i)
     box = high.lcm_of_generators().lcm(low.lcm_of_generators())
+    high_exps = [g.exponents for g in high.generators]
     primes: set[MonomialPrime] = set()
     for m in monomials_below(box):
         if not low.contains(m) or high.contains(m):
+            continue
+        e = m.exponents
+        if all(sum(a - b for a, b in zip(g, e) if a > b) > 1 for g in high_exps):
             continue
         prime = _prime_from_variable_ideal(colon_monomial(high, m))
         if prime is not None:

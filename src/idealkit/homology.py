@@ -14,26 +14,36 @@ K^b has a closed form (Miller-Sturmfels, Combinatorial Commutative
 Algebra, Thm 1.34 and ch. 5): x^(b-t) lies in I iff some generator g
 divides b with t inside S_g(b) = {i : g_i < b_i}, so K^b is the complex
 generated by the sets S_g(b) of the generators g dividing b.  The lattice,
-the sets S_g(b) and the faces are computed on exponent tuples and vertex
-bitmasks; a Monomial is built only for a multidegree with a nonzero Betti
-number.  When all maximal S_g(b) share a vertex, K^b is a cone and has no
-reduced homology, so no rank is computed; the one-facet complex {emptyset}
-of a minimal generator is not a cone.  Homology ranks are exact:
+the sets S_g(b) and the faces are computed on exponent tuples and
+bitmasks.  Once per ideal, each variable i and each exponent level v of
+the generators get two generator bitmasks, g_i <= v and g_i < v; at a
+lattice point b the generators dividing b are the AND of the first masks,
+and splitting that mask by each variable's second mask in turn leaves one
+block per distinct set S_g(b), so the work grows with the number of
+distinct S_g(b), not with generators times variables.  When all maximal
+S_g(b) share a vertex, K^b is a cone and has no reduced homology, so no
+rank is computed; the one-facet complex {emptyset} of a minimal generator
+is not a cone.  Otherwise the homology is looked up in one bounded memo
+(``_facet_homology``, the last ``_HOMOLOGY_MEMO_SIZE`` distinct pairs of
+sorted facet masks and characteristic), which is ring-free and
+ideal-free: the same small complexes recur at many lattice points and
+across the powers of an ideal.  A Monomial is built only for a
+multidegree with a nonzero Betti number.  Homology ranks are exact:
 fraction-free (Bareiss) elimination over the integers in characteristic
 zero, Gaussian elimination over GF(p) otherwise.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it never shares code
-with the upper Koszul route.
+with the upper Koszul route: no level mask and no memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_
 
-from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring
+from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring, _monomial
 from .binomial import direct_saturated_sum, symbolic_of_sum
 from .powers import _require_positive, saturated_power, symbolic_power
 
@@ -221,39 +231,97 @@ def reduced_homology_dimensions(
 def _lcm_closure(gens) -> set[tuple[int, ...]]:
     """Exponent tuples of the lcms of all nonempty subsets of ``gens``.
 
-    One pass per generator g: L <- L + {g} + {lcm(p, g) : p in L}.
+    Each exponent is coded by its rank k among the distinct exponents of
+    its variable as k set bits in that variable's run of bits, so the lcm
+    of two codes is their OR.  One pass per generator code g:
+    L <- L + {g} + {p | g : p in L}; the codes are then read back.
     """
-    points: set[tuple[int, ...]] = set()
-    for g in gens:
-        points |= {tuple(map(max, p, g)) for p in points}
+    codes = [0] * len(gens)
+    runs = []  # per variable: (shift, run mask, code of a rank -> exponent)
+    shift = 0
+    for column in zip(*gens):
+        exponents = sorted(set(column))
+        rank = {e: (1 << k) - 1 for k, e in enumerate(exponents)}
+        for n, e in enumerate(column):
+            codes[n] |= rank[e] << shift
+        runs.append((shift, rank[exponents[-1]], {c: e for e, c in rank.items()}))
+        shift += len(exponents) - 1
+    points: set[int] = set()
+    for g in codes:
+        points |= {p | g for p in points}
         points.add(g)
-    return points
+    return {
+        tuple([exponent[p >> shift & run] for shift, run, exponent in runs])
+        for p in points
+    }
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
     """All lcms of nonempty generator subsets, deduplicated, in canonical order."""
     ring = ideal.ring
     points = _lcm_closure([g.exponents for g in ideal.generators])
-    return sorted((Monomial(ring, b) for b in points), key=Monomial.sort_key)
+    return sorted((_monomial(ring, b) for b in points), key=Monomial.sort_key)
 
 
-def _koszul_facets(gens, b: tuple[int, ...]) -> list[int]:
-    """Maximal faces of K^b as bitmasks: the sets S_g(b) = {i : g_i < b_i}
-    of the generators g dividing b, less those inside another."""
-    masks = set()
-    for g in gens:
-        mask = 0
-        for i, (e, top) in enumerate(zip(g, b)):
-            if e > top:
+def _level_masks(gens) -> list[dict[int, tuple[int, int]]]:
+    """Per variable i, each exponent level v among the generators' i-th
+    exponents mapped to the generator bitmasks (g_i <= v, g_i < v), with
+    generator k as bit k.  No generators give no variables."""
+    levels = []
+    for column in zip(*gens):
+        at: dict[int, int] = {}
+        for k, e in enumerate(column):
+            at[e] = at.get(e, 0) | 1 << k
+        masks = {}
+        below = 0
+        for v in sorted(at):
+            masks[v] = (below | at[v], below)
+            below |= at[v]
+        levels.append(masks)
+    return levels
+
+
+def _koszul_facets(levels, b: tuple[int, ...]) -> list[int]:
+    """Maximal faces of K^b as ascending bitmasks: the sets
+    S_g(b) = {i : g_i < b_i} of the generators g dividing b, less those
+    inside another.
+
+    ``levels`` is ``_level_masks`` of the generators, and every b_i must be
+    one of their levels for variable i; each point of the lcm lattice is.
+    The dividing generators are split into blocks by each variable's
+    g_i < b_i mask in turn, so each block ends with one set S_g(b).
+    """
+    masks = [level[v] for level, v in zip(levels, b)]
+    dividing = reduce(and_, [upto for upto, _ in masks])
+    blocks = {dividing: 0}
+    bit = 1
+    for _, below in masks:
+        if below & dividing:
+            split = {}
+            for block, face in blocks.items():
+                inside = block & below
+                if inside:
+                    split[inside] = face | bit
+                    if inside != block:
+                        split[block ^ inside] = face
+                else:
+                    split[block] = face
+            blocks = split
+        bit <<= 1
+    # A face can only lie inside a numerically larger one, so a descending
+    # scan needs to test each face against the maximal faces kept so far.
+    kept: list[int] = []
+    for face in sorted(blocks.values(), reverse=True):
+        for other in kept:
+            if face & other == face:
                 break
-            if e < top:
-                mask |= 1 << i
         else:
-            masks.add(mask)
-    return [m for m in masks if not any(m != o and m & o == m for o in masks)]
+            kept.append(face)
+    kept.reverse()
+    return kept
 
 
-def _upper_koszul_faces(facets: list[int]) -> set[int]:
+def _upper_koszul_faces(facets) -> set[int]:
     """Faces of the complex generated by ``facets``: all their submasks."""
     faces = set()
     for facet in facets:
@@ -264,6 +332,16 @@ def _upper_koszul_faces(facets: list[int]) -> set[int]:
                 break
             sub = (sub - 1) & facet
     return faces
+
+
+_HOMOLOGY_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_HOMOLOGY_MEMO_SIZE)
+def _facet_homology(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
+    """(degree, dim) pairs of the reduced homology of the complex generated
+    by ``facets`` (sorted bitmasks), from a memo of the last 1024 pairs."""
+    return tuple(_homology_dims(_upper_koszul_faces(facets), char).items())
 
 
 @dataclass(frozen=True)
@@ -331,14 +409,15 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
         return BettiTable(ring, ideal, ())
     entries: dict[tuple[int, Monomial], int] = {(0, ring.one()): 1}
     gens = [g.exponents for g in ideal.generators]
+    levels = _level_masks(gens)
     for b in _lcm_closure(gens):
-        facets = _koszul_facets(gens, b)
+        facets = _koszul_facets(levels, b)
         if reduce(and_, facets):
             continue  # a cone: every maximal face holds a common vertex
-        dims = _homology_dims(_upper_koszul_faces(facets), char)
+        dims = _facet_homology(tuple(facets), char)
         if dims:
-            m = Monomial(ring, b)
-            for degree, dim in dims.items():
+            m = _monomial(ring, b)
+            for degree, dim in dims:
                 entries[(degree + 2, m)] = dim
     return BettiTable(ring, ideal, _freeze_entries(entries))
 

@@ -16,6 +16,7 @@ from .core import (
     IdealArgumentError,
     Monomial,
     MonomialIdeal,
+    MonomialPrime,
     ideal_power,
     intersect_all,
     monomials_of_degree_at_most,
@@ -59,10 +60,13 @@ def _kept(ideal: MonomialIdeal, notion: str):
 def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:
     """Intersection of the ``primes`` that ``notion`` does not keep.
 
-    An empty intersection is the unit ideal.
+    The primes are intersected in ``MonomialPrime.sort_key`` order, so the
+    intermediate ideals do not depend on string hashing.  An empty
+    intersection is the unit ideal.
     """
     kept = _kept(ideal, notion)
-    return intersect_all(ideal.ring, (p.as_ideal() for p in primes if not kept(p)))
+    dropped = sorted((p for p in primes if not kept(p)), key=MonomialPrime.sort_key)
+    return intersect_all(ideal.ring, (p.as_ideal() for p in dropped))
 
 
 def saturated_power(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialIdeal:

@@ -403,6 +403,52 @@ class TestQuotientAss:
             i, index
         )
 
+    @staticmethod
+    def box_candidates(i, index):
+        """Box points m with m in I^(index-1) and m outside I^index."""
+        low, high = ideal_power(i, index - 1), ideal_power(i, index)
+        box = high.lcm_of_generators().lcm(low.lcm_of_generators())
+        return high, [
+            m for m in monomials_below(box) if low.contains(m) and not high.contains(m)
+        ]
+
+    @staticmethod
+    def count_colons(monkeypatch):
+        built = []
+
+        def counted(a, m):
+            built.append(m)
+            return colon_monomial(a, m)
+
+        monkeypatch.setattr(decomposition, "colon_monomial", counted)
+        return built
+
+    def test_box_oracle_builds_fewer_colons(self, monkeypatch):
+        # Of the 94 box points in I^2 and outside I^3, 45 have some x_j * m
+        # in I^3; only their colons are built.
+        i = ideal(R3, "x^3, x*y^2, y^3*z")
+        _, candidates = self.box_candidates(i, 3)
+        built = self.count_colons(monkeypatch)
+        assert ass_module_quotient_exhaustive(i, 3) == ass_module_quotient(i, 3)
+        assert (len(built), len(candidates)) == (45, 94)
+
+    @given(proper3, st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_box_oracle_skips_only_colons_without_a_variable(self, i, index):
+        # Same result as building the colon at every candidate, and every
+        # skipped candidate's colon holds no variable.
+        high, candidates = self.box_candidates(i, index)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            built = self.count_colons(monkeypatch)
+            result = ass_module_quotient_exhaustive(i, index)
+        every = {
+            decomposition._prime_from_variable_ideal(colon_monomial(high, m))
+            for m in candidates
+        }
+        assert result == every - {None}
+        for m in set(candidates) - set(built):
+            assert all(g.degree() > 1 for g in colon_monomial(high, m).generators)
+
     @given(proper3, st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_contained_in_ass_of_power(self, i, index):

@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 import time
 from functools import reduce
 from itertools import combinations
@@ -14,10 +17,14 @@ from idealkit.core import (
     ideal_power,
 )
 from idealkit.homology import (
+    _HOMOLOGY_MEMO_SIZE,
     NEG_INF,
     POS_INF,
     ExtendedInt,
+    _facet_homology,
     _koszul_facets,
+    _lcm_closure,
+    _level_masks,
     _upper_koszul_faces,
     betti_table,
     check_depth_reg_binomial,
@@ -194,7 +201,8 @@ class TestBettiTable:
         i = ideal(AB, "a^2, a*b, b^2")
         b = AB.monomial((2, 2))
         assert b in lcm_lattice(i)
-        facets = _koszul_facets([g.exponents for g in i.generators], b.exponents)
+        levels = _level_masks([g.exponents for g in i.generators])
+        facets = _koszul_facets(levels, b.exponents)
         assert facets == [0b11]
         table = betti_table(i)
         assert all(table.multiplicity(k, b) == 0 for k in range(4))
@@ -205,7 +213,8 @@ class TestBettiTable:
         # triangle and nothing more: H~_1 = 1, so beta_{3,b} = 1.
         i = ideal(R3, "x*y*z^2, x*y^2*z, x^2*y*z")
         b = R3.monomial((2, 2, 2))
-        facets = _koszul_facets([g.exponents for g in i.generators], b.exponents)
+        levels = _level_masks([g.exponents for g in i.generators])
+        facets = _koszul_facets(levels, b.exponents)
         assert sorted(facets) == [0b011, 0b101, 0b110]
         assert reduce(and_, facets) == 0
         for char in (0, 2, 3):
@@ -326,16 +335,137 @@ class TestOracleAgreement:
     @given(wide_ideals)
     @settings(max_examples=40, deadline=None)
     def test_closed_form_faces_match_membership_search(self, i):
-        gens = [g.exponents for g in i.generators]
+        levels = _level_masks([g.exponents for g in i.generators])
         for b in lcm_lattice(i):
             expected = {as_mask(f) for f in bfs_upper_koszul_faces(i, b)}
-            assert _upper_koszul_faces(_koszul_facets(gens, b.exponents)) == expected
+            assert _upper_koszul_faces(_koszul_facets(levels, b.exponents)) == expected
 
     @given(wide_ideals.filter(lambda i: len(i.generators) <= 8))
     @settings(max_examples=40, deadline=None)
     def test_lattice_is_every_subset_lcm(self, i):
         expected = sorted(all_subset_lcms(i), key=Monomial.sort_key)
         assert lcm_lattice(i) == expected
+
+
+def generator_facets(gens, b):
+    """The maximal S_g(b) found one generator and one coordinate at a time."""
+    masks = set()
+    for g in gens:
+        mask = 0
+        for i, (e, top) in enumerate(zip(g, b)):
+            if e > top:
+                break
+            if e < top:
+                mask |= 1 << i
+        else:
+            masks.add(mask)
+    return sorted(m for m in masks if not any(m != o and m & o == m for o in masks))
+
+
+def tuple_closure(gens):
+    """Subset lcms by one pass per generator, on exponent tuples."""
+    points = set()
+    for g in gens:
+        points |= {tuple(map(max, p, g)) for p in points}
+        points.add(g)
+    return points
+
+
+zero_and_unit = st.sampled_from(
+    [MonomialIdeal.zero(R) for R in (R4, R5)] + [MonomialIdeal.unit(R) for R in (R4, R5)]
+)
+
+
+class TestLevelMasks:
+    @given(st.one_of(wide_ideals, zero_and_unit))
+    @settings(max_examples=60, deadline=None)
+    def test_facets_match_the_per_generator_definition(self, i):
+        gens = [g.exponents for g in i.generators]
+        levels = _level_masks(gens)
+        for b in _lcm_closure(gens):
+            assert _koszul_facets(levels, b) == generator_facets(gens, b)
+
+    @given(st.one_of(wide_ideals, zero_and_unit))
+    @settings(max_examples=60, deadline=None)
+    def test_coded_closure_matches_the_tuple_closure(self, i):
+        gens = [g.exponents for g in i.generators]
+        assert _lcm_closure(gens) == tuple_closure(gens)
+
+    def test_zero_and_unit_ideals(self):
+        assert _level_masks([]) == [] and _lcm_closure([]) == set()
+        levels = _level_masks([(0, 0, 0)])
+        assert levels == [{0: (1, 0)}] * 3
+        assert _koszul_facets(levels, (0, 0, 0)) == [0]
+
+
+class TestHomologyMemo:
+    def test_memo_is_bounded(self):
+        assert _facet_homology.cache_info().maxsize == _HOMOLOGY_MEMO_SIZE
+
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_cold_and_warm_tables_agree(self, i, char):
+        _facet_homology.cache_clear()
+        cold = betti_table(i, char)
+        misses = _facet_homology.cache_info().misses
+        warm = betti_table(i, char)
+        assert cold == warm
+        assert _facet_homology.cache_info().misses == misses
+
+    def test_memo_is_ring_free(self):
+        betti_table(ideal(R3, "x*y*z^2, x*y^2*z, x^2*y*z"))
+        before = _facet_homology.cache_info()
+        other = Ring.of("u", "v", "w")
+        table = betti_table(ideal(other, "u*v*w^2, u*v^2*w, u^2*v*w"))
+        after = _facet_homology.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+        assert table.multiplicity(3, other.monomial((2, 2, 2))) == 1
+
+    def test_threads_share_the_memo(self):
+        # More distinct complexes than the memo holds, so threads also evict.
+        rnd = random.Random(0)
+        ideals = []
+        for _ in range(150):
+            gens = [
+                R5.monomial([rnd.randint(0, 3) for _ in range(5)])
+                for _ in range(rnd.randint(4, 9))
+            ]
+            i = MonomialIdeal(R5, tuple(gens))
+            if not i.is_unit:
+                ideals += [(i, char) for char in (0, 2, 3)]
+        _facet_homology.cache_clear()
+        serial = {key: betti_table(*key) for key in ideals}
+        assert _facet_homology.cache_info().misses > _HOMOLOGY_MEMO_SIZE
+        _facet_homology.cache_clear()
+        results = [{} for _ in range(4)]
+
+        def work(k):
+            order = list(ideals)
+            random.Random(k).shuffle(order)
+            for key in order:
+                results[k][key] = betti_table(*key)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r == serial for r in results)
+
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=20, deadline=None)
+    def test_oracles_leave_the_memo_alone(self, i, char):
+        before = _facet_homology.cache_info()
+        taylor_betti_table(i, char)
+        circle = {frozenset(f) for f in ([], [0], [1], [2], [0, 1], [1, 2], [0, 2])}
+        assert reduced_homology_dimensions(circle, char) == {1: 1}
+        assert _facet_homology.cache_info() == before
 
 
 class TestDerivStar:

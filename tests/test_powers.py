@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -416,3 +420,48 @@ class TestAssStarReuse:
         ok, counters = fuzz.symbolic_route_consistency(i, 2, notion, 4)
         assert ok
         assert len(calls) == 2
+
+
+# Counts the exponent tuples handed to core._antichain while the saturator
+# of a principal ideal intersects seven primes, none of them minimal.
+SATURATOR_PROBE = """
+from idealkit import core, powers
+from idealkit.core import MonomialIdeal, MonomialPrime, Ring
+
+given = 0
+antichain = core._antichain
+
+
+def counted(exps):
+    global given
+    given += len(exps)
+    return antichain(exps)
+
+
+core._antichain = counted
+R = Ring.of("a", "b", "c", "d", "e")
+i = MonomialIdeal.parse(R, "a*b*c*d*e")
+supports = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 4), (1, 2, 4), (3, 4)]
+primes = frozenset(MonomialPrime(R, s) for s in supports)
+print(powers._saturator(i, primes, "min"), given)
+"""
+
+
+class TestSaturatorOrder:
+    def test_intermediate_sizes_do_not_follow_string_hashing(self):
+        # Intersecting the primes in frozenset order gave 59, 60 and 60
+        # tuples under these three hash seeds.
+        src = os.path.dirname(os.path.dirname(idealkit.__file__))
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", SATURATOR_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().startswith("(a*b*d, a*c*d, a*d*e, b*c*e) ")
