@@ -1,16 +1,18 @@
 """Primary structure of monomial ideals.
 
-Irreducible decomposition by generator splitting, canonical primary
-decomposition with distinct radical primes, associated and minimal primes,
-a bounded approximation of the union of associated primes over all powers,
-the grade-zero test against a monomial prime, and associated primes of the
-consecutive power quotients I^(i-1)/I^i.
+Irreducible decomposition as the Alexander dual of an intersection of
+irreducible ideals, canonical primary decomposition with distinct radical
+primes, associated and minimal primes, a bounded approximation of the
+union of associated primes over all powers, the grade-zero test against a
+monomial prime, and associated primes of the consecutive power quotients
+I^(i-1)/I^i.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .core import (
     IdealArgumentError,
@@ -18,11 +20,11 @@ from .core import (
     MonomialPrime,
     Ring,
     _ideal,
+    _le,
+    _monomial,
     _unchecked,
     colon_monomial,
     ideal_power,
-    intersect_all,
-    monomials_below,
 )
 
 
@@ -96,79 +98,68 @@ def _require_nonzero_proper(ideal: MonomialIdeal):
         raise IdealArgumentError("the unit ideal has no primary decomposition")
 
 
-def _split(gens: frozenset[tuple[int, ...]], memo: dict) -> frozenset:
-    """Irreducible components of the ideal with minimal generators ``gens``.
+def _meet(gens, powers) -> list[tuple[int, ...]]:
+    """Minimal generators of (G) cap Q, for Q = (x_j^e_j : (j, e) in ``powers``).
 
-    ``gens`` is a frozenset of exponent tuples and each component is a
-    sorted tuple of (variable index, exponent) pairs.  The pivot is the
-    first mixed generator in canonical order, and x_v^a m' = m splits into
-    (I + (x_v^a)) cap (I + (m')).  Adjoining either part drops only the
-    generators it divides: neither part is divisible by another generator,
-    so the sets stay minimal.  ``memo`` is local to one decomposition.
+    ``gens`` is the antichain G of minimal exponent tuples of an ideal, in
+    any order, and so is the result.  Each g in Q is kept unchanged.  Each
+    g outside Q gives, for every j of Q, r = g raised to e_j in x_j (the
+    lcm of g and x_j^e_j), kept iff no other h in G divides r.
+
+    Proof: these candidates generate (G) cap Q.  As G is an antichain,
+    there are no duplicates (equal r from g != h would make g and h equal
+    off x_j), and no other candidate divides a kept g, since each is a
+    multiple of its own h.  A candidate raised at j' != j has x_j'
+    exponent e_j' > r_j', so only a kept h or an h raised at the same j
+    can divide r, and either one divides r iff h does.
     """
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    mixed = [g for g in gens if len(g) - g.count(0) >= 2]
-    if not mixed:
-        powers = []
-        for g in gens:
-            e = max(g)
-            powers.append((g.index(e), e))
-        result = frozenset({tuple(sorted(powers))})
-    else:
-        # Canonical order is lowest degree first, then revlex, which among
-        # equal degrees is the lexicographically largest exponent tuple.
-        low = min(map(sum, mixed))
-        pivot = max(g for g in mixed if sum(g) == low)
-        v = next(i for i, e in enumerate(pivot) if e)
-        a = pivot[v]
-        head = tuple(a if i == v else 0 for i in range(len(pivot)))
-        tail = pivot[:v] + (0,) + pivot[v + 1:]
-        left = frozenset(g for g in gens if g[v] < a) | {head}
-        right = frozenset(
-            g for g in gens if not all(t <= e for t, e in zip(tail, g))
-        ) | {tail}
-        result = _split(left, memo) | _split(right, memo)
-    memo[gens] = result
-    return result
+    out = []
+    for g in gens:
+        if any(g[j] >= e for j, e in powers):
+            out.append(g)
+            continue
+        for j, e in powers:
+            r = g[:j] + (e,) + g[j + 1:]
+            # An h dividing r but not g exceeds g in x_j; g itself does not.
+            b = g[j]
+            if not any(h[j] > b and all(map(_le, h, r)) for h in gens):
+                out.append(r)
+    return out
 
 
 @lru_cache(maxsize=1024)
 def _irredundant(gens: frozenset) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Ring-free irredundant components of ``gens``, canonically sorted.
 
-    c is kept iff it contains no other component d; only the d whose
-    support lies in c's can be contained in it.
+    ``_meet`` folds the irreducible ideals m^(g^a) of the generators g,
+    from the unit ideal, into the Alexander dual; each of its minimal
+    generators u gives the component m^(u^a) (see
+    ``irreducible_decomposition`` for the notation).
     """
-    raw = sorted(_split(gens, {}), key=lambda d: (len(d), d))
-    by_support: dict[int, list] = {}
-    for d in raw:
-        by_support.setdefault(sum(1 << i for i, _ in d), []).append(d)
-    kept = []
-    for c in raw:
-        powers = dict(c)
-        support = sum(1 << i for i in powers)
-        if not any(
-            d is not c and all(powers[i] <= e for i, e in d)
-            for mask, group in by_support.items()
-            if not mask & ~support
-            for d in group
-        ):
-            kept.append(c)
-    return tuple(kept)
+    top = tuple(map(max, zip(*gens)))
+
+    def flip(u):
+        """The pairs of m^(u^a): (i, a_i + 1 - u_i) wherever u_i > 0."""
+        return tuple((i, a + 1 - e) for i, (a, e) in enumerate(zip(top, u)) if e)
+
+    dual = [(0,) * len(top)]
+    # Canonical order, lowest degree first, keeps the partial duals smallest.
+    for g in sorted(sorted(gens, reverse=True), key=sum):
+        dual = _meet(dual, flip(g))
+    return tuple(sorted(map(flip, dual), key=lambda c: (len(c), c)))
 
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The unique irredundant set of irreducible components, canonically sorted.
 
-    Splits the first mixed generator in canonical order (lowest degree,
-    then revlex), m = x_v^a * rest with v its first variable, into
-    (I + (x_v^a)) cap (I + (rest)) until all generators are pure powers.
-    An irreducible component is redundant iff it contains another one, and
-    c contains d iff every x_i^e of d has some x_i^a in c with a <= e, so
-    pruning compares the (variable index, exponent) pairs of c with those
-    of each d whose support lies in c's.  The irredundant result is
+    Let a be the exponentwise maximum of the minimal generators of I, and
+    for b below a let m^(b^a) = (x_i^(a_i + 1 - b_i) : b_i > 0).  The
+    Alexander dual of I with respect to a is the intersection of m^(g^a)
+    over the minimal generators g of I, and I is the irredundant
+    intersection of m^(u^a) over the minimal generators u of that dual
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 5.27).  The
+    dual is intersected one irreducible ideal at a time by the local rule
+    of ``_meet``, with no splitting and no pruning pass.  The result is
     memoised, ring-free and keyed by the generator exponent set, for the
     last 1024 distinct ideals.
     """
@@ -184,17 +175,20 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
 def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
     """Group irreducible components by radical and intersect each group.
 
-    Grouping an irredundant irreducible decomposition can introduce no
-    redundancy: a redundant group would force one of its irreducible
-    members to contain a member of another group.
+    Each group is intersected by ``_meet``, from the unit ideal.  Grouping
+    an irredundant irreducible decomposition can introduce no redundancy:
+    a redundant group would force one of its irreducible members to
+    contain a member of another group.
     """
     components = irreducible_decomposition(ideal)
-    by_prime: dict[MonomialPrime, list[MonomialIdeal]] = {}
+    by_prime: dict[MonomialPrime, list] = {}
     for c in components:
-        by_prime.setdefault(c.radical(), []).append(c.as_ideal())
+        by_prime.setdefault(c.radical(), []).append(c.powers)
+    unit = [(0,) * ideal.ring.nvars]
     pairs = []
     for prime in sorted(by_prime, key=MonomialPrime.sort_key):
-        pairs.append((prime, intersect_all(ideal.ring, by_prime[prime])))
+        primary = _ideal(ideal.ring, reduce(_meet, by_prime[prime], unit))
+        pairs.append((prime, primary))
     return PrimaryDecomposition(tuple(pairs))
 
 
@@ -318,26 +312,31 @@ def ass_module_quotient_exhaustive(
     Membership in I^(i-1) and I^i and the colon I^i : m only depend on the
     exponentwise minimum of m with the generator lcms, so scanning the box
     below max(lcm(G(I^(i-1))), lcm(G(I^i))) sees a representative of every
-    possible witness.  When no x_j * m lies in I^i, the colon I^i : m holds
-    no variable, so it is no prime P_T with T nonempty and is not built.
-    For m outside I^i, x_j * m lies in I^i iff some generator g of I^i
-    exceeds m in x_j alone and by one, so the scan skips m when every g
-    exceeds m by more than one in total.
+    possible witness.  The box is scanned as exponent tuples and both
+    memberships are tested against the generator tuples, so a monomial is
+    built only for a point whose colon is taken.  When no x_j * m lies in
+    I^i, the colon I^i : m holds no variable, so it is no prime P_T with T
+    nonempty and is not built.  For m outside I^i, x_j * m lies in I^i iff
+    some generator g of I^i exceeds m in x_j alone and by one, so the scan
+    skips m when every g exceeds m by more than one in total.
     """
     _require_nonzero_proper(ideal)
     if i < 1:
         raise ValueError("quotient index must be positive")
     low = ideal_power(ideal, i - 1)
     high = ideal_power(ideal, i)
-    box = high.lcm_of_generators().lcm(low.lcm_of_generators())
+    low_exps = [g.exponents for g in low.generators]
     high_exps = [g.exponents for g in high.generators]
+    box = map(max, zip(*low_exps, *high_exps))
     primes: set[MonomialPrime] = set()
-    for m in monomials_below(box):
-        if not low.contains(m) or high.contains(m):
+    for e in itertools.product(*(range(b + 1) for b in box)):
+        if not any(all(map(_le, g, e)) for g in low_exps):
             continue
-        e = m.exponents
+        if any(all(map(_le, g, e)) for g in high_exps):
+            continue
         if all(sum(a - b for a, b in zip(g, e) if a > b) > 1 for g in high_exps):
             continue
+        m = _monomial(ideal.ring, e)
         prime = _prime_from_variable_ideal(colon_monomial(high, m))
         if prime is not None:
             primes.add(prime)

@@ -10,13 +10,14 @@ powers, that are not kept.  The tests cross-check the two routes.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 
 from .core import (
     IdealArgumentError,
     Monomial,
     MonomialIdeal,
     MonomialPrime,
+    _ideal,
     ideal_power,
     intersect_all,
     monomials_of_degree_at_most,
@@ -24,6 +25,7 @@ from .core import (
 )
 from .decomposition import (
     _in_some,
+    _meet,
     ass_star_bounded,
     associated_primes,
     default_power_bound,
@@ -124,14 +126,9 @@ def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
     kept = _kept(ideal, notion)
-    return intersect_all(
-        ideal.ring,
-        (
-            c.as_ideal()
-            for c in irreducible_decomposition(ideal_power(ideal, s))
-            if kept(c.radical())
-        ),
-    )
+    components = irreducible_decomposition(ideal_power(ideal, s))
+    powers = (c.powers for c in components if kept(c.radical()))
+    return _ideal(ideal.ring, reduce(_meet, powers, [(0,) * ideal.ring.nvars]))
 
 
 def regular_witness_candidates(

@@ -288,8 +288,14 @@ class TestFuzz:
         assert out == ""
         assert err == f"error: characteristic must be 0 or a prime, got {char}\n"
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            1,
+            pytest.param(2, marks=pytest.mark.slow),
+            pytest.param(3, marks=pytest.mark.slow),
+        ],
+    )
     def test_larger_tier_passes_every_suite(self, seed):
         config = fuzz.FuzzConfig(
             seed=seed,

@@ -1,21 +1,26 @@
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit import decomposition
+from idealkit import decomposition, powers
 from idealkit.core import (
     IdealArgumentError,
     MonomialIdeal,
     MonomialPrime,
     Ring,
+    _ideal,
+    colon,
     colon_monomial,
     ideal_power,
+    intersect,
     intersect_all,
     monomials_below,
     radical,
+    saturate,
 )
 from idealkit.decomposition import (
     IrreducibleComponent,
@@ -29,6 +34,8 @@ from idealkit.decomposition import (
     minimal_primes,
     primary_decomposition,
 )
+from idealkit.homology import taylor_betti_table
+from idealkit.powers import saturator_min, symbolic_min
 
 A = Ring.of("a", "b")
 XY = Ring.of("x", "y")
@@ -71,6 +78,25 @@ proper_up_to_4 = (
     )
     .filter(lambda i: not i.is_zero and not i.is_unit)
 )
+
+
+ideals_up_to_4 = st.one_of(
+    proper_up_to_4, st.sampled_from(RINGS_UP_TO_4).map(MonomialIdeal.unit)
+)
+
+
+def irreducible_for(i, data):
+    """A drawn irreducible ideal of i's ring; anchored, it holds a generator of i."""
+    n = i.ring.nvars
+    exps = data.draw(
+        st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), min_size=1)
+    )
+    nonunit = [g for g in i.generators if not g.is_one()]
+    if nonunit and data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(nonunit))
+        j = data.draw(st.sampled_from(g.support()))
+        exps[j] = data.draw(st.integers(1, g.exponents[j]))
+    return IrreducibleComponent(i.ring, tuple(exps.items()))
 
 
 def reference_split(i, memo):
@@ -191,6 +217,59 @@ class TestIrreducibleDecomposition:
         square = ideal_power(ideal(ring, "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"), 2)
         assert len(irreducible_decomposition(square)) == 400
         assert len(associated_primes(square)) == 64
+
+    def test_roadmap_pathological_cube(self):
+        ring = Ring(tuple("abcdefghijkl"))
+        i = ideal(ring, "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l")
+        cube = ideal_power(i, 3)
+        decomposition._irredundant.cache_clear()
+        started = time.monotonic()
+        assert len(irreducible_decomposition(cube)) == 1200
+        assert len(associated_primes(cube)) == 64
+        symbolic = symbolic_min(i, 3)
+        assert time.monotonic() - started < 5
+        assert len(symbolic.generators) == 56
+        assert symbolic == saturate(cube, saturator_min(i, 3))
+
+
+class TestMeet:
+    @given(ideals_up_to_4, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_generic_intersection(self, i, data):
+        q = irreducible_for(i, data)
+        result = decomposition._meet([g.exponents for g in i.generators], q.powers)
+        expected = intersect(i, q.as_ideal())
+        assert _ideal(i.ring, result) == expected
+        # Already minimal: no duplicates and no generator dividing another.
+        assert sorted(result) == sorted(g.exponents for g in expected.generators)
+
+    def test_generators_inside_q_are_kept_unchanged(self):
+        i = ideal(R3, "x^2*y, y^2*z, x*z^3")
+        q = IrreducibleComponent(R3, ((0, 2), (2, 2)))
+        result = decomposition._meet([g.exponents for g in i.generators], q.powers)
+        assert sorted(result) == [(0, 2, 2), (1, 0, 3), (2, 1, 0)]
+
+    def test_saturation_route_and_oracles_never_call_it(self, monkeypatch):
+        i = ideal(R3, "x^2*y, y^2*z, x*z^3")
+        cube = ideal_power(i, 3)
+        # Warm the decomposition memo: Ass and Min are read from it, and
+        # only the intersections of the saturation route are under test.
+        primes = associated_primes(cube)
+        minimal_primes(i)
+
+        def forbidden(*args):
+            raise AssertionError("the saturation route reached _meet")
+
+        monkeypatch.setattr(decomposition, "_meet", forbidden)
+        monkeypatch.setattr(powers, "_meet", forbidden)
+        with pytest.raises(AssertionError):
+            powers.symbolic_min(i, 3)
+        for notion in powers.NOTIONS:
+            saturate(cube, powers._saturator(i, primes, notion))
+        colon(cube, i)
+        intersect(cube, i)
+        ass_module_quotient_exhaustive(i, 3)
+        taylor_betti_table(i, 0)
 
 
 class TestDecompositionMemo:
