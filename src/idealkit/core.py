@@ -58,7 +58,7 @@ class Ring:
     def variable(self, index: int) -> "Monomial":
         exps = [0] * self.nvars
         exps[index] = 1
-        return Monomial(self, tuple(exps))
+        return _monomial(self, tuple(exps))
 
     def monomial(self, exponents) -> "Monomial":
         return Monomial(self, tuple(exponents))
@@ -101,36 +101,35 @@ class Monomial:
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _require_same_ring(self, other)
-        return Monomial(
-            self.ring, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
+        exps = tuple(map(operator.add, self.exponents, other.exponents))
+        return _monomial(self.ring, exps)
 
     def power(self, k: int) -> "Monomial":
         if k < 0:
             raise ValueError("negative power")
-        return Monomial(self.ring, tuple(e * k for e in self.exponents))
+        exps = tuple(e * k for e in self.exponents)
+        if isinstance(k, int):
+            return _monomial(self.ring, exps)
+        return Monomial(self.ring, exps)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         _require_same_ring(self, other)
-        return Monomial(
-            self.ring, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents))
-        )
+        return _monomial(self.ring, tuple(map(max, self.exponents, other.exponents)))
 
     def divide_out(self, other: "Monomial") -> "Monomial":
         """self / gcd(self, other), i.e. clamp the quotient at zero exponents."""
         _require_same_ring(self, other)
-        return Monomial(
+        return _monomial(
             self.ring,
-            tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)),
+            tuple(a - b if a > b else 0 for a, b in zip(self.exponents, other.exponents)),
         )
 
     def divide_exact(self, other: "Monomial") -> "Monomial":
         _require_same_ring(self, other)
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial(
-            self.ring, tuple(a - b for a, b in zip(self.exponents, other.exponents))
-        )
+        exps = tuple(map(operator.sub, self.exponents, other.exponents))
+        return _monomial(self.ring, exps)
 
     def sort_key(self):
         # Total degree first, then reverse-lexicographic exponent vectors,
@@ -138,15 +137,11 @@ class Monomial:
         return (self.degree(), tuple(-e for e in self.exponents))
 
     def __str__(self):
-        if self.is_one():
-            return "1"
-        parts = []
-        for name, e in zip(self.ring.variables, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return "*".join([
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(self.ring.variables, self.exponents)
+            if e
+        ]) or "1"
 
     @classmethod
     def parse(cls, ring: Ring, text: str) -> "Monomial":

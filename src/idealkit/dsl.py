@@ -17,10 +17,18 @@ where an ideal is expected).  Bracket lists give rings ('ring A = [x, y];')
 and ideal lists for the filtration checks.  Bare names resolve to bound
 identifiers first, then to variables of the statement's ring ('in R' if
 given, otherwise the most recently declared ring).
+
+Tokens are NAMEs (a letter or '_', then letters, digits or '_'), INTs (runs
+of decimal digits) and the punctuation ( ) [ ] , ; + * ^ =; spaces, tabs and
+carriage returns separate them.  Every token and error carries a 1-based
+line and column, the column counting characters from the line's start.  A
+comment does not advance the column, so the end of input after a trailing
+comment sits at its '#'.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -50,7 +58,15 @@ KEYWORDS = {"ring", "ideal", "print", "in"}
 # Work budget: the deepest expression accepted, counting each '+'/'*' link, '^',
 # call, parenthesis and bracket on a path; keeps the recursion off the stack limit.
 MAX_DEPTH = 100
-PUNCT = {"(", ")", "[", "]", ",", ";", "+", "*", "^", "="}
+
+# One match per token, each with the blanks before it.  Groups: 1 int (a run
+# of decimal digits), 2 word (a name once its first character is checked),
+# 3 punctuation, 4 newline, 5 any other character; a comment, or the blanks
+# at the end of the text, matches no group.
+_SCANNER = re.compile(
+    r"[ \t\r]*(?:(\d+)|(\w+)|([()\[\],;+*^=])|(\n)|#[^\n]*|(.)|\Z)", re.DOTALL
+)
+_KINDS = (None, "int", "name", "punct")
 
 
 @dataclass(frozen=True)
@@ -61,42 +77,34 @@ class Token:
     column: int
 
 
-def tokenize(text: str) -> list[Token]:
+def _scan(text: str) -> list[tuple[str, str, int, int]]:
+    """Tokens of ``text`` as plain (kind, text, line, column) tuples, ending in EOF."""
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _SCANNER.finditer(text):
+        group = match.lastindex
+        if group is None:
+            continue
+        if group == 4:
             line += 1
-            column = 1
-            i += 1
-        elif ch in " \t\r":
-            column += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch.isdecimal():
-            start = i
-            while i < len(text) and text[i].isdecimal():
-                i += 1
-            tokens.append(Token("int", text[start:i], line, column))
-            column += i - start
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("name", text[start:i], line, column))
-            column += i - start
-        elif ch in PUNCT:
-            tokens.append(Token("punct", ch, line, column))
-            column += 1
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("eof", "", line, column))
+            line_start = match.end()
+            continue
+        word = match.group(group)
+        column = match.start(group) - line_start + 1
+        if group == 5 or (group == 2 and not (word[0].isalpha() or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", line, column)
+        append((_KINDS[group], word, line, column))
+    # A comment does not advance the column, so EOF after one sits at its '#'.
+    comment = text.find("#", line_start)
+    end = len(text) if comment < 0 else comment
+    append(("eof", "", line, end - line_start + 1))
     return tokens
+
+
+def tokenize(text: str) -> list[Token]:
+    """The scanner's tokens as ``Token`` values; the parser reads the tuples."""
+    return [Token(*token) for token in _scan(text)]
 
 
 # AST nodes; `pos` is excluded from equality so round-trips compare clean.
@@ -181,70 +189,63 @@ class Script:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent over (kind, text, line, column) token tuples.
+
+    Lookahead compares token text only: no name or int token spells a
+    punctuation mark and EOF's text is empty, and a keyword is a name.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.index = 0
         self.level = 0
         self.depth = 0
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
-
     def _fail(self, message):
-        tok = self.current
-        shown = tok.text or "end of input"
-        raise ParseError(f"{message} (got {shown!r})", tok.line, tok.column)
+        _, text, line, column = self.tokens[self.index]
+        shown = text or "end of input"
+        raise ParseError(f"{message} (got {shown!r})", line, column)
 
-    def _advance(self) -> Token:
-        tok = self.current
-        self.index += 1
-        return tok
-
-    def _expect_punct(self, text) -> Token:
-        if self.current.kind != "punct" or self.current.text != text:
+    def _expect_punct(self, text):
+        if self.tokens[self.index][1] != text:
             self._fail(f"expected {text!r}")
-        return self._advance()
+        self.index += 1
 
-    def _expect_name(self) -> Token:
-        if self.current.kind != "name":
+    def _expect_name(self) -> str:
+        kind, text, _, _ = self.tokens[self.index]
+        if kind != "name":
             self._fail("expected a name")
-        return self._advance()
-
-    def _at_punct(self, text) -> bool:
-        return self.current.kind == "punct" and self.current.text == text
+        self.index += 1
+        return text
 
     def parse_script(self) -> Script:
         statements = []
-        while self.current.kind != "eof":
+        tokens = self.tokens
+        while tokens[self.index][0] != "eof":
             statements.append(self.parse_statement())
         return Script(tuple(statements))
 
     def parse_statement(self):
-        tok = self.current
-        if tok.kind == "name" and tok.text == "ring":
-            self._advance()
+        _, text, line, column = self.tokens[self.index]
+        if text == "ring" or text == "ideal":
+            self.index += 1
             name = self._expect_name()
             self._expect_punct("=")
             value = self.parse_expr()
-            self._expect_punct(";")
-            return RingDecl(name.text, value, (tok.line, tok.column))
-        if tok.kind == "name" and tok.text == "ideal":
-            self._advance()
-            name = self._expect_name()
-            self._expect_punct("=")
-            value = self.parse_expr()
+            if text == "ring":
+                self._expect_punct(";")
+                return RingDecl(name, value, (line, column))
             ring_name = None
-            if self.current.kind == "name" and self.current.text == "in":
-                self._advance()
-                ring_name = self._expect_name().text
+            if self.tokens[self.index][1] == "in":
+                self.index += 1
+                ring_name = self._expect_name()
             self._expect_punct(";")
-            return IdealDecl(name.text, value, ring_name, (tok.line, tok.column))
-        if tok.kind == "name" and tok.text == "print":
-            self._advance()
+            return IdealDecl(name, value, ring_name, (line, column))
+        if text == "print":
+            self.index += 1
             value = self.parse_expr()
             self._expect_punct(";")
-            return PrintStmt(value, (tok.line, tok.column))
+            return PrintStmt(value, (line, column))
         self._fail("expected 'ring', 'ideal' or 'print'")
 
     # parse_* leave the depth of the node they return in ``self.depth``;
@@ -255,49 +256,57 @@ class Parser:
         self.depth = (depth if depth > other else other) + 1
         if self.level + self.depth > MAX_DEPTH:
             message = f"expression nested deeper than {MAX_DEPTH} levels"
-            raise ParseError(message, tok.line, tok.column)
+            raise ParseError(message, tok[2], tok[3])
 
     def parse_expr(self):
         node = self.parse_term()
-        while self._at_punct("+"):
-            tok = self._advance()
+        tokens = self.tokens
+        while tokens[self.index][1] == "+":
+            tok = tokens[self.index]
+            self.index += 1
             depth = self.depth
             right = self.parse_term()
             self._deeper(tok, depth, self.depth)
-            node = AddOp(node, right, (tok.line, tok.column))
+            node = AddOp(node, right, (tok[2], tok[3]))
         return node
 
     def parse_term(self):
         node = self.parse_factor()
-        while self._at_punct("*"):
-            tok = self._advance()
+        tokens = self.tokens
+        while tokens[self.index][1] == "*":
+            tok = tokens[self.index]
+            self.index += 1
             depth = self.depth
             right = self.parse_factor()
             self._deeper(tok, depth, self.depth)
-            node = MulOp(node, right, (tok.line, tok.column))
+            node = MulOp(node, right, (tok[2], tok[3]))
         return node
 
     def parse_factor(self):
         node = self.parse_atom()
-        if self._at_punct("^"):
-            tok = self._advance()
-            if self.current.kind != "int":
+        tokens = self.tokens
+        tok = tokens[self.index]
+        if tok[1] == "^":
+            self.index += 1
+            kind, text, _, _ = tokens[self.index]
+            if kind != "int":
                 self._fail("expected an integer exponent")
-            exponent = int(self._advance().text)
+            self.index += 1
             self._deeper(tok, self.depth)
-            node = PowOp(node, exponent, (tok.line, tok.column))
+            node = PowOp(node, int(text), (tok[2], tok[3]))
         return node
 
     def _parse_entries(self, tok, close, allow_empty=False):
         """Comma-separated expressions up to ``close``, one level below ``tok``."""
         self._deeper(tok, 0)
         self.level += 1
+        tokens = self.tokens
         entries, depth = [], 0
-        if not (allow_empty and self._at_punct(close)):
+        if not (allow_empty and tokens[self.index][1] == close):
             entries.append(self.parse_expr())
             depth = self.depth
-            while self._at_punct(","):
-                self._advance()
+            while tokens[self.index][1] == ",":
+                self.index += 1
                 entries.append(self.parse_expr())
                 depth = max(depth, self.depth)
         self._expect_punct(close)
@@ -306,33 +315,33 @@ class Parser:
         return tuple(entries)
 
     def parse_atom(self):
-        tok = self.current
-        pos = (tok.line, tok.column)
-        if tok.kind == "int":
-            self._advance()
+        tok = self.tokens[self.index]
+        kind, text, line, column = tok
+        if kind == "int":
+            self.index += 1
             self.depth = 0
-            return IntLit(int(tok.text), pos)
-        if tok.kind == "name":
-            if tok.text in KEYWORDS:
-                self._fail(f"keyword {tok.text!r} cannot start an expression")
-            self._advance()
-            if self._at_punct("("):
-                self._advance()
-                return CallOp(tok.text, self._parse_entries(tok, ")", True), pos)
+            return IntLit(int(text), (line, column))
+        if kind == "name":
+            if text in KEYWORDS:
+                self._fail(f"keyword {text!r} cannot start an expression")
+            self.index += 1
+            if self.tokens[self.index][1] == "(":
+                self.index += 1
+                return CallOp(text, self._parse_entries(tok, ")", True), (line, column))
             self.depth = 0
-            return Name(tok.text, pos)
-        if self._at_punct("("):
-            self._advance()
+            return Name(text, (line, column))
+        if text == "(":
+            self.index += 1
             entries = self._parse_entries(tok, ")")
-            return entries[0] if len(entries) == 1 else IdealLit(entries, pos)
-        if self._at_punct("["):
-            self._advance()
-            return BracketList(self._parse_entries(tok, "]"), pos)
+            return entries[0] if len(entries) == 1 else IdealLit(entries, (line, column))
+        if text == "[":
+            self.index += 1
+            return BracketList(self._parse_entries(tok, "]"), (line, column))
         self._fail("expected an expression")
 
 
 def parse(text: str) -> Script:
-    return Parser(tokenize(text)).parse_script()
+    return Parser(_scan(text)).parse_script()
 
 
 _PRECEDENCE = {AddOp: 1, MulOp: 2, PowOp: 3}
@@ -387,10 +396,11 @@ def render_value(value) -> str:
     if isinstance(value, frozenset):
         items = sorted(value, key=MonomialPrime.sort_key)
         return "{" + ", ".join(str(p) for p in items) + "}"
-    if isinstance(value, tuple) and value and all(
-        isinstance(c, _decomposition.IrreducibleComponent) for c in value
-    ):
-        return "{" + ", ".join(str(c) for c in value) + "}"
+    if isinstance(value, tuple):
+        if value and all(isinstance(c, _decomposition.IrreducibleComponent) for c in value):
+            return "{" + ", ".join(str(c) for c in value) + "}"
+        # a bracket list, e.g. [x, (x, y)]
+        return "[" + ", ".join(render_value(v) for v in value) + "]"
     return str(value)
 
 
@@ -475,16 +485,8 @@ class Evaluator:
         return self._wrap(getattr(module, attr), node.pos, *values)
 
     def _literal_ideal(self, entries, pos, ctx):
-        ring = None
-        for e in entries:
-            if isinstance(e, Monomial):
-                ring = e.ring
-                break
-            if isinstance(e, MonomialIdeal):
-                ring = e.ring
-                break
-        if ring is None:
-            ring = ctx
+        kinds = (Monomial, MonomialIdeal)
+        ring = next((e.ring for e in entries if isinstance(e, kinds)), ctx)
         if ring is None:
             raise EvalError("ideal literal needs a ring in scope", pos)
         gens = []

@@ -80,6 +80,37 @@ class TestRingAndMonomial:
         with pytest.raises(RingMismatchError):
             Monomial.parse(A, "a") * Monomial.parse(XY, "x")
 
+    @given(exponent_vectors, exponent_vectors, st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_arithmetic_matches_the_constructor(self, e, f, k):
+        m, n = R3.monomial(e), R3.monomial(f)
+        pairs = [
+            (R3.variable(k % 3), [int(i == k % 3) for i in range(3)]),
+            (m * n, [a + b for a, b in zip(e, f)]),
+            (m.power(k), [a * k for a in e]),
+            (m.power(True), list(e)),
+            (m.power(2.0), [a * 2 for a in e]),
+            (m.lcm(n), [max(a, b) for a, b in zip(e, f)]),
+            (m.divide_out(n), [max(a - b, 0) for a, b in zip(e, f)]),
+            ((m * n).divide_exact(n), list(e)),
+        ]
+        for built, exps in pairs:
+            public = Monomial(R3, exps)
+            assert built == public and hash(built) == hash(public)
+            assert all(type(x) is int for x in built.exponents)
+
+    def test_arithmetic_error_messages(self):
+        a, x = Monomial.parse(A, "a"), Monomial.parse(XY, "x")
+        mismatch = r"^ring mismatch: \[a, b\] vs \[x, y\]$"
+        for operation in (Monomial.__mul__, Monomial.lcm, Monomial.divide_out,
+                          Monomial.divide_exact):
+            with pytest.raises(RingMismatchError, match=mismatch):
+                operation(a, x)
+        with pytest.raises(ValueError, match="^negative power$"):
+            x.power(-1)
+        with pytest.raises(ValueError, match=r"^x\^2 does not divide x\*y$"):
+            Monomial.parse(XY, "x*y").divide_exact(Monomial.parse(XY, "x^2"))
+
 
 class TestCanonicalForm:
     def test_minimalize_drops_multiples(self):

@@ -1,4 +1,5 @@
 import pathlib
+import random
 import re
 
 import pytest
@@ -92,6 +93,12 @@ class TestGoldenScripts:
         )
         assert output == ["(c)"]
 
+    def test_bracket_list_renders_entries(self):
+        output = run_script(
+            "ring A = [x, y];\nprint [x, y];\nprint [x*y^2, (x, y), [1, ass((x))]];"
+        )
+        assert output == ["[x, y]", "[x*y^2, (x, y), [1, {(x)}]]"]
+
     def test_determinism(self):
         script = "ring A = [a, b];\nprint assstar((a^2, a*b), 3);"
         assert run_script(script) == run_script(script)
@@ -114,6 +121,9 @@ ROUND_TRIP_CORPUS = [
     "print saturate((x^2, x*y, z^2, z*t), (x, y, z, t));",
     "print 1;",
     "print contains(I, a^2);",
+    "ring A = [a,\tb];\r\nideal I = (a^2)\tin A;\r\n",
+    "print x\u00b2 * y;",
+    "print I;  # a trailing comment with no newline",
 ]
 
 
@@ -129,12 +139,82 @@ class TestRoundTrip:
         assert parse(unparse(tree)) == tree
 
 
+def reference_tokenize(text):
+    """Tokens scanned one character at a time.
+
+    This is the character loop the regex scanner replaced; it is kept as an
+    independent oracle for it.
+    """
+    Token = dsl.Token
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+        elif ch in " \t\r":
+            column += 1
+            i += 1
+        elif ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch.isdecimal():
+            start = i
+            while i < len(text) and text[i].isdecimal():
+                i += 1
+            tokens.append(Token("int", text[start:i], line, column))
+            column += i - start
+        elif ch.isalpha() or ch == "_":
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(Token("name", text[start:i], line, column))
+            column += i - start
+        elif ch in "()[],;+*^=":
+            tokens.append(Token("punct", ch, line, column))
+            column += 1
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, column)
+    tokens.append(Token("eof", "", line, column))
+    return tokens
+
+
+def scan_outcome(tokenize, text):
+    """The tokens of ``text``, or the ParseError's (message, line, column)."""
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return (str(err), err.line, err.column)
+
+
+class TestTokenizer:
+    ALPHABET = "ab_xyz019 \t\r\n#();,+*^=[]\u00b2\u00bd\u0663\u00e9\u03a9?!.-"
+
+    def test_matches_reference_tokenizer(self):
+        rng = random.Random(12)
+        for _ in range(20000):
+            text = "".join(rng.choices(self.ALPHABET, k=rng.randint(0, 24)))
+            expected = scan_outcome(reference_tokenize, text)
+            assert scan_outcome(dsl.tokenize, text) == expected, repr(text)
+
+
 class TestErrors:
     def test_lexical_error_has_position(self):
-        with pytest.raises(ParseError) as err:
-            parse("ring A = [x, y];\nprint I ? J;")
-        assert err.value.line == 2
-        assert "?" in str(err.value)
+        cases = [
+            ("ring A = [x, y];\nprint I ? J;", (2, 9)),
+            ("print\tI ? J;", (1, 9)),
+            ("# a comment line\nprint I ? J;", (2, 9)),
+            ("ring A = [x];\r\n\tprint x\t? y;", (2, 10)),
+        ]
+        for text, position in cases:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.column) == position, text
+            assert "unexpected character '?'" in str(err.value)
 
     def test_unicode_digit_is_not_an_integer(self):
         with pytest.raises(ParseError) as err:
@@ -147,6 +227,10 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse("ideal I = (x^2,, y) in A;")
         assert "got" in str(err.value)
+        # a comment does not advance the column: end of input sits at its '#'
+        with pytest.raises(ParseError) as err:
+            parse("print x # no semicolon")
+        assert str(err.value) == "1:9: expected ';' (got 'end of input')"
 
     def test_unbound_name(self):
         with pytest.raises(EvalError) as err:
