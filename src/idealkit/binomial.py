@@ -124,7 +124,7 @@ def _expansion_terms(
     i: MonomialIdeal, j: MonomialIdeal, s: int, power_a, power_b
 ) -> list[MonomialIdeal]:
     """The terms power_a(t) * power_b(s - t), t = 0..s, in the joined ring."""
-    _, emb_a, emb_b, _ = joined_sum(i, j)
+    _, emb_a, emb_b = join_rings(i.ring, j.ring)
     return [
         ideal_product(extend(power_a(t), emb_a), extend(power_b(s - t), emb_b))
         for t in range(s + 1)

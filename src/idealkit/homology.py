@@ -87,18 +87,37 @@ POS_INF = ExtendedInt(float("inf"))
 NEG_INF = ExtendedInt(float("-inf"))
 
 
+# Miller-Rabin with these bases is exact below 3.18e23 (Sorenson and
+# Webster 2015), so it decides every characteristic below _CHAR_LIMIT.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_CHAR_LIMIT = 1 << 64
+
+
 def _is_prime_number(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    # p - 1 = d * 2^r with d odd; (1 - p) & (p - 1) isolates its lowest bit.
+    r = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> r
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def _require_char(char: int):
+    if char >= _CHAR_LIMIT:
+        raise ValueError(f"characteristic must be below 2^64, got {char}")
     if char != 0 and not _is_prime_number(char):
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 

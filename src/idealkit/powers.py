@@ -20,7 +20,6 @@ from .core import (
     _ideal,
     ideal_power,
     intersect_all,
-    monomials_of_degree_at_most,
     saturate,
 )
 from .decomposition import (
@@ -137,13 +136,24 @@ def regular_witness_candidates(
     n_max: int | None = None,
     max_degree: int | None = None,
 ) -> list[Monomial]:
-    """Monomials usable as the single saturating element, in canonical order.
+    """The least monomials usable as the single saturating element.
 
-    A candidate lies in the global saturator and avoids every kept prime
-    of Ass(I): every minimal prime (notion "min": regular on A over the
-    radical) or every associated prime (notion "ass": regular on A/I).
-    The unit monomial is the sole candidate when there is nothing to
-    saturate away.
+    A usable monomial lies in the global saturator and avoids every kept
+    prime of Ass(I): every minimal prime (notion "min": regular on A over
+    the radical) or every associated prime (notion "ass": regular on A/I).
+    The result lists the divisibility-minimal usable monomials of degree
+    at most ``max_degree``, in canonical order; every usable monomial of
+    such degree is a multiple of one of them.  The unit monomial is the
+    sole candidate when there is nothing to saturate away.
+
+    They are the saturator's generators that avoid the kept primes.  The
+    saturator is an intersection of monomial primes, so it is squarefree.
+    A monomial m lies in it iff some generator g divides m; then
+    supp g is inside supp m, so g avoids the kept variables too, and
+    deg g <= deg m with equality only when g = m.  So the usable monomials
+    are exactly the multiples of these generators, and the least of them
+    in ``Monomial.sort_key`` order, which is the canonical generator order,
+    is a generator.
     """
     _require_notion(notion)
     if n_max is None:
@@ -154,17 +164,12 @@ def regular_witness_candidates(
         return [ideal.ring.one()]
     kept = _kept(ideal, notion)
     avoided = {i for p in associated_primes(ideal) if kept(p) for i in p.support}
-    if max_degree is None:
-        max_degree = ideal.ring.nvars
-    out = []
-    for m in monomials_of_degree_at_most(ideal.ring, max_degree):
-        if m.is_one():
-            continue
-        if any(m.exponents[i] > 0 for i in avoided):
-            continue
-        if saturator.contains(m):
-            out.append(m)
-    return out
+    return [
+        g
+        for g in saturator.generators
+        if not any(g.exponents[i] for i in avoided)
+        and (max_degree is None or g.degree() <= max_degree)
+    ]
 
 
 def regular_witness(
@@ -175,8 +180,9 @@ def regular_witness(
 ) -> Monomial | None:
     """First witness from ``regular_witness_candidates``, or None.
 
-    A monomial witness need not exist even when the saturator is proper;
-    the ideal saturators are the primary code path and this is best-effort.
+    This is the least saturator generator that avoids the kept primes.  A
+    monomial witness need not exist even when the saturator is proper; the
+    ideal saturators are the primary code path.
     """
     candidates = regular_witness_candidates(ideal, notion, n_max, max_degree)
     return candidates[0] if candidates else None

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -114,6 +115,25 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert err == "error: characteristic must be 0 or a prime, got 4\n"
+
+    def test_large_prime_characteristic_is_accepted_quickly(self, tmp_path, capsys):
+        script = tmp_path / "depth.ik"
+        script.write_text("ring A = [a, b];\nprint depth((a^2, a*b));\n")
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "run", str(script), "--char", str(2**64 - 59)
+        )
+        assert time.monotonic() - started < 1
+        assert (code, out, err) == (0, "0\n", "")
+
+    def test_characteristic_from_two_to_the_64_is_rejected(self, tmp_path, capsys):
+        script = tmp_path / "depth.ik"
+        script.write_text("ring A = [a];\nprint depth((a));\n")
+        char = str(2**64 + 13)  # a prime
+        code, out, err = run_cli(capsys, "run", str(script), "--char", char)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: characteristic must be below 2^64, got {char}\n"
 
 
 class TestVerify:

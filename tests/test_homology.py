@@ -18,6 +18,7 @@ from idealkit.core import (
 )
 from idealkit.homology import (
     _HOMOLOGY_MEMO_SIZE,
+    _is_prime_number,
     NEG_INF,
     POS_INF,
     ExtendedInt,
@@ -82,6 +83,59 @@ class TestRanks:
 
     def test_empty_matrix(self):
         assert rank_fraction_free([]) == 0
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def chernick_carmichael_numbers(count):
+    """(6k+1)(12k+1)(18k+1) with all three factors prime: Carmichael numbers."""
+    out, k = [], 1
+    while len(out) < count:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(trial_division_is_prime(f) for f in factors):
+            out.append(factors[0] * factors[1] * factors[2])
+        k += 1
+    return out
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        for n in range(-5, 200_000):
+            assert _is_prime_number(n) == trial_division_is_prime(n), n
+
+    def test_carmichael_numbers_are_composite(self):
+        numbers = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+        numbers += chernick_carmichael_numbers(12)
+        # Some of them have no factor among the Miller-Rabin bases.
+        assert any(all(n % b for b in range(2, 38)) for n in numbers)
+        for n in numbers:
+            assert not _is_prime_number(n), n
+
+    @pytest.mark.parametrize(
+        "factors", [(151, 751, 28351), (149491, 747451, 34233211)]
+    )
+    def test_strong_pseudoprimes_to_small_bases_are_composite(self, factors):
+        # Strong pseudoprimes to the bases 2..7 and 2..23 respectively.
+        n = reduce(lambda a, b: a * b, factors)
+        assert n in (3215031751, 3825123056546413051)
+        assert not _is_prime_number(n)
+
+    @pytest.mark.parametrize(
+        "n", [2**31 - 1, 2**61 - 1, 1000000000000037, 2**64 - 59]
+    )
+    def test_large_primes_are_prime_and_fast(self, n):
+        started = time.monotonic()
+        assert _is_prime_number(n)
+        assert time.monotonic() - started < 0.1
 
 
 class TestReducedHomology:

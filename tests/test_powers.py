@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from idealkit.core import (
     principal,
 )
 import idealkit
-from idealkit import binomial, decomposition, fuzz, powers
+from idealkit import binomial, core, decomposition, fuzz, powers
 from idealkit.core import intersect_all
 from idealkit.decomposition import (
     ass_star_bounded,
@@ -26,6 +27,7 @@ from idealkit.decomposition import (
     primary_decomposition,
 )
 from idealkit.powers import (
+    NOTIONS,
     regular_witness,
     regular_witness_candidates,
     saturated_power,
@@ -303,6 +305,82 @@ def reference_saturator_ass_global(ideal, n_max=None):
     star, _ = ass_star_bounded(ideal, n_max)
     keep = [p for p in star if not grade_zero(p, ideal)]
     return intersect_all(ideal.ring, (p.as_ideal() for p in keep))
+
+
+def reference_witness_candidates(ideal, notion, n_max, max_degree=None):
+    """Every usable witness of degree <= max_degree, by enumeration.
+
+    This is the degree-box scan the saturator-generator filter replaced;
+    it is kept as an independent oracle for it.  A usable witness lies in
+    the global saturator and avoids every kept prime of Ass(I).
+    """
+    if notion == "min":
+        saturator = reference_saturator_min_global(ideal, n_max)
+        kept = minimal_primes(ideal)
+    else:
+        saturator = reference_saturator_ass_global(ideal, n_max)
+        kept = associated_primes(ideal)
+    if saturator.is_unit:
+        return [ideal.ring.one()]
+    if max_degree is None:
+        max_degree = ideal.ring.nvars
+    return [
+        m
+        for m in monomials_of_degree_at_most(ideal.ring, max_degree)
+        if not m.is_one()
+        and not any(p.contains_monomial(m) for p in kept)
+        and saturator.contains(m)
+    ]
+
+
+class TestWitnessFromSaturatorGenerators:
+    @given(
+        proper3,
+        st.sampled_from(NOTIONS),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_enumeration_oracle(self, i, notion, n_max, max_degree):
+        oracle = reference_witness_candidates(i, notion, n_max, max_degree)
+        minimal = [
+            m for m in oracle if not any(d != m and d.divides(m) for d in oracle)
+        ]
+        candidates = regular_witness_candidates(i, notion, n_max, max_degree)
+        assert candidates == minimal
+        assert all(any(g.divides(m) for g in candidates) for m in oracle)
+        witness = regular_witness(i, notion, n_max, max_degree)
+        assert witness == (oracle[0] if oracle else None)
+
+    @given(proper3, st.sampled_from([2, 3, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_ass_witness_is_one_or_missing(self, i, n_max):
+        # supp Ass(I) = supp I, and every saturator generator lives there.
+        witness = regular_witness(i, "ass", n_max)
+        if saturator_ass_global(i, n_max).is_unit:
+            assert witness.is_one()
+        else:
+            assert witness is None
+
+    def test_no_degree_box_is_enumerated(self, monkeypatch):
+        def refuse(ring, limit):
+            raise AssertionError("degree-box enumeration")
+
+        monkeypatch.setattr(core, "monomials_of_degree_at_most", refuse)
+        # Also catch a name imported into ``powers`` itself.
+        monkeypatch.setattr(powers, "monomials_of_degree_at_most", refuse, raising=False)
+        i = ideal(A, "a^2, a*b")
+        assert regular_witness(i, "min") == A.monomial((0, 1))
+        assert regular_witness_candidates(i, "min") == [A.monomial((0, 1))]
+
+    def test_twelve_variable_sum(self):
+        ring = Ring(tuple("abcdefghijkl"))
+        i = ideal(ring, "a^2, a*b, c^2, c*d, e^2, e*f, g^2, g*h, i^2, i*j, k^2, k*l")
+        decomposition._irredundant.cache_clear()
+        started = time.monotonic()
+        assert str(regular_witness(i, "min", 2)) == "b*d*f*h*j*l"
+        assert regular_witness(i, "ass", 2).is_one()
+        assert time.monotonic() - started < 5
 
 
 def outcome(fn, *args):
