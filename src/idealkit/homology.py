@@ -13,35 +13,41 @@ homology of the one-point complex {emptyset} in degree -1.
 K^b has a closed form (Miller-Sturmfels, Combinatorial Commutative
 Algebra, Thm 1.34 and ch. 5): x^(b-t) lies in I iff some generator g
 divides b with t inside S_g(b) = {i : g_i < b_i}, so K^b is the complex
-generated by the sets S_g(b) of the generators g dividing b.  The lattice,
-the sets S_g(b) and the faces are computed on exponent tuples and
-bitmasks.  Once per ideal, each variable i and each exponent level v of
-the generators get two generator bitmasks, g_i <= v and g_i < v; at a
-lattice point b the generators dividing b are the AND of the first masks,
-and splitting that mask by each variable's second mask in turn leaves one
-block per distinct set S_g(b), so the work grows with the number of
-distinct S_g(b), not with generators times variables.  When all maximal
-S_g(b) share a vertex, K^b is a cone and has no reduced homology, so no
-rank is computed; the one-facet complex {emptyset} of a minimal generator
-is not a cone.  Otherwise the homology is looked up in one bounded memo
-(``_facet_homology``, the last ``_HOMOLOGY_MEMO_SIZE`` distinct pairs of
-sorted facet masks and characteristic), which is ring-free and
-ideal-free: the same small complexes recur at many lattice points and
-across the powers of an ideal.  A Monomial is built only for a
-multidegree with a nonzero Betti number.  Homology ranks are exact:
-fraction-free (Bareiss) elimination over the integers in characteristic
-zero, Gaussian elimination over GF(p) otherwise.
+generated by the sets S_g(b) of the generators g dividing b.  One
+depth-first walk over the generators' exponent levels (``_lattice_walk``)
+streams the lcm lattice: a node at depth k fixes b_0..b_(k-1), holds the
+generators below that prefix as a bitmask, and groups them into blocks by
+S_g restricted to the first k variables.  A child takes only a level of
+variable k that some held generator has, and is cut as soon as an earlier
+b_j is attained by none of the generators it keeps, so every node
+extends to a lattice point.  Each block is split by the g_k < v mask once
+per node, not once per point, and each point comes out with one block
+per distinct S_g(b).  When all maximal S_g(b) share a vertex, K^b is a
+cone and has no reduced homology, so no rank is computed.  Otherwise the
+complex is shrunk to its strong-collapse core (Barmak-Minian, Discrete
+Comput. Geom. 47, 2012): a vertex whose facets all share one other vertex
+is deleted, which keeps the homology in every characteristic.  A core of
+one facet is contractible, except the complex {emptyset} of a minimal
+generator, which is kept as it is.  Any other core's homology is looked up
+in one bounded memo (``_core_homology``, the last ``_HOMOLOGY_MEMO_SIZE``
+distinct pairs of sorted core facet masks and characteristic), which is
+ring-free and ideal-free: the same small cores recur at many lattice
+points and across the powers of an ideal.  Vertices keep their labels in
+the core.  A Monomial is built only for a multidegree with a nonzero
+Betti number.  Homology ranks are exact: fraction-free (Bareiss)
+elimination over the integers in characteristic zero, Gaussian
+elimination over GF(p) otherwise.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it never shares code
-with the upper Koszul route: no level mask and no memo.
+with the upper Koszul route: no walk, no core and no memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import and_
+from operator import and_, or_
 
 from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring, _monomial
 from .binomial import direct_saturated_sum, symbolic_of_sum
@@ -247,90 +253,80 @@ def reduced_homology_dimensions(
     return _homology_dims((sum(bit[v] for v in f) for f in faces), char)
 
 
-def _lcm_closure(gens) -> set[tuple[int, ...]]:
-    """Exponent tuples of the lcms of all nonempty subsets of ``gens``.
+def _lattice_walk(gens):
+    """Each point b of the lcm lattice of ``gens`` (exponent tuples) with its
+    blocks: pairs (generator bitmask, face), one per distinct set
+    S_g(b) = {i : g_i < b_i} of the generators g dividing b, the bitmask
+    holding those g (generator k as bit k) and the face being S_g(b) as a
+    vertex bitmask.
 
-    Each exponent is coded by its rank k among the distinct exponents of
-    its variable as k set bits in that variable's run of bits, so the lcm
-    of two codes is their OR.  One pass per generator code g:
-    L <- L + {g} + {p | g : p in L}; the codes are then read back.
+    A depth-first walk over the variables.  A node at depth k holds the
+    prefix b_0..b_(k-1), the candidate generators (those with g_j <= b_j
+    for j < k), their blocks on the first k variables, and for each j < k
+    the candidates with g_j = b_j.  A child takes a level v of variable k
+    that some candidate has, keeps the candidates with g_k <= v, and
+    splits each block once by g_k < v.  It is cut when some earlier j is
+    left with no candidate attaining b_j.  A node that survives extends to a
+    lattice point (the lcm of its candidates has its prefix), so the walk
+    has no dead ends, and each point is yielded once.  The points stream
+    in no particular order; no generators give none.
     """
-    codes = [0] * len(gens)
-    runs = []  # per variable: (shift, run mask, code of a rank -> exponent)
-    shift = 0
-    for column in zip(*gens):
-        exponents = sorted(set(column))
-        rank = {e: (1 << k) - 1 for k, e in enumerate(exponents)}
-        for n, e in enumerate(column):
-            codes[n] |= rank[e] << shift
-        runs.append((shift, rank[exponents[-1]], {c: e for e, c in rank.items()}))
-        shift += len(exponents) - 1
-    points: set[int] = set()
-    for g in codes:
-        points |= {p | g for p in points}
-        points.add(g)
-    return {
-        tuple([exponent[p >> shift & run] for shift, run, exponent in runs])
-        for p in points
-    }
-
-
-def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
-    """All lcms of nonempty generator subsets, deduplicated, in canonical order."""
-    ring = ideal.ring
-    points = _lcm_closure([g.exponents for g in ideal.generators])
-    return sorted((_monomial(ring, b) for b in points), key=Monomial.sort_key)
-
-
-def _level_masks(gens) -> list[dict[int, tuple[int, int]]]:
-    """Per variable i, each exponent level v among the generators' i-th
-    exponents mapped to the generator bitmasks (g_i <= v, g_i < v), with
-    generator k as bit k.  No generators give no variables."""
-    levels = []
+    if not gens:
+        return
+    last = len(gens[0]) - 1
+    levels = []  # per variable: (v, g_i == v mask, g_i < v mask), v ascending
     for column in zip(*gens):
         at: dict[int, int] = {}
         for k, e in enumerate(column):
             at[e] = at.get(e, 0) | 1 << k
-        masks = {}
         below = 0
+        row = []
         for v in sorted(at):
-            masks[v] = (below | at[v], below)
+            row.append((v, at[v], below))
             below |= at[v]
-        levels.append(masks)
-    return levels
-
-
-def _koszul_facets(levels, b: tuple[int, ...]) -> list[int]:
-    """Maximal faces of K^b as ascending bitmasks: the sets
-    S_g(b) = {i : g_i < b_i} of the generators g dividing b, less those
-    inside another.
-
-    ``levels`` is ``_level_masks`` of the generators, and every b_i must be
-    one of their levels for variable i; each point of the lcm lattice is.
-    The dividing generators are split into blocks by each variable's
-    g_i < b_i mask in turn, so each block ends with one set S_g(b).
-    """
-    masks = [level[v] for level, v in zip(levels, b)]
-    dividing = reduce(and_, [upto for upto, _ in masks])
-    blocks = {dividing: 0}
-    bit = 1
-    for _, below in masks:
-        if below & dividing:
-            split = {}
-            for block, face in blocks.items():
-                inside = block & below
-                if inside:
-                    split[inside] = face | bit
-                    if inside != block:
-                        split[block ^ inside] = face
+        levels.append(row)
+    everyone = (1 << len(gens)) - 1
+    stack = [((), everyone, [(everyone, 0)], ())]
+    while stack:
+        prefix, candidates, blocks, attained = stack.pop()
+        depth = len(prefix)
+        bit = 1 << depth
+        reached = False  # every earlier b_j stays attained from here up
+        for v, equal, lower in levels[depth]:
+            attaining = candidates & equal
+            if not attaining:
+                continue
+            kept = candidates & (equal | lower)
+            if not reached:
+                for tight in attained:
+                    if not kept & tight:
+                        break
                 else:
-                    split[block] = face
-            blocks = split
-        bit <<= 1
-    # A face can only lie inside a numerically larger one, so a descending
-    # scan needs to test each face against the maximal faces kept so far.
+                    reached = True
+                if not reached:
+                    continue
+            split = []
+            for block, face in blocks:
+                inside = block & lower
+                if inside:
+                    split.append((inside, face | bit))
+                outside = block & equal
+                if outside:
+                    split.append((outside, face))
+            if depth == last:
+                yield prefix + (v,), split
+            else:
+                stack.append((prefix + (v,), kept, split, attained + (attaining,)))
+
+
+def _maximal(faces) -> list[int]:
+    """The faces not inside another one, ascending; ``faces`` are distinct.
+
+    A face can only lie inside a numerically larger one, so a descending
+    scan needs to test each face against the maximal faces kept so far.
+    """
     kept: list[int] = []
-    for face in sorted(blocks.values(), reverse=True):
+    for face in sorted(faces, reverse=True):
         for other in kept:
             if face & other == face:
                 break
@@ -338,6 +334,13 @@ def _koszul_facets(levels, b: tuple[int, ...]) -> list[int]:
             kept.append(face)
     kept.reverse()
     return kept
+
+
+def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
+    """All lcms of nonempty generator subsets, deduplicated, in canonical order."""
+    ring = ideal.ring
+    points = _lattice_walk([g.exponents for g in ideal.generators])
+    return sorted((_monomial(ring, b) for b, _ in points), key=Monomial.sort_key)
 
 
 def _upper_koszul_faces(facets) -> set[int]:
@@ -353,14 +356,61 @@ def _upper_koszul_faces(facets) -> set[int]:
     return faces
 
 
+def _collapse_core(facets) -> tuple[int, ...]:
+    """The facets, ascending, of a strong-collapse core of the complex
+    generated by ``facets`` (its maximal faces as vertex bitmasks).
+
+    A vertex v is dominated when every facet that holds v also holds one
+    other vertex u.  Deleting v (each facet loses v, and those then inside
+    another facet are dropped) is a strong deformation retraction
+    (Barmak-Minian, Discrete Comput. Geom. 47, 2012), so the reduced
+    homology is the same in every characteristic.  Dominated vertices are
+    deleted one at a time, lowest first, until none is left or one facet
+    is.  Vertices keep their labels.
+    """
+    facets = list(facets)
+    deleted = True
+    while deleted and len(facets) > 1:
+        deleted = False
+        vertices = reduce(or_, facets)
+        while vertices:
+            v = vertices & -vertices
+            vertices ^= v
+            shared = -1
+            for facet in facets:
+                if facet & v:
+                    shared &= facet
+            if shared != v:
+                facets = _maximal({facet & ~v for facet in facets})
+                deleted = True
+                if len(facets) == 1:
+                    break
+    return tuple(facets)
+
+
+def _facet_homology(facets, char: int) -> tuple[tuple[int, int], ...]:
+    """(degree, dim) pairs of the reduced homology of the complex generated
+    by ``facets`` (its maximal faces as vertex bitmasks), read off its
+    strong-collapse core.
+
+    One facet left means a simplex, with no homology, unless it is the
+    complex {emptyset} of a minimal generator.  Any other core is looked up
+    in the memo ``_core_homology``.
+    """
+    core = _collapse_core(facets)
+    if len(core) == 1:
+        return () if core[0] else ((-1, 1),)
+    return _core_homology(core, char)
+
+
 _HOMOLOGY_MEMO_SIZE = 1024
 
 
 @lru_cache(maxsize=_HOMOLOGY_MEMO_SIZE)
-def _facet_homology(facets: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
-    """(degree, dim) pairs of the reduced homology of the complex generated
-    by ``facets`` (sorted bitmasks), from a memo of the last 1024 pairs."""
-    return tuple(_homology_dims(_upper_koszul_faces(facets), char).items())
+def _core_homology(core: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
+    """``_facet_homology`` of a core (sorted facet bitmasks), from a memo of
+    the last 1024 (core, characteristic) pairs."""
+    return tuple(_homology_dims(_upper_koszul_faces(core), char).items())
 
 
 @dataclass(frozen=True)
@@ -427,13 +477,11 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     if ideal.is_unit:
         return BettiTable(ring, ideal, ())
     entries: dict[tuple[int, Monomial], int] = {(0, ring.one()): 1}
-    gens = [g.exponents for g in ideal.generators]
-    levels = _level_masks(gens)
-    for b in _lcm_closure(gens):
-        facets = _koszul_facets(levels, b)
+    for b, blocks in _lattice_walk([g.exponents for g in ideal.generators]):
+        facets = _maximal([face for _, face in blocks])
         if reduce(and_, facets):
             continue  # a cone: every maximal face holds a common vertex
-        dims = _facet_homology(tuple(facets), char)
+        dims = _facet_homology(facets, char)
         if dims:
             m = _monomial(ring, b)
             for degree, dim in dims:

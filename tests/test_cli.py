@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -125,6 +126,31 @@ class TestRun:
         )
         assert time.monotonic() - started < 1
         assert (code, out, err) == (0, "0\n", "")
+
+    def test_pathological_ideal_statements_each_finish_within_a_second(
+        self, tmp_path, capsys
+    ):
+        # Six summands in disjoint variables: K^b lives on up to 12 vertices.
+        header = (
+            "ring A = [a, b, c, d, e, f, g, h, i, j, k, l];\n"
+            "ideal I = (a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l) in A;\n"
+        )
+        printed = []
+        for n, statement in enumerate(
+            ["print betti(I^2);", "print depth(I^3);", "print reg(I^3);"]
+        ):
+            script = tmp_path / f"probe{n}.ik"
+            script.write_text(header + statement + "\n")
+            started = time.monotonic()
+            code, out, err = run_cli(capsys, "run", str(script))
+            assert time.monotonic() - started < 1, statement
+            assert (code, err) == (0, ""), statement
+            assert out.count("\n") == 1
+            printed.append(out)
+        # The table of I^2 pinned in tests/test_homology.py.
+        assert hashlib.sha256(printed[0][:-1].encode()).hexdigest() == (
+            "15c2f806a0662c327d0655bdaa00d608e4d4a9d1f5dd42f31be0f16d948a79e7"
+        )
 
     def test_characteristic_from_two_to_the_64_is_rejected(self, tmp_path, capsys):
         script = tmp_path / "depth.ik"

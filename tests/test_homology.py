@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import random
 import sys
 import threading
@@ -5,6 +7,7 @@ import time
 from functools import reduce
 from itertools import combinations
 from operator import and_
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +25,11 @@ from idealkit.homology import (
     NEG_INF,
     POS_INF,
     ExtendedInt,
+    _collapse_core,
+    _core_homology,
     _facet_homology,
-    _koszul_facets,
-    _lcm_closure,
-    _level_masks,
+    _lattice_walk,
+    _maximal,
     _upper_koszul_faces,
     betti_table,
     check_depth_reg_binomial,
@@ -39,6 +43,8 @@ from idealkit.homology import (
     reg_quotient,
     taylor_betti_table,
 )
+from idealkit import homology
+from idealkit.binomial import joined_sum
 from idealkit.powers import saturated_power
 
 AB = Ring.of("a", "b")
@@ -49,6 +55,14 @@ ABCD = Ring.of("a", "b", "c", "d")
 
 def ideal(ring, text):
     return MonomialIdeal.parse(ring, text)
+
+
+def walk_facets(i):
+    """The lattice points of i, each mapped to the maximal faces of K^b."""
+    gens = [g.exponents for g in i.generators]
+    return {
+        b: _maximal([face for _, face in blocks]) for b, blocks in _lattice_walk(gens)
+    }
 
 
 class TestExtendedInt:
@@ -255,9 +269,7 @@ class TestBettiTable:
         i = ideal(AB, "a^2, a*b, b^2")
         b = AB.monomial((2, 2))
         assert b in lcm_lattice(i)
-        levels = _level_masks([g.exponents for g in i.generators])
-        facets = _koszul_facets(levels, b.exponents)
-        assert facets == [0b11]
+        assert walk_facets(i)[b.exponents] == [0b11]
         table = betti_table(i)
         assert all(table.multiplicity(k, b) == 0 for k in range(4))
         assert table == taylor_betti_table(i)
@@ -267,9 +279,9 @@ class TestBettiTable:
         # triangle and nothing more: H~_1 = 1, so beta_{3,b} = 1.
         i = ideal(R3, "x*y*z^2, x*y^2*z, x^2*y*z")
         b = R3.monomial((2, 2, 2))
-        levels = _level_masks([g.exponents for g in i.generators])
-        facets = _koszul_facets(levels, b.exponents)
-        assert sorted(facets) == [0b011, 0b101, 0b110]
+        facets = walk_facets(i)[b.exponents]
+        assert facets == [0b011, 0b101, 0b110]
+        assert _collapse_core(facets) == (0b011, 0b101, 0b110)
         assert reduce(and_, facets) == 0
         for char in (0, 2, 3):
             table = betti_table(i, char)
@@ -389,10 +401,9 @@ class TestOracleAgreement:
     @given(wide_ideals)
     @settings(max_examples=40, deadline=None)
     def test_closed_form_faces_match_membership_search(self, i):
-        levels = _level_masks([g.exponents for g in i.generators])
-        for b in lcm_lattice(i):
-            expected = {as_mask(f) for f in bfs_upper_koszul_faces(i, b)}
-            assert _upper_koszul_faces(_koszul_facets(levels, b.exponents)) == expected
+        for b, facets in walk_facets(i).items():
+            expected = {as_mask(f) for f in bfs_upper_koszul_faces(i, i.ring.monomial(b))}
+            assert _upper_koszul_faces(facets) == expected
 
     @given(wide_ideals.filter(lambda i: len(i.generators) <= 8))
     @settings(max_examples=40, deadline=None)
@@ -430,67 +441,229 @@ zero_and_unit = st.sampled_from(
 )
 
 
-class TestLevelMasks:
+def generator_blocks(gens, b):
+    """Per distinct S_g(b), the bitmask of the generators g dividing b that
+    have it, found one generator at a time."""
+    blocks = {}
+    for k, g in enumerate(gens):
+        if all(e <= top for e, top in zip(g, b)):
+            face = sum(1 << i for i, (e, top) in enumerate(zip(g, b)) if e < top)
+            blocks[face] = blocks.get(face, 0) | 1 << k
+    return blocks
+
+
+class TestLatticeWalk:
     @given(st.one_of(wide_ideals, zero_and_unit))
     @settings(max_examples=60, deadline=None)
     def test_facets_match_the_per_generator_definition(self, i):
         gens = [g.exponents for g in i.generators]
-        levels = _level_masks(gens)
-        for b in _lcm_closure(gens):
-            assert _koszul_facets(levels, b) == generator_facets(gens, b)
+        for b, blocks in _lattice_walk(gens):
+            assert _maximal([face for _, face in blocks]) == generator_facets(gens, b)
 
     @given(st.one_of(wide_ideals, zero_and_unit))
     @settings(max_examples=60, deadline=None)
-    def test_coded_closure_matches_the_tuple_closure(self, i):
+    def test_blocks_group_the_dividing_generators_by_their_face(self, i):
         gens = [g.exponents for g in i.generators]
-        assert _lcm_closure(gens) == tuple_closure(gens)
+        for b, blocks in _lattice_walk(gens):
+            assert {face: mask for mask, face in blocks} == generator_blocks(gens, b)
+            assert len({face for _, face in blocks}) == len(blocks)
+
+    @given(st.one_of(wide_ideals, zero_and_unit))
+    @settings(max_examples=60, deadline=None)
+    def test_points_are_the_tuple_closure_each_once(self, i):
+        gens = [g.exponents for g in i.generators]
+        points = [b for b, _ in _lattice_walk(gens)]
+        assert len(points) == len(set(points))
+        assert set(points) == tuple_closure(gens)
+
+    def test_points_stream(self):
+        gens = [g.exponents for g in ideal(R3, "x*y, y*z, x*z").generators]
+        walk = _lattice_walk(gens)
+        assert inspect.isgenerator(walk)
+        first, _ = next(walk)
+        assert first in tuple_closure(gens)
 
     def test_zero_and_unit_ideals(self):
-        assert _level_masks([]) == [] and _lcm_closure([]) == set()
-        levels = _level_masks([(0, 0, 0)])
-        assert levels == [{0: (1, 0)}] * 3
-        assert _koszul_facets(levels, (0, 0, 0)) == [0]
+        assert list(_lattice_walk([])) == []
+        assert list(_lattice_walk([(0, 0, 0)])) == [((0, 0, 0), [(1, 0)])]
+        for ring in (R4, R5):
+            assert walk_facets(MonomialIdeal.zero(ring)) == {}
+            assert walk_facets(MonomialIdeal.unit(ring)) == {(0,) * ring.nvars: [0]}
+
+
+def all_subfaces(facets):
+    return {
+        frozenset(v for v in range(8) if face >> v & 1)
+        for face in _upper_koszul_faces(facets)
+    }
+
+
+# Nonempty sets of vertex bitmasks over 8 vertices, the empty face included.
+facet_sets = st.sets(st.integers(0, 255), min_size=1, max_size=10).map(
+    lambda faces: _maximal(faces)
+)
+
+
+class TestCollapseCore:
+    @given(facet_sets, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_core_keeps_the_homology(self, facets, char):
+        expected = reduced_homology_dimensions(all_subfaces(facets), char)
+        assert dict(_facet_homology(facets, char)) == expected
+
+    @given(facet_sets)
+    @settings(max_examples=100, deadline=None)
+    def test_core_has_no_dominated_vertex(self, facets):
+        core = _collapse_core(facets)
+        assert list(core) == _maximal(set(core))
+        assert all_subfaces(core) <= all_subfaces(facets)
+        if len(core) > 1:
+            for v in range(8):
+                holding = [f for f in core if f >> v & 1]
+                if holding:
+                    assert reduce(and_, holding) == 1 << v
+
+    def test_cone_collapses_to_one_facet(self):
+        # Three triangles around the apex 0.
+        assert len(_collapse_core([0b0111, 0b1011, 0b1101])) == 1
+
+    def test_empty_complex_of_a_generator_is_kept(self):
+        assert _collapse_core([0]) == (0,)
+        assert _facet_homology([0], 0) == ((-1, 1),)
+
+    def test_hanging_edge_collapses_onto_the_circle(self):
+        # A hollow triangle on 0, 1, 2 with an edge from 2 to 3.
+        facets = [0b0011, 0b0101, 0b0110, 0b1100]
+        assert _collapse_core(facets) == (0b011, 0b101, 0b110)
+        assert _facet_homology(facets, 0) == ((1, 1),)
+
+
+R12 = Ring.of(*"abcdefghijkl")
+# Six summands in disjoint variables; K^b lives on up to 12 vertices.
+PATHOLOGICAL = "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"
+
+
+def total_betti_polynomial(table):
+    top = table.projective_dimension() or 0
+    return [table.total_betti(k) for k in range(top + 1)]
+
+
+def polynomial_product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for a, x in enumerate(p):
+        for b, y in enumerate(q):
+            out[a + b] += x * y
+    return out
+
+
+def three_variable_ideals(ring):
+    vector = st.tuples(*[st.integers(0, 3)] * 3).filter(any)
+    return st.lists(vector.map(ring.monomial), min_size=1, max_size=9).map(
+        lambda gens: MonomialIdeal(ring, tuple(gens))
+    )
+
+
+class TestPathologicalIdeal:
+    @pytest.mark.parametrize(
+        "s, digest, totals, depth, reg",
+        [
+            (
+                1,
+                "ef00577394db1df3c097eb9ce426a85d54863eaf7b427d892c5c38054df7d0bc",
+                [1, 6, 14, 16, 9, 2],
+                7,
+                8,
+            ),
+            (
+                2,
+                "15c2f806a0662c327d0655bdaa00d608e4d4a9d1f5dd42f31be0f16d948a79e7",
+                [1, 21, 64, 81, 48, 11],
+                7,
+                12,
+            ),
+        ],
+        ids=["I", "I^2"],
+    )
+    def test_pinned_tables(self, s, digest, totals, depth, reg):
+        i = ideal_power(ideal(R12, PATHOLOGICAL), s)
+        started = time.monotonic()
+        table = betti_table(i)
+        assert time.monotonic() - started < 5
+        assert hashlib.sha256(str(table).encode()).hexdigest() == digest
+        assert total_betti_polynomial(table) == totals
+        assert table.depth() == ExtendedInt(depth)
+        assert table.regularity() == ExtendedInt(reg)
+
+    def test_totals_are_the_product_over_the_summands(self):
+        # (1 + 3t + 2t^2)(1 + t)^3: the resolution of a sum in disjoint
+        # variables is the tensor product of the summands' resolutions.
+        summands = ["a^2*b, a*b*c, c^2*d", "e*f", "g*h", "i*j*k*l"]
+        product = [1]
+        for text in summands:
+            product = polynomial_product(
+                product, total_betti_polynomial(betti_table(ideal(R12, text)))
+            )
+        assert product == [1, 6, 14, 16, 9, 2]
+        assert total_betti_polynomial(betti_table(ideal(R12, PATHOLOGICAL))) == product
+
+    @given(
+        three_variable_ideals(R3),
+        three_variable_ideals(Ring.of("u", "v", "w")),
+        st.sampled_from([0, 2, 3]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_disjoint_sums_multiply_total_betti_polynomials(self, i, j, char):
+        # Up to 18 generators, past the Taylor oracle's cap.
+        total = joined_sum(i, j)[3]
+        expected = polynomial_product(
+            total_betti_polynomial(betti_table(i, char)),
+            total_betti_polynomial(betti_table(j, char)),
+        )
+        assert total_betti_polynomial(betti_table(total, char)) == expected
 
 
 class TestHomologyMemo:
     def test_memo_is_bounded(self):
-        assert _facet_homology.cache_info().maxsize == _HOMOLOGY_MEMO_SIZE
+        assert _core_homology.cache_info().maxsize == _HOMOLOGY_MEMO_SIZE
 
     @given(wide_ideals, st.sampled_from([0, 2, 3]))
     @settings(max_examples=30, deadline=None)
     def test_cold_and_warm_tables_agree(self, i, char):
-        _facet_homology.cache_clear()
+        _core_homology.cache_clear()
         cold = betti_table(i, char)
-        misses = _facet_homology.cache_info().misses
+        misses = _core_homology.cache_info().misses
         warm = betti_table(i, char)
         assert cold == warm
-        assert _facet_homology.cache_info().misses == misses
+        assert _core_homology.cache_info().misses == misses
 
     def test_memo_is_ring_free(self):
         betti_table(ideal(R3, "x*y*z^2, x*y^2*z, x^2*y*z"))
-        before = _facet_homology.cache_info()
+        before = _core_homology.cache_info()
         other = Ring.of("u", "v", "w")
         table = betti_table(ideal(other, "u*v*w^2, u*v^2*w, u^2*v*w"))
-        after = _facet_homology.cache_info()
+        after = _core_homology.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
         assert table.multiplicity(3, other.monomial((2, 2, 2))) == 1
 
     def test_threads_share_the_memo(self):
-        # More distinct complexes than the memo holds, so threads also evict.
+        # More distinct cores than the memo holds, so threads also evict.
+        # Squarefree ideals in 10 variables give far more distinct
+        # non-contractible K^b than the small exponent boxes of wide_ideals.
+        ring = Ring(tuple(f"x{k}" for k in range(10)))
         rnd = random.Random(0)
         ideals = []
         for _ in range(150):
             gens = [
-                R5.monomial([rnd.randint(0, 3) for _ in range(5)])
-                for _ in range(rnd.randint(4, 9))
+                ring.monomial([rnd.randint(0, 1) for _ in range(10)])
+                for _ in range(rnd.randint(6, 12))
             ]
-            i = MonomialIdeal(R5, tuple(gens))
+            i = MonomialIdeal(ring, tuple(gens))
             if not i.is_unit:
                 ideals += [(i, char) for char in (0, 2, 3)]
-        _facet_homology.cache_clear()
+        _core_homology.cache_clear()
         serial = {key: betti_table(*key) for key in ideals}
-        assert _facet_homology.cache_info().misses > _HOMOLOGY_MEMO_SIZE
-        _facet_homology.cache_clear()
+        assert _core_homology.cache_info().misses > _HOMOLOGY_MEMO_SIZE
+        _core_homology.cache_clear()
         results = [{} for _ in range(4)]
 
         def work(k):
@@ -515,11 +688,18 @@ class TestHomologyMemo:
     @given(wide_ideals, st.sampled_from([0, 2, 3]))
     @settings(max_examples=20, deadline=None)
     def test_oracles_leave_the_memo_alone(self, i, char):
-        before = _facet_homology.cache_info()
-        taylor_betti_table(i, char)
-        circle = {frozenset(f) for f in ([], [0], [1], [2], [0, 1], [1, 2], [0, 2])}
-        assert reduced_homology_dimensions(circle, char) == {1: 1}
-        assert _facet_homology.cache_info() == before
+        before = _core_homology.cache_info()
+        with mock.patch.object(
+            homology, "_collapse_core", wraps=homology._collapse_core
+        ) as core:
+            taylor_betti_table(i, char)
+            circle = {frozenset(f) for f in ([], [0], [1], [2], [0, 1], [1, 2], [0, 2])}
+            assert reduced_homology_dimensions(circle, char) == {1: 1}
+            assert _core_homology.cache_info() == before
+            assert core.call_count == 0
+            # The counter does see the Betti route reach the core.
+            betti_table(ideal(R3, "x*y*z^2, x*y^2*z, x^2*y*z"), char)
+            assert core.call_count > 0
 
 
 class TestDerivStar:
