@@ -69,16 +69,9 @@ _SCANNER = re.compile(
 _KINDS = (None, "int", "name", "punct")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'name', 'int', 'punct', 'eof'
-    text: str
-    line: int
-    column: int
-
-
 def _scan(text: str) -> list[tuple[str, str, int, int]]:
-    """Tokens of ``text`` as plain (kind, text, line, column) tuples, ending in EOF."""
+    """Tokens of ``text`` as (kind, text, line, column) tuples, the kind one
+    of 'int', 'name' and 'punct', ending in one 'eof'."""
     tokens = []
     append = tokens.append
     line, line_start = 1, 0
@@ -100,11 +93,6 @@ def _scan(text: str) -> list[tuple[str, str, int, int]]:
     end = len(text) if comment < 0 else comment
     append(("eof", "", line, end - line_start + 1))
     return tokens
-
-
-def tokenize(text: str) -> list[Token]:
-    """The scanner's tokens as ``Token`` values; the parser reads the tuples."""
-    return [Token(*token) for token in _scan(text)]
 
 
 # AST nodes; `pos` is excluded from equality so round-trips compare clean.
@@ -716,11 +704,10 @@ def repl(stdin=None, stdout=None):  # pragma: no cover - thin interactive wrappe
         if not line:
             continue
         try:
-            script = parse(line)
-            for statement in script.statements:
+            for statement in parse(line).statements:
                 evaluator.execute(statement)
-            while evaluator.output:
-                stdout.write(evaluator.output.pop(0) + "\n")
+                stdout.writelines(f"{text}\n" for text in evaluator.output)
+                evaluator.output.clear()
         except (ParseError, EvalError) as exc:
             stdout.write(f"error: {exc}\n")
         stdout.flush()

@@ -34,9 +34,9 @@ distinct pairs of sorted core facet masks and characteristic), which is
 ring-free and ideal-free: the same small cores recur at many lattice
 points and across the powers of an ideal.  Vertices keep their labels in
 the core.  A Monomial is built only for a multidegree with a nonzero
-Betti number.  Homology ranks are exact: fraction-free (Bareiss)
-elimination over the integers in characteristic zero, Gaussian
-elimination over GF(p) otherwise.
+Betti number.  Homology ranks come from one exact column reduction over
+sparse boundary columns (``_rank``), on fractions in characteristic zero
+and on residues mod p otherwise.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it never shares code
@@ -46,6 +46,7 @@ with the upper Koszul route: no walk, no core and no memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import and_, or_
 
@@ -128,65 +129,44 @@ def _require_char(char: int):
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
-def rank_fraction_free(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over the rationals, by Bareiss elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                pivot_row = r
+def _rank(columns: list[dict[int, int]], char: int) -> int:
+    """Rank of the matrix with these sparse columns ({row: entry}), exactly:
+    over the rationals in characteristic 0 and over GF(char) otherwise.
+
+    Column reduction (Zomorodian-Carlsson, Discrete Comput. Geom. 33,
+    2005): a column is reduced by the kept column whose lowest (largest)
+    row is its own, until it is zero or its lowest row is new; then it is
+    scaled to 1 there and kept.  The rank is the number of kept columns.
+    """
+    kept: dict[int, dict[int, int]] = {}  # lowest row -> column, 1 there
+    for column in columns:
+        if char:
+            column = {row: v % char for row, v in column.items() if v % char}
+        else:
+            column = {row: v for row, v in column.items() if v}
+        while column:
+            low = max(column)
+            pivot = kept.get(low)
+            if pivot is None:
+                v = column[low]
+                if char:
+                    inverse = pow(v, -1, char)
+                    column = {row: w * inverse % char for row, w in column.items()}
+                elif v != 1:  # -1 is its own inverse and keeps entries integers
+                    inverse = -1 if v == -1 else 1 / Fraction(v)
+                    column = {row: w * inverse for row, w in column.items()}
+                kept[low] = column
                 break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            for c in range(col, ncols):
-                m[r][c] = (pivot * m[r][c] - factor * m[rank][c]) // prev
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over GF(p)."""
-    if not rows or not rows[0]:
-        return 0
-    m = [[v % p for v in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if m[r][col] % p != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for r in range(rank + 1, nrows):
-            factor = (m[r][col] * inv) % p
-            if factor:
-                for c in range(col, ncols):
-                    m[r][c] = (m[r][c] - factor * m[rank][c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank(rows, char):
-    return rank_fraction_free(rows) if char == 0 else rank_mod_p(rows, char)
+            factor = column[low]
+            for row, w in pivot.items():
+                v = column.get(row, 0) - factor * w
+                if char:
+                    v %= char
+                if v:
+                    column[row] = v
+                else:
+                    del column[row]
+    return len(kept)
 
 
 def _homology_dims(faces, char: int) -> dict[int, int]:
@@ -194,7 +174,8 @@ def _homology_dims(faces, char: int) -> dict[int, int]:
     as vertex bitmasks, closed under taking subsets.
 
     Keys are homological degrees (the empty face sits in degree -1).  The
-    boundary drops the k-th lowest vertex of a face with sign (-1)^k.
+    boundary column of a face is keyed by its codimension-one faces: the
+    one without the k-th lowest vertex has sign (-1)^k.
     """
     by_size: dict[int, list[int]] = {}
     for face in sorted(faces):
@@ -203,15 +184,15 @@ def _homology_dims(faces, char: int) -> dict[int, int]:
     for t, members in by_size.items():
         if t == 0:
             continue
-        below = {face: row for row, face in enumerate(by_size[t - 1])}
-        matrix = [[0] * len(members) for _ in below]
-        for col, face in enumerate(members):
-            sign, rest = 1, face
+        columns = []
+        for face in members:
+            column, sign, rest = {}, 1, face
             while rest:
                 vertex = rest & -rest
-                matrix[below[face ^ vertex]][col] = sign
+                column[face ^ vertex] = sign
                 sign, rest = -sign, rest ^ vertex
-        ranks[t] = _rank(matrix, char)
+            columns.append(column)
+        ranks[t] = _rank(columns, char)
     dims = {}
     for t, members in sorted(by_size.items()):
         h = len(members) - ranks.get(t, 0) - ranks.get(t + 1, 0)
@@ -494,9 +475,10 @@ def taylor_betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
 
     Generator subsets are bitmasks.  The lcm of a subset S is computed once,
     as lcm(S - {max S}) joined with the generator max S, and the subsets
-    are grouped into strands by lcm.  A boundary entry of S drops one bit
-    and looks the smaller subset up in the same strand.  Exponential in the
-    number of generators; meant as a brute-force oracle for small inputs.
+    are grouped into strands by lcm.  The boundary column of S is keyed by
+    the subsets, one bit smaller, that stay in the same strand.  Exponential
+    in the number of generators; meant as a brute-force oracle for small
+    inputs.
     """
     _require_char(char)
     ring = ideal.ring
@@ -514,24 +496,23 @@ def taylor_betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
         strands.setdefault(b, []).append(mask)
     entries: dict[tuple[int, Monomial], int] = {}
     for b, strand in strands.items():
-        by_size: dict[int, dict[int, int]] = {}  # subset mask -> row index
+        by_size: dict[int, list[int]] = {}
         for mask in strand:
-            members = by_size.setdefault(mask.bit_count(), {})
-            members[mask] = len(members)
+            by_size.setdefault(mask.bit_count(), []).append(mask)
         ranks: dict[int, int] = {}
         for size, members in by_size.items():
-            below = by_size.get(size - 1)
-            if not below:
+            if size - 1 not in by_size:
                 continue
-            matrix = [[0] * len(members) for _ in below]
-            for col, mask in enumerate(members):
-                sign, rest = 1, mask
+            columns = []
+            for mask in members:
+                column, sign, rest = {}, 1, mask
                 while rest:
                     bit = rest & -rest
                     if lcms[mask ^ bit] == b:
-                        matrix[below[mask ^ bit]][col] = sign
+                        column[mask ^ bit] = sign
                     sign, rest = -sign, rest ^ bit
-            ranks[size] = _rank(matrix, char)
+                columns.append(column)
+            ranks[size] = _rank(columns, char)
         for size, members in by_size.items():
             h = len(members) - ranks.get(size, 0) - ranks.get(size + 1, 0)
             if h:

@@ -388,3 +388,23 @@ class TestRepl:
         assert code == 0
         assert f"error: 1:{6 + 2 * (dsl.MAX_DEPTH + 1)}: " in out
         assert out.endswith("a^2\n")
+
+    def test_output_comes_before_a_later_error_on_the_same_line(
+        self, capsys, monkeypatch
+    ):
+        import io
+
+        lines = "ring A = [a, b];\nprint a; print zzz;\nprint b;\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, err = run_cli(capsys, "repl")
+        assert code == 0
+        assert out.splitlines()[1:] == ["a", "error: 1:16: unbound name 'zzz'", "b"]
+
+    def test_a_failing_last_line_keeps_its_earlier_output(self, capsys, monkeypatch):
+        import io
+
+        lines = "ring A = [a, b];\nprint a; print zzz;\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, err = run_cli(capsys, "repl")
+        assert code == 0
+        assert out.splitlines()[1:] == ["a", "error: 1:16: unbound name 'zzz'"]

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import and_
@@ -30,6 +31,7 @@ from idealkit.homology import (
     _facet_homology,
     _lattice_walk,
     _maximal,
+    _rank,
     _upper_koszul_faces,
     betti_table,
     check_depth_reg_binomial,
@@ -37,8 +39,6 @@ from idealkit.homology import (
     depth_quotient,
     deriv_star,
     lcm_lattice,
-    rank_fraction_free,
-    rank_mod_p,
     reduced_homology_dimensions,
     reg_quotient,
     taylor_betti_table,
@@ -84,19 +84,65 @@ class TestExtendedInt:
         assert str(POS_INF) == "+inf" and str(NEG_INF) == "-inf"
 
 
+def reference_rank(rows, char):
+    """Rank of a dense integer matrix by Gaussian elimination on its rows:
+    over Q with Fractions when ``char`` is 0, over GF(char) otherwise."""
+    if char:
+        m = [[v % char for v in row] for row in rows]
+    else:
+        m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inverse = pow(m[rank][col], -1, char) if char else 1 / m[rank][col]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col] * inverse
+            m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+            if char:
+                m[r] = [a % char for a in m[r]]
+        rank += 1
+    return rank
+
+
+def as_columns(rows):
+    """The sparse columns {row: entry} of a dense matrix, zeros left out."""
+    width = len(rows[0]) if rows else 0
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(width)]
+
+
 class TestRanks:
     def test_rank_of_identity(self):
-        assert rank_fraction_free([[1, 0], [0, 1]]) == 2
-        assert rank_mod_p([[1, 0], [0, 1]], 2) == 2
+        for char in (0, 2):
+            assert _rank([{0: 1}, {1: 1}], char) == 2
 
     def test_rank_drops_mod_p(self):
-        # determinant 2: invertible over Q, singular over GF(2)
-        matrix = [[1, 1], [1, -1]]
-        assert rank_fraction_free(matrix) == 2
-        assert rank_mod_p(matrix, 2) == 1
+        # [[1, 1], [1, -1]] has determinant -2: invertible over Q, singular
+        # over GF(2)
+        columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+        assert _rank(columns, 0) == 2
+        assert _rank(columns, 2) == 1
 
     def test_empty_matrix(self):
-        assert rank_fraction_free([]) == 0
+        assert _rank([], 0) == 0
+
+    @pytest.mark.parametrize("char", [0, 2, 3, (1 << 61) - 1])
+    def test_matches_dense_reference(self, char):
+        rng = random.Random(char)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+            zero, repeat = rng.randrange(ncols), rng.randrange(ncols)
+            zero_column = rng.random() < 0.5
+            for row in rows:
+                if zero_column:
+                    row[zero] = 0
+                row.append(row[repeat])
+            columns = as_columns(rows)
+            assert _rank(columns, char) == reference_rank(rows, char), rows
+            assert columns == as_columns(rows)  # the input is left as it was
 
 
 def trial_division_is_prime(n):
@@ -379,17 +425,22 @@ class TestOracleAgreement:
     def test_wide_ideals_agree_with_taylor(self, i, char):
         assert betti_table(i, char) == taylor_betti_table(i, char)
 
-    def test_fourteen_generator_antichain_agrees_with_taylor(self):
-        # Every second degree-5 monomial of R4 in descending lex order, up to
-        # the Taylor oracle's cap of 14 generators.
-        i = ideal(
-            R4,
-            "x^5, x^4*z, x^3*y^2, x^3*y*t, x^3*z*t, x^2*y^3, x^2*y^2*t, "
-            "x^2*y*z*t, x^2*z^3, x^2*z*t^2, x*y^4, x*y^3*t, x*y^2*z*t, x*y*z^3",
-        )
+    # Every second degree-5 monomial of R4 in descending lex order, up to the
+    # Taylor oracle's cap of 14 generators, and every fourth one.
+    DEGREE_FIVE_ANTICHAINS = {
+        2: "x^5, x^4*z, x^3*y^2, x^3*y*t, x^3*z*t, x^2*y^3, x^2*y^2*t, "
+        "x^2*y*z*t, x^2*z^3, x^2*z*t^2, x*y^4, x*y^3*t, x*y^2*z*t, x*y*z^3",
+        4: "x^5, x^3*y^2, x^3*z*t, x^2*y^2*t, x^2*z^3, x*y^4, x*y^2*z*t, "
+        "x*y*z*t^2, x*z^2*t^2, y^4*z, y^3*t^2, y^2*t^3, y*z*t^3, z^3*t^2",
+    }
+
+    @pytest.mark.parametrize("char", [0, 3])
+    @pytest.mark.parametrize("step", sorted(DEGREE_FIVE_ANTICHAINS))
+    def test_fourteen_generator_antichain_agrees_with_taylor(self, step, char):
+        i = ideal(R4, self.DEGREE_FIVE_ANTICHAINS[step])
         assert len(i.generators) == 14
         started = time.monotonic()
-        assert betti_table(i, 3) == taylor_betti_table(i, 3)
+        assert betti_table(i, char) == taylor_betti_table(i, char)
         assert time.monotonic() - started < 5
 
     def test_taylor_oracle_rejects_fifteen_generators(self):
