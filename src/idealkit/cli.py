@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 when a verification or fuzz check fails,
 2 on usage, parse, or evaluation errors.
+
+`run` parses the whole script first, so a parse error runs nothing; it then
+writes each statement's output as that statement runs, so a script that
+stops at an evaluation error keeps its earlier lines on stdout.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ def _cmd_run(args) -> int:
         sys.stderr.write(f"error: {args.file}: {exc}\n")
         return 2
     try:
-        for line in dsl.run_script(text, char=args.char):
-            sys.stdout.write(line + "\n")
+        for line in dsl.Evaluator(args.char).lines(text):
+            print(line, flush=True)
     except (dsl.ParseError, dsl.EvalError) as exc:
         sys.stderr.write(f"error: {args.file}:{exc}\n")
         return 2

@@ -99,76 +99,70 @@ def _scan(text: str) -> list[tuple[str, str, int, int]]:
 
 
 @dataclass(frozen=True)
-class Name:
+class Node:
+    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Name(Node):
     text: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class IntLit:
+class IntLit(Node):
     value: int
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class AddOp:
+class AddOp(Node):
     left: object
     right: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class MulOp:
+class MulOp(Node):
     left: object
     right: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class PowOp:
+class PowOp(Node):
     base: object
     exponent: int
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class CallOp:
+class CallOp(Node):
     function: str
     args: tuple
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class IdealLit:
+class IdealLit(Node):
     entries: tuple
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class BracketList:
+class BracketList(Node):
     entries: tuple
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class RingDecl:
+class RingDecl(Node):
     name: str
     value: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class IdealDecl:
+class IdealDecl(Node):
     name: str
     value: object
     ring_name: str | None
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class PrintStmt:
+class PrintStmt(Node):
     value: object
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -222,18 +216,18 @@ class Parser:
             value = self.parse_expr()
             if text == "ring":
                 self._expect_punct(";")
-                return RingDecl(name, value, (line, column))
+                return RingDecl(name, value, pos=(line, column))
             ring_name = None
             if self.tokens[self.index][1] == "in":
                 self.index += 1
                 ring_name = self._expect_name()
             self._expect_punct(";")
-            return IdealDecl(name, value, ring_name, (line, column))
+            return IdealDecl(name, value, ring_name, pos=(line, column))
         if text == "print":
             self.index += 1
             value = self.parse_expr()
             self._expect_punct(";")
-            return PrintStmt(value, (line, column))
+            return PrintStmt(value, pos=(line, column))
         self._fail("expected 'ring', 'ideal' or 'print'")
 
     # parse_* leave the depth of the node they return in ``self.depth``;
@@ -255,7 +249,7 @@ class Parser:
             depth = self.depth
             right = self.parse_term()
             self._deeper(tok, depth, self.depth)
-            node = AddOp(node, right, (tok[2], tok[3]))
+            node = AddOp(node, right, pos=tok[2:])
         return node
 
     def parse_term(self):
@@ -267,7 +261,7 @@ class Parser:
             depth = self.depth
             right = self.parse_factor()
             self._deeper(tok, depth, self.depth)
-            node = MulOp(node, right, (tok[2], tok[3]))
+            node = MulOp(node, right, pos=tok[2:])
         return node
 
     def parse_factor(self):
@@ -281,7 +275,7 @@ class Parser:
                 self._fail("expected an integer exponent")
             self.index += 1
             self._deeper(tok, self.depth)
-            node = PowOp(node, int(text), (tok[2], tok[3]))
+            node = PowOp(node, int(text), pos=tok[2:])
         return node
 
     def _parse_entries(self, tok, close, allow_empty=False):
@@ -304,27 +298,27 @@ class Parser:
 
     def parse_atom(self):
         tok = self.tokens[self.index]
-        kind, text, line, column = tok
+        kind, text, pos = tok[0], tok[1], tok[2:]
         if kind == "int":
             self.index += 1
             self.depth = 0
-            return IntLit(int(text), (line, column))
+            return IntLit(int(text), pos=pos)
         if kind == "name":
             if text in KEYWORDS:
                 self._fail(f"keyword {text!r} cannot start an expression")
             self.index += 1
             if self.tokens[self.index][1] == "(":
                 self.index += 1
-                return CallOp(text, self._parse_entries(tok, ")", True), (line, column))
+                return CallOp(text, self._parse_entries(tok, ")", True), pos=pos)
             self.depth = 0
-            return Name(text, (line, column))
+            return Name(text, pos=pos)
         if text == "(":
             self.index += 1
             entries = self._parse_entries(tok, ")")
-            return entries[0] if len(entries) == 1 else IdealLit(entries, (line, column))
+            return entries[0] if len(entries) == 1 else IdealLit(entries, pos=pos)
         if text == "[":
             self.index += 1
-            return BracketList(self._parse_entries(tok, "]"), (line, column))
+            return BracketList(self._parse_entries(tok, "]"), pos=pos)
         self._fail("expected an expression")
 
 
@@ -399,52 +393,91 @@ class Evaluator:
         self.bindings: dict[str, object] = {}
         self.ambient: Ring | None = None
         self.char = char
-        self.output: list[str] = []
 
-    # result coercions
+    def lines(self, text: str):
+        """Parse all of ``text``, then yield each printed line as its statement runs."""
+        for statement in parse(text).statements:
+            line = self.execute(statement)
+            if line is not None:
+                yield line
+
+    def execute(self, statement) -> str | None:
+        """Run one statement; return its printed line, None for a declaration."""
+        return _HANDLERS[type(statement)](self, statement, self.ambient)
 
     def _eval(self, node, ctx: Ring | None):
-        if isinstance(node, Name):
-            if node.text in self.bindings:
-                return self.bindings[node.text]
-            if ctx is not None and node.text in ctx.variables:
-                return ctx.variable(ctx.index_of(node.text))
-            raise EvalError(f"unbound name {node.text!r}", node.pos)
-        if isinstance(node, IntLit):
-            return node.value
-        if isinstance(node, IdealLit):
-            entries = [self._eval(e, ctx) for e in node.entries]
-            return self._literal_ideal(entries, node.pos, ctx)
+        return _HANDLERS[type(node)](self, node, ctx)
+
+    def _ring_decl(self, statement, ctx):
+        node = statement.value
         if isinstance(node, BracketList):
-            return tuple(self._eval(e, ctx) for e in node.entries)
-        if isinstance(node, AddOp):
-            left = self._as_ideal(self._eval(node.left, ctx), node.pos, ctx)
-            right = self._as_ideal(self._eval(node.right, ctx), node.pos, ctx)
-            return self._wrap(_core.ideal_sum, node.pos, left, right)
-        if isinstance(node, MulOp):
-            left = self._eval(node.left, ctx)
-            right = self._eval(node.right, ctx)
-            if isinstance(left, Monomial) and isinstance(right, Monomial):
-                return self._wrap(Monomial.__mul__, node.pos, left, right)
-            return self._wrap(
-                _core.ideal_product,
-                node.pos,
-                self._as_ideal(left, node.pos, ctx),
-                self._as_ideal(right, node.pos, ctx),
-            )
-        if isinstance(node, PowOp):
-            base = self._eval(node.base, ctx)
-            if isinstance(base, Monomial):
-                return base.power(node.exponent)
-            return self._wrap(
-                _core.ideal_power,
-                node.pos,
-                self._as_ideal(base, node.pos, ctx),
-                node.exponent,
-            )
-        if isinstance(node, CallOp):
-            return self._call(node, ctx)
-        raise EvalError(f"cannot evaluate {node!r}", getattr(node, "pos", (0, 0)))
+            names = []
+            for entry in node.entries:
+                if not isinstance(entry, Name):
+                    raise EvalError("ring literal entries must be names", node.pos)
+                names.append(entry.text)
+            value = self._wrap(Ring, node.pos, tuple(names))
+        else:
+            value = self._eval(node, ctx)
+            if not isinstance(value, Ring):
+                raise EvalError("expected a ring on the right-hand side", statement.pos)
+        self.bindings[statement.name] = value
+        self.ambient = value
+
+    def _ideal_decl(self, statement, ctx):
+        name = statement.ring_name
+        if name is not None:
+            ctx = self.bindings.get(name)
+            if not isinstance(ctx, Ring):
+                raise EvalError(f"{name!r} is not a bound ring", statement.pos)
+        value = self.ideal(statement.value, ctx)
+        if name is not None and value.ring != ctx:
+            raise EvalError(f"expression does not live in ring {name}", statement.pos)
+        self.bindings[statement.name] = value
+
+    def _print(self, statement, ctx) -> str:
+        return render_value(self._eval(statement.value, ctx))
+
+    def _name(self, node, ctx):
+        if node.text in self.bindings:
+            return self.bindings[node.text]
+        if ctx is not None and node.text in ctx.variables:
+            return ctx.variable(ctx.index_of(node.text))
+        raise EvalError(f"unbound name {node.text!r}", node.pos)
+
+    def _int(self, node, ctx) -> int:
+        return node.value
+
+    def _bracket(self, node, ctx) -> tuple:
+        return tuple(self._eval(e, ctx) for e in node.entries)
+
+    def _add(self, node, ctx) -> MonomialIdeal:
+        left = self._as_ideal(self._eval(node.left, ctx), node.pos, ctx)
+        right = self._as_ideal(self._eval(node.right, ctx), node.pos, ctx)
+        return self._wrap(_core.ideal_sum, node.pos, left, right)
+
+    def _mul(self, node, ctx):
+        left = self._eval(node.left, ctx)
+        right = self._eval(node.right, ctx)
+        if isinstance(left, Monomial) and isinstance(right, Monomial):
+            return self._wrap(Monomial.__mul__, node.pos, left, right)
+        return self._wrap(
+            _core.ideal_product,
+            node.pos,
+            self._as_ideal(left, node.pos, ctx),
+            self._as_ideal(right, node.pos, ctx),
+        )
+
+    def _pow(self, node, ctx):
+        base = self._eval(node.base, ctx)
+        if isinstance(base, Monomial):
+            return base.power(node.exponent)
+        return self._wrap(
+            _core.ideal_power,
+            node.pos,
+            self._as_ideal(base, node.pos, ctx),
+            node.exponent,
+        )
 
     def _wrap(self, fn, pos, *args):
         try:
@@ -472,11 +505,12 @@ class Evaluator:
             values.append(self.char)
         return self._wrap(getattr(module, attr), node.pos, *values)
 
-    def _literal_ideal(self, entries, pos, ctx):
+    def _ideal_literal(self, node, ctx) -> MonomialIdeal:
+        entries = [self._eval(e, ctx) for e in node.entries]
         kinds = (Monomial, MonomialIdeal)
         ring = next((e.ring for e in entries if isinstance(e, kinds)), ctx)
         if ring is None:
-            raise EvalError("ideal literal needs a ring in scope", pos)
+            raise EvalError("ideal literal needs a ring in scope", node.pos)
         gens = []
         for e in entries:
             if isinstance(e, Monomial):
@@ -486,8 +520,8 @@ class Evaluator:
             elif isinstance(e, int) and e == 0:
                 continue
             else:
-                raise EvalError("ideal literal entries must be monomials", pos)
-        return self._wrap(MonomialIdeal, pos, ring, tuple(gens))
+                raise EvalError("ideal literal entries must be monomials", node.pos)
+        return self._wrap(MonomialIdeal, node.pos, ring, tuple(gens))
 
     def _as_ideal(self, value, pos, ctx) -> MonomialIdeal:
         if isinstance(value, MonomialIdeal):
@@ -533,7 +567,7 @@ class Evaluator:
     def notion(self, node, ctx=None) -> str:
         if isinstance(node, Name) and node.text in ("min", "ass"):
             return node.text
-        raise EvalError("expected 'min' or 'ass'", getattr(node, "pos", (0, 0)))
+        raise EvalError("expected 'min' or 'ass'", node.pos)
 
     def prime(self, node, ctx) -> MonomialPrime:
         prime = _decomposition._prime_from_variable_ideal(self.ideal(node, ctx))
@@ -546,56 +580,6 @@ class Evaluator:
         if not isinstance(value, tuple):
             raise EvalError("expected a bracket list of ideals", node.pos)
         return [self._as_ideal(v, node.pos, ctx) for v in value]
-
-    # statement execution
-
-    def execute(self, statement):
-        if isinstance(statement, RingDecl):
-            value = self._ring_decl_value(statement)
-            self.bindings[statement.name] = value
-            self.ambient = value
-            return
-        if isinstance(statement, IdealDecl):
-            ctx = self.ambient
-            if statement.ring_name is not None:
-                bound = self.bindings.get(statement.ring_name)
-                if not isinstance(bound, Ring):
-                    raise EvalError(
-                        f"{statement.ring_name!r} is not a bound ring", statement.pos
-                    )
-                ctx = bound
-            value = self.ideal(statement.value, ctx)
-            if statement.ring_name is not None and value.ring != ctx:
-                raise EvalError(
-                    f"expression does not live in ring {statement.ring_name}",
-                    statement.pos,
-                )
-            self.bindings[statement.name] = value
-            return
-        if isinstance(statement, PrintStmt):
-            value = self._eval(statement.value, self.ambient)
-            self.output.append(render_value(value))
-            return
-        raise EvalError("unknown statement", getattr(statement, "pos", (0, 0)))
-
-    def _ring_decl_value(self, statement) -> Ring:
-        node = statement.value
-        if isinstance(node, BracketList):
-            names = []
-            for entry in node.entries:
-                if not isinstance(entry, Name):
-                    raise EvalError("ring literal entries must be names", node.pos)
-                names.append(entry.text)
-            return self._wrap(Ring, node.pos, tuple(names))
-        value = self._eval(node, self.ambient)
-        if not isinstance(value, Ring):
-            raise EvalError("expected a ring on the right-hand side", statement.pos)
-        return value
-
-    def run(self, script: Script) -> list[str]:
-        for statement in script.statements:
-            self.execute(statement)
-        return self.output
 
 
 def _fn_assstar(ideal, bound):
@@ -685,14 +669,29 @@ _SIGNATURES = {
 
 FUNCTION_NAMES = tuple(sorted(_SIGNATURES))
 
+# node type -> the Evaluator method that runs it on (node, ring of bare names):
+# a statement's returns its printed line or None, an expression's its value.
+_HANDLERS = {
+    RingDecl: Evaluator._ring_decl,
+    IdealDecl: Evaluator._ideal_decl,
+    PrintStmt: Evaluator._print,
+    Name: Evaluator._name,
+    IntLit: Evaluator._int,
+    IdealLit: Evaluator._ideal_literal,
+    BracketList: Evaluator._bracket,
+    AddOp: Evaluator._add,
+    MulOp: Evaluator._mul,
+    PowOp: Evaluator._pow,
+    CallOp: Evaluator._call,
+}
+
 
 def run_script(text: str, char: int = 0) -> list[str]:
     """Parse and execute a script, returning the printed lines."""
-    evaluator = Evaluator(char=char)
-    return evaluator.run(parse(text))
+    return list(Evaluator(char).lines(text))
 
 
-def repl(stdin=None, stdout=None):  # pragma: no cover - thin interactive wrapper
+def repl(stdin=None, stdout=None):
     """Line-oriented REPL; every line must hold complete statements."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
@@ -700,14 +699,9 @@ def repl(stdin=None, stdout=None):  # pragma: no cover - thin interactive wrappe
     stdout.write("idealkit repl; statements end with ';' (Ctrl-D quits)\n")
     stdout.flush()
     for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
         try:
-            for statement in parse(line).statements:
-                evaluator.execute(statement)
-                stdout.writelines(f"{text}\n" for text in evaluator.output)
-                evaluator.output.clear()
+            for text in evaluator.lines(line.strip()):
+                stdout.write(f"{text}\n")
         except (ParseError, EvalError) as exc:
             stdout.write(f"error: {exc}\n")
         stdout.flush()

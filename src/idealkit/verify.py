@@ -12,8 +12,7 @@ the script that ran.
 """
 
 from . import dsl as _dsl
-
-REPORT_SCHEMA = "idealkit-report/1"
+from .fuzz import REPORT_SCHEMA
 
 _AI = "ring A = [a, b];\nideal I = (a^2, a*b) in A;\n"
 _RS = "ring R = [x, y, z, t];\nideal S = (x^2, x*y, z^2, z*t) in R;\n"

@@ -69,6 +69,23 @@ class TestRun:
         assert code == 2
         assert "unbound" in err
 
+    def test_output_before_an_evaluation_error_is_kept(self, tmp_path, capsys):
+        script = tmp_path / "partial.ik"
+        script.write_text("ring A = [a, b];\nprint a;\nprint zzz;\n")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 2
+        assert out == "a\n"
+        assert err == f"error: {script}:3:7: unbound name 'zzz'\n"
+
+    def test_parse_error_after_a_good_statement_runs_nothing(self, tmp_path, capsys):
+        # The whole script is parsed before its first statement runs.
+        script = tmp_path / "late.ik"
+        script.write_text("ring A = [a]; print a; print ?;\n")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {script}:1:30: unexpected character '?'\n"
+
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "run", "no-such-file.ik")
         assert code == 2
@@ -364,6 +381,8 @@ class TestRepl:
         lines = (
             "ring A = [a, b];\n"
             "ideal I = (a^2, a*b) in A;\n"
+            "\n"
+            "# note\n"
             "print nonsense(I);\n"
             "print symb_min(I, 2);\n"
         )
@@ -372,6 +391,11 @@ class TestRepl:
         assert code == 0
         assert "(a^2)" in out
         assert "unknown function" in out
+        # the blank and the comment-only line print nothing, not even an error
+        assert out.splitlines()[1:] == [
+            "error: 1:7: unknown function 'nonsense'",
+            "(a^2)",
+        ]
 
     def test_deep_statement_is_an_error_and_the_loop_carries_on(
         self, capsys, monkeypatch
@@ -408,3 +432,41 @@ class TestRepl:
         code, out, err = run_cli(capsys, "repl")
         assert code == 0
         assert out.splitlines()[1:] == ["a", "error: 1:16: unbound name 'zzz'"]
+
+
+class TestStatementSpan:
+    def test_every_front_end_executes_each_statement_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The benchmark tracer times dsl.eval and counts dsl.statements by
+        # replacing Evaluator.execute on the class, so run_script, `run` and
+        # `repl` must each call it through the instance once per statement.
+        import io
+
+        text = "ring A = [a, b];\nideal I = (a^2, a*b) in A;\nprint I^2;\nprint a;\n"
+        expected = list(dsl.parse(text).statements)
+        executed = []
+        real = dsl.Evaluator.execute
+
+        def counted(self, statement):
+            executed.append(statement)
+            return real(self, statement)
+
+        monkeypatch.setattr(dsl.Evaluator, "execute", counted)
+        assert dsl.run_script(text) == ["(a^4, a^3*b, a^2*b^2)", "a"]
+        assert executed == expected
+
+        executed.clear()
+        script = tmp_path / "demo.ik"
+        script.write_text(text)
+        assert run_cli(capsys, "run", str(script)) == (
+            0, "(a^4, a^3*b, a^2*b^2)\na\n", ""
+        )
+        assert executed == expected
+
+        executed.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "repl")
+        assert code == 0
+        assert out.splitlines()[1:] == ["(a^4, a^3*b, a^2*b^2)", "a"]
+        assert executed == expected
