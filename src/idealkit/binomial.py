@@ -15,11 +15,11 @@ from functools import reduce
 
 from .core import (
     IdealArgumentError,
-    Monomial,
     MonomialIdeal,
     MonomialPrime,
     Ring,
     _ideal,
+    _whole_numbers,
     colon,
     ideal_power,
     ideal_product,
@@ -52,7 +52,7 @@ class RingEmbedding:
     index_map: tuple[int, ...]
 
     def __post_init__(self):
-        index_map = tuple(int(i) for i in self.index_map)
+        index_map = _whole_numbers(self.index_map)
         if len(index_map) != self.source.nvars:
             raise ValueError("index map must cover every source variable")
         if len(set(index_map)) != len(index_map):
@@ -78,15 +78,6 @@ def join_rings(a: Ring, b: Ring) -> tuple[Ring, RingEmbedding, RingEmbedding]:
     emb_a = RingEmbedding(a, joined, tuple(range(a.nvars)))
     emb_b = RingEmbedding(b, joined, tuple(range(a.nvars, a.nvars + b.nvars)))
     return joined, emb_a, emb_b
-
-
-def extend_monomial(m: Monomial, emb: RingEmbedding) -> Monomial:
-    if m.ring != emb.source:
-        raise IdealArgumentError("monomial does not live in the embedding source")
-    exps = [0] * emb.target.nvars
-    for i, e in enumerate(m.exponents):
-        exps[emb.index_map[i]] = e
-    return Monomial(emb.target, tuple(exps))
 
 
 def extend(ideal: MonomialIdeal, emb: RingEmbedding) -> MonomialIdeal:
@@ -332,6 +323,11 @@ class AssStructureReport:
         return " ".join(bits)
 
 
+def _ass_star_bound(s: int) -> int:
+    """The checks at power s >= 1 read Ass*(I) through n_max = s + 2 powers."""
+    return s + 2
+
+
 def check_ass_structure(
     i: MonomialIdeal, j: MonomialIdeal, s: int, n_max: int | None = None
 ) -> AssStructureReport:
@@ -346,7 +342,7 @@ def check_ass_structure(
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
         raise IdealArgumentError("structure check needs nonzero proper ideals")
     if n_max is None:
-        n_max = max(2, s + 2)
+        n_max = _ass_star_bound(s)
     joined, emb_a, emb_b, total = joined_sum(i, j)
 
     ass_i = associated_primes(i)

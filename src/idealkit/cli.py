@@ -109,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--json", action="store_true")
     verify_p.set_defaults(func=_cmd_verify)
 
+    defaults = fuzz.FuzzConfig()
     fuzz_p = sub.add_parser("fuzz", help="run seeded theorem fuzz suites")
-    fuzz_p.add_argument("--seed", type=int, default=1)
-    fuzz_p.add_argument("--cases", type=int, default=500)
+    fuzz_p.add_argument("--seed", type=int, default=defaults.seed)
+    fuzz_p.add_argument("--cases", type=int, default=defaults.cases)
     fuzz_p.add_argument(
         "--suite",
         action="append",
@@ -119,10 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite to run (repeatable; default: all)",
     )
     fuzz_p.add_argument("--char", type=int, default=0)
-    fuzz_p.add_argument("--max-vars", type=int, default=3)
-    fuzz_p.add_argument("--max-gens", type=int, default=4)
-    fuzz_p.add_argument("--max-exp", type=int, default=3)
-    fuzz_p.add_argument("--max-s", type=int, default=3)
+    fuzz_p.add_argument("--max-vars", type=int, default=defaults.max_vars_per_side)
+    fuzz_p.add_argument("--max-gens", type=int, default=defaults.max_generators)
+    fuzz_p.add_argument("--max-exp", type=int, default=defaults.max_exponent)
+    fuzz_p.add_argument("--max-s", type=int, default=defaults.max_s)
     fuzz_p.add_argument("--json", action="store_true")
     fuzz_p.set_defaults(func=_cmd_fuzz)
 

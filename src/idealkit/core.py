@@ -28,6 +28,17 @@ class IdealArgumentError(ValueError):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _whole_numbers(values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a ValueError names the first value that
+    is not a whole number (``2.0`` and ``True`` are whole, ``2.5`` and ``"3"`` not)."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, n in zip(values, ints) if n != v)
+        raise ValueError(f"expected a whole number, got {bad!r}")
+    return ints
+
+
 @dataclass(frozen=True)
 class Ring:
     """A polynomial ring over an abstract field, given by its ordered variables."""
@@ -78,7 +89,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = _whole_numbers(self.exponents)
         if len(exps) != self.ring.nvars:
             raise ValueError(
                 f"expected {self.ring.nvars} exponents, got {len(exps)}"
@@ -314,7 +325,7 @@ class MonomialPrime:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        support = tuple(sorted(set(int(i) for i in self.support)))
+        support = tuple(sorted(set(_whole_numbers(self.support))))
         if any(i < 0 or i >= self.ring.nvars for i in support):
             raise ValueError(f"variable index out of range: {support!r}")
         object.__setattr__(self, "support", support)

@@ -23,6 +23,7 @@ from .core import (
     _le,
     _monomial,
     _unchecked,
+    _whole_numbers,
     colon_monomial,
     ideal_power,
 )
@@ -36,7 +37,7 @@ class IrreducibleComponent:
     powers: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        powers = tuple(sorted((int(i), int(e)) for i, e in self.powers))
+        powers = tuple(sorted(_whole_numbers((i, e)) for i, e in self.powers))
         if not powers:
             raise ValueError("irreducible component must be nonempty")
         if any(e < 1 for _, e in powers):

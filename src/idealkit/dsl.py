@@ -95,7 +95,8 @@ def _scan(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
-# AST nodes; `pos` is excluded from equality so round-trips compare clean.
+# AST nodes.  `pos` is excluded from equality, so a statement parsed from
+# one REPL line equals the same statement parsed from a whole script.
 
 
 @dataclass(frozen=True)
@@ -326,50 +327,6 @@ def parse(text: str) -> Script:
     return Parser(_scan(text)).parse_script()
 
 
-_PRECEDENCE = {AddOp: 1, MulOp: 2, PowOp: 3}
-
-
-def _unparse_expr(node, parent_prec=0, right_side=False):
-    if isinstance(node, Name):
-        return node.text
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, IdealLit):
-        return "(" + ", ".join(_unparse_expr(e) for e in node.entries) + ")"
-    if isinstance(node, BracketList):
-        return "[" + ", ".join(_unparse_expr(e) for e in node.entries) + "]"
-    if isinstance(node, CallOp):
-        return node.function + "(" + ", ".join(_unparse_expr(a) for a in node.args) + ")"
-    if isinstance(node, (AddOp, MulOp)):
-        prec = _PRECEDENCE[type(node)]
-        op = "+" if isinstance(node, AddOp) else "*"
-        text = (
-            _unparse_expr(node.left, prec, False)
-            + f" {op} "
-            + _unparse_expr(node.right, prec, True)
-        )
-        if prec < parent_prec or (prec == parent_prec and right_side):
-            return "(" + text + ")"
-        return text
-    if isinstance(node, PowOp):
-        base = _unparse_expr(node.base, _PRECEDENCE[PowOp], False)
-        return f"{base}^{node.exponent}"
-    raise TypeError(f"cannot unparse {node!r}")
-
-
-def unparse(node) -> str:
-    if isinstance(node, Script):
-        return "\n".join(unparse(s) for s in node.statements)
-    if isinstance(node, RingDecl):
-        return f"ring {node.name} = {_unparse_expr(node.value)};"
-    if isinstance(node, IdealDecl):
-        tail = f" in {node.ring_name}" if node.ring_name else ""
-        return f"ideal {node.name} = {_unparse_expr(node.value)}{tail};"
-    if isinstance(node, PrintStmt):
-        return f"print {_unparse_expr(node.value)};"
-    return _unparse_expr(node)
-
-
 def render_value(value) -> str:
     if value is None:
         return "none"
@@ -529,10 +486,9 @@ class Evaluator:
         if isinstance(value, Monomial):
             return _core.principal(value)
         if isinstance(value, int) and value in (0, 1):
-            ring = ctx or self.ambient
-            if ring is None:
+            if ctx is None:
                 raise EvalError("no ring in scope for an ideal constant", pos)
-            return MonomialIdeal.unit(ring) if value else MonomialIdeal.zero(ring)
+            return MonomialIdeal.unit(ctx) if value else MonomialIdeal.zero(ctx)
         raise EvalError("expected a monomial ideal", pos)
 
     # typed argument helpers used by the function table
@@ -544,10 +500,8 @@ class Evaluator:
         value = self._eval(node, ctx)
         if isinstance(value, Monomial):
             return value
-        if isinstance(value, int) and value == 1:
-            ring = ctx or self.ambient
-            if ring is not None:
-                return ring.one()
+        if isinstance(value, int) and value == 1 and ctx is not None:
+            return ctx.one()
         if isinstance(value, MonomialIdeal) and len(value.generators) == 1:
             return value.generators[0]
         raise EvalError("expected a monomial", node.pos)
@@ -565,9 +519,9 @@ class Evaluator:
         return value
 
     def notion(self, node, ctx=None) -> str:
-        if isinstance(node, Name) and node.text in ("min", "ass"):
+        if isinstance(node, Name) and node.text in _powers.NOTIONS:
             return node.text
-        raise EvalError("expected 'min' or 'ass'", node.pos)
+        raise EvalError("expected " + " or ".join(map(repr, _powers.NOTIONS)), node.pos)
 
     def prime(self, node, ctx) -> MonomialPrime:
         prime = _decomposition._prime_from_variable_ideal(self.ideal(node, ctx))
@@ -666,8 +620,6 @@ _SIGNATURES = {
         _homology, "check_depth_reg_symbolic_ass", "ideal ideal integer", "", True
     ),
 }
-
-FUNCTION_NAMES = tuple(sorted(_SIGNATURES))
 
 # node type -> the Evaluator method that runs it on (node, ring of bare names):
 # a statement's returns its printed line or None, an expression's its value.

@@ -183,7 +183,7 @@ def symbolic_route_consistency(
 def _check_thm41(inst: Instance, char: int, notion: str) -> CaseOutcome:
     expansion = _binomial.binomial_symbolic(inst.ideal_i, inst.ideal_j, inst.s, notion)
     direct = _binomial.symbolic_of_sum(inst.ideal_i, inst.ideal_j, inst.s, notion)
-    n_max = max(2, inst.s + 2)
+    n_max = _binomial._ass_star_bound(inst.s)
     ok_i, counters_i = symbolic_route_consistency(inst.ideal_i, inst.s, notion, n_max)
     ok_j, counters_j = symbolic_route_consistency(inst.ideal_j, inst.s, notion, n_max)
     counters = {k: counters_i[k] + counters_j[k] for k in counters_i}
@@ -303,7 +303,7 @@ def _check_report(builtin, letters, expected, counter, inst: Instance, char: int
 
 def _check_symbolic_consistency(inst: Instance, char: int) -> CaseOutcome:
     """Route consistency for both notions on the side-A ideal."""
-    n_max = max(2, inst.s + 2)
+    n_max = _binomial._ass_star_bound(inst.s)
     ok = True
     counters = {}
     for notion in _powers.NOTIONS:

@@ -317,13 +317,6 @@ def _maximal(faces) -> list[int]:
     return kept
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
-    """All lcms of nonempty generator subsets, deduplicated, in canonical order."""
-    ring = ideal.ring
-    points = _lattice_walk([g.exponents for g in ideal.generators])
-    return sorted((_monomial(ring, b) for b, _ in points), key=Monomial.sort_key)
-
-
 def _upper_koszul_faces(facets) -> set[int]:
     """Faces of the complex generated by ``facets``: all their submasks."""
     faces = set()

@@ -87,13 +87,6 @@ class TestExtend:
         with pytest.raises(IdealArgumentError):
             extend(ideal(B2, "z"), emb_a)
 
-    def test_degree_preserved(self):
-        _, emb_a, _ = join_rings(A2, B2)
-        m = A2.monomial((2, 3))
-        from idealkit.binomial import extend_monomial
-
-        assert extend_monomial(m, emb_a).degree() == m.degree()
-
 
 class TestBinomialSaturated:
     def test_derived_example_s1(self):

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from idealkit import core, dsl, fuzz
-from idealkit.cli import main
+from idealkit import binomial, core, dsl, fuzz, homology
+from idealkit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +68,13 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(script))
         assert code == 2
         assert "unbound" in err
+
+    def test_evaluation_error_is_reported_with_the_file_name(self, tmp_path, capsys):
+        script = tmp_path / "ring.ik"
+        script.write_text("ring A = [a, 2];")
+        assert run_cli(capsys, "run", str(script)) == (
+            2, "", f"error: {script}:1:10: ring literal entries must be names\n"
+        )
 
     def test_output_before_an_evaluation_error_is_kept(self, tmp_path, capsys):
         script = tmp_path / "partial.ik"
@@ -330,6 +337,71 @@ class TestFuzz:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 2 and lines[0] == lines[1]
+
+    @pytest.mark.parametrize(
+        "suite, module, attr, fault",
+        [
+            ("thm41_min", binomial, "binomial_symbolic", "square"),
+            ("thm41_ass", binomial, "binomial_symbolic", "square"),
+            ("lem32_36", binomial, "check_term_inclusions", "fail"),
+            ("lem45", homology, "deriv_star", "unit"),
+            ("thm41_min", fuzz, "symbolic_route_consistency", "disagree"),
+        ],
+        ids=["thm41_min", "thm41_ass", "lem32_36", "lem45", "thm41_min_routes"],
+    )
+    def test_every_suite_counterexample_reruns(
+        self, suite, module, attr, fault, tmp_path, capsys, monkeypatch
+    ):
+        # break the checked call and confirm each reported script is executable
+        healthy = getattr(module, attr)
+
+        class Failing:
+            passed = False
+
+        broken = {
+            "square": lambda *args: core.ideal_power(healthy(*args), 2),
+            "fail": lambda *args: Failing(),
+            "unit": lambda ideal: core.MonomialIdeal.unit(ideal.ring),
+            "disagree": lambda *args: (False, {}),
+        }[fault]
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attr, broken)
+            report = fuzz.run_suite(suite, fuzz.FuzzConfig(seed=1, cases=3))
+        assert report["failures"]
+        for failure in report["failures"]:
+            if fault == "disagree":
+                assert failure["expected"].endswith("; all saturation routes agree")
+                assert failure["actual"].endswith("; a saturation route disagreed")
+            script = tmp_path / "counterexample.ik"
+            script.write_text(failure["instance_script"] + "\n")
+            code, out, err = run_cli(capsys, "run", str(script))
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert len(lines) == failure["instance_script"].count("print ")
+            if suite.startswith("thm41"):
+                assert lines[0] == lines[1]
+
+    def test_parser_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["fuzz"])
+        assert fuzz.FuzzConfig(
+            seed=args.seed,
+            max_vars_per_side=args.max_vars,
+            max_generators=args.max_gens,
+            max_exponent=args.max_exp,
+            max_s=args.max_s,
+            cases=args.cases,
+        ) == fuzz.FuzzConfig()
+        assert (args.suite, args.char, args.json) == (None, 0, False)
+
+    def test_human_report_prints_counter_lines(self, capsys):
+        assert run_cli(
+            capsys, "fuzz", "--suite", "cor43", "--suite", "lem25_29", "--cases", "3"
+        ) == (
+            0,
+            "suite cor43: 3/3 pass\n  joint_equal: 3\n"
+            "suite lem25_29: 3/3 pass\n  inconclusive: 0\n",
+            "",
+        )
 
     def test_bad_suite_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -27,6 +27,7 @@ from idealkit.core import (
     radical,
     saturate,
 )
+from idealkit.binomial import RingEmbedding
 from idealkit.decomposition import IrreducibleComponent, irreducible_decomposition
 from idealkit.dsl import run_script
 
@@ -70,6 +71,22 @@ class TestRingAndMonomial:
     def test_monomial_rejects_negative(self):
         with pytest.raises(ValueError):
             R3.monomial((-1, 0, 0))
+
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda: A.monomial((2.5, 0)), "2.5"),
+            (lambda: A.monomial((1, 1)).power(2.5), "2.5"),
+            (lambda: A.monomial(("3", 0)), "'3'"),
+            (lambda: MonomialPrime(A, (0.9,)), "0.9"),
+            (lambda: IrreducibleComponent(A, ((0, 1.5),)), "1.5"),
+            (lambda: RingEmbedding(A, XY, (0, 1.5)), "1.5"),
+        ],
+        ids=["monomial", "power", "string", "prime", "component", "embedding"],
+    )
+    def test_constructors_reject_values_that_are_not_whole(self, build, shown):
+        with pytest.raises(ValueError, match=f"^expected a whole number, got {shown}$"):
+            build()
 
     def test_divide_out_clamps(self):
         m = Monomial.parse(R3, "x^2*y")
