@@ -10,7 +10,6 @@ expansions are always compared against an independent route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     MonomialPrime,
     Ring,
     _ideal,
+    _Value,
     _whole_numbers,
     colon,
     ideal_power,
@@ -43,23 +43,20 @@ from .powers import (
 )
 
 
-@dataclass(frozen=True)
-class RingEmbedding:
+class RingEmbedding(_Value):
     """Injective, degree-preserving relabeling of one ring's variables into another."""
 
-    source: Ring
-    target: Ring
-    index_map: tuple[int, ...]
+    __match_args__ = ("source", "target", "index_map")
 
-    def __post_init__(self):
-        index_map = _whole_numbers(self.index_map)
-        if len(index_map) != self.source.nvars:
+    def __init__(self, source: Ring, target: Ring, index_map: tuple[int, ...]):
+        index_map = _whole_numbers(index_map)
+        if len(index_map) != source.nvars:
             raise ValueError("index map must cover every source variable")
         if len(set(index_map)) != len(index_map):
             raise ValueError("index map must be injective")
-        if any(i < 0 or i >= self.target.nvars for i in index_map):
+        if any(i < 0 or i >= target.nvars for i in index_map):
             raise ValueError("index map out of range")
-        object.__setattr__(self, "index_map", index_map)
+        self._store(source, target, index_map)
 
 
 def join_rings(a: Ring, b: Ring) -> tuple[Ring, RingEmbedding, RingEmbedding]:
@@ -173,11 +170,13 @@ def symbolic_of_sum(
     return symbolic_power(total, s, notion)
 
 
-@dataclass(frozen=True)
-class TermInclusionReport:
+class TermInclusionReport(_Value):
     """Each term of the expansion is contained in the direct saturation."""
 
-    term_included: tuple[bool, ...]
+    __match_args__ = ("term_included",)
+
+    def __init__(self, term_included: tuple[bool, ...]):
+        self._store(term_included)
 
     @property
     def passed(self) -> bool:
@@ -202,13 +201,18 @@ def _equal_to_powers(power, ideal: MonomialIdeal, s: int) -> tuple[bool, ...]:
     return tuple(power(t) == ideal_power(ideal, t) for t in range(1, s + 1))
 
 
-@dataclass(frozen=True)
-class EqualityCriteriaReport:
+class EqualityCriteriaReport(_Value):
     """Joint equality of saturated and ordinary powers versus the componentwise ones."""
 
-    i_equal: tuple[bool, ...]
-    j_equal: tuple[bool, ...]
-    joint_equal: bool
+    __match_args__ = ("i_equal", "j_equal", "joint_equal")
+
+    def __init__(
+        self,
+        i_equal: tuple[bool, ...],
+        j_equal: tuple[bool, ...],
+        joint_equal: bool,
+    ):
+        self._store(i_equal, j_equal, joint_equal)
 
     @property
     def componentwise(self) -> bool:
@@ -244,13 +248,18 @@ def check_equality_criteria(
     return EqualityCriteriaReport(i_eq, j_eq, joint)
 
 
-@dataclass(frozen=True)
-class SymbolicEqualityReport:
+class SymbolicEqualityReport(_Value):
     """If the symbolic power of the sum is ordinary, both sides' must be too."""
 
-    joint_equal: bool
-    i_equal: tuple[bool, ...]
-    j_equal: tuple[bool, ...]
+    __match_args__ = ("joint_equal", "i_equal", "j_equal")
+
+    def __init__(
+        self,
+        joint_equal: bool,
+        i_equal: tuple[bool, ...],
+        j_equal: tuple[bool, ...],
+    ):
+        self._store(joint_equal, i_equal, j_equal)
 
     @property
     def passed(self) -> bool:
@@ -276,18 +285,41 @@ def check_symbolic_equality_implication(
     return SymbolicEqualityReport(joint, i_eq, j_eq)
 
 
-@dataclass(frozen=True)
-class AssStructureReport:
+class AssStructureReport(_Value):
     """Associated-prime structure of powers of a sum in disjoint variables."""
 
-    tensor_ass_equal: bool
-    lower_bound_holds: bool
-    upper_bound_holds: bool
-    quotient_ass_agrees: bool
-    grade_dichotomy_holds: bool
-    saturator_min_equal: bool | None
-    saturator_ass_equal: bool | None
-    stabilized: bool
+    __match_args__ = (
+        "tensor_ass_equal",
+        "lower_bound_holds",
+        "upper_bound_holds",
+        "quotient_ass_agrees",
+        "grade_dichotomy_holds",
+        "saturator_min_equal",
+        "saturator_ass_equal",
+        "stabilized",
+    )
+
+    def __init__(
+        self,
+        tensor_ass_equal: bool,
+        lower_bound_holds: bool,
+        upper_bound_holds: bool,
+        quotient_ass_agrees: bool,
+        grade_dichotomy_holds: bool,
+        saturator_min_equal: bool | None,
+        saturator_ass_equal: bool | None,
+        stabilized: bool,
+    ):
+        self._store(
+            tensor_ass_equal,
+            lower_bound_holds,
+            upper_bound_holds,
+            quotient_ass_agrees,
+            grade_dichotomy_holds,
+            saturator_min_equal,
+            saturator_ass_equal,
+            stabilized,
+        )
 
     @property
     def inconclusive(self) -> bool:
@@ -409,16 +441,35 @@ def check_ass_structure(
     )
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(_Value):
     """Exact intersection and colon identities for binomial-type sums."""
 
-    premises_ok: bool
-    disjoint_product_equal: bool
-    sum_intersection_equal: bool
-    single_step_equal: bool
-    long_intersection_equal: bool
-    colon_distributes: bool
+    __match_args__ = (
+        "premises_ok",
+        "disjoint_product_equal",
+        "sum_intersection_equal",
+        "single_step_equal",
+        "long_intersection_equal",
+        "colon_distributes",
+    )
+
+    def __init__(
+        self,
+        premises_ok: bool,
+        disjoint_product_equal: bool,
+        sum_intersection_equal: bool,
+        single_step_equal: bool,
+        long_intersection_equal: bool,
+        colon_distributes: bool,
+    ):
+        self._store(
+            premises_ok,
+            disjoint_product_equal,
+            sum_intersection_equal,
+            single_step_equal,
+            long_intersection_equal,
+            colon_distributes,
+        )
 
     @property
     def passed(self) -> bool:

@@ -10,10 +10,8 @@ generator tuples are equal.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 
@@ -26,6 +24,10 @@ class IdealArgumentError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_new = object.__new__
+# Fields are stored through object.__setattr__, not written into __dict__:
+# that keeps CPython's compact per-instance values and their fast reads.
+_set = object.__setattr__
 
 
 def _whole_numbers(values) -> tuple[int, ...]:
@@ -39,21 +41,73 @@ def _whole_numbers(values) -> tuple[int, ...]:
     return ints
 
 
-@dataclass(frozen=True)
-class Ring:
+class _Value:
+    """Base of the package's immutable values.
+
+    A subclass lists its fields, in constructor order, in ``__match_args__``
+    and its ``__init__`` stores them with ``_set``.  Equality, hash and repr
+    run over those fields: values of different classes are never equal, the
+    hash is the hash of the tuple of fields, and the repr reads
+    ``Cls(field=value, ...)``.  Assigning or deleting an attribute raises
+    AttributeError; pickle and copy restore the ``__dict__`` directly.
+    ``Ring``, ``Monomial``, ``MonomialIdeal`` and ``MonomialPrime`` spell out
+    the same ``__eq__`` and ``__hash__`` over their own fields, because the
+    memo keys, prime sets and ring checks call them in the hot loops.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _store(self, *values):
+        """Set the fields, in ``__match_args__`` order, to ``values``."""
+        for name, value in zip(self.__match_args__, values, strict=True):
+            _set(self, name, value)
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Ring(_Value):
     """A polynomial ring over an abstract field, given by its ordered variables."""
 
-    variables: tuple[str, ...]
+    __match_args__ = ("variables",)
 
-    def __post_init__(self):
-        variables = tuple(self.variables)
+    def __init__(self, variables: tuple[str, ...]):
+        variables = tuple(variables)
         if not variables or not all(
             isinstance(v, str) and _NAME_RE.fullmatch(v) for v in variables
         ):
             raise ValueError(f"bad variable names: {variables!r}")
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names: {variables!r}")
-        object.__setattr__(self, "variables", variables)
+        _set(self, "variables", variables)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.variables,) == (other.variables,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.variables,))
 
     @classmethod
     def of(cls, *names: str) -> "Ring":
@@ -81,12 +135,17 @@ class Ring:
         return "[" + ", ".join(self.variables) + "]"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Value):
     """A monomial as a dense vector of nonnegative exponents over a Ring."""
 
-    ring: Ring
-    exponents: tuple[int, ...]
+    __match_args__ = ("ring", "exponents")
+
+    def __init__(self, ring: Ring, exponents: tuple[int, ...]):
+        _set(self, "ring", ring)
+        _set(self, "exponents", exponents)
+        # Looked up on the class at each call: the benchmark tracer replaces
+        # the hook there to count the monomials that are validated.
+        self.__post_init__()
 
     def __post_init__(self):
         exps = _whole_numbers(self.exponents)
@@ -96,7 +155,15 @@ class Monomial:
             )
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps!r}")
-        object.__setattr__(self, "exponents", exps)
+        _set(self, "exponents", exps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ring, self.exponents) == (other.ring, other.exponents)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.exponents))
 
     def degree(self) -> int:
         return sum(self.exponents)
@@ -175,7 +242,6 @@ def _require_same_ring(a, b):
         raise RingMismatchError(f"ring mismatch: {a.ring} vs {b.ring}")
 
 
-_new = object.__new__
 _le = operator.le
 
 
@@ -214,9 +280,9 @@ def _canonical(ring: Ring, exps) -> tuple[Monomial, ...]:
 
 
 def _unchecked(cls, **fields):
-    """A value of the frozen dataclass ``cls`` from fields known to be valid.
+    """A value of the ``_Value`` class ``cls`` from fields known to be valid.
 
-    ``__post_init__`` does not run, so nothing is validated or normalised.
+    ``__init__`` does not run, so nothing is validated or normalised.
     """
     value = _new(cls)
     value.__dict__.update(fields)
@@ -235,8 +301,7 @@ def _exponents(ideal: "MonomialIdeal") -> list[tuple[int, ...]]:
     return [g.exponents for g in ideal.generators]
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """A monomial ideal, canonically represented by its minimal generators.
 
     The zero ideal has an empty generator tuple; the unit ideal has the
@@ -244,17 +309,23 @@ class MonomialIdeal:
     given, so structural equality is ideal equality.
     """
 
-    ring: Ring
-    generators: tuple[Monomial, ...]
+    __match_args__ = ("ring", "generators")
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
+    def __init__(self, ring: Ring, generators: tuple[Monomial, ...]):
+        gens = tuple(generators)
         for g in gens:
-            if g.ring != self.ring:
-                raise RingMismatchError(f"generator {g} not in {self.ring}")
-        object.__setattr__(
-            self, "generators", _canonical(self.ring, [g.exponents for g in gens])
-        )
+            if g.ring != ring:
+                raise RingMismatchError(f"generator {g} not in {ring}")
+        _set(self, "ring", ring)
+        _set(self, "generators", _canonical(ring, [g.exponents for g in gens]))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ring, self.generators) == (other.ring, other.generators)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.generators))
 
     @classmethod
     def zero(cls, ring: Ring) -> "MonomialIdeal":
@@ -317,18 +388,25 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
+class MonomialPrime(_Value):
     """A prime monomial ideal, generated by the variables in its support."""
 
-    ring: Ring
-    support: tuple[int, ...]
+    __match_args__ = ("ring", "support")
 
-    def __post_init__(self):
-        support = tuple(sorted(set(_whole_numbers(self.support))))
-        if any(i < 0 or i >= self.ring.nvars for i in support):
+    def __init__(self, ring: Ring, support: tuple[int, ...]):
+        support = tuple(sorted(set(_whole_numbers(support))))
+        if any(i < 0 or i >= ring.nvars for i in support):
             raise ValueError(f"variable index out of range: {support!r}")
-        object.__setattr__(self, "support", support)
+        _set(self, "ring", ring)
+        _set(self, "support", support)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ring, self.support) == (other.ring, other.support)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.support))
 
     @classmethod
     def of_names(cls, ring: Ring, *names: str) -> "MonomialPrime":
@@ -455,28 +533,3 @@ def saturate(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
 def radical(a: MonomialIdeal) -> MonomialIdeal:
     ones = (1,) * a.ring.nvars
     return _ideal(a.ring, [tuple(map(min, g, ones)) for g in _exponents(a)])
-
-
-def monomials_below(bound: Monomial):
-    """All monomials dividing ``bound`` exponentwise, in a fixed order."""
-    ring = bound.ring
-    for exps in itertools.product(*(range(e + 1) for e in bound.exponents)):
-        yield Monomial(ring, exps)
-
-
-def monomials_of_degree_at_most(ring: Ring, limit: int):
-    """All monomials of total degree <= limit, ordered by the canonical key."""
-    out = []
-    for total in range(limit + 1):
-        for exps in _compositions(total, ring.nvars):
-            out.append(Monomial(ring, exps))
-    return sorted(out, key=Monomial.sort_key)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest

@@ -11,7 +11,6 @@ I^(i-1)/I^i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .core import (
@@ -23,28 +22,27 @@ from .core import (
     _le,
     _monomial,
     _unchecked,
+    _Value,
     _whole_numbers,
     colon_monomial,
     ideal_power,
 )
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
+class IrreducibleComponent(_Value):
     """An ideal generated by pure variable powers, as (variable index, exponent) pairs."""
 
-    ring: Ring
-    powers: tuple[tuple[int, int], ...]
+    __match_args__ = ("ring", "powers")
 
-    def __post_init__(self):
-        powers = tuple(sorted(_whole_numbers((i, e)) for i, e in self.powers))
+    def __init__(self, ring: Ring, powers: tuple[tuple[int, int], ...]):
+        powers = tuple(sorted(_whole_numbers((i, e)) for i, e in powers))
         if not powers:
             raise ValueError("irreducible component must be nonempty")
         if any(e < 1 for _, e in powers):
             raise ValueError(f"exponents must be positive: {powers!r}")
         if len({i for i, _ in powers}) != len(powers):
             raise ValueError(f"repeated variable in {powers!r}")
-        object.__setattr__(self, "powers", powers)
+        self._store(ring, powers)
 
     def as_ideal(self) -> MonomialIdeal:
         zeros = (0,) * self.ring.nvars
@@ -63,11 +61,13 @@ class IrreducibleComponent:
         return str(self.as_ideal())
 
 
-@dataclass(frozen=True)
-class PrimaryDecomposition:
+class PrimaryDecomposition(_Value):
     """Irredundant primary decomposition keyed by distinct radical primes."""
 
-    components: tuple[tuple[MonomialPrime, MonomialIdeal], ...]
+    __match_args__ = ("components",)
+
+    def __init__(self, components: tuple[tuple[MonomialPrime, MonomialIdeal], ...]):
+        self._store(components)
 
     def primes(self) -> frozenset[MonomialPrime]:
         return frozenset(p for p, _ in self.components)

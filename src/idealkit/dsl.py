@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 
 from . import binomial as _binomial
 from . import core as _core
 from . import decomposition as _decomposition
 from . import homology as _homology
 from . import powers as _powers
-from .core import Monomial, MonomialIdeal, MonomialPrime, Ring
+from .core import Monomial, MonomialIdeal, MonomialPrime, Ring, _set, _Value
 
 
 class ParseError(ValueError):
@@ -95,80 +94,115 @@ def _scan(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
-# AST nodes.  `pos` is excluded from equality, so a statement parsed from
-# one REPL line equals the same statement parsed from a whole script.
+# AST nodes.  `pos` is keyword-only and left out of equality, hash and repr,
+# so a statement parsed from one REPL line equals the same statement parsed
+# from a whole script.
 
 
-@dataclass(frozen=True)
-class Node:
-    pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False, kw_only=True)
+class Node(_Value):
+    pos: tuple[int, int]  # (line, column)
 
 
-@dataclass(frozen=True)
 class Name(Node):
-    text: str
+    __match_args__ = ("text",)
+
+    def __init__(self, text: str, *, pos=(0, 0)):
+        _set(self, "text", text)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class IntLit(Node):
-    value: int
+    __match_args__ = ("value",)
+
+    def __init__(self, value: int, *, pos=(0, 0)):
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class AddOp(Node):
-    left: object
-    right: object
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left, right, *, pos=(0, 0)):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class MulOp(Node):
-    left: object
-    right: object
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left, right, *, pos=(0, 0)):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class PowOp(Node):
-    base: object
-    exponent: int
+    __match_args__ = ("base", "exponent")
+
+    def __init__(self, base, exponent: int, *, pos=(0, 0)):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class CallOp(Node):
-    function: str
-    args: tuple
+    __match_args__ = ("function", "args")
+
+    def __init__(self, function: str, args: tuple, *, pos=(0, 0)):
+        _set(self, "function", function)
+        _set(self, "args", args)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class IdealLit(Node):
-    entries: tuple
+    __match_args__ = ("entries",)
+
+    def __init__(self, entries: tuple, *, pos=(0, 0)):
+        _set(self, "entries", entries)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class BracketList(Node):
-    entries: tuple
+    __match_args__ = ("entries",)
+
+    def __init__(self, entries: tuple, *, pos=(0, 0)):
+        _set(self, "entries", entries)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class RingDecl(Node):
-    name: str
-    value: object
+    __match_args__ = ("name", "value")
+
+    def __init__(self, name: str, value, *, pos=(0, 0)):
+        _set(self, "name", name)
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class IdealDecl(Node):
-    name: str
-    value: object
-    ring_name: str | None
+    __match_args__ = ("name", "value", "ring_name")
+
+    def __init__(self, name: str, value, ring_name: str | None, *, pos=(0, 0)):
+        _set(self, "name", name)
+        _set(self, "value", value)
+        _set(self, "ring_name", ring_name)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class PrintStmt(Node):
-    value: object
+    __match_args__ = ("value",)
+
+    def __init__(self, value, *, pos=(0, 0)):
+        _set(self, "value", value)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Script:
-    statements: tuple
+class Script(_Value):
+    __match_args__ = ("statements",)
+
+    def __init__(self, statements: tuple):
+        self._store(statements)
 
 
 class Parser:

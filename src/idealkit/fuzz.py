@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 
 from . import binomial as _binomial
 from . import dsl as _dsl
 from . import homology as _homology
 from . import powers as _powers
-from .core import MonomialIdeal, Ring, ideal_power, principal
+from .core import MonomialIdeal, Ring, _Value, ideal_power, principal
 from .decomposition import ass_star_bounded, associated_primes
 
 SUITE_NAMES = (
@@ -42,36 +41,53 @@ SUITE_NAMES = (
 REPORT_SCHEMA = "idealkit-report/1"
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    seed: int = 1
-    max_vars_per_side: int = 3
-    max_generators: int = 4
-    max_exponent: int = 3
-    max_s: int = 3
-    cases: int = 500
-    suites: tuple[str, ...] = SUITE_NAMES
+class FuzzConfig(_Value):
+    __match_args__ = (
+        "seed",
+        "max_vars_per_side",
+        "max_generators",
+        "max_exponent",
+        "max_s",
+        "cases",
+        "suites",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        seed: int = 1,
+        max_vars_per_side: int = 3,
+        max_generators: int = 4,
+        max_exponent: int = 3,
+        max_s: int = 3,
+        cases: int = 500,
+        suites: tuple[str, ...] = SUITE_NAMES,
+    ):
+        suites = tuple(suites)
+        self._store(
+            seed, max_vars_per_side, max_generators, max_exponent, max_s, cases, suites
+        )
         for name in ("max_vars_per_side", "max_generators", "max_exponent", "max_s", "cases"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        suites = tuple(self.suites)
         unknown = [s for s in suites if s not in SUITE_NAMES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
-        object.__setattr__(self, "suites", suites)
 
 
-@dataclass(frozen=True)
-class Instance:
-    ring_a: Ring
-    ideal_i: MonomialIdeal
-    sat_k: MonomialIdeal
-    ring_b: Ring
-    ideal_j: MonomialIdeal
-    sat_l: MonomialIdeal
-    s: int
+class Instance(_Value):
+    __match_args__ = ("ring_a", "ideal_i", "sat_k", "ring_b", "ideal_j", "sat_l", "s")
+
+    def __init__(
+        self,
+        ring_a: Ring,
+        ideal_i: MonomialIdeal,
+        sat_k: MonomialIdeal,
+        ring_b: Ring,
+        ideal_j: MonomialIdeal,
+        sat_l: MonomialIdeal,
+        s: int,
+    ):
+        self._store(ring_a, ideal_i, sat_k, ring_b, ideal_j, sat_l, s)
 
     def script(self, body: str = "") -> str:
         lines = [
@@ -115,13 +131,25 @@ def generate_instance(rng: random.Random, cfg: FuzzConfig) -> Instance:
     return Instance(ring_a, ideal_i, sat_k, ring_b, ideal_j, sat_l, s)
 
 
-@dataclass
-class CaseOutcome:
-    ok: bool
-    expected: str = ""
-    actual: str = ""
-    script_body: str = ""
-    counters: dict = field(default_factory=dict)
+class CaseOutcome(_Value):
+    """One checked case; mutable, as ``_check_thm41`` amends its outcome."""
+
+    __match_args__ = ("ok", "expected", "actual", "script_body", "counters")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        ok: bool,
+        expected: str = "",
+        actual: str = "",
+        script_body: str = "",
+        counters: dict | None = None,
+    ):
+        if counters is None:
+            counters = {}
+        self._store(ok, expected, actual, script_body, counters)
 
 
 def _outcome_equal(label, expected, actual, script_body, counters=None):

@@ -45,26 +45,24 @@ with the upper Koszul route: no walk, no core and no memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import and_, or_
 
-from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring, _monomial
+from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring, _monomial, _Value
 from .binomial import direct_saturated_sum, symbolic_of_sum
 from .powers import _require_positive, saturated_power, symbolic_power
 
 
-@dataclass(frozen=True)
-class ExtendedInt:
+class ExtendedInt(_Value):
     """An integer extended with +inf and -inf, for the depth/reg conventions."""
 
-    value: int | float
+    __match_args__ = ("value",)
 
-    def __post_init__(self):
-        v = self.value
-        if isinstance(v, float) and v not in (float("inf"), float("-inf")):
-            raise ValueError(f"not an extended integer: {v!r}")
+    def __init__(self, value: int | float):
+        if isinstance(value, float) and value not in (float("inf"), float("-inf")):
+            raise ValueError(f"not an extended integer: {value!r}")
+        self._store(value)
 
     def __add__(self, other: "ExtendedInt") -> "ExtendedInt":
         a, b = self.value, other.value
@@ -387,17 +385,22 @@ def _core_homology(core: tuple[int, ...], char: int) -> tuple[tuple[int, int], .
     return tuple(_homology_dims(_upper_koszul_faces(core), char).items())
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Value):
     """Nonzero multigraded Betti numbers of R/I, with derived invariants.
 
     The zero module (I the unit ideal) has an empty table, depth +inf and
     regularity -inf.
     """
 
-    ring: Ring
-    against: MonomialIdeal
-    entries: tuple[tuple[int, Monomial, int], ...]
+    __match_args__ = ("ring", "against", "entries")
+
+    def __init__(
+        self,
+        ring: Ring,
+        against: MonomialIdeal,
+        entries: tuple[tuple[int, Monomial, int], ...],
+    ):
+        self._store(ring, against, entries)
 
     def multiplicity(self, i: int, b: Monomial) -> int:
         for j, m, v in self.entries:
@@ -539,14 +542,19 @@ def deriv_star(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ideal.ring, tuple(quotients))
 
 
-@dataclass(frozen=True)
-class DepthRegReport:
+class DepthRegReport(_Value):
     """Left- and right-hand sides of the depth and regularity formulas."""
 
-    depth_lhs: ExtendedInt
-    depth_rhs: ExtendedInt
-    reg_lhs: ExtendedInt
-    reg_rhs: ExtendedInt
+    __match_args__ = ("depth_lhs", "depth_rhs", "reg_lhs", "reg_rhs")
+
+    def __init__(
+        self,
+        depth_lhs: ExtendedInt,
+        depth_rhs: ExtendedInt,
+        reg_lhs: ExtendedInt,
+        reg_rhs: ExtendedInt,
+    ):
+        self._store(depth_lhs, depth_rhs, reg_lhs, reg_rhs)
 
     @property
     def depth_equal(self) -> bool:

@@ -22,7 +22,6 @@ from idealkit.core import (
     ideal_sum,
     intersect,
     minimalize,
-    monomials_of_degree_at_most,
     principal,
     radical,
     saturate,
@@ -30,6 +29,7 @@ from idealkit.core import (
 from idealkit.binomial import RingEmbedding
 from idealkit.decomposition import IrreducibleComponent, irreducible_decomposition
 from idealkit.dsl import run_script
+from monomial_boxes import monomials_of_degree_at_most
 
 A = Ring.of("a", "b")
 XY = Ring.of("x", "y")

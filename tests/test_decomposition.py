@@ -18,7 +18,6 @@ from idealkit.core import (
     ideal_power,
     intersect,
     intersect_all,
-    monomials_below,
     radical,
     saturate,
 )
@@ -36,6 +35,7 @@ from idealkit.decomposition import (
 )
 from idealkit.homology import taylor_betti_table
 from idealkit.powers import saturator_min, symbolic_min
+from monomial_boxes import monomials_below
 
 A = Ring.of("a", "b")
 XY = Ring.of("x", "y")

@@ -770,7 +770,7 @@ class TestDerivStar:
         assert deriv_star(MonomialIdeal.unit(R3)).is_unit
 
     def test_generator_level_equals_full_definition(self):
-        from idealkit.core import monomials_of_degree_at_most
+        from monomial_boxes import monomials_of_degree_at_most
 
         i = ideal(R3, "x^2*y, y*z^2")
         result = deriv_star(i)

@@ -1,0 +1,227 @@
+"""The value protocol of the package's immutable classes, the build hook the
+benchmark tracer counts through, and the cost of a cold import."""
+
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+
+import pytest
+
+import idealkit
+from idealkit import fuzz
+from idealkit.binomial import (
+    AssStructureReport,
+    EqualityCriteriaReport,
+    FiltrationReport,
+    SymbolicEqualityReport,
+    TermInclusionReport,
+    join_rings,
+)
+from idealkit.core import Monomial, MonomialIdeal, MonomialPrime, Ring
+from idealkit.decomposition import IrreducibleComponent, primary_decomposition
+from idealkit.dsl import AddOp, MulOp, Name, parse
+from idealkit.homology import DepthRegReport, ExtendedInt, betti_table
+
+A = Ring.of("a", "b")
+B = Ring.of("x", "y", "z")
+I = MonomialIdeal.parse(A, "a^2, a*b")
+
+# Each case builds one value afresh and names its fields in constructor order.
+VALUES = {
+    "Ring": (lambda: Ring.of("a", "b"), ["variables"]),
+    "Monomial": (lambda: Monomial(A, (2, 1)), ["ring", "exponents"]),
+    "MonomialIdeal": (lambda: MonomialIdeal.parse(A, "a^2, a*b"), ["ring", "generators"]),
+    "MonomialPrime": (lambda: MonomialPrime(A, (1, 0)), ["ring", "support"]),
+    "IrreducibleComponent": (
+        lambda: IrreducibleComponent(A, ((1, 1), (0, 2))),
+        ["ring", "powers"],
+    ),
+    "PrimaryDecomposition": (lambda: primary_decomposition(I), ["components"]),
+    "RingEmbedding": (lambda: join_rings(A, B)[2], ["source", "target", "index_map"]),
+    "BettiTable": (lambda: betti_table(I), ["ring", "against", "entries"]),
+    "ExtendedInt": (lambda: ExtendedInt(float("-inf")), ["value"]),
+    "DepthRegReport": (
+        lambda: DepthRegReport(ExtendedInt(1), ExtendedInt(1), ExtendedInt(2), ExtendedInt(3)),
+        ["depth_lhs", "depth_rhs", "reg_lhs", "reg_rhs"],
+    ),
+    "TermInclusionReport": (lambda: TermInclusionReport((True, False)), ["term_included"]),
+    "EqualityCriteriaReport": (
+        lambda: EqualityCriteriaReport((True,), (False, True), False),
+        ["i_equal", "j_equal", "joint_equal"],
+    ),
+    "SymbolicEqualityReport": (
+        lambda: SymbolicEqualityReport(True, (True,), (True, True)),
+        ["joint_equal", "i_equal", "j_equal"],
+    ),
+    "AssStructureReport": (
+        lambda: AssStructureReport(True, True, False, True, True, None, True, False),
+        [
+            "tensor_ass_equal",
+            "lower_bound_holds",
+            "upper_bound_holds",
+            "quotient_ass_agrees",
+            "grade_dichotomy_holds",
+            "saturator_min_equal",
+            "saturator_ass_equal",
+            "stabilized",
+        ],
+    ),
+    "FiltrationReport": (
+        lambda: FiltrationReport(True, False, True, True, False, True),
+        [
+            "premises_ok",
+            "disjoint_product_equal",
+            "sum_intersection_equal",
+            "single_step_equal",
+            "long_intersection_equal",
+            "colon_distributes",
+        ],
+    ),
+    "FuzzConfig": (
+        lambda: fuzz.FuzzConfig(seed=4, cases=7, suites=["thm38"]),
+        [
+            "seed",
+            "max_vars_per_side",
+            "max_generators",
+            "max_exponent",
+            "max_s",
+            "cases",
+            "suites",
+        ],
+    ),
+    "Instance": (
+        lambda: fuzz.generate_instance(random.Random(5), fuzz.FuzzConfig()),
+        ["ring_a", "ideal_i", "sat_k", "ring_b", "ideal_j", "sat_l", "s"],
+    ),
+    "Script": (
+        lambda: parse("ring A = [a, b];\nideal I = (a^2, a*b) in A;\nprint I^2 + a;"),
+        ["statements"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+class TestValueProtocol:
+    def test_equal_fields_give_equal_values_and_hashes(self, name):
+        build, fields = VALUES[name]
+        value, again = build(), build()
+        assert type(value).__name__ == name
+        assert value is not again
+        assert value == again and not value != again
+        assert hash(value) == hash(again)
+        assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
+        # The constructor takes every field by keyword and keeps it as given.
+        rebuilt = type(value)(**{f: getattr(value, f) for f in fields})
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        build, fields = VALUES[name]
+        value = build()
+        for field in fields:
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, before)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_repr_lists_the_fields(self, name):
+        build, fields = VALUES[name]
+        value = build()
+        shown = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
+        assert repr(value) == f"{name}({shown})"
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_give_an_equal_value(self, name, round_trip):
+        value = VALUES[name][0]()
+        restored = round_trip(value)
+        assert type(restored) is type(value)
+        assert restored == value and hash(restored) == hash(value)
+        assert repr(restored) == repr(value)
+
+
+class TestNodeEquality:
+    def test_operators_of_different_kinds_differ(self):
+        assert parse("print a + b;") != parse("print a * b;")
+        a, b = Name("a"), Name("b")
+        assert AddOp(a, b) != MulOp(a, b)
+
+    def test_position_is_left_out(self):
+        first = parse("print a + b^2;").statements[0]
+        moved = parse("ring R = [a, b];\n\n   print a + b^2;").statements[1]
+        assert first.pos == (1, 1) and moved.pos == (3, 4)
+        assert first == moved and hash(first) == hash(moved)
+        assert repr(first) == repr(moved)
+        assert "pos" not in repr(first)
+        assert Name("a", pos=(2, 5)) == Name("a")
+
+    def test_position_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Name("a", (1, 1))
+
+
+class TestCaseOutcome:
+    def test_stays_mutable(self):
+        outcome = fuzz.CaseOutcome(ok=True, expected="x")
+        outcome.ok = False
+        outcome.expected += "; more"
+        assert outcome == fuzz.CaseOutcome(False, "x; more")
+        assert outcome.counters == {}
+        assert outcome.counters is not fuzz.CaseOutcome(True).counters
+        with pytest.raises(TypeError):
+            hash(outcome)
+
+
+class TestMonomialBuildHook:
+    def test_each_public_build_calls_the_hook_on_the_class_once(self, monkeypatch):
+        # The benchmark tracer counts core.monomial.built by replacing
+        # Monomial.__post_init__ on the class, so the constructor must look the
+        # hook up when it runs; kernel-built monomials must not reach it.
+        built = []
+        real = Monomial.__post_init__
+
+        def counted(self):
+            built.append(self.exponents)
+            real(self)
+
+        monkeypatch.setattr(Monomial, "__post_init__", counted)
+        m = Monomial(A, [2, 1])
+        n = A.monomial((0, 1))
+        p = Monomial.parse(A, "a*b^3")
+        assert built == [[2, 1], (0, 1), (1, 3)]
+        assert m.exponents == (2, 1)
+
+        m * n, m.lcm(n), m.divide_out(n), p.divide_exact(n), m.power(3)
+        A.one(), A.variable(1), I.lcm_of_generators()
+        MonomialIdeal(A, (m, n, p)) ** 2
+        assert len(built) == 3
+
+        with pytest.raises(ValueError):
+            Monomial(A, (1, -1))
+        assert len(built) == 4
+
+
+class TestColdStart:
+    def test_cli_import_skips_dataclasses_and_inspect(self):
+        src = os.path.dirname(os.path.dirname(idealkit.__file__))
+        probe = (
+            "import sys, idealkit.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout == "[]\n"
