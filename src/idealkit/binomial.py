@@ -56,7 +56,7 @@ class RingEmbedding(_Value):
             raise ValueError("index map must be injective")
         if any(i < 0 or i >= target.nvars for i in index_map):
             raise ValueError("index map out of range")
-        self._store(source, target, index_map)
+        super().__init__(source, target, index_map)
 
 
 def join_rings(a: Ring, b: Ring) -> tuple[Ring, RingEmbedding, RingEmbedding]:
@@ -175,9 +175,6 @@ class TermInclusionReport(_Value):
 
     __match_args__ = ("term_included",)
 
-    def __init__(self, term_included: tuple[bool, ...]):
-        self._store(term_included)
-
     @property
     def passed(self) -> bool:
         return all(self.term_included)
@@ -205,14 +202,6 @@ class EqualityCriteriaReport(_Value):
     """Joint equality of saturated and ordinary powers versus the componentwise ones."""
 
     __match_args__ = ("i_equal", "j_equal", "joint_equal")
-
-    def __init__(
-        self,
-        i_equal: tuple[bool, ...],
-        j_equal: tuple[bool, ...],
-        joint_equal: bool,
-    ):
-        self._store(i_equal, j_equal, joint_equal)
 
     @property
     def componentwise(self) -> bool:
@@ -253,14 +242,6 @@ class SymbolicEqualityReport(_Value):
 
     __match_args__ = ("joint_equal", "i_equal", "j_equal")
 
-    def __init__(
-        self,
-        joint_equal: bool,
-        i_equal: tuple[bool, ...],
-        j_equal: tuple[bool, ...],
-    ):
-        self._store(joint_equal, i_equal, j_equal)
-
     @property
     def passed(self) -> bool:
         if not self.joint_equal:
@@ -298,28 +279,6 @@ class AssStructureReport(_Value):
         "saturator_ass_equal",
         "stabilized",
     )
-
-    def __init__(
-        self,
-        tensor_ass_equal: bool,
-        lower_bound_holds: bool,
-        upper_bound_holds: bool,
-        quotient_ass_agrees: bool,
-        grade_dichotomy_holds: bool,
-        saturator_min_equal: bool | None,
-        saturator_ass_equal: bool | None,
-        stabilized: bool,
-    ):
-        self._store(
-            tensor_ass_equal,
-            lower_bound_holds,
-            upper_bound_holds,
-            quotient_ass_agrees,
-            grade_dichotomy_holds,
-            saturator_min_equal,
-            saturator_ass_equal,
-            stabilized,
-        )
 
     @property
     def inconclusive(self) -> bool:
@@ -452,24 +411,6 @@ class FiltrationReport(_Value):
         "long_intersection_equal",
         "colon_distributes",
     )
-
-    def __init__(
-        self,
-        premises_ok: bool,
-        disjoint_product_equal: bool,
-        sum_intersection_equal: bool,
-        single_step_equal: bool,
-        long_intersection_equal: bool,
-        colon_distributes: bool,
-    ):
-        self._store(
-            premises_ok,
-            disjoint_product_equal,
-            sum_intersection_equal,
-            single_step_equal,
-            long_intersection_equal,
-            colon_distributes,
-        )
 
     @property
     def passed(self) -> bool:

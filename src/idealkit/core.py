@@ -32,41 +32,61 @@ _set = object.__setattr__
 
 def _whole_numbers(values) -> tuple[int, ...]:
     """``values`` as a tuple of ints; a ValueError names the first value that
-    is not a whole number (``2.0`` and ``True`` are whole, ``2.5`` and ``"3"`` not)."""
+    is not a whole number (``2.0`` and ``True`` are whole; ``2.5``, ``"3"``,
+    ``inf``, ``nan`` and ``None`` are not)."""
     values = tuple(values)
-    ints = tuple(map(int, values))
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != values:
-        bad = next(v for v, n in zip(values, ints) if n != v)
-        raise ValueError(f"expected a whole number, got {bad!r}")
+        for v in values:
+            try:
+                whole = int(v) == v
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
+                raise ValueError(f"expected a whole number, got {v!r}")
     return ints
 
 
 class _Value:
     """Base of the package's immutable values.
 
-    A subclass lists its fields, in constructor order, in ``__match_args__``
-    and its ``__init__`` stores them with ``_set``.  Equality, hash and repr
-    run over those fields: values of different classes are never equal, the
-    hash is the hash of the tuple of fields, and the repr reads
-    ``Cls(field=value, ...)``.  Assigning or deleting an attribute raises
-    AttributeError; pickle and copy restore the ``__dict__`` directly.
-    ``Ring``, ``Monomial``, ``MonomialIdeal`` and ``MonomialPrime`` spell out
-    the same ``__eq__`` and ``__hash__`` over their own fields, because the
-    memo keys, prime sets and ring checks call them in the hot loops.
+    A subclass declares its fields once, in constructor order, in
+    ``__match_args__``; the constructor here stores them, given by position
+    and then by name.  A subclass writes an ``__init__`` only to validate,
+    normalise or give defaults, and ends it with ``super().__init__(...)``.
+    Equality, hash and repr run over the fields: values of different classes
+    are never equal, the hash is the hash of the tuple of fields, and the
+    repr reads ``Cls(field=value, ...)``.  Assigning or deleting an attribute
+    raises AttributeError; pickle and copy restore the ``__dict__`` directly.
+    ``Ring``, ``Monomial``, ``MonomialIdeal`` and ``MonomialPrime`` store
+    their fields with ``_set`` and spell out ``__eq__`` and ``__hash__``,
+    because the memo keys, prime sets and ring checks call them in hot loops.
     """
 
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__match_args__
+        rest = fields[len(values):]
+        if len(values) > len(fields) or named.keys() != set(rest):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes the fields "
+                f"({', '.join(fields)}); got {len(values)} by position and "
+                f"{sorted(named)} by name"
+            )
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+        for name in rest:
+            _set(self, name, named[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def _store(self, *values):
-        """Set the fields, in ``__match_args__`` order, to ``values``."""
-        for name, value in zip(self.__match_args__, values, strict=True):
-            _set(self, name, value)
 
     def _field_values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -42,7 +42,9 @@ class IrreducibleComponent(_Value):
             raise ValueError(f"exponents must be positive: {powers!r}")
         if len({i for i, _ in powers}) != len(powers):
             raise ValueError(f"repeated variable in {powers!r}")
-        self._store(ring, powers)
+        if any(i < 0 or i >= ring.nvars for i, _ in powers):
+            raise ValueError(f"variable index out of range: {powers!r}")
+        super().__init__(ring, powers)
 
     def as_ideal(self) -> MonomialIdeal:
         zeros = (0,) * self.ring.nvars
@@ -65,9 +67,6 @@ class PrimaryDecomposition(_Value):
     """Irredundant primary decomposition keyed by distinct radical primes."""
 
     __match_args__ = ("components",)
-
-    def __init__(self, components: tuple[tuple[MonomialPrime, MonomialIdeal], ...]):
-        self._store(components)
 
     def primes(self) -> frozenset[MonomialPrime]:
         return frozenset(p for p, _ in self.components)

@@ -94,115 +94,88 @@ def _scan(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
-# AST nodes.  `pos` is keyword-only and left out of equality, hash and repr,
-# so a statement parsed from one REPL line equals the same statement parsed
-# from a whole script.
+# AST nodes.  A node class names its fields in ``__match_args__`` and takes
+# them by position through the base of its arity, ``_Node1`` to ``_Node3``,
+# which stores them directly: the parser builds many nodes, and the generic
+# ``_Value`` constructor is slower.  `pos` is keyword-only and left out of
+# equality, hash and repr, so a statement parsed from one REPL line equals
+# the same statement parsed from a whole script.
 
 
 class Node(_Value):
     pos: tuple[int, int]  # (line, column)
 
 
-class Name(Node):
+class _Node1(Node):
+    def __init__(self, first, /, *, pos=(0, 0)):
+        (name,) = self.__match_args__
+        _set(self, name, first)
+        _set(self, "pos", pos)
+
+
+class _Node2(Node):
+    def __init__(self, first, second, /, *, pos=(0, 0)):
+        name1, name2 = self.__match_args__
+        _set(self, name1, first)
+        _set(self, name2, second)
+        _set(self, "pos", pos)
+
+
+class _Node3(Node):
+    def __init__(self, first, second, third, /, *, pos=(0, 0)):
+        name1, name2, name3 = self.__match_args__
+        _set(self, name1, first)
+        _set(self, name2, second)
+        _set(self, name3, third)
+        _set(self, "pos", pos)
+
+
+class Name(_Node1):
     __match_args__ = ("text",)
 
-    def __init__(self, text: str, *, pos=(0, 0)):
-        _set(self, "text", text)
-        _set(self, "pos", pos)
 
-
-class IntLit(Node):
+class IntLit(_Node1):
     __match_args__ = ("value",)
 
-    def __init__(self, value: int, *, pos=(0, 0)):
-        _set(self, "value", value)
-        _set(self, "pos", pos)
 
-
-class AddOp(Node):
+class AddOp(_Node2):
     __match_args__ = ("left", "right")
 
-    def __init__(self, left, right, *, pos=(0, 0)):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "pos", pos)
 
-
-class MulOp(Node):
+class MulOp(_Node2):
     __match_args__ = ("left", "right")
 
-    def __init__(self, left, right, *, pos=(0, 0)):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "pos", pos)
 
-
-class PowOp(Node):
+class PowOp(_Node2):
     __match_args__ = ("base", "exponent")
 
-    def __init__(self, base, exponent: int, *, pos=(0, 0)):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        _set(self, "pos", pos)
 
-
-class CallOp(Node):
+class CallOp(_Node2):
     __match_args__ = ("function", "args")
 
-    def __init__(self, function: str, args: tuple, *, pos=(0, 0)):
-        _set(self, "function", function)
-        _set(self, "args", args)
-        _set(self, "pos", pos)
 
-
-class IdealLit(Node):
+class IdealLit(_Node1):
     __match_args__ = ("entries",)
 
-    def __init__(self, entries: tuple, *, pos=(0, 0)):
-        _set(self, "entries", entries)
-        _set(self, "pos", pos)
 
-
-class BracketList(Node):
+class BracketList(_Node1):
     __match_args__ = ("entries",)
 
-    def __init__(self, entries: tuple, *, pos=(0, 0)):
-        _set(self, "entries", entries)
-        _set(self, "pos", pos)
 
-
-class RingDecl(Node):
+class RingDecl(_Node2):
     __match_args__ = ("name", "value")
 
-    def __init__(self, name: str, value, *, pos=(0, 0)):
-        _set(self, "name", name)
-        _set(self, "value", value)
-        _set(self, "pos", pos)
 
-
-class IdealDecl(Node):
+class IdealDecl(_Node3):
     __match_args__ = ("name", "value", "ring_name")
 
-    def __init__(self, name: str, value, ring_name: str | None, *, pos=(0, 0)):
-        _set(self, "name", name)
-        _set(self, "value", value)
-        _set(self, "ring_name", ring_name)
-        _set(self, "pos", pos)
 
-
-class PrintStmt(Node):
+class PrintStmt(_Node1):
     __match_args__ = ("value",)
-
-    def __init__(self, value, *, pos=(0, 0)):
-        _set(self, "value", value)
-        _set(self, "pos", pos)
 
 
 class Script(_Value):
     __match_args__ = ("statements",)
-
-    def __init__(self, statements: tuple):
-        self._store(statements)
 
 
 class Parser:

@@ -62,32 +62,19 @@ class FuzzConfig(_Value):
         cases: int = 500,
         suites: tuple[str, ...] = SUITE_NAMES,
     ):
-        suites = tuple(suites)
-        self._store(
-            seed, max_vars_per_side, max_generators, max_exponent, max_s, cases, suites
-        )
-        for name in ("max_vars_per_side", "max_generators", "max_exponent", "max_s", "cases"):
-            if getattr(self, name) < 1:
+        sizes = (max_vars_per_side, max_generators, max_exponent, max_s, cases)
+        for name, size in zip(self.__match_args__[1:], sizes):
+            if size < 1:
                 raise ValueError(f"{name} must be at least 1")
+        suites = tuple(suites)
         unknown = [s for s in suites if s not in SUITE_NAMES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown}")
+        super().__init__(seed, *sizes, suites)
 
 
 class Instance(_Value):
     __match_args__ = ("ring_a", "ideal_i", "sat_k", "ring_b", "ideal_j", "sat_l", "s")
-
-    def __init__(
-        self,
-        ring_a: Ring,
-        ideal_i: MonomialIdeal,
-        sat_k: MonomialIdeal,
-        ring_b: Ring,
-        ideal_j: MonomialIdeal,
-        sat_l: MonomialIdeal,
-        s: int,
-    ):
-        self._store(ring_a, ideal_i, sat_k, ring_b, ideal_j, sat_l, s)
 
     def script(self, body: str = "") -> str:
         lines = [
@@ -149,7 +136,7 @@ class CaseOutcome(_Value):
     ):
         if counters is None:
             counters = {}
-        self._store(ok, expected, actual, script_body, counters)
+        super().__init__(ok, expected, actual, script_body, counters)
 
 
 def _outcome_equal(label, expected, actual, script_body, counters=None):

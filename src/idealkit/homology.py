@@ -49,7 +49,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import and_, or_
 
-from .core import IdealArgumentError, Monomial, MonomialIdeal, Ring, _monomial, _Value
+from .core import (
+    IdealArgumentError,
+    Monomial,
+    MonomialIdeal,
+    _monomial,
+    _Value,
+    _whole_numbers,
+)
 from .binomial import direct_saturated_sum, symbolic_of_sum
 from .powers import _require_positive, saturated_power, symbolic_power
 
@@ -60,9 +67,9 @@ class ExtendedInt(_Value):
     __match_args__ = ("value",)
 
     def __init__(self, value: int | float):
-        if isinstance(value, float) and value not in (float("inf"), float("-inf")):
-            raise ValueError(f"not an extended integer: {value!r}")
-        self._store(value)
+        if value not in (float("inf"), float("-inf")):
+            (value,) = _whole_numbers((value,))
+        super().__init__(value)
 
     def __add__(self, other: "ExtendedInt") -> "ExtendedInt":
         a, b = self.value, other.value
@@ -394,14 +401,6 @@ class BettiTable(_Value):
 
     __match_args__ = ("ring", "against", "entries")
 
-    def __init__(
-        self,
-        ring: Ring,
-        against: MonomialIdeal,
-        entries: tuple[tuple[int, Monomial, int], ...],
-    ):
-        self._store(ring, against, entries)
-
     def multiplicity(self, i: int, b: Monomial) -> int:
         for j, m, v in self.entries:
             if j == i and m == b:
@@ -546,15 +545,6 @@ class DepthRegReport(_Value):
     """Left- and right-hand sides of the depth and regularity formulas."""
 
     __match_args__ = ("depth_lhs", "depth_rhs", "reg_lhs", "reg_rhs")
-
-    def __init__(
-        self,
-        depth_lhs: ExtendedInt,
-        depth_rhs: ExtendedInt,
-        reg_lhs: ExtendedInt,
-        reg_rhs: ExtendedInt,
-    ):
-        self._store(depth_lhs, depth_rhs, reg_lhs, reg_rhs)
 
     @property
     def depth_equal(self) -> bool:

@@ -81,11 +81,41 @@ class TestRingAndMonomial:
             (lambda: MonomialPrime(A, (0.9,)), "0.9"),
             (lambda: IrreducibleComponent(A, ((0, 1.5),)), "1.5"),
             (lambda: RingEmbedding(A, XY, (0, 1.5)), "1.5"),
+            (lambda: A.monomial((float("inf"), 0)), "inf"),
+            (lambda: A.monomial((0, float("nan"))), "nan"),
+            (lambda: A.monomial((None, 0)), "None"),
+            (lambda: A.monomial(("x", 0)), "'x'"),
         ],
-        ids=["monomial", "power", "string", "prime", "component", "embedding"],
+        ids=[
+            "monomial",
+            "power",
+            "string",
+            "prime",
+            "component",
+            "embedding",
+            "inf",
+            "nan",
+            "none",
+            "word",
+        ],
     )
     def test_constructors_reject_values_that_are_not_whole(self, build, shown):
         with pytest.raises(ValueError, match=f"^expected a whole number, got {shown}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MonomialPrime(A, (2,)),
+            lambda: MonomialPrime(A, (-1, 0)),
+            lambda: IrreducibleComponent(A, ((5, 1),)),
+            lambda: IrreducibleComponent(A, ((-1, 2),)),
+            lambda: IrreducibleComponent(A, ((0, 1), (2, 3))),
+        ],
+        ids=["prime-high", "prime-low", "component-high", "component-low", "component-mixed"],
+    )
+    def test_constructors_reject_variable_indices_out_of_range(self, build):
+        with pytest.raises(ValueError, match="^variable index out of range: "):
             build()
 
     def test_divide_out_clamps(self):

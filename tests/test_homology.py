@@ -87,6 +87,20 @@ class TestExtendedInt:
         assert max(values) == POS_INF
         assert str(POS_INF) == "+inf" and str(NEG_INF) == "-inf"
 
+    @pytest.mark.parametrize(
+        "value, shown", [("3", "'3'"), (None, "None"), (2.5, "2.5"), (float("nan"), "nan")]
+    )
+    def test_rejects_values_that_are_not_whole(self, value, shown):
+        with pytest.raises(ValueError, match=f"^expected a whole number, got {shown}$"):
+            ExtendedInt(value)
+
+    def test_whole_values_become_ints_and_infinities_stay(self):
+        assert ExtendedInt(2.0).value == 2 and type(ExtendedInt(2.0).value) is int
+        assert ExtendedInt(True).value == 1 and type(ExtendedInt(True).value) is int
+        assert ExtendedInt(2.0) + ExtendedInt(1) == ExtendedInt(3)
+        assert ExtendedInt(float("inf")) == POS_INF
+        assert ExtendedInt(float("-inf")) == NEG_INF
+
 
 def reference_rank(rows, char):
     """Rank of a dense integer matrix by Gaussian elimination on its rows:

@@ -20,7 +20,8 @@ from idealkit.binomial import (
     TermInclusionReport,
     join_rings,
 )
-from idealkit.core import Monomial, MonomialIdeal, MonomialPrime, Ring
+from idealkit import dsl
+from idealkit.core import Monomial, MonomialIdeal, MonomialPrime, Ring, _Value
 from idealkit.decomposition import IrreducibleComponent, primary_decomposition
 from idealkit.dsl import AddOp, MulOp, Name, parse
 from idealkit.homology import DepthRegReport, ExtendedInt, betti_table
@@ -149,6 +150,109 @@ class TestValueProtocol:
         assert repr(restored) == repr(value)
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_class_is_covered():
+    import idealkit.cli  # noqa: F401  (loads every module the CLI uses)
+
+    records = {
+        cls.__name__
+        for cls in _subclasses(_Value)
+        if not issubclass(cls, dsl.Node) and cls is not fuzz.CaseOutcome
+    }
+    assert records == set(VALUES)
+
+
+# The records whose fields the shared _Value constructor stores, each with one
+# value of every field in declared order.
+RECORDS = {
+    name: VALUES[name]
+    for name in [
+        "PrimaryDecomposition",
+        "BettiTable",
+        "DepthRegReport",
+        "TermInclusionReport",
+        "EqualityCriteriaReport",
+        "SymbolicEqualityReport",
+        "AssStructureReport",
+        "FiltrationReport",
+        "Instance",
+        "Script",
+    ]
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecordConstructor:
+    def test_positional_and_keyword_fields_mix(self, name):
+        build, fields = RECORDS[name]
+        value = build()
+        values = [getattr(value, f) for f in fields]
+        for split in range(len(fields) + 1):
+            named = dict(zip(fields[split:], values[split:]))
+            rebuilt = type(value)(*values[:split], **named)
+            assert rebuilt == value and repr(rebuilt) == repr(value)
+
+    def test_wrong_fields_raise_type_error_naming_them(self, name):
+        build, fields = RECORDS[name]
+        value = build()
+        cls = type(value)
+        values = [getattr(value, f) for f in fields]
+        wrong = [
+            ("missing", values[:-1], {}),
+            ("extra", values + [None], {}),
+            ("unknown", values, {"extra_field": None}),
+            ("twice", values, {fields[0]: values[0]}),
+            ("missing by name", [], dict(zip(fields[1:], values[1:]))),
+        ]
+        for label, args, named in wrong:
+            with pytest.raises(TypeError, match=f"^{name} takes the fields") as info:
+                cls(*args, **named)
+            assert ", ".join(fields) in str(info.value), label
+
+
+# One case per AST node class: its fields, given by position.
+NODES = {
+    dsl.Name: ("a",),
+    dsl.IntLit: (3,),
+    dsl.AddOp: (dsl.Name("a"), dsl.Name("b")),
+    dsl.MulOp: (dsl.Name("a"), dsl.Name("b")),
+    dsl.PowOp: (dsl.Name("a"), 2),
+    dsl.CallOp: ("radical", (dsl.Name("I"),)),
+    dsl.IdealLit: ((dsl.Name("a"), dsl.Name("b")),),
+    dsl.BracketList: ((dsl.Name("a"),),),
+    dsl.RingDecl: ("R", dsl.BracketList((dsl.Name("a"),))),
+    dsl.IdealDecl: ("I", dsl.Name("a"), "R"),
+    dsl.PrintStmt: (dsl.Name("a"),),
+}
+
+
+@pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
+def test_node_fields_are_given_by_position(cls):
+    fields = NODES[cls]
+    node = cls(*fields, pos=(4, 2))
+    assert cls.__match_args__ and len(cls.__match_args__) == len(fields)
+    assert tuple(getattr(node, f) for f in cls.__match_args__) == fields
+    assert node.pos == (4, 2) and cls(*fields).pos == (0, 0)
+    assert node == cls(*fields) and hash(node) == hash(cls(*fields))
+    shown = ", ".join(f"{f}={v!r}" for f, v in zip(cls.__match_args__, fields))
+    assert repr(node) == f"{cls.__name__}({shown})"
+
+
+def test_records_and_nodes_write_no_constructor():
+    nodes = {cls for cls in _subclasses(dsl.Node) if not cls.__name__.startswith("_")}
+    assert nodes == set(NODES)
+    records = {type(build()) for build, _ in RECORDS.values()}
+    for cls in nodes | records:
+        assert "__init__" not in vars(cls), cls.__name__
+    for cls in records:
+        assert cls.__init__ is _Value.__init__, cls.__name__
+
+
 class TestNodeEquality:
     def test_operators_of_different_kinds_differ(self):
         assert parse("print a + b;") != parse("print a * b;")
@@ -167,6 +271,9 @@ class TestNodeEquality:
     def test_position_is_keyword_only(self):
         with pytest.raises(TypeError):
             Name("a", (1, 1))
+        for cls, fields in NODES.items():
+            with pytest.raises(TypeError):
+                cls(*fields, (1, 1))
 
 
 class TestCaseOutcome:
