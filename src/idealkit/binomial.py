@@ -140,6 +140,8 @@ def direct_saturated_sum(
     i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
 ) -> MonomialIdeal:
     """(I+J)^s : (KL)^infinity computed head-on in the joined ring."""
+    if i.is_zero or k.is_zero or j.is_zero or l.is_zero:
+        raise IdealArgumentError("saturated power needs nonzero ideals")
     _, emb_a, emb_b, total = joined_sum(i, j)
     kl = ideal_product(extend(k, emb_a), extend(l, emb_b))
     return saturate(ideal_power(total, s), kl)

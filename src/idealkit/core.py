@@ -149,7 +149,10 @@ class Ring(_Value):
         return Monomial(self, tuple(exponents))
 
     def index_of(self, name: str) -> int:
-        return self.variables.index(name)
+        try:
+            return self.variables.index(name)
+        except ValueError:
+            raise ValueError(f"unknown variable {name!r} in {self}") from None
 
     def __str__(self):
         return "[" + ", ".join(self.variables) + "]"
@@ -251,6 +254,10 @@ class Monomial(_Value):
             factor = factor.strip()
             if "^" in factor:
                 name, _, power = factor.partition("^")
+                power = power.strip()
+                # int() would also take "1_0", "+3" and non-ASCII digits
+                if not (power.isascii() and power.isdigit()):
+                    raise ValueError(f"bad exponent {power!r} in {text!r}")
                 exps[ring.index_of(name.strip())] += int(power)
             else:
                 exps[ring.index_of(factor)] += 1
@@ -360,9 +367,8 @@ class MonomialIdeal(_Value):
         text = text.strip()
         if text.startswith("(") and text.endswith(")"):
             text = text[1:-1]
-        parts = [p for p in (p.strip() for p in text.split(",")) if p]
-        if parts == ["0"]:
-            return cls.zero(ring)
+        # a 0 entry adds no generator, as in the script language
+        parts = [p for p in (p.strip() for p in text.split(",")) if p not in ("", "0")]
         return cls(ring, tuple(Monomial.parse(ring, p) for p in parts))
 
     @property

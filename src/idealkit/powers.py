@@ -159,7 +159,12 @@ def regular_witness_candidates(
     if n_max is None:
         n_max = default_power_bound(ideal)
     star, _ = ass_star_bounded(ideal, n_max)
-    saturator = _saturator(ideal, star, notion)
+    return _witnesses(ideal, _saturator(ideal, star, notion), notion, max_degree)
+
+
+def _witnesses(ideal: MonomialIdeal, saturator, notion: str, max_degree=None) -> list[Monomial]:
+    """``regular_witness_candidates`` from the global ``saturator`` in hand:
+    its generators that avoid the kept primes of Ass(I), or [1] if it is (1)."""
     if saturator.is_unit:
         return [ideal.ring.one()]
     kept = _kept(ideal, notion)

@@ -12,12 +12,7 @@ import pytest
 from idealkit.core import MonomialIdeal, Ring, ideal_power
 from idealkit.core import saturate as core_saturate
 from idealkit.decomposition import irreducible_decomposition
-from idealkit.fuzz import (
-    FuzzConfig,
-    generate_instance,
-    run_suite,
-    run_symbolic_consistency,
-)
+from idealkit.fuzz import FuzzConfig, generate_instance, run_suite
 from idealkit.homology import ExtendedInt, betti_table, taylor_betti_table
 from idealkit.powers import (
     regular_witness,
@@ -94,35 +89,41 @@ def test_criterion_03_binomial_saturated_fuzz():
     report(3, "saturated binomial expansion, 500/500", elapsed)
 
 
-def test_criterion_04_binomial_symbolic_fuzz():
+@pytest.fixture(scope="module")
+def thm41_reports():
+    """The thm41_min and thm41_ass reports at seed 1, 300 cases, and the
+    seconds they took; criteria 04 and 05 read the same run."""
     started = time.monotonic()
-    for name in ("thm41_min", "thm41_ass"):
-        suite_report = run_suite(name, FuzzConfig(seed=1, cases=300))
+    config = FuzzConfig(seed=1, cases=300)
+    reports = [run_suite(name, config) for name in ("thm41_min", "thm41_ass")]
+    return reports, time.monotonic() - started
+
+
+def test_criterion_04_binomial_symbolic_fuzz(thm41_reports):
+    reports, elapsed = thm41_reports
+    for suite_report in reports:
         if suite_report["passes"] != suite_report["cases"]:
             fail_with_counterexamples(4, suite_report)
-    elapsed = time.monotonic() - started
     assert elapsed < 120.0
     report(4, "symbolic binomial expansion, both notions, 300/300 each", elapsed)
 
 
-def test_criterion_05_symbolic_route_consistency():
-    started = time.monotonic()
-    consistency = run_symbolic_consistency(FuzzConfig(seed=1, cases=300))
-    elapsed = time.monotonic() - started
-    if consistency["passes"] != consistency["cases"]:
-        fail_with_counterexamples(5, consistency)
-    counters = consistency["counters"]
-    detail = ", ".join(f"{k}={v}" for k, v in counters.items())
-    # non-applicable route checks are counted, never silently skipped
-    for notion in ("min", "ass"):
-        checked = counters[f"{notion}_witness_checked"]
-        missing = counters[f"{notion}_witness_missing"]
-        assert checked + missing == consistency["cases"]
-        assert (
-            counters[f"{notion}_global_checked"] + counters[f"{notion}_global_skipped"]
-            == consistency["cases"]
-        )
-    report(5, "symbolic power routes agree, 300/300", elapsed, detail)
+def test_criterion_05_symbolic_route_consistency(thm41_reports):
+    # each thm41 case checks the saturation routes of I and of J
+    reports, elapsed = thm41_reports
+    details = []
+    for suite_report in reports:
+        if suite_report["passes"] != suite_report["cases"]:
+            fail_with_counterexamples(5, suite_report)
+        counters = suite_report["counters"]
+        shown = ", ".join(f"{k}={v}" for k, v in counters.items())
+        details.append(f"{suite_report['suite']}: {shown}")
+        # non-applicable route checks are counted, never silently skipped
+        sides = 2 * suite_report["cases"]
+        assert counters["witness_checked"] + counters["witness_missing"] == sides
+        assert counters["global_checked"] + counters["global_skipped"] == sides
+    detail = "; ".join(details)
+    report(5, "symbolic power routes agree on both sides, 300/300", elapsed, detail)
 
 
 def test_criterion_06_filtration_identities_fuzz():

@@ -15,6 +15,35 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reference_draw(rng, cfg):
+    """The instance draw that validates every generator as a Monomial."""
+
+    def draw_ideal(ring, proper):
+        while True:
+            count = rng.randint(1, cfg.max_generators)
+            gens = []
+            for _ in range(count):
+                exps = tuple(rng.randint(0, cfg.max_exponent) for _ in range(ring.nvars))
+                gens.append(ring.monomial(exps))
+            ideal = core.MonomialIdeal(ring, tuple(gens))
+            if ideal.is_zero:
+                continue
+            if proper and ideal.is_unit:
+                continue
+            return ideal
+
+    nvars_a = rng.randint(1, cfg.max_vars_per_side)
+    ring_a = core.Ring(tuple(f"x{i + 1}" for i in range(nvars_a)))
+    ideal_i = draw_ideal(ring_a, True)
+    sat_k = draw_ideal(ring_a, False)
+    nvars_b = rng.randint(1, cfg.max_vars_per_side)
+    ring_b = core.Ring(tuple(f"y{i + 1}" for i in range(nvars_b)))
+    ideal_j = draw_ideal(ring_b, True)
+    sat_l = draw_ideal(ring_b, False)
+    s = rng.randint(1, cfg.max_s)
+    return fuzz.Instance(ring_a, ideal_i, sat_k, ring_b, ideal_j, sat_l, s)
+
+
 # the golden check names in report order; saved reports are read by name
 VERIFY_CHECK_NAMES = [
     "power_of_example_ideal",
@@ -277,6 +306,22 @@ class TestFuzz:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            fuzz.FuzzConfig(),
+            fuzz.FuzzConfig(max_vars_per_side=4, max_generators=5, max_exponent=4, max_s=4),
+        ],
+        ids=["default", "larger"],
+    )
+    def test_instances_match_the_validated_draw(self, config):
+        # the draw from exponent tuples gives the instances of the draw that
+        # built and validated a Monomial per generator, on the same streams
+        for seed in range(1, 6):
+            fast, reference = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert fuzz.generate_instance(fast, config) == reference_draw(reference, config)
 
     def test_different_seeds_differ(self):
         # reports may coincide; the instances drawn must not

@@ -495,6 +495,49 @@ class TestParsing:
         with pytest.raises(ValueError):
             Monomial.parse(A, "q^2")
 
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            lambda: Monomial.parse(A, "c"),
+            lambda: MonomialIdeal.parse(A, "c"),
+            lambda: MonomialIdeal.parse(A, "a, c^2"),
+            lambda: MonomialPrime.of_names(A, "a", "c"),
+            lambda: A.index_of("c"),
+        ],
+        ids=["monomial", "ideal", "second_entry", "prime", "index_of"],
+    )
+    def test_unknown_variable_is_named(self, parse):
+        with pytest.raises(ValueError) as err:
+            parse()
+        assert str(err.value) == "unknown variable 'c' in [a, b]"
+
+    @pytest.mark.parametrize(
+        "text, power",
+        [
+            ("a^1_0", "1_0"),
+            ("a^\u0663", "\u0663"),
+            ("a^", ""),
+            ("b*a^", ""),
+            ("a^+3", "+3"),
+            ("a^-1", "-1"),
+            ("a^2.0", "2.0"),
+        ],
+    )
+    def test_exponents_are_ascii_decimal(self, text, power):
+        # int() would read "1_0" as 10 and the Arabic-Indic digit as 3
+        for parse in (Monomial.parse, MonomialIdeal.parse):
+            with pytest.raises(ValueError) as err:
+                parse(A, text)
+            assert str(err.value) == f"bad exponent {power!r} in {text!r}"
+
+    def test_zero_entries_add_no_generator(self):
+        # as the script language reads (a, 0)
+        assert MonomialIdeal.parse(A, "a, 0") == ideal(A, "a")
+        assert MonomialIdeal.parse(A, "(0, b^2, 0)") == ideal(A, "b^2")
+        assert MonomialIdeal.parse(A, "0, 0").is_zero
+        assert MonomialIdeal.parse(A, "0").is_zero
+        assert MonomialIdeal.parse(A, "a^03") == ideal(A, "a^3")
+
     def test_parse_tolerates_spacing(self):
         assert MonomialIdeal.parse(A, " a^2 ,  a * b ".replace(" * ", "*")) == ideal(
             A, "a^2, a*b"

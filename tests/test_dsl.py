@@ -289,6 +289,22 @@ class TestErrors:
         assert str(err.value) == "5:7: power must be positive"
 
     @pytest.mark.parametrize(
+        "builtin", ["binom_sat", "check_eq", "check_terms", "check_depthreg"]
+    )
+    @pytest.mark.parametrize(
+        "args", ["(a), (0), (b), (b)", "(a), (b), (b), (0)"], ids=["K", "L"]
+    )
+    def test_zero_saturating_ideal_has_one_message(self, builtin, args):
+        with pytest.raises(EvalError) as err:
+            run_script(f"ring A = [a, b];\nprint {builtin}({args}, 1);")
+        assert str(err.value) == "2:7: saturated power needs nonzero ideals"
+
+    def test_saturating_by_zero_keeps_its_message(self):
+        with pytest.raises(EvalError) as err:
+            run_script("ring A = [a, b];\nprint saturate((a), (0));")
+        assert str(err.value) == "2:7: saturation by the zero ideal"
+
+    @pytest.mark.parametrize(
         "shape, crossing_column",
         [
             # n '+' links; the (cap + 1)-th '+' crosses the budget

@@ -4,7 +4,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealkit.core import (
     IdealArgumentError,
@@ -489,14 +489,34 @@ class TestAssStarReuse:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("notion", powers.NOTIONS)
-    def test_route_consistency_computes_it_twice(self, monkeypatch, notion):
-        # once for the stability flag and the global saturator, once inside
-        # the witness search
+    def test_route_consistency_computes_it_once(self, monkeypatch, notion):
+        # the stability flag, the global saturator and the witness search
+        # share one call
         i = ideal(R3, "x^2, x*y, y*z^2")
         calls = self.count_calls(monkeypatch)
         ok, counters = fuzz.symbolic_route_consistency(i, 2, notion, 4)
         assert ok
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+
+@given(proper3, st.sampled_from(NOTIONS), st.integers(1, 3))
+@example(ideal(R3, "x^2, x*y, x*z"), "min", 2)  # both y and z are usable
+@settings(max_examples=40, deadline=None)
+def test_route_consistency_uses_the_regular_witness(i, notion, s):
+    # the only principal ideal route consistency builds is the witness's
+    used = []
+
+    def spied(m):
+        used.append(m)
+        return principal(m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fuzz, "principal", spied)
+        ok, counters = fuzz.symbolic_route_consistency(i, s, notion, 4)
+    assert ok
+    witness = regular_witness(i, notion, 4)
+    assert used == ([] if witness is None else [witness])
+    assert counters["witness_checked"] == len(used)
 
 
 # Counts the exponent tuples handed to core._antichain while the saturator
