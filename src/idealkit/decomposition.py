@@ -163,13 +163,17 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     memoised, ring-free and keyed by the generator exponent set, for the
     last 1024 distinct ideals.
     """
-    _require_nonzero_proper(ideal)
-    gens = frozenset(g.exponents for g in ideal.generators)
     # _irredundant's pairs are sorted, with distinct indices and positive exponents.
     return tuple(
         _unchecked(IrreducibleComponent, ring=ideal.ring, powers=c)
-        for c in _irredundant(gens)
+        for c in _components(ideal)
     )
+
+
+def _components(ideal: MonomialIdeal):
+    """``_irredundant`` of a nonzero proper ideal's generator exponents."""
+    _require_nonzero_proper(ideal)
+    return _irredundant(frozenset(g.exponents for g in ideal.generators))
 
 
 def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
@@ -193,7 +197,15 @@ def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
 
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    return frozenset(c.radical() for c in irreducible_decomposition(ideal))
+    """The radicals of the irreducible components of I.
+
+    The supports are read straight from the ``_irredundant`` memo, one
+    prime per distinct support, with no ``IrreducibleComponent`` built.
+    """
+    supports = {tuple(i for i, _ in c) for c in _components(ideal)}
+    return frozenset(
+        _unchecked(MonomialPrime, ring=ideal.ring, support=t) for t in supports
+    )
 
 
 def minimal_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
@@ -213,19 +225,29 @@ def default_power_bound(ideal: MonomialIdeal) -> int:
     return max(2, ideal.ring.nvars + maxdeg)
 
 
+_ASS_STAR_MEMO_SIZE = 1024
+
+
 def ass_star_bounded(
     ideal: MonomialIdeal, n_max: int | None = None
 ) -> tuple[frozenset[MonomialPrime], bool]:
     """Union of Ass(I^n) for n <= n_max, plus a heuristic stabilization flag.
 
     The flag is true iff Ass(I^(n_max - 1)) == Ass(I^n_max); it is
-    evidence, not proof, that the union has stabilized.
+    evidence, not proof, that the union has stabilized.  Memoised for the
+    last 1024 distinct (I, n_max), with n_max = None read as its default.
     """
     _require_nonzero_proper(ideal)
     if n_max is None:
         n_max = default_power_bound(ideal)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    return _ass_star(ideal, n_max)
+
+
+# typed: a float n_max misses the entry for the equal int, and is rejected as before.
+@lru_cache(maxsize=_ASS_STAR_MEMO_SIZE, typed=True)
+def _ass_star(ideal: MonomialIdeal, n_max: int) -> tuple[frozenset[MonomialPrime], bool]:
     union: set[MonomialPrime] = set()
     previous: frozenset[MonomialPrime] = frozenset()
     current: frozenset[MonomialPrime] = frozenset()

@@ -10,7 +10,7 @@ powers, that are not kept.  The tests cross-check the two routes.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 
 from .core import (
     IdealArgumentError,
@@ -70,14 +70,25 @@ def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:
     return intersect_all(ideal.ring, (p.as_ideal() for p in dropped))
 
 
+_SATURATED_MEMO_SIZE = 1024
+_SYMBOLIC_MEMO_SIZE = 1024
+
+
 def saturated_power(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialIdeal:
     """The s-th saturated power I^s : K^infinity.
 
     s = 0 is allowed and gives the unit ideal (empty product convention),
-    which the binomial expansions rely on.
+    which the binomial expansions rely on.  Memoised for the last 1024
+    distinct (I, K, s).
     """
     if ideal.is_zero or k.is_zero:
         raise IdealArgumentError("saturated power needs nonzero ideals")
+    return _saturated(ideal, k, s)
+
+
+# typed: a float s misses the entry for the equal int, and is rejected as before.
+@lru_cache(maxsize=_SATURATED_MEMO_SIZE, typed=True)
+def _saturated(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialIdeal:
     return saturate(ideal_power(ideal, s), k)
 
 
@@ -120,8 +131,17 @@ def symbolic_ass(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
 
 
 def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
-    """Intersection of the components of I^s over kept primes; (1) at s = 0."""
+    """Intersection of the components of I^s over kept primes; (1) at s = 0.
+
+    Memoised for the last 1024 distinct (I, s, notion).
+    """
     _require_notion(notion)
+    return _symbolic_direct(ideal, s, notion)
+
+
+@lru_cache(maxsize=_SYMBOLIC_MEMO_SIZE, typed=True)
+def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
+    """The decomposition route to the symbolic power; the notion is valid."""
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
     kept = _kept(ideal, notion)

@@ -1,0 +1,32 @@
+"""Every test starts with cold idealkit memos.
+
+The package memoises powers, decompositions, saturated and symbolic
+powers, Ass* unions and homology in module-level ``functools.lru_cache``
+bodies.  A test that counts calls into the kernel, or times a cleared
+memo, would otherwise see the entries an earlier test left behind, and
+its result would depend on the order the tests run in.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+import idealkit  # noqa: F401  (loads every submodule that defines a memo)
+
+
+def idealkit_memos():
+    """Every ``lru_cache`` defined at module level in an idealkit module."""
+    for name, module in list(sys.modules.items()):
+        if name != "idealkit" and not name.startswith("idealkit."):
+            continue
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name:
+                yield value
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    for memo in idealkit_memos():
+        memo.cache_clear()

@@ -1,6 +1,9 @@
+import inspect
 import os
+import random
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -562,3 +565,138 @@ class TestSaturatorOrder:
             outputs.add(run.stdout)
         assert len(outputs) == 1
         assert outputs.pop().startswith("(a*b*d, a*c*d, a*d*e, b*c*e) ")
+
+
+MEMOS = (
+    (powers._saturated, powers._SATURATED_MEMO_SIZE),
+    (powers._symbolic_direct, powers._SYMBOLIC_MEMO_SIZE),
+    (decomposition._ass_star, decomposition._ASS_STAR_MEMO_SIZE),
+)
+
+
+def raised(fn, *args):
+    """The type and message of what fn(*args) raised; fails if it returned."""
+    with pytest.raises((ValueError, TypeError)) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+class TestMemoContract:
+    """Saturated powers, symbolic powers and Ass* unions are bounded memos."""
+
+    def test_bounds_are_the_documented_constants(self):
+        for memo, size in MEMOS:
+            assert memo.cache_info().maxsize == size == 1024
+
+    def test_public_names_stay_plain_functions(self):
+        for name in ("saturated_power", "symbolic_power", "ass_star_bounded"):
+            assert inspect.isfunction(getattr(idealkit, name))
+
+    @given(proper3, st.one_of(st.just(MonomialIdeal.unit(R3)), proper3), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_cold_and_warm_match_the_uncached_bodies(self, i, k, s):
+        for memo, _ in MEMOS:
+            memo.cache_clear()
+        for notion in NOTIONS:
+            body = powers._symbolic_direct.__wrapped__(i, s, notion)
+            assert symbolic_power(i, s, notion) == body
+            assert symbolic_power(i, s, notion) == body
+        body = powers._saturated.__wrapped__(i, k, s)
+        assert saturated_power(i, k, s) == body
+        assert saturated_power(i, k, s) == body
+        n_max = s + 2
+        body = decomposition._ass_star.__wrapped__(i, n_max)
+        assert ass_star_bounded(i, n_max) == body
+        assert ass_star_bounded(i, n_max) == body
+
+    def test_default_bound_shares_the_entry(self):
+        i = ideal(R3, "x^2, x*y, y*z^2")
+        star = ass_star_bounded(i)
+        assert ass_star_bounded(i, decomposition.default_power_bound(i)) is star
+        assert decomposition._ass_star.cache_info().currsize == 1
+
+    def test_bad_arguments_fail_alike_cold_and_warm(self):
+        i = ideal(R3, "x^2, x*y, y*z^2")
+        k = ideal(R3, "x, y, z")
+        zero, unit = MonomialIdeal.zero(R3), MonomialIdeal.unit(R3)
+        bad = [(symbolic_power, j, 2, notion) for j in (zero, unit) for notion in NOTIONS]
+        bad += [(symbolic_power, i, -1, notion) for notion in NOTIONS]
+        bad += [(symbolic_power, i, 2, "max"), (symbolic_power, i, 2.0, "min")]
+        bad += [(saturated_power, zero, k, 2), (saturated_power, i, zero, 2)]
+        bad += [(saturated_power, i, k, -1), (saturated_power, i, k, 2.0)]
+        bad += [(ass_star_bounded, zero), (ass_star_bounded, unit)]
+        bad += [(ass_star_bounded, i, n) for n in (1, 0, -3, 2.0)]
+        cold = [raised(*call) for call in bad]
+        # Fill each memo with the valid neighbours of the bad calls.
+        for notion in NOTIONS:
+            symbolic_power(i, 2, notion)
+        saturated_power(i, k, 2)
+        ass_star_bounded(i, 2)
+        sizes = [memo.cache_info().currsize for memo, _ in MEMOS]
+        assert [raised(*call) for call in bad] == cold
+        assert [memo.cache_info().currsize for memo, _ in MEMOS] == sizes
+
+    def test_concurrent_use_matches_serial(self):
+        rnd = random.Random(11)
+        cases = []
+        for _ in range(40):
+            gens = [tuple(rnd.randint(0, 3) for _ in range(3)) for _ in range(rnd.randint(1, 4))]
+            i = MonomialIdeal(R3, tuple(R3.monomial(g) for g in gens))
+            if not i.is_unit:
+                cases.append((i, rnd.randint(0, 3), rnd.choice(NOTIONS)))
+        # More distinct symbolic powers than the memo holds, so threads also evict.
+        cases += [
+            (ideal(XY, f"x^{a}, x*y, y^{b}"), 1, notion)
+            for a in range(2, 25)
+            for b in range(2, 25)
+            for notion in NOTIONS
+        ]
+
+        def compute(i, s, notion):
+            return (
+                symbolic_power(i, s, notion),
+                saturated_power(i, core.radical(i), s),
+                ass_star_bounded(i, s + 2),
+            )
+
+        serial = [compute(*case) for case in cases]
+        for memo, _ in MEMOS:
+            memo.cache_clear()
+        results = [None] * 4
+
+        def work(k):
+            order = list(range(len(cases)))
+            random.Random(k).shuffle(order)
+            found = [None] * len(cases)
+            for n in order:
+                found[n] = compute(*cases[n])
+            results[k] = found
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r == serial for r in results)
+
+
+class TestAssociatedPrimes:
+    @given(proper3, st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_reads_the_irredundant_memo(self, i, s):
+        # Ass is read from the memoised supports, not from built components.
+        power = ideal_power(i, s)
+        expected = frozenset(c.radical() for c in irreducible_decomposition(power))
+
+        def forbidden(ideal):
+            raise AssertionError("associated_primes built the components")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decomposition, "irreducible_decomposition", forbidden)
+            assert associated_primes(power) == expected
