@@ -36,8 +36,11 @@ from .decomposition import (
 )
 from .powers import (
     NOTIONS,
+    _binomial_terms,
+    _require_notion,
     _require_positive,
     _saturator,
+    _symbolic_direct,
     saturated_power,
     symbolic_power,
 )
@@ -113,10 +116,9 @@ def _expansion_terms(
 ) -> list[MonomialIdeal]:
     """The terms power_a(t) * power_b(s - t), t = 0..s, in the joined ring."""
     _, emb_a, emb_b = join_rings(i.ring, j.ring)
-    return [
-        ideal_product(extend(power_a(t), emb_a), extend(power_b(s - t), emb_b))
-        for t in range(s + 1)
-    ]
+    return _binomial_terms(
+        lambda t: extend(power_a(t), emb_a), lambda t: extend(power_b(t), emb_b), s
+    )
 
 
 def _saturated_terms(
@@ -144,7 +146,7 @@ def direct_saturated_sum(
         raise IdealArgumentError("saturated power needs nonzero ideals")
     _, emb_a, emb_b, total = joined_sum(i, j)
     kl = ideal_product(extend(k, emb_a), extend(l, emb_b))
-    return saturate(ideal_power(total, s), kl)
+    return saturated_power(total, kl, s)
 
 
 def binomial_symbolic(
@@ -167,9 +169,15 @@ def binomial_symbolic(
 def symbolic_of_sum(
     i: MonomialIdeal, j: MonomialIdeal, s: int, notion: str
 ) -> MonomialIdeal:
-    """Symbolic power of I+J computed directly in the joined ring."""
+    """Symbolic power of I+J computed directly in the joined ring.
+
+    This is the decomposition route (``_symbolic_direct``), never the
+    binomial fast path of ``symbolic_power``, which would check the
+    expansion against itself.
+    """
+    _require_notion(notion)
     _, _, _, total = joined_sum(i, j)
-    return symbolic_power(total, s, notion)
+    return _symbolic_direct(total, s, notion)
 
 
 class TermInclusionReport(_Value):
@@ -258,13 +266,15 @@ class SymbolicEqualityReport(_Value):
 def check_symbolic_equality_implication(
     i: MonomialIdeal, j: MonomialIdeal, s: int
 ) -> SymbolicEqualityReport:
+    """If (I+J)^(s) = (I+J)^s for the "ass" notion, then I^(t) = I^t and
+    J^(t) = J^t for t = 1..s; every symbolic power on the decomposition route."""
     _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
         raise IdealArgumentError("implication check needs nonzero proper ideals")
     _, _, _, total = joined_sum(i, j)
-    joint = symbolic_power(total, s, "ass") == ideal_power(total, s)
-    i_eq = _equal_to_powers(lambda t: symbolic_power(i, t, "ass"), i, s)
-    j_eq = _equal_to_powers(lambda t: symbolic_power(j, t, "ass"), j, s)
+    joint = _symbolic_direct(total, s, "ass") == ideal_power(total, s)
+    i_eq = _equal_to_powers(lambda t: _symbolic_direct(i, t, "ass"), i, s)
+    j_eq = _equal_to_powers(lambda t: _symbolic_direct(j, t, "ass"), j, s)
     return SymbolicEqualityReport(joint, i_eq, j_eq)
 
 
@@ -388,7 +398,7 @@ def check_ass_structure(
             l = extend(_saturator(j, star_j, notion), emb_b)
             saturator_equal[notion] = saturate(
                 power_total, ideal_product(k, l)
-            ) == symbolic_power(total, s, notion)
+            ) == _symbolic_direct(total, s, notion)
 
     return AssStructureReport(
         tensor_ass_equal=tensor_equal,

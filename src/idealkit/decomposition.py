@@ -208,14 +208,36 @@ def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     )
 
 
+def _summands(ideal: MonomialIdeal) -> list[MonomialIdeal]:
+    """I as a sum of ideals in pairwise disjoint variables, in I's ring.
+
+    Each summand is generated by one connected component of the generators,
+    two generators being joined when their supports meet, so no summand
+    splits further.  A connected ideal is its own one summand, returned as
+    is; the zero ideal has none.
+    """
+    groups = []  # [support bitmask, generator exponent tuples]
+    for g in ideal.generators:
+        mask = sum(1 << i for i, e in enumerate(g.exponents) if e)
+        merged = [mask, [g.exponents]]
+        apart = []
+        for group in groups:
+            if group[0] & mask:
+                merged[0] |= group[0]
+                merged[1] += group[1]
+            else:
+                apart.append(group)
+        groups = apart + [merged]
+    if len(groups) == 1:
+        return [ideal]
+    return [_ideal(ideal.ring, exps) for _, exps in groups]
+
+
 def minimal_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    primes = associated_primes(ideal)
+    """The primes of Ass(I) that contain no other one."""
+    supports = {p: set(p.support) for p in associated_primes(ideal)}
     return frozenset(
-        p
-        for p in primes
-        if not any(
-            q != p and set(q.support) < set(p.support) for q in primes
-        )
+        p for p, s in supports.items() if not any(t < s for t in supports.values())
     )
 
 

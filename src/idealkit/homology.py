@@ -58,7 +58,7 @@ from .core import (
     _whole_numbers,
 )
 from .binomial import direct_saturated_sum, symbolic_of_sum
-from .powers import _require_positive, saturated_power, symbolic_power
+from .powers import _require_positive, _symbolic_direct, saturated_power
 
 
 class ExtendedInt(_Value):
@@ -610,13 +610,14 @@ def check_depth_reg_symbolic_ass(
     """Same formulas with the associated-primes symbolic powers throughout.
 
     The left-hand side is the symbolic power of the sum computed directly
-    from its primary decomposition in the joined ring.
+    from its primary decomposition in the joined ring; the per-side powers
+    take the same decomposition route, never the binomial fast path.
     """
     _require_positive(s)
     return _depth_reg_report(
         symbolic_of_sum(i, j, s, "ass"),
-        lambda t: symbolic_power(i, t, "ass"),
-        lambda t: symbolic_power(j, t, "ass"),
+        lambda t: _symbolic_direct(i, t, "ass"),
+        lambda t: _symbolic_direct(j, t, "ass"),
         s,
         char,
     )

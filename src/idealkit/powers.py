@@ -2,10 +2,17 @@
 
 Both symbolic powers are saturations of I^s; the notions differ only in
 the primes they keep (``_kept``): "min" keeps Min(I), "ass" keeps the
-primes of grade zero on A/I.  The decomposition route intersects the
-irreducible components of I^s over kept primes; the saturation route
-saturates I^s by the primes of Ass(I^s), or of their bounded union over
-powers, that are not kept.  The tests cross-check the two routes.
+primes of grade zero on A/I.  The decomposition route
+(``_symbolic_direct``) intersects the irreducible components of I^s over
+kept primes; the saturation route saturates I^s by the primes of
+Ass(I^s), or of their bounded union over powers, that are not kept.  The
+tests cross-check the two routes.
+
+``symbolic_power`` adds a fast path for an ideal that splits into
+summands in disjoint variables: it expands the symbolic power of the sum
+by the source paper's binomial formula, (I+J)^(s) = sum over t of
+I^(t) J^(s-t), from the summands' direct-route powers.  The checks of
+that formula read the direct route, never the fast path.
 """
 
 from __future__ import annotations
@@ -17,18 +24,21 @@ from .core import (
     Monomial,
     MonomialIdeal,
     MonomialPrime,
+    _exponents,
     _ideal,
     ideal_power,
+    ideal_product,
+    ideal_sum,
     intersect_all,
     saturate,
 )
 from .decomposition import (
-    _in_some,
+    _components,
     _meet,
+    _summands,
     ass_star_bounded,
     associated_primes,
     default_power_bound,
-    irreducible_decomposition,
     minimal_primes,
 )
 
@@ -45,17 +55,22 @@ def _require_positive(s: int):
         raise ValueError("power must be positive")
 
 
+def _mask(support) -> int:
+    """The bitmask of a prime's support, bit i for variable i."""
+    return sum(1 << i for i in support)
+
+
 def _kept(ideal: MonomialIdeal, notion: str):
-    """The predicate on primes that ``notion`` keeps for ``ideal``.
+    """The predicate on support bitmasks (``_mask``) that ``notion`` keeps.
 
     "min" keeps the minimal primes of I; "ass" keeps the primes of grade
-    zero on A/I, read from Ass(I) once, on the first test.  The notion
-    must already be validated.
+    zero on A/I, those inside some prime of Ass(I), read once, on the
+    first test.  The notion must already be validated.
     """
     if notion == "min":
-        return minimal_primes(ideal).__contains__
-    ass = cache(lambda: associated_primes(ideal))
-    return lambda p: _in_some(p, ass())
+        return {_mask(p.support) for p in minimal_primes(ideal)}.__contains__
+    ass = cache(lambda: [_mask(p.support) for p in associated_primes(ideal)])
+    return lambda m: any(m | a == a for a in ass())
 
 
 def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:
@@ -66,7 +81,9 @@ def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:
     intersection is the unit ideal.
     """
     kept = _kept(ideal, notion)
-    dropped = sorted((p for p in primes if not kept(p)), key=MonomialPrime.sort_key)
+    dropped = sorted(
+        (p for p in primes if not kept(_mask(p.support))), key=MonomialPrime.sort_key
+    )
     return intersect_all(ideal.ring, (p.as_ideal() for p in dropped))
 
 
@@ -121,33 +138,84 @@ def saturator_ass_global(
 
 
 def symbolic_min(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
-    """Symbolic power via minimal primes, from the decomposition of I^s."""
+    """Symbolic power via minimal primes (``symbolic_power``)."""
     return symbolic_power(ideal, s, "min")
 
 
 def symbolic_ass(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
-    """Symbolic power via associated primes, from the decomposition of I^s."""
+    """Symbolic power via associated primes (``symbolic_power``)."""
     return symbolic_power(ideal, s, "ass")
 
 
 def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     """Intersection of the components of I^s over kept primes; (1) at s = 0.
 
-    Memoised for the last 1024 distinct (I, s, notion).
+    An ideal that splits into summands in disjoint variables (``_summands``)
+    takes the binomial fast path (``_symbolic_split``) for whole s >= 1;
+    every other call is the decomposition route (``_symbolic_direct``).
+    Each is memoised for the last 1024 distinct (I, s, notion).
     """
     _require_notion(notion)
+    # Any other s takes the direct route, which answers or raises as it always has.
+    if type(s) is int and s > 0 and len(_summands(ideal)) > 1:
+        return _symbolic_split(ideal, s, notion)
     return _symbolic_direct(ideal, s, notion)
 
 
 @lru_cache(maxsize=_SYMBOLIC_MEMO_SIZE, typed=True)
 def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
-    """The decomposition route to the symbolic power; the notion is valid."""
+    """The decomposition route to the symbolic power; the notion is valid.
+
+    The components of I^s are read ring-free from ``_components`` and
+    their supports tested as bitmasks.  When every component is kept, the
+    result is I^s itself, the intersection of its irredundant
+    decomposition.  Min(I) lies in Ass(I), so "ass" keeps every component
+    "min" keeps, and folds only the others into the "min" power.
+    """
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
-    kept = _kept(ideal, notion)
-    components = irreducible_decomposition(ideal_power(ideal, s))
-    powers = (c.powers for c in components if kept(c.radical()))
-    return _ideal(ideal.ring, reduce(_meet, powers, [(0,) * ideal.ring.nvars]))
+    keep = _kept(ideal, notion)
+    power = ideal_power(ideal, s)
+    components = _components(power)
+    masks = [_mask(i for i, _ in c) for c in components]
+    kept = [(c, m) for c, m in zip(components, masks) if keep(m)]
+    if len(kept) == len(components):
+        return power
+    start = [(0,) * ideal.ring.nvars]
+    if notion == "ass":
+        in_min = _kept(ideal, "min")
+        kept = [(c, m) for c, m in kept if not in_min(m)]
+        start = _exponents(_symbolic_direct(ideal, s, "min"))
+    return _ideal(ideal.ring, reduce(_meet, (c for c, _ in kept), start))
+
+
+@lru_cache(maxsize=_SYMBOLIC_MEMO_SIZE, typed=True)
+def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
+    """The symbolic power of a split ideal, by the binomial expansion.
+
+    For I and J in disjoint variables, (I+J)^(s) is the sum over t of
+    I^(t) J^(s-t), for both notions (the source paper; also Ha, Nguyen,
+    Trung and Trung, Math. Z. 294 (2020)).  Folding the summands in one
+    at a time, R(t) = sum over a + b = t of R(a) S(b), gives the symbolic
+    power of the whole sum from the summands' direct-route powers.
+    """
+    parts = [
+        [_symbolic_direct(part, t, notion) for t in range(s + 1)] for part in _summands(ideal)
+    ]
+    sums = parts[0]
+    for powers in parts[1:-1]:
+        sums = [_binomial_sum(sums, powers, t) for t in range(s + 1)]
+    return _binomial_sum(sums, parts[-1], s)
+
+
+def _binomial_sum(powers_a, powers_b, s: int) -> MonomialIdeal:
+    """The sum of powers_a[t] * powers_b[s - t] over t = 0..s."""
+    return reduce(ideal_sum, _binomial_terms(powers_a.__getitem__, powers_b.__getitem__, s))
+
+
+def _binomial_terms(power_a, power_b, s: int) -> list[MonomialIdeal]:
+    """The terms power_a(t) * power_b(s - t), t = 0..s, of a binomial expansion."""
+    return [ideal_product(power_a(t), power_b(s - t)) for t in range(s + 1)]
 
 
 def regular_witness_candidates(
@@ -188,7 +256,9 @@ def _witnesses(ideal: MonomialIdeal, saturator, notion: str, max_degree=None) ->
     if saturator.is_unit:
         return [ideal.ring.one()]
     kept = _kept(ideal, notion)
-    avoided = {i for p in associated_primes(ideal) if kept(p) for i in p.support}
+    avoided = {
+        i for p in associated_primes(ideal) if kept(_mask(p.support)) for i in p.support
+    }
     return [
         g
         for g in saturator.generators

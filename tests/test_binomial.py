@@ -371,3 +371,44 @@ class TestEmbeddingValidation:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             RingEmbedding(A2, Ring.of("u", "v"), (0,))
+
+
+class TestDirectRouteIndependence:
+    """The checks of the binomial expansion compute every symbolic power on
+    the decomposition route, so none of them can agree with the expansion
+    only because it computed its sum side by the expansion itself."""
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [
+            (ideal(AB, "a^2, a*b"), ideal(CD, "c^2, c*d")),
+            # I splits into (x^2, x*y) and (z^2); J is connected.
+            (ideal(Ring.of("x", "y", "z"), "x^2, x*y, z^2"), ideal(CD, "c^3, c*d, d^2")),
+        ],
+    )
+    def test_checks_never_take_the_fast_path(self, monkeypatch, i, j):
+        from idealkit import decomposition, powers
+        from idealkit.homology import check_depth_reg_symbolic_ass
+        from idealkit.powers import NOTIONS
+
+        expansions = {
+            (s, notion): binomial_symbolic(i, j, s, notion)
+            for s in (1, 2, 3)
+            for notion in NOTIONS
+        }
+
+        def refuse(ideal):
+            raise AssertionError("a check reached the binomial fast path")
+
+        monkeypatch.setattr(decomposition, "_summands", refuse)
+        monkeypatch.setattr(powers, "_summands", refuse)
+        for (s, notion), expansion in expansions.items():
+            assert symbolic_of_sum(i, j, s, notion) == expansion
+        for s in (1, 2):
+            assert check_symbolic_equality_implication(i, j, s).passed
+            assert check_ass_structure(i, j, s).passed
+            assert check_depth_reg_symbolic_ass(i, j, s).passed
+
+    def test_symbolic_of_sum_still_rejects_a_bad_notion(self):
+        with pytest.raises(ValueError, match="notion must be one of"):
+            symbolic_of_sum(ideal(AB, "a^2, a*b"), ideal(CD, "c"), 2, "max")

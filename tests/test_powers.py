@@ -1,4 +1,5 @@
 import inspect
+from functools import reduce
 import os
 import random
 import subprocess
@@ -700,3 +701,206 @@ class TestAssociatedPrimes:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decomposition, "irreducible_decomposition", forbidden)
             assert associated_primes(power) == expected
+
+
+# The decomposition route as it was before the kept rule read support
+# bitmasks: every component of I^s is built and filtered, and the kept ones
+# are folded from the unit ideal.  It spells out its notion instead of
+# asking ``powers._kept``.
+def reference_symbolic_direct(ideal, s, notion):
+    if s == 0:
+        return MonomialIdeal.unit(ideal.ring)
+    if notion == "min":
+        kept = minimal_primes(ideal).__contains__
+    else:
+        ass = associated_primes(ideal)
+        kept = lambda p: any(set(p.support) <= set(q.support) for q in ass)  # noqa: E731
+    components = irreducible_decomposition(ideal_power(ideal, s))
+    folded = (c.powers for c in components if kept(c.radical()))
+    unit = [(0,) * ideal.ring.nvars]
+    return core._ideal(ideal.ring, reduce(decomposition._meet, folded, unit))
+
+
+def with_embedded_prime(ring, u, v, others=()):
+    """Ideals u^p * (u^a, v^b, m), m != 1, over the variables u, v and ``others``.
+
+    (u) is a minimal prime, and every prime of Ass(u^a, v^b, m), which
+    holds (u, v), is embedded: it is associated to I through I : u^p.
+    So the two notions differ, already at s = 1.
+    """
+    variables = (u, v) + tuple(others)
+
+    def mono(pairs):
+        exps = [0] * ring.nvars
+        for i, e in pairs:
+            exps[i] = e
+        return ring.monomial(exps)
+
+    def build(p, a, b, extra):
+        gens = (mono([(u, a)]), mono([(v, b)]), mono(zip(variables, extra)))
+        return MonomialIdeal(ring, tuple(mono([(u, p)]) * g for g in gens))
+
+    return st.builds(
+        build,
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.tuples(*(st.integers(0, 2) for _ in variables)).filter(any),
+    )
+
+
+def summand_over(ring, variables):
+    """Proper ideals generated in ``variables`` only."""
+
+    def build(exps):
+        gens = []
+        for e in exps:
+            full = [0] * ring.nvars
+            for i, x in zip(variables, e):
+                full[i] = x
+            gens.append(ring.monomial(full))
+        return MonomialIdeal(ring, tuple(gens))
+
+    tuples = st.tuples(*(st.integers(0, 2) for _ in variables))
+    return st.lists(tuples, min_size=1, max_size=3).map(build).filter(lambda i: not i.is_unit)
+
+
+R6 = Ring.of("a", "b", "c", "d", "e", "f")
+PATHOLOGICAL = ideal(
+    Ring(tuple("abcdefghijkl")), "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"
+)
+
+
+class TestDirectRoute:
+    """``_symbolic_direct`` reads supports as bitmasks and folds each kept
+    component once."""
+
+    @given(
+        st.one_of(proper3, with_embedded_prime(R3, 0, 1, (2,)), with_embedded_prime(R3, 2, 0)),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_reference(self, i, s):
+        for notion in NOTIONS:
+            assert powers._symbolic_direct(i, s, notion) == reference_symbolic_direct(
+                i, s, notion
+            )
+
+    @given(with_embedded_prime(R3, 0, 1, (2,)))
+    @settings(max_examples=20, deadline=None)
+    def test_embedded_draws_tell_the_notions_apart(self, i):
+        assert associated_primes(i) != minimal_primes(i)
+        assert powers._symbolic_direct(i, 1, "min") != powers._symbolic_direct(i, 1, "ass")
+
+    def test_ass_keeps_a_new_prime_inside_an_associated_one(self):
+        # (x, z, t) is associated to I^2, not to I, and lies in (x, y, z, t).
+        i = ideal(R4, "x^2, z*t, x*t^2, x*y^2*t")
+        new = core.MonomialPrime.of_names(R4, "x", "z", "t")
+        assert new in associated_primes(ideal_power(i, 2))
+        assert new not in associated_primes(i)
+        assert powers._symbolic_direct(i, 2, "ass") == reference_symbolic_direct(i, 2, "ass")
+        assert saturator_ass(i, 2) == reference_saturator_ass(i, 2)
+
+    @staticmethod
+    def count_meets(monkeypatch):
+        calls = []
+        real = decomposition._meet
+
+        def counted(gens, component):
+            calls.append(component)
+            return real(gens, component)
+
+        monkeypatch.setattr(powers, "_meet", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "text, notion", [("x^2, x*y", "ass"), ("x*y, y*z", "min"), ("x*y, y*z", "ass")]
+    )
+    def test_all_kept_is_the_power_with_no_fold(self, monkeypatch, text, notion):
+        i = ideal(R3, text)
+        calls = self.count_meets(monkeypatch)
+        assert powers._symbolic_direct(i, 3, notion) == ideal_power(i, 3)
+        assert calls == []
+
+    def test_ass_folds_only_what_min_does_not_keep(self, monkeypatch):
+        # Of the 6 components of I^2, "min" keeps 3 and "ass" keeps 5.
+        i = ideal(R3, "x^2*z, x*z^3, x^2*y^3")
+        calls = self.count_meets(monkeypatch)
+        minimal = powers._symbolic_direct(i, 2, "min")
+        assert len(calls) == 3
+        assert powers._symbolic_direct(i, 2, "ass") == reference_symbolic_direct(i, 2, "ass")
+        assert len(calls) == 3 + 2
+        assert minimal == reference_symbolic_direct(i, 2, "min")
+
+
+class TestSummands:
+    def test_pathological_ideal_splits_in_four(self):
+        parts = decomposition._summands(PATHOLOGICAL)
+        assert [str(p) for p in parts] == [
+            "(e*f)",
+            "(g*h)",
+            "(a^2*b, a*b*c, c^2*d)",
+            "(i*j*k*l)",
+        ]
+        assert reduce(core.ideal_sum, parts) == PATHOLOGICAL
+
+    def test_connected_zero_and_unit_ideals(self):
+        i = ideal(R3, "x^2, x*y, y*z^2")
+        assert decomposition._summands(i)[0] is i
+        assert decomposition._summands(MonomialIdeal.zero(R3)) == []
+        assert decomposition._summands(MonomialIdeal.unit(R3)) == [MonomialIdeal.unit(R3)]
+
+
+two_or_three_summands = st.one_of(
+    st.tuples(with_embedded_prime(R6, 0, 1), summand_over(R6, (2, 3, 4))),
+    st.tuples(
+        with_embedded_prime(R6, 1, 0),
+        summand_over(R6, (2, 3)),
+        summand_over(R6, (4, 5)),
+    ),
+)
+
+
+class TestSplitFastPath:
+    """``symbolic_power`` expands a split ideal by the binomial formula."""
+
+    @given(two_or_three_summands, st.sampled_from(NOTIONS), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_direct_route(self, parts, notion, s):
+        total = reduce(core.ideal_sum, parts)
+        assert len(decomposition._summands(total)) >= len(parts)
+        fast = symbolic_power(total, s, notion)
+        # The result came from the fast path's own memo.
+        assert fast is powers._symbolic_split(total, s, notion)
+        assert fast == powers._symbolic_direct(total, s, notion)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_pathological_ideal(self, s):
+        for notion in NOTIONS:
+            assert symbolic_power(PATHOLOGICAL, s, notion) == powers._symbolic_direct(
+                PATHOLOGICAL, s, notion
+            )
+
+    def test_direct_memo_holds_only_direct_results(self):
+        i = ideal(R6, "a^2, a*b, c*d")
+        for notion in NOTIONS:
+            symbolic_power(i, 3, notion)
+        # The direct memo holds the 2 summands' powers t = 0..3 in both
+        # notions, and never the sum's.
+        assert powers._symbolic_split.cache_info().currsize == 2
+        assert powers._symbolic_direct.cache_info().currsize == 2 * 4 * 2
+        assert powers._symbolic_direct(i, 3, "min") == symbolic_min(i, 3)
+        assert powers._symbolic_direct.cache_info().currsize == 2 * 4 * 2 + 1
+
+    @pytest.mark.parametrize("s", [0, -1, 2.0, True])
+    def test_other_powers_take_the_direct_route(self, s):
+        def result(fn):
+            try:
+                return fn(i, s, notion)
+            except (ValueError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        i = ideal(R6, "a^2, a*b, c*d")
+        for notion in NOTIONS:
+            assert result(symbolic_power) == result(powers._symbolic_direct)
+        assert powers._symbolic_split.cache_info().currsize == 0
