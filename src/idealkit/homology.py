@@ -21,26 +21,33 @@ S_g restricted to the first k variables.  A child takes only a level of
 variable k that some held generator has, and is cut as soon as an earlier
 b_j is attained by none of the generators it keeps, so every node
 extends to a lattice point.  Each block is split by the g_k < v mask once
-per node, not once per point, and each point comes out with one block
-per distinct S_g(b).  When all maximal S_g(b) share a vertex, K^b is a
-cone and has no reduced homology, so no rank is computed.  Otherwise the
-complex is shrunk to its strong-collapse core (Barmak-Minian, Discrete
-Comput. Geom. 47, 2012): a vertex whose facets all share one other vertex
-is deleted, which keeps the homology in every characteristic.  A core of
-one facet is contractible, except the complex {emptyset} of a minimal
-generator, which is kept as it is.  Any other core's homology is looked up
-in one bounded memo (``_core_homology``, the last ``_HOMOLOGY_MEMO_SIZE``
-distinct pairs of sorted core facet masks and characteristic), which is
-ring-free and ideal-free: the same small cores recur at many lattice
-points and across the powers of an ideal.  Vertices keep their labels in
-the core.  A Monomial is built only for a multidegree with a nonzero
-Betti number.  Homology ranks come from one exact column reduction over
-sparse boundary columns (``_rank``), on fractions in characteristic zero
-and on residues mod p otherwise.
+per node, not once per point, and each point comes out with its faces
+only: the distinct S_g(b), with no generator masks.  When one face holds
+all the others, K^b is a simplex with no reduced homology, unless it is
+the complex {emptyset} of a minimal generator, which gives beta_1 = 1;
+this is read off the largest face, before any maximal faces are taken.
+When all maximal S_g(b) share a vertex, K^b is a cone and has no reduced
+homology either, so no rank is computed.  Otherwise the complex is shrunk
+to its strong-collapse core (Barmak-Minian, Discrete Comput. Geom. 47,
+2012): a vertex whose facets all share one other vertex is deleted, which
+keeps the homology in every characteristic.  A core of one facet is
+contractible.  Two bounded memos, each of the last ``_HOMOLOGY_MEMO_SIZE``
+distinct keys, hold the rest: ``_collapse_core`` maps the sorted tuple of
+maximal facet masks to its core, with no characteristic in the key, and
+``_core_homology`` maps a core of more than one facet and the
+characteristic to its homology.  Both are ring-free and ideal-free: the
+same small complexes recur at many lattice points and across the powers
+of an ideal.  Vertices keep their labels in the core.  Entries are sorted
+on plain tuples (i, degree, negated exponents), the order of
+``Monomial.sort_key``, and then one Monomial is built per entry, so none
+is built for a multidegree with no Betti number.  Homology ranks come
+from one exact column reduction over sparse boundary columns (``_rank``),
+on fractions in characteristic zero and on residues mod p otherwise.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it never shares code
-with the upper Koszul route: no walk, no core and no memo.
+with the upper Koszul route: no walk, no core, no memo and no entry sort
+(it alone uses ``_freeze_entries``).
 """
 
 from __future__ import annotations
@@ -241,21 +248,22 @@ def reduced_homology_dimensions(
 
 def _lattice_walk(gens):
     """Each point b of the lcm lattice of ``gens`` (exponent tuples) with its
-    blocks: pairs (generator bitmask, face), one per distinct set
-    S_g(b) = {i : g_i < b_i} of the generators g dividing b, the bitmask
-    holding those g (generator k as bit k) and the face being S_g(b) as a
-    vertex bitmask.
+    faces: the distinct sets S_g(b) = {i : g_i < b_i} of the generators g
+    dividing b, as vertex bitmasks, in no particular order.
 
     A depth-first walk over the variables.  A node at depth k holds the
     prefix b_0..b_(k-1), the candidate generators (those with g_j <= b_j
-    for j < k), their blocks on the first k variables, and for each j < k
-    the candidates with g_j = b_j.  A child takes a level v of variable k
-    that some candidate has, keeps the candidates with g_k <= v, and
-    splits each block once by g_k < v.  It is cut when some earlier j is
-    left with no candidate attaining b_j.  A node that survives extends to a
-    lattice point (the lcm of its candidates has its prefix), so the walk
-    has no dead ends, and each point is yielded once.  The points stream
-    in no particular order; no generators give none.
+    for j < k), their blocks on the first k variables (pairs of a
+    generator bitmask, generator k as bit k, and the face they share
+    there), and for each j < k the candidates with g_j = b_j.  A child
+    takes a level v of variable k that some candidate has, keeps the
+    candidates with g_k <= v, and splits each block once by g_k < v; at
+    the last variable only the faces of the split are kept.  It is cut
+    when some earlier j is left with no candidate attaining b_j.  A node
+    that survives extends to a lattice point (the lcm of its candidates
+    has its prefix), so the walk has no dead ends, and each point is
+    yielded once.  The points stream in no particular order; no
+    generators give none.
     """
     if not gens:
         return
@@ -291,6 +299,15 @@ def _lattice_walk(gens):
                     reached = True
                 if not reached:
                     continue
+            if depth == last:
+                faces = []
+                for block, face in blocks:
+                    if block & lower:
+                        faces.append(face | bit)
+                    if block & equal:
+                        faces.append(face)
+                yield prefix + (v,), faces
+                continue
             split = []
             for block, face in blocks:
                 inside = block & lower
@@ -299,10 +316,7 @@ def _lattice_walk(gens):
                 outside = block & equal
                 if outside:
                     split.append((outside, face))
-            if depth == last:
-                yield prefix + (v,), split
-            else:
-                stack.append((prefix + (v,), kept, split, attained + (attaining,)))
+            stack.append((prefix + (v,), kept, split, attained + (attaining,)))
 
 
 def _maximal(faces) -> list[int]:
@@ -335,9 +349,13 @@ def _upper_koszul_faces(facets) -> set[int]:
     return faces
 
 
-def _collapse_core(facets) -> tuple[int, ...]:
+_HOMOLOGY_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_HOMOLOGY_MEMO_SIZE)
+def _collapse_core(facets: tuple[int, ...]) -> tuple[int, ...]:
     """The facets, ascending, of a strong-collapse core of the complex
-    generated by ``facets`` (its maximal faces as vertex bitmasks).
+    generated by ``facets`` (its maximal faces as vertex bitmasks, a tuple).
 
     A vertex v is dominated when every facet that holds v also holds one
     other vertex u.  Deleting v (each facet loses v, and those then inside
@@ -345,7 +363,8 @@ def _collapse_core(facets) -> tuple[int, ...]:
     (Barmak-Minian, Discrete Comput. Geom. 47, 2012), so the reduced
     homology is the same in every characteristic.  Dominated vertices are
     deleted one at a time, lowest first, until none is left or one facet
-    is.  Vertices keep their labels.
+    is.  Vertices keep their labels.  Memoised for the last 1024 distinct
+    facet tuples; the core does not depend on the characteristic.
     """
     facets = list(facets)
     deleted = True
@@ -376,13 +395,10 @@ def _facet_homology(facets, char: int) -> tuple[tuple[int, int], ...]:
     complex {emptyset} of a minimal generator.  Any other core is looked up
     in the memo ``_core_homology``.
     """
-    core = _collapse_core(facets)
+    core = _collapse_core(tuple(facets))
     if len(core) == 1:
         return () if core[0] else ((-1, 1),)
     return _core_homology(core, char)
-
-
-_HOMOLOGY_MEMO_SIZE = 1024
 
 
 @lru_cache(maxsize=_HOMOLOGY_MEMO_SIZE)
@@ -452,17 +468,24 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     ring = ideal.ring
     if ideal.is_unit:
         return BettiTable(ring, ideal, ())
-    entries: dict[tuple[int, Monomial], int] = {(0, ring.one()): 1}
-    for b, blocks in _lattice_walk([g.exponents for g in ideal.generators]):
-        facets = _maximal([face for _, face in blocks])
+    rows = []  # (i, degree of b, negated b, b, beta_{i,b}): sorted as sort_key
+    for b, faces in _lattice_walk([g.exponents for g in ideal.generators]):
+        top = max(faces)
+        if reduce(or_, faces) == top:
+            # K^b is the simplex on top: contractible, unless it is the
+            # complex {emptyset} of a minimal generator
+            if not top:
+                rows.append((1, sum(b), tuple(-e for e in b), b, 1))
+            continue
+        facets = _maximal(faces)
         if reduce(and_, facets):
             continue  # a cone: every maximal face holds a common vertex
-        dims = _facet_homology(facets, char)
-        if dims:
-            m = _monomial(ring, b)
-            for degree, dim in dims:
-                entries[(degree + 2, m)] = dim
-    return BettiTable(ring, ideal, _freeze_entries(entries))
+        for degree, dim in _facet_homology(facets, char):
+            rows.append((degree + 2, sum(b), tuple(-e for e in b), b, dim))
+    rows.sort()
+    entries = [(0, ring.one(), 1)]
+    entries += [(i, _monomial(ring, b), dim) for i, _, _, b, dim in rows]
+    return BettiTable(ring, ideal, tuple(entries))
 
 
 def taylor_betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:

@@ -39,7 +39,6 @@ from .decomposition import (
     ass_star_bounded,
     associated_primes,
     default_power_bound,
-    minimal_primes,
 )
 
 NOTIONS = ("min", "ass")
@@ -63,14 +62,25 @@ def _mask(support) -> int:
 def _kept(ideal: MonomialIdeal, notion: str):
     """The predicate on support bitmasks (``_mask``) that ``notion`` keeps.
 
-    "min" keeps the minimal primes of I; "ass" keeps the primes of grade
-    zero on A/I, those inside some prime of Ass(I), read once, on the
-    first test.  The notion must already be validated.
+    The supports of Ass(I) are read as bitmasks straight from the
+    components of I (``_components``), with no prime built.  "min" keeps
+    the minimal primes of I, the supports with no proper submask among
+    them; "ass" keeps the primes of grade zero on A/I, those inside some
+    prime of Ass(I), read once, on the first test.  The notion must
+    already be validated.
     """
     if notion == "min":
-        return {_mask(p.support) for p in minimal_primes(ideal)}.__contains__
-    ass = cache(lambda: [_mask(p.support) for p in associated_primes(ideal)])
+        supports = _supports(ideal)
+        return {
+            m for m in supports if not any(o != m and o & m == o for o in supports)
+        }.__contains__
+    ass = cache(lambda: _supports(ideal))
     return lambda m: any(m | a == a for a in ass())
+
+
+def _supports(ideal: MonomialIdeal) -> set[int]:
+    """The supports of Ass(I) as bitmasks, one per distinct support."""
+    return {_mask(i for i, _ in c) for c in _components(ideal)}
 
 
 def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:

@@ -286,11 +286,11 @@ class TestAssStructure:
         j = ideal(CD, "c^2, c*d")
         s, n_max = 2, 3
         assert check_ass_structure(i, j, s, n_max).passed
-        # Ass of I, J and I+J, of (I+J)^s, of I^t for t = 1..s, of the n_max
-        # powers on each side in ass_star_bounded, and once more of I, J and
-        # I+J for their minimal primes in the "min" saturator identity; the
-        # grade check over the 2 x 2 prime pairs asks for none.
-        assert len(asked) == 4 + s + 2 * n_max + 3
+        # Ass of I, J and I+J, of (I+J)^s, of I^t for t = 1..s, and of the
+        # n_max powers on each side in ass_star_bounded; the kept rule of the
+        # "min" saturator identity reads component supports, not primes, and
+        # the grade check over the 2 x 2 prime pairs asks for none.
+        assert len(asked) == 4 + s + 2 * n_max
 
     def test_unstabilized_bound_reports_inconclusive(self):
         # the edge ideal of a triangle picks up the maximal ideal only at

@@ -429,19 +429,27 @@ class TestKeptPrimeRule:
             assert outcome(new, i, s) == outcome(reference, i, s)
 
     def test_ass_notion_reads_ass_once(self, monkeypatch):
-        calls = []
-        real = decomposition.associated_primes
+        # The kept rule reads the supports of Ass(I) from the components of
+        # I, once, and builds no prime through associated_primes.
+        primes, components = [], []
+        real_primes, real_components = decomposition.associated_primes, powers._components
 
-        def counted(i):
-            calls.append(i)
-            return real(i)
+        def counted_primes(i):
+            primes.append(i)
+            return real_primes(i)
 
-        monkeypatch.setattr(decomposition, "associated_primes", counted)
-        monkeypatch.setattr(powers, "associated_primes", counted)
+        def counted_components(i):
+            components.append(i)
+            return real_components(i)
+
+        monkeypatch.setattr(decomposition, "associated_primes", counted_primes)
+        monkeypatch.setattr(powers, "associated_primes", counted_primes)
+        monkeypatch.setattr(powers, "_components", counted_components)
         i = ideal(R3, "x^2*y, y*z^3, x*z")
         assert len(irreducible_decomposition(ideal_power(i, 3))) > 1
         symbolic_ass(i, 3)
-        assert calls == [i]
+        assert primes == []
+        assert [c for c in components if c == i] == [i]
 
     @pytest.mark.parametrize("n_max", [None, 1, 2])
     def test_global_saturators_fail_as_before(self, n_max):
