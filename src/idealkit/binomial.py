@@ -28,7 +28,8 @@ from .core import (
     saturate,
 )
 from .decomposition import (
-    _in_some,
+    _inside_some,
+    _mask,
     ass_module_quotient,
     ass_module_quotient_exhaustive,
     ass_star_bounded,
@@ -379,11 +380,12 @@ def check_ass_structure(
     lower_holds = lower <= set(ass_power_total)
     upper_holds = set(ass_power_total) <= upper
 
-    # grade_zero against the Ass sets in hand: every prime here has nonempty
-    # support and all three ideals are nonzero and proper.
+    # grade_zero against the Ass sets in hand, as support masks: every prime
+    # here has nonempty support and all three ideals are nonzero and proper.
+    in_i, in_j, in_total = ({_mask(p.support) for p in a} for a in (ass_i, ass_j, ass_total))
     grade_holds = all(
-        _in_some(prime_sum(p, q, emb_a, emb_b), ass_total)
-        == (_in_some(p, ass_i) and _in_some(q, ass_j))
+        _inside_some(_mask(prime_sum(p, q, emb_a, emb_b).support), in_total)
+        == (_inside_some(_mask(p.support), in_i) and _inside_some(_mask(q.support), in_j))
         for p in ass_i
         for q in ass_j
     )

@@ -25,9 +25,14 @@ class IdealArgumentError(ValueError):
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _new = object.__new__
-# Fields are stored through object.__setattr__, not written into __dict__:
-# that keeps CPython's compact per-instance values and their fast reads.
+# The constructors store fields through object.__setattr__ (``_set``), which
+# keeps CPython's compact per-instance values and their fast reads.  The
+# unchecked builders ``_monomial`` and ``_unchecked`` write into __dict__
+# instead: that builds faster but materialises the instance dict, so later
+# reads of their values are slower.
 _set = object.__setattr__
+# The bound of every memo in the package, each a functools.lru_cache.
+_MEMO_SIZE = 1024
 
 
 def _whole_numbers(values) -> tuple[int, ...]:
@@ -478,10 +483,7 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return _ideal(a.ring, [tuple(map(add, g, h)) for g in _exponents(a) for h in hs])
 
 
-_POWER_MEMO_SIZE = 1024
-
-
-@lru_cache(maxsize=_POWER_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _power(a: MonomialIdeal, t: int) -> MonomialIdeal:
     """a^t for t >= 1, one product with the a^(t - 1) stored just before.
 

@@ -6,6 +6,13 @@ primes, associated and minimal primes, a bounded approximation of the
 union of associated primes over all powers, the grade-zero test against a
 monomial prime, and associated primes of the consecutive power quotients
 I^(i-1)/I^i.
+
+Both kept-prime rules live here, on support bitmasks (``_mask``): the
+supports of Ass(I) (``_supports``), the minimal ones among them
+(``_minimal``), and the test that a support lies inside one of them
+(``_inside_some``, grade zero by prime avoidance).  ``minimal_primes`` and
+``grade_zero``, the grade check of ``binomial.check_ass_structure``, and
+the kept primes of both symbolic powers in ``powers`` all read them.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .core import (
     MonomialIdeal,
     MonomialPrime,
     Ring,
+    _MEMO_SIZE,
     _ideal,
     _le,
     _monomial,
@@ -127,7 +135,7 @@ def _meet(gens, powers) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _irredundant(gens: frozenset) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Ring-free irredundant components of ``gens``, canonically sorted.
 
@@ -218,7 +226,7 @@ def _summands(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     """
     groups = []  # [support bitmask, generator exponent tuples]
     for g in ideal.generators:
-        mask = sum(1 << i for i, e in enumerate(g.exponents) if e)
+        mask = _mask(i for i, e in enumerate(g.exponents) if e)
         merged = [mask, [g.exponents]]
         apart = []
         for group in groups:
@@ -233,21 +241,38 @@ def _summands(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     return [_ideal(ideal.ring, exps) for _, exps in groups]
 
 
+def _mask(support) -> int:
+    """The bitmask of a support, bit i for variable i."""
+    return sum(1 << i for i in support)
+
+
+def _supports(ideal: MonomialIdeal) -> set[int]:
+    """The supports of Ass(I) as bitmasks, one per distinct support, read
+    from the components of I (``_components``) with no prime built."""
+    return {_mask(i for i, _ in c) for c in _components(ideal)}
+
+
+def _minimal(masks) -> set[int]:
+    """The ``masks`` with no proper submask among them: the minimal primes."""
+    return {m for m in masks if not any(o != m and o & m == o for o in masks)}
+
+
+def _inside_some(mask: int, masks) -> bool:
+    """True iff ``mask`` is a submask of one of ``masks``; by prime
+    avoidance, iff its prime lies in the union of theirs."""
+    return any(mask | m == m for m in masks)
+
+
 def minimal_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     """The primes of Ass(I) that contain no other one."""
-    supports = {p: set(p.support) for p in associated_primes(ideal)}
-    return frozenset(
-        p for p, s in supports.items() if not any(t < s for t in supports.values())
-    )
+    by_mask = {_mask(p.support): p for p in associated_primes(ideal)}
+    return frozenset(by_mask[m] for m in _minimal(by_mask))
 
 
 def default_power_bound(ideal: MonomialIdeal) -> int:
     """Default power cutoff for the bounded union of associated primes."""
     maxdeg = max((g.degree() for g in ideal.generators), default=1)
     return max(2, ideal.ring.nvars + maxdeg)
-
-
-_ASS_STAR_MEMO_SIZE = 1024
 
 
 def ass_star_bounded(
@@ -268,7 +293,7 @@ def ass_star_bounded(
 
 
 # typed: a float n_max misses the entry for the equal int, and is rejected as before.
-@lru_cache(maxsize=_ASS_STAR_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _ass_star(ideal: MonomialIdeal, n_max: int) -> tuple[frozenset[MonomialPrime], bool]:
     union: set[MonomialPrime] = set()
     previous: frozenset[MonomialPrime] = frozenset()
@@ -288,14 +313,7 @@ def grade_zero(p: MonomialPrime, ideal: MonomialIdeal) -> bool:
     """
     if not p.support:
         raise IdealArgumentError("prime with empty support")
-    _require_nonzero_proper(ideal)
-    return _in_some(p, associated_primes(ideal))
-
-
-def _in_some(p: MonomialPrime, primes) -> bool:
-    """True iff p lies in one of ``primes``; by prime avoidance, in their union."""
-    target = set(p.support)
-    return any(target <= set(q.support) for q in primes)
+    return _inside_some(_mask(p.support), _supports(ideal))
 
 
 def _prime_from_variable_ideal(ideal: MonomialIdeal) -> MonomialPrime | None:

@@ -31,16 +31,16 @@ homology either, so no rank is computed.  Otherwise the complex is shrunk
 to its strong-collapse core (Barmak-Minian, Discrete Comput. Geom. 47,
 2012): a vertex whose facets all share one other vertex is deleted, which
 keeps the homology in every characteristic.  A core of one facet is
-contractible.  Two bounded memos, each of the last ``_HOMOLOGY_MEMO_SIZE``
-distinct keys, hold the rest: ``_collapse_core`` maps the sorted tuple of
-maximal facet masks to its core, with no characteristic in the key, and
-``_core_homology`` maps a core of more than one facet and the
-characteristic to its homology.  Both are ring-free and ideal-free: the
-same small complexes recur at many lattice points and across the powers
-of an ideal.  Vertices keep their labels in the core.  Entries are sorted
-on plain tuples (i, degree, negated exponents), the order of
-``Monomial.sort_key``, and then one Monomial is built per entry, so none
-is built for a multidegree with no Betti number.  Homology ranks come
+contractible and is skipped.  Two bounded memos, each of the last
+``core._MEMO_SIZE`` distinct keys, hold the rest: ``_collapse_core`` maps
+the sorted tuple of maximal facet masks to its core, with no
+characteristic in the key, and ``_core_homology`` maps a core of more
+than one facet and the characteristic to its homology.  Both are
+ring-free and ideal-free: the same small complexes recur at many lattice
+points and across the powers of an ideal.  Vertices keep their labels in
+the core.  Entries are sorted on plain tuples (i, degree, negated
+exponents), the order of ``Monomial.sort_key``, and then one Monomial is
+built per entry, so none is built for a multidegree with no Betti number.  Homology ranks come
 from one exact column reduction over sparse boundary columns (``_rank``),
 on fractions in characteristic zero and on residues mod p otherwise.
 
@@ -60,6 +60,7 @@ from .core import (
     IdealArgumentError,
     Monomial,
     MonomialIdeal,
+    _MEMO_SIZE,
     _monomial,
     _Value,
     _whole_numbers,
@@ -349,10 +350,7 @@ def _upper_koszul_faces(facets) -> set[int]:
     return faces
 
 
-_HOMOLOGY_MEMO_SIZE = 1024
-
-
-@lru_cache(maxsize=_HOMOLOGY_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _collapse_core(facets: tuple[int, ...]) -> tuple[int, ...]:
     """The facets, ascending, of a strong-collapse core of the complex
     generated by ``facets`` (its maximal faces as vertex bitmasks, a tuple).
@@ -386,24 +384,10 @@ def _collapse_core(facets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(facets)
 
 
-def _facet_homology(facets, char: int) -> tuple[tuple[int, int], ...]:
-    """(degree, dim) pairs of the reduced homology of the complex generated
-    by ``facets`` (its maximal faces as vertex bitmasks), read off its
-    strong-collapse core.
-
-    One facet left means a simplex, with no homology, unless it is the
-    complex {emptyset} of a minimal generator.  Any other core is looked up
-    in the memo ``_core_homology``.
-    """
-    core = _collapse_core(tuple(facets))
-    if len(core) == 1:
-        return () if core[0] else ((-1, 1),)
-    return _core_homology(core, char)
-
-
-@lru_cache(maxsize=_HOMOLOGY_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _core_homology(core: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
-    """``_facet_homology`` of a core (sorted facet bitmasks), from a memo of
+    """(degree, dim) pairs of the reduced homology of the complex generated
+    by ``core`` (its facets as vertex bitmasks, ascending), from a memo of
     the last 1024 (core, characteristic) pairs."""
     return tuple(_homology_dims(_upper_koszul_faces(core), char).items())
 
@@ -480,7 +464,10 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
         facets = _maximal(faces)
         if reduce(and_, facets):
             continue  # a cone: every maximal face holds a common vertex
-        for degree, dim in _facet_homology(facets, char):
+        core = _collapse_core(tuple(facets))
+        if len(core) == 1:
+            continue  # collapses onto a simplex: contractible
+        for degree, dim in _core_homology(core, char):
             rows.append((degree + 2, sum(b), tuple(-e for e in b), b, dim))
     rows.sort()
     entries = [(0, ring.one(), 1)]

@@ -2,9 +2,11 @@
 
 Both symbolic powers are saturations of I^s; the notions differ only in
 the primes they keep (``_kept``): "min" keeps Min(I), "ass" keeps the
-primes of grade zero on A/I.  The decomposition route
-(``_symbolic_direct``) intersects the irreducible components of I^s over
-kept primes; the saturation route saturates I^s by the primes of
+primes of grade zero on A/I.  Both rules are the support-bitmask helpers
+of ``decomposition`` (``_supports``, ``_minimal``, ``_inside_some``), the
+same ones ``minimal_primes`` and ``grade_zero`` use.  The decomposition
+route (``_symbolic_direct``) intersects the irreducible components of I^s
+over kept primes; the saturation route saturates I^s by the primes of
 Ass(I^s), or of their bounded union over powers, that are not kept.  The
 tests cross-check the two routes.
 
@@ -18,12 +20,14 @@ that formula read the direct route, never the fast path.
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
+from operator import or_
 
 from .core import (
     IdealArgumentError,
     Monomial,
     MonomialIdeal,
     MonomialPrime,
+    _MEMO_SIZE,
     _exponents,
     _ideal,
     ideal_power,
@@ -34,8 +38,12 @@ from .core import (
 )
 from .decomposition import (
     _components,
+    _inside_some,
+    _mask,
     _meet,
+    _minimal,
     _summands,
+    _supports,
     ass_star_bounded,
     associated_primes,
     default_power_bound,
@@ -54,33 +62,18 @@ def _require_positive(s: int):
         raise ValueError("power must be positive")
 
 
-def _mask(support) -> int:
-    """The bitmask of a prime's support, bit i for variable i."""
-    return sum(1 << i for i in support)
-
-
 def _kept(ideal: MonomialIdeal, notion: str):
     """The predicate on support bitmasks (``_mask``) that ``notion`` keeps.
 
-    The supports of Ass(I) are read as bitmasks straight from the
-    components of I (``_components``), with no prime built.  "min" keeps
-    the minimal primes of I, the supports with no proper submask among
-    them; "ass" keeps the primes of grade zero on A/I, those inside some
-    prime of Ass(I), read once, on the first test.  The notion must
-    already be validated.
+    "min" keeps the minimal primes of I (``_minimal``); "ass" keeps the
+    primes of grade zero on A/I, those inside some prime of Ass(I)
+    (``_inside_some``), whose supports are read once, on the first test.
+    The notion must already be validated.
     """
     if notion == "min":
-        supports = _supports(ideal)
-        return {
-            m for m in supports if not any(o != m and o & m == o for o in supports)
-        }.__contains__
+        return _minimal(_supports(ideal)).__contains__
     ass = cache(lambda: _supports(ideal))
-    return lambda m: any(m | a == a for a in ass())
-
-
-def _supports(ideal: MonomialIdeal) -> set[int]:
-    """The supports of Ass(I) as bitmasks, one per distinct support."""
-    return {_mask(i for i, _ in c) for c in _components(ideal)}
+    return lambda m: _inside_some(m, ass())
 
 
 def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:
@@ -97,10 +90,6 @@ def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:
     return intersect_all(ideal.ring, (p.as_ideal() for p in dropped))
 
 
-_SATURATED_MEMO_SIZE = 1024
-_SYMBOLIC_MEMO_SIZE = 1024
-
-
 def saturated_power(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialIdeal:
     """The s-th saturated power I^s : K^infinity.
 
@@ -114,7 +103,7 @@ def saturated_power(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialI
 
 
 # typed: a float s misses the entry for the equal int, and is rejected as before.
-@lru_cache(maxsize=_SATURATED_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _saturated(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialIdeal:
     return saturate(ideal_power(ideal, s), k)
 
@@ -172,7 +161,7 @@ def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     return _symbolic_direct(ideal, s, notion)
 
 
-@lru_cache(maxsize=_SYMBOLIC_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     """The decomposition route to the symbolic power; the notion is valid.
 
@@ -199,7 +188,7 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     return _ideal(ideal.ring, reduce(_meet, (c for c, _ in kept), start))
 
 
-@lru_cache(maxsize=_SYMBOLIC_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     """The symbolic power of a split ideal, by the binomial expansion.
 
@@ -262,17 +251,15 @@ def regular_witness_candidates(
 
 def _witnesses(ideal: MonomialIdeal, saturator, notion: str, max_degree=None) -> list[Monomial]:
     """``regular_witness_candidates`` from the global ``saturator`` in hand:
-    its generators that avoid the kept primes of Ass(I), or [1] if it is (1)."""
+    its generators that avoid the kept primes of Ass(I), or [1] if it is (1).
+    The avoided variables are the OR of the kept supports."""
     if saturator.is_unit:
         return [ideal.ring.one()]
-    kept = _kept(ideal, notion)
-    avoided = {
-        i for p in associated_primes(ideal) if kept(_mask(p.support)) for i in p.support
-    }
+    avoided = reduce(or_, filter(_kept(ideal, notion), _supports(ideal)), 0)
     return [
         g
         for g in saturator.generators
-        if not any(g.exponents[i] for i in avoided)
+        if not _mask(g.support()) & avoided
         and (max_degree is None or g.degree() <= max_degree)
     ]
 

@@ -311,7 +311,7 @@ class TestPowerMemo:
             ideal_power(ideal(XY, f"x^{a}, y"), 20)
         assert module_container_sizes() == before
         info = core._power.cache_info()
-        assert info.maxsize == core._POWER_MEMO_SIZE == 1024
+        assert info.maxsize == core._MEMO_SIZE == 1024
         assert info.currsize <= 1024
 
     def test_concurrent_use_matches_serial(self):

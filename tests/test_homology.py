@@ -18,17 +18,16 @@ from idealkit.core import (
     Monomial,
     MonomialIdeal,
     Ring,
+    _MEMO_SIZE,
     ideal_power,
 )
 from idealkit.homology import (
-    _HOMOLOGY_MEMO_SIZE,
     _is_prime_number,
     NEG_INF,
     POS_INF,
     ExtendedInt,
     _collapse_core,
     _core_homology,
-    _facet_homology,
     _lattice_walk,
     _maximal,
     _rank,
@@ -577,7 +576,7 @@ class TestCollapseCore:
     @settings(max_examples=200, deadline=None)
     def test_core_keeps_the_homology(self, facets, char):
         expected = reduced_homology_dimensions(all_subfaces(facets), char)
-        assert dict(_facet_homology(facets, char)) == expected
+        assert dict(_core_homology(_collapse_core(tuple(facets)), char)) == expected
 
     @given(facet_sets)
     @settings(max_examples=100, deadline=None)
@@ -597,13 +596,13 @@ class TestCollapseCore:
 
     def test_empty_complex_of_a_generator_is_kept(self):
         assert _collapse_core((0,)) == (0,)
-        assert _facet_homology([0], 0) == ((-1, 1),)
+        assert _core_homology(_collapse_core((0,)), 0) == ((-1, 1),)
 
     def test_hanging_edge_collapses_onto_the_circle(self):
         # A hollow triangle on 0, 1, 2 with an edge from 2 to 3.
         facets = [0b0011, 0b0101, 0b0110, 0b1100]
         assert _collapse_core(tuple(facets)) == (0b011, 0b101, 0b110)
-        assert _facet_homology(facets, 0) == ((1, 1),)
+        assert _core_homology(_collapse_core(tuple(facets)), 0) == ((1, 1),)
 
 
 R12 = Ring.of(*"abcdefghijkl")
@@ -695,10 +694,10 @@ HOLLOW_TRIANGLE = "x*y*z^2, x*y^2*z, x^2*y*z"
 
 class TestHomologyMemo:
     def test_memo_is_bounded(self):
-        assert _core_homology.cache_info().maxsize == _HOMOLOGY_MEMO_SIZE
+        assert _core_homology.cache_info().maxsize == _MEMO_SIZE
 
     def test_collapse_memo_is_bounded(self):
-        assert _collapse_core.cache_info().maxsize == _HOMOLOGY_MEMO_SIZE
+        assert _collapse_core.cache_info().maxsize == _MEMO_SIZE
 
     @given(wide_ideals, st.sampled_from([0, 2, 3]))
     @settings(max_examples=30, deadline=None)
@@ -751,8 +750,8 @@ class TestHomologyMemo:
         _core_homology.cache_clear()
         _collapse_core.cache_clear()
         serial = {key: betti_table(*key) for key in ideals}
-        assert _core_homology.cache_info().misses > _HOMOLOGY_MEMO_SIZE
-        assert _collapse_core.cache_info().misses > _HOMOLOGY_MEMO_SIZE
+        assert _core_homology.cache_info().misses > _MEMO_SIZE
+        assert _collapse_core.cache_info().misses > _MEMO_SIZE
         _core_homology.cache_clear()
         _collapse_core.cache_clear()
         results = [{} for _ in range(4)]

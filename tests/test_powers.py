@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from idealkit.core import (
     IdealArgumentError,
     MonomialIdeal,
+    MonomialPrime,
     Ring,
     colon,
     ideal_power,
@@ -258,6 +259,24 @@ class TestRegularWitness:
         assert via_witness == symbolic_power(i, 2, notion)
 
 
+# Set-based kept-prime rules over the primes of the primary decomposition,
+# for the references below: ``minimal_primes``, ``grade_zero`` and
+# ``powers._kept`` share the support-bitmask helpers of ``decomposition``,
+# and these share none of them.
+
+
+def set_minimal_primes(ideal):
+    """Min(I): the primes of I's primary decomposition containing no other."""
+    ass = primary_decomposition(ideal).primes()
+    return frozenset(p for p in ass if not any(set(q.support) < set(p.support) for q in ass))
+
+
+def set_grade_zero(ideal):
+    """The predicate grade(p, A/I) = 0: p lies inside some prime of Ass(I)."""
+    supports = [set(q.support) for q in primary_decomposition(ideal).primes()]
+    return lambda p: any(set(p.support) <= s for s in supports)
+
+
 # The decomposition-grouping bodies the kept-prime rule replaced, kept as
 # independent references: each spells out its notion instead of asking
 # ``powers._kept``.
@@ -266,7 +285,7 @@ class TestRegularWitness:
 def reference_symbolic_min(ideal, s):
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
-    mins = minimal_primes(ideal)
+    mins = set_minimal_primes(ideal)
     decomposition = primary_decomposition(ideal_power(ideal, s))
     return intersect_all(ideal.ring, (q for p, q in decomposition if p in mins))
 
@@ -275,39 +294,37 @@ def reference_symbolic_ass(ideal, s):
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
     decomposition = primary_decomposition(ideal_power(ideal, s))
-    return intersect_all(
-        ideal.ring, (q for p, q in decomposition if grade_zero(p, ideal))
-    )
+    zero = set_grade_zero(ideal)
+    return intersect_all(ideal.ring, (q for p, q in decomposition if zero(p)))
 
 
 def reference_saturator_min(ideal, s):
     if s < 1:
         raise ValueError("power must be positive")
-    mins = minimal_primes(ideal)
+    mins = set_minimal_primes(ideal)
     embedded = [p for p in associated_primes(ideal_power(ideal, s)) if p not in mins]
     return intersect_all(ideal.ring, (p.as_ideal() for p in embedded))
 
 
 def reference_saturator_min_global(ideal, n_max=None):
     star, _ = ass_star_bounded(ideal, n_max)
-    mins = minimal_primes(ideal)
+    mins = set_minimal_primes(ideal)
     return intersect_all(ideal.ring, (p.as_ideal() for p in star if p not in mins))
 
 
 def reference_saturator_ass(ideal, s):
     if s < 1:
         raise ValueError("power must be positive")
-    keep = [
-        p
-        for p in associated_primes(ideal_power(ideal, s))
-        if not grade_zero(p, ideal)
-    ]
+    primes = associated_primes(ideal_power(ideal, s))
+    zero = set_grade_zero(ideal)
+    keep = [p for p in primes if not zero(p)]
     return intersect_all(ideal.ring, (p.as_ideal() for p in keep))
 
 
 def reference_saturator_ass_global(ideal, n_max=None):
     star, _ = ass_star_bounded(ideal, n_max)
-    keep = [p for p in star if not grade_zero(p, ideal)]
+    zero = set_grade_zero(ideal)
+    keep = [p for p in star if not zero(p)]
     return intersect_all(ideal.ring, (p.as_ideal() for p in keep))
 
 
@@ -320,7 +337,7 @@ def reference_witness_candidates(ideal, notion, n_max, max_degree=None):
     """
     if notion == "min":
         saturator = reference_saturator_min_global(ideal, n_max)
-        kept = minimal_primes(ideal)
+        kept = set_minimal_primes(ideal)
     else:
         saturator = reference_saturator_ass_global(ideal, n_max)
         kept = associated_primes(ideal)
@@ -428,11 +445,20 @@ class TestKeptPrimeRule:
         for i in (MonomialIdeal.zero(XY), MonomialIdeal.unit(XY)):
             assert outcome(new, i, s) == outcome(reference, i, s)
 
+    @given(proper3)
+    @settings(max_examples=80, deadline=None)
+    def test_shared_rules_match_the_set_definitions(self, i):
+        assert minimal_primes(i) == set_minimal_primes(i)
+        zero = set_grade_zero(i)
+        for mask in range(1, 1 << R3.nvars):
+            p = MonomialPrime(R3, tuple(v for v in range(R3.nvars) if mask >> v & 1))
+            assert grade_zero(p, i) == zero(p)
+
     def test_ass_notion_reads_ass_once(self, monkeypatch):
         # The kept rule reads the supports of Ass(I) from the components of
         # I, once, and builds no prime through associated_primes.
         primes, components = [], []
-        real_primes, real_components = decomposition.associated_primes, powers._components
+        real_primes, real_components = decomposition.associated_primes, decomposition._components
 
         def counted_primes(i):
             primes.append(i)
@@ -444,7 +470,7 @@ class TestKeptPrimeRule:
 
         monkeypatch.setattr(decomposition, "associated_primes", counted_primes)
         monkeypatch.setattr(powers, "associated_primes", counted_primes)
-        monkeypatch.setattr(powers, "_components", counted_components)
+        monkeypatch.setattr(decomposition, "_components", counted_components)
         i = ideal(R3, "x^2*y, y*z^3, x*z")
         assert len(irreducible_decomposition(ideal_power(i, 3))) > 1
         symbolic_ass(i, 3)
@@ -577,9 +603,9 @@ class TestSaturatorOrder:
 
 
 MEMOS = (
-    (powers._saturated, powers._SATURATED_MEMO_SIZE),
-    (powers._symbolic_direct, powers._SYMBOLIC_MEMO_SIZE),
-    (decomposition._ass_star, decomposition._ASS_STAR_MEMO_SIZE),
+    (powers._saturated, core._MEMO_SIZE),
+    (powers._symbolic_direct, core._MEMO_SIZE),
+    (decomposition._ass_star, core._MEMO_SIZE),
 )
 
 
@@ -719,7 +745,7 @@ def reference_symbolic_direct(ideal, s, notion):
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
     if notion == "min":
-        kept = minimal_primes(ideal).__contains__
+        kept = set_minimal_primes(ideal).__contains__
     else:
         ass = associated_primes(ideal)
         kept = lambda p: any(set(p.support) <= set(q.support) for q in ass)  # noqa: E731
