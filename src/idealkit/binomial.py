@@ -10,7 +10,7 @@ expansions are always compared against an independent route.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial
 
 from .core import (
     IdealArgumentError,
@@ -37,7 +37,7 @@ from .decomposition import (
 )
 from .powers import (
     NOTIONS,
-    _binomial_terms,
+    _binomial_sum,
     _require_notion,
     _require_positive,
     _saturator,
@@ -112,31 +112,23 @@ def joined_sum(
     return joined, emb_a, emb_b, total
 
 
-def _expansion_terms(
-    i: MonomialIdeal, j: MonomialIdeal, s: int, power_a, power_b
-) -> list[MonomialIdeal]:
-    """The terms power_a(t) * power_b(s - t), t = 0..s, in the joined ring."""
-    _, emb_a, emb_b = join_rings(i.ring, j.ring)
-    return _binomial_terms(
-        lambda t: extend(power_a(t), emb_a), lambda t: extend(power_b(t), emb_b), s
-    )
-
-
-def _saturated_terms(
-    i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
-) -> list[MonomialIdeal]:
-    """The terms (I^t : K^inf) * (J^(s-t) : L^inf), t = 0..s, in the joined ring."""
-    return _expansion_terms(
-        i, j, s, lambda t: saturated_power(i, k, t), lambda t: saturated_power(j, l, t)
-    )
+def _sides(i: MonomialIdeal, j: MonomialIdeal, s: int, power_a, power_b):
+    """The joined ring of I and J, with power_a(t) and power_b(t) for
+    t = 0..s extended into it: the two sides of a binomial expansion."""
+    joined, emb_a, emb_b = join_rings(i.ring, j.ring)
+    side_a = [extend(power_a(t), emb_a) for t in range(s + 1)]
+    side_b = [extend(power_b(t), emb_b) for t in range(s + 1)]
+    return joined, side_a, side_b
 
 
 def binomial_saturated(
     i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
 ) -> MonomialIdeal:
-    """Sum over i of (I^(i) wrt K) * (J^(s-i) wrt L), extended to the joined ring."""
+    """Sum over t of (I^t : K^inf) * (J^(s-t) : L^inf), in the joined ring."""
     _require_positive(s)
-    return reduce(ideal_sum, _saturated_terms(i, k, j, l, s))
+    return _binomial_sum(
+        *_sides(i, j, s, partial(saturated_power, i, k), partial(saturated_power, j, l))
+    )
 
 
 def direct_saturated_sum(
@@ -153,18 +145,13 @@ def direct_saturated_sum(
 def binomial_symbolic(
     i: MonomialIdeal, j: MonomialIdeal, s: int, notion: str
 ) -> MonomialIdeal:
-    """Sum over i of symbolic(I, i) * symbolic(J, s-i) in the joined ring."""
+    """Sum over t of symbolic(I, t) * symbolic(J, s-t), in the joined ring."""
     _require_positive(s)
     if i.is_unit or j.is_unit:
         raise IdealArgumentError("binomial symbolic expansion needs proper ideals")
-    terms = _expansion_terms(
-        i,
-        j,
-        s,
-        lambda t: symbolic_power(i, t, notion),
-        lambda t: symbolic_power(j, t, notion),
-    )
-    return reduce(ideal_sum, terms)
+    power_i = partial(symbolic_power, i, notion=notion)
+    power_j = partial(symbolic_power, j, notion=notion)
+    return _binomial_sum(*_sides(i, j, s, power_i, power_j))
 
 
 def symbolic_of_sum(
@@ -200,7 +187,10 @@ def check_term_inclusions(
 ) -> TermInclusionReport:
     _require_positive(s)
     direct = direct_saturated_sum(i, k, j, l, s)
-    terms = _saturated_terms(i, k, j, l, s)
+    _, side_a, side_b = _sides(
+        i, j, s, partial(saturated_power, i, k), partial(saturated_power, j, l)
+    )
+    terms = map(ideal_product, side_a, reversed(side_b))
     return TermInclusionReport(tuple(direct.contains_ideal(term) for term in terms))
 
 
@@ -498,11 +488,6 @@ def check_filtration_identities(
     ext_k = [extend(t, emb_a) for t in k_terms[: s + 1]]
     ext_j = [extend(t, emb_b) for t in j_terms[: s + 1]]
 
-    def cross_sum(a_terms, b_terms, last=s):
-        """Sum of a_terms[t] * b_terms[s - t] over t = 0..last."""
-        products = (ideal_product(a_terms[t], b_terms[s - t]) for t in range(last + 1))
-        return reduce(ideal_sum, products, MonomialIdeal.zero(joined))
-
     disjoint = ideal_product(ext_i[1], ext_j[1]) == intersect(ext_i[1], ext_j[1])
 
     lhs_sum = intersect(
@@ -511,17 +496,18 @@ def check_filtration_identities(
     rhs_sum = ideal_sum(intersect(ext_i[1], ext_k[1]), ext_j[1])
     sum_equal = lhs_sum == rhs_sum
 
-    partial = ideal_sum(cross_sum(ext_i, ext_j, s - 2), ext_i[s - 1])
-    step_equal = intersect(ext_j[1], partial) == cross_sum(ext_i, ext_j, s - 1)
+    # Slices keep the terms a[t] * b[s - t] for t <= s - 2 and t <= s - 1.
+    partial_sum = ideal_sum(_binomial_sum(joined, ext_i[: s - 1], ext_j[2:]), ext_i[s - 1])
+    step_equal = intersect(ext_j[1], partial_sum) == _binomial_sum(joined, ext_i[:s], ext_j[1:])
 
-    sum_ij = cross_sum(ext_i, ext_j)
-    lhs_long = intersect(sum_ij, cross_sum(ext_k, ext_j))
-    rhs_long = cross_sum([intersect(a, k) for a, k in zip(ext_i, ext_k)], ext_j)
+    sum_ij = _binomial_sum(joined, ext_i, ext_j)
+    lhs_long = intersect(sum_ij, _binomial_sum(joined, ext_k, ext_j))
+    rhs_long = _binomial_sum(joined, [intersect(a, k) for a, k in zip(ext_i, ext_k)], ext_j)
     long_equal = lhs_long == rhs_long
 
     lhs_colon = colon(sum_ij, extend(colon_ideal, emb_a))
     colons = [extend(colon(t, colon_ideal), emb_a) for t in i_terms[: s + 1]]
-    colon_equal = lhs_colon == cross_sum(colons, ext_j)
+    colon_equal = lhs_colon == _binomial_sum(joined, colons, ext_j)
 
     return FiltrationReport(
         premises_ok=True,

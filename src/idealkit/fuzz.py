@@ -118,7 +118,7 @@ def generate_instance(rng: random.Random, cfg: FuzzConfig) -> Instance:
 class CaseOutcome(_Value):
     """One checked case: the verdict, the expected and actual texts a failure
     reports, the script body that reruns it, and ``counters``, a tuple of
-    ``(name, count)`` pairs that ``_run_cases`` sums over the cases."""
+    ``(name, count)`` pairs that ``run_suite`` sums over the cases."""
 
     __match_args__ = ("ok", "expected", "actual", "script_body", "counters")
 
@@ -306,8 +306,11 @@ _SUITE_CHECKS = {
 }
 
 
-def _run_cases(name: str, check, config: FuzzConfig, char: int) -> dict:
-    """Run ``check`` over the seeded instance stream and report results."""
+def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
+    """Run one suite over the seeded instance stream and report results."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}")
+    check = _SUITE_CHECKS[name]
     rng = random.Random(config.seed)
     passes = 0
     failures = []
@@ -337,13 +340,6 @@ def _run_cases(name: str, check, config: FuzzConfig, char: int) -> dict:
     if counters:
         report["counters"] = dict(sorted(counters.items()))
     return report
-
-
-def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
-    """Run one suite over the seeded instance stream and report results."""
-    if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}")
-    return _run_cases(name, _SUITE_CHECKS[name], config, char)
 
 
 def run_fuzz(config: FuzzConfig, char: int = 0) -> tuple[int, list[dict]]:

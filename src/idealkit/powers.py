@@ -15,12 +15,15 @@ summands in disjoint variables: it expands the symbolic power of the sum
 by the source paper's binomial formula, (I+J)^(s) = sum over t of
 I^(t) J^(s-t), from the summands' direct-route powers.  The checks of
 that formula read the direct route, never the fast path.
+
+``_binomial_sum`` forms every sum of products A_t B_(s-t) in the
+package, here and in ``binomial``, canonicalising each sum once.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
-from operator import or_
+from operator import add, or_
 
 from .core import (
     IdealArgumentError,
@@ -31,8 +34,6 @@ from .core import (
     _exponents,
     _ideal,
     ideal_power,
-    ideal_product,
-    ideal_sum,
     intersect_all,
     saturate,
 )
@@ -203,18 +204,26 @@ def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     ]
     sums = parts[0]
     for powers in parts[1:-1]:
-        sums = [_binomial_sum(sums, powers, t) for t in range(s + 1)]
-    return _binomial_sum(sums, parts[-1], s)
+        sums = [_binomial_sum(ideal.ring, sums[: t + 1], powers[: t + 1]) for t in range(s + 1)]
+    return _binomial_sum(ideal.ring, sums, parts[-1])
 
 
-def _binomial_sum(powers_a, powers_b, s: int) -> MonomialIdeal:
-    """The sum of powers_a[t] * powers_b[s - t] over t = 0..s."""
-    return reduce(ideal_sum, _binomial_terms(powers_a.__getitem__, powers_b.__getitem__, s))
+def _binomial_sum(ring, side_a, side_b) -> MonomialIdeal:
+    """The sum of side_a[t] * side_b[n - t] over t = 0..n, for two lists of
+    n + 1 ideals in ``ring``; the zero ideal when both are empty.
 
-
-def _binomial_terms(power_a, power_b, s: int) -> list[MonomialIdeal]:
-    """The terms power_a(t) * power_b(s - t), t = 0..s, of a binomial expansion."""
-    return [ideal_product(power_a(t), power_b(s - t)) for t in range(s + 1)]
+    Every product of generators goes into one ``_ideal``, so the sum is
+    canonicalised once rather than once per term.
+    """
+    return _ideal(
+        ring,
+        [
+            tuple(map(add, g, h))
+            for gs, hs in zip(map(_exponents, side_a), map(_exponents, reversed(side_b)))
+            for g in gs
+            for h in hs
+        ],
+    )
 
 
 def regular_witness_candidates(

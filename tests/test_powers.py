@@ -885,6 +885,43 @@ class TestSummands:
         assert decomposition._summands(MonomialIdeal.unit(R3)) == [MonomialIdeal.unit(R3)]
 
 
+def pairwise_binomial_sum(ring, side_a, side_b):
+    """The sum of side_a[t] * side_b[n - t], t = 0..n, one term at a time."""
+    n = len(side_a) - 1
+    terms = [core.ideal_product(side_a[t], side_b[n - t]) for t in range(n + 1)]
+    return reduce(core.ideal_sum, terms, MonomialIdeal.zero(ring))
+
+
+ideals3 = st.one_of(st.just(MonomialIdeal.zero(R3)), st.just(MonomialIdeal.unit(R3)), proper3)
+equal_length_sides = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(*(st.lists(ideals3, min_size=n, max_size=n) for _ in "ab"))
+)
+
+
+class TestBinomialSum:
+    """``_binomial_sum`` forms every sum of products A_t B_(n-t)."""
+
+    @given(equal_length_sides)
+    @example(([], []))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_pairwise_sum(self, sides):
+        side_a, side_b = sides
+        assert powers._binomial_sum(R3, side_a, side_b) == pairwise_binomial_sum(
+            R3, side_a, side_b
+        )
+
+    def test_canonicalises_once(self, monkeypatch):
+        side_a = [MonomialIdeal.unit(R3), ideal(R3, "x, y^2"), ideal(R3, "x^2, x*y")]
+        side_b = [MonomialIdeal.unit(R3), ideal(R3, "z^2"), ideal(R3, "z^3, y*z")]
+        calls = []
+        real = core._antichain
+        monkeypatch.setattr(core, "_antichain", lambda exps: calls.append(1) or real(exps))
+        total = powers._binomial_sum(R3, side_a, side_b)
+        assert calls == [1]
+        # y^2*z^2 from the middle term lies in (y*z) from the first.
+        assert str(total) == "(x^2, x*y, y*z, x*z^2, z^3)"
+
+
 two_or_three_summands = st.one_of(
     st.tuples(with_embedded_prime(R6, 0, 1), summand_over(R6, (2, 3, 4))),
     st.tuples(
@@ -914,6 +951,23 @@ class TestSplitFastPath:
             assert symbolic_power(PATHOLOGICAL, s, notion) == powers._symbolic_direct(
                 PATHOLOGICAL, s, notion
             )
+
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_pathological_ideal_at_six(self, notion):
+        # Fold the summands' direct-route powers with the pairwise sum.
+        ring, s = PATHOLOGICAL.ring, 6
+        parts = [
+            [powers._symbolic_direct(part, t, notion) for t in range(s + 1)]
+            for part in decomposition._summands(PATHOLOGICAL)
+        ]
+        sums = parts[0]
+        for part in parts[1:]:
+            sums = [
+                pairwise_binomial_sum(ring, sums[: t + 1], part[: t + 1]) for t in range(s + 1)
+            ]
+        fast = symbolic_power(PATHOLOGICAL, s, notion)
+        assert len(fast.generators) == 462
+        assert fast == sums[s]
 
     def test_direct_memo_holds_only_direct_results(self):
         i = ideal(R6, "a^2, a*b, c*d")
