@@ -120,18 +120,28 @@ def _meet(gens, powers) -> list[tuple[int, ...]]:
     multiple of its own h.  A candidate raised at j' != j has x_j'
     exponent e_j' > r_j', so only a kept h or an h raised at the same j
     can divide r, and either one divides r iff h does.
+
+    Cost: each g outside Q makes |Q|·|G| divisor tests, one scan of G
+    per candidate, so a call is quadratic in |G|.
     """
+    # Plain loops, not any(<genexpr>): a generator frame per scan cost more
+    # than the tests it runs on the small duals of a typical fold.
     out = []
     for g in gens:
-        if any(g[j] >= e for j, e in powers):
-            out.append(g)
-            continue
         for j, e in powers:
-            r = g[:j] + (e,) + g[j + 1:]
-            # An h dividing r but not g exceeds g in x_j; g itself does not.
-            b = g[j]
-            if not any(h[j] > b and all(map(_le, h, r)) for h in gens):
-                out.append(r)
+            if g[j] >= e:
+                out.append(g)
+                break
+        else:
+            for j, e in powers:
+                r = g[:j] + (e,) + g[j + 1:]
+                # An h dividing r but not g exceeds g in x_j; g itself does not.
+                b = g[j]
+                for h in gens:
+                    if h[j] > b and all(map(_le, h, r)):
+                        break
+                else:
+                    out.append(r)
     return out
 
 
@@ -148,7 +158,7 @@ def _irredundant(gens: frozenset) -> tuple[tuple[tuple[int, int], ...], ...]:
 
     def flip(u):
         """The pairs of m^(u^a): (i, a_i + 1 - u_i) wherever u_i > 0."""
-        return tuple((i, a + 1 - e) for i, (a, e) in enumerate(zip(top, u)) if e)
+        return tuple([(i, a + 1 - e) for i, (a, e) in enumerate(zip(top, u)) if e])
 
     dual = [(0,) * len(top)]
     # Canonical order, lowest degree first, keeps the partial duals smallest.
@@ -226,7 +236,7 @@ def _summands(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     """
     groups = []  # [support bitmask, generator exponent tuples]
     for g in ideal.generators:
-        mask = _mask(i for i, e in enumerate(g.exponents) if e)
+        mask = _mask([i for i, e in enumerate(g.exponents) if e])
         merged = [mask, [g.exponents]]
         apart = []
         for group in groups:
@@ -243,13 +253,16 @@ def _summands(ideal: MonomialIdeal) -> list[MonomialIdeal]:
 
 def _mask(support) -> int:
     """The bitmask of a support, bit i for variable i."""
-    return sum(1 << i for i in support)
+    mask = 0
+    for i in support:
+        mask |= 1 << i
+    return mask
 
 
 def _supports(ideal: MonomialIdeal) -> set[int]:
     """The supports of Ass(I) as bitmasks, one per distinct support, read
     from the components of I (``_components``) with no prime built."""
-    return {_mask(i for i, _ in c) for c in _components(ideal)}
+    return {_mask([i for i, _ in c]) for c in _components(ideal)}
 
 
 def _minimal(masks) -> set[int]:

@@ -177,7 +177,7 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     keep = _kept(ideal, notion)
     power = ideal_power(ideal, s)
     components = _components(power)
-    masks = [_mask(i for i, _ in c) for c in components]
+    masks = [_mask([i for i, _ in c]) for c in components]
     kept = [(c, m) for c, m in zip(components, masks) if keep(m)]
     if len(kept) == len(components):
         return power

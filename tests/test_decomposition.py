@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 import sys
 import threading
@@ -82,6 +84,22 @@ proper_up_to_4 = (
 
 ideals_up_to_4 = st.one_of(
     proper_up_to_4, st.sampled_from(RINGS_UP_TO_4).map(MonomialIdeal.unit)
+)
+
+
+R5 = Ring.of("a", "b", "c", "d", "e")
+# Exponent tuples of degree d or d + 1 with entries <= 4: a drawn list of them
+# reduces to a mixed-degree antichain of 6-24 generators far more often than
+# uniformly drawn tuples do: the size of the duals folded for small ideals.
+_shells = {
+    d: [t for t in itertools.product(range(5), repeat=5) if sum(t) in (d, d + 1)]
+    for d in range(3, 10)
+}
+antichains5 = (
+    st.sampled_from(sorted(_shells))
+    .flatmap(lambda d: st.lists(st.sampled_from(_shells[d]), min_size=6, max_size=30))
+    .map(lambda exps: _ideal(R5, exps))
+    .filter(lambda i: 6 <= len(i.generators) <= 24)
 )
 
 
@@ -242,6 +260,30 @@ class TestMeet:
         assert _ideal(i.ring, result) == expected
         # Already minimal: no duplicates and no generator dividing another.
         assert sorted(result) == sorted(g.exponents for g in expected.generators)
+
+    @given(antichains5, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_large_antichains_with_full_supports_and_ties(self, i, data):
+        gens = [g.exponents for g in i.generators]
+        support = data.draw(
+            st.one_of(st.just(set(range(5))), st.sets(st.integers(0, 4), min_size=1))
+        )
+        exps = {j: data.draw(st.integers(1, 4)) for j in sorted(support)}
+        # A tie g_j = e_j puts g in Q on the boundary of the test g_j >= e_j.
+        g = data.draw(st.sampled_from(gens))
+        for j in sorted(support):
+            if g[j] and data.draw(st.booleans()):
+                exps[j] = g[j]
+        q = IrreducibleComponent(R5, tuple(exps.items()))
+        result = decomposition._meet(gens, q.powers)
+        expected = intersect(i, q.as_ideal())
+        assert _ideal(R5, result) == expected
+        assert len(set(result)) == len(result)
+        assert not any(
+            h != r and all(map(operator.le, h, r)) for h in result for r in result
+        )
+        shuffled = data.draw(st.permutations(gens))
+        assert set(decomposition._meet(shuffled, q.powers)) == set(result)
 
     def test_generators_inside_q_are_kept_unchanged(self):
         i = ideal(R3, "x^2*y, y^2*z, x*z^3")
