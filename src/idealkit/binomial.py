@@ -30,10 +30,10 @@ from .core import (
 from .decomposition import (
     _inside_some,
     _mask,
+    _supports,
     ass_module_quotient,
     ass_module_quotient_exhaustive,
     ass_star_bounded,
-    associated_primes,
 )
 from .powers import (
     NOTIONS,
@@ -330,22 +330,23 @@ def check_ass_structure(
 
     The corner-form quotient Ass computation is compared against the
     box-complete oracle on every power it touches; a disagreement fails
-    the report.
+    the report.  Every Ass set is read as support bitmasks (``_supports``).
+    ``join_rings`` puts J's variables after I's, so the prime sum P + Q of
+    masks p and q is ``p | q << shift`` with shift the number of I's
+    variables.
     """
     _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
         raise IdealArgumentError("structure check needs nonzero proper ideals")
     if n_max is None:
         n_max = _ass_star_bound(s)
-    joined, emb_a, emb_b, total = joined_sum(i, j)
+    _, emb_a, emb_b, total = joined_sum(i, j)
+    shift = i.ring.nvars
 
-    ass_i = associated_primes(i)
-    ass_j = associated_primes(j)
-    ass_total = associated_primes(total)
-    expected = {
-        prime_sum(p, q, emb_a, emb_b) for p in ass_i for q in ass_j
-    }
-    tensor_equal = expected == set(ass_total)
+    ass_i = _supports(i)
+    ass_j = _supports(j)
+    ass_total = _supports(total)
+    tensor_equal = {p | q << shift for p in ass_i for q in ass_j} == ass_total
 
     quotient_agrees = True
 
@@ -355,27 +356,26 @@ def check_ass_structure(
         oracle = ass_module_quotient_exhaustive(ideal, index)
         if corners != oracle:
             quotient_agrees = False
-        return oracle
+        return {_mask(p.support) for p in oracle}
 
     power_total = ideal_power(total, s)
-    ass_power_total = associated_primes(power_total)
-    lower: set[MonomialPrime] = set()
-    upper: set[MonomialPrime] = set()
+    ass_power_total = _supports(power_total)
+    lower: set[int] = set()
+    upper: set[int] = set()
     for t in range(1, s + 1):
         q_i = quotient_ass(i, t)
         q_j = quotient_ass(j, s - t + 1)
-        lower |= {prime_sum(p, q, emb_a, emb_b) for p in q_i for q in q_j}
-        ass_power_i = associated_primes(ideal_power(i, t))
-        upper |= {prime_sum(p, q, emb_a, emb_b) for p in ass_power_i for q in q_j}
-    lower_holds = lower <= set(ass_power_total)
-    upper_holds = set(ass_power_total) <= upper
+        lower |= {p | q << shift for p in q_i for q in q_j}
+        ass_power_i = _supports(ideal_power(i, t))
+        upper |= {p | q << shift for p in ass_power_i for q in q_j}
+    lower_holds = lower <= ass_power_total
+    upper_holds = ass_power_total <= upper
 
-    # grade_zero against the Ass sets in hand, as support masks: every prime
-    # here has nonempty support and all three ideals are nonzero and proper.
-    in_i, in_j, in_total = ({_mask(p.support) for p in a} for a in (ass_i, ass_j, ass_total))
+    # grade_zero against the Ass sets in hand: every prime here has
+    # nonempty support and all three ideals are nonzero and proper.
     grade_holds = all(
-        _inside_some(_mask(prime_sum(p, q, emb_a, emb_b).support), in_total)
-        == (_inside_some(_mask(p.support), in_i) and _inside_some(_mask(q.support), in_j))
+        _inside_some(p | q << shift, ass_total)
+        == (_inside_some(p, ass_i) and _inside_some(q, ass_j))
         for p in ass_i
         for q in ass_j
     )

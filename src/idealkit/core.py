@@ -25,11 +25,7 @@ class IdealArgumentError(ValueError):
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _new = object.__new__
-# The constructors store fields through object.__setattr__ (``_set``), which
-# keeps CPython's compact per-instance values and their fast reads.  The
-# unchecked builders ``_monomial`` and ``_unchecked`` write into __dict__
-# instead: that builds faster but materialises the instance dict, so later
-# reads of their values are slower.
+# Every builder stores fields through this, which keeps CPython's fast reads.
 _set = object.__setattr__
 # The bound of every memo in the package, each a functools.lru_cache.
 _MEMO_SIZE = 1024
@@ -66,9 +62,10 @@ class _Value:
     are never equal, the hash is the hash of the tuple of fields, and the
     repr reads ``Cls(field=value, ...)``.  Assigning or deleting an attribute
     raises AttributeError; pickle and copy restore the ``__dict__`` directly.
-    ``Ring``, ``Monomial``, ``MonomialIdeal`` and ``MonomialPrime`` store
-    their fields with ``_set`` and spell out ``__eq__`` and ``__hash__``,
-    because the memo keys, prime sets and ring checks call them in hot loops.
+    Every builder, the constructors and the unchecked ``_monomial`` and
+    ``_unchecked`` alike, stores the fields with ``_set``.  ``Ring``,
+    ``Monomial`` and ``MonomialIdeal`` spell out ``__eq__`` and ``__hash__``,
+    because the memo keys and ring checks call them in hot loops.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -280,9 +277,8 @@ _le = operator.le
 def _monomial(ring: Ring, exponents: tuple[int, ...]) -> Monomial:
     """``_unchecked(Monomial, ...)`` for the hot path: exponents already valid for ``ring``."""
     m = _new(Monomial)
-    fields = m.__dict__
-    fields["ring"] = ring
-    fields["exponents"] = exponents
+    _set(m, "ring", ring)
+    _set(m, "exponents", exponents)
     return m
 
 
@@ -317,7 +313,8 @@ def _unchecked(cls, **fields):
     ``__init__`` does not run, so nothing is validated or normalised.
     """
     value = _new(cls)
-    value.__dict__.update(fields)
+    for name, field in fields.items():
+        _set(value, name, field)
     return value
 
 
@@ -430,14 +427,6 @@ class MonomialPrime(_Value):
             raise ValueError(f"variable index out of range: {support!r}")
         _set(self, "ring", ring)
         _set(self, "support", support)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ring, self.support) == (other.ring, other.support)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.support))
 
     @classmethod
     def of_names(cls, ring: Ring, *names: str) -> "MonomialPrime":

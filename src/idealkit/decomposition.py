@@ -7,12 +7,15 @@ union of associated primes over all powers, the grade-zero test against a
 monomial prime, and associated primes of the consecutive power quotients
 I^(i-1)/I^i.
 
-Both kept-prime rules live here, on support bitmasks (``_mask``): the
-supports of Ass(I) (``_supports``), the minimal ones among them
-(``_minimal``), and the test that a support lies inside one of them
-(``_inside_some``, grade zero by prime avoidance).  ``minimal_primes`` and
-``grade_zero``, the grade check of ``binomial.check_ass_structure``, and
-the kept primes of both symbolic powers in ``powers`` all read them.
+Every prime set the Ass code computes is a set of support bitmasks
+(``_mask``, bit i for variable i): the supports of Ass(I) (``_supports``),
+the minimal ones among them (``_minimal``), their union over powers, and
+the corner-form quotient primes.  Both kept-prime rules read them too: the
+minimal supports, and the test that a support lies inside one of them
+(``_inside_some``, grade zero by prime avoidance), for ``minimal_primes``,
+``grade_zero``, ``binomial.check_ass_structure`` and both symbolic powers
+in ``powers``.  ``_primes`` is the one builder that turns masks into the
+``MonomialPrime`` values a public function returns.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .core import (
     MonomialPrime,
     Ring,
     _MEMO_SIZE,
+    _exponents,
     _ideal,
     _le,
     _monomial,
@@ -215,15 +219,9 @@ def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
 
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
-    """The radicals of the irreducible components of I.
-
-    The supports are read straight from the ``_irredundant`` memo, one
-    prime per distinct support, with no ``IrreducibleComponent`` built.
-    """
-    supports = {tuple(i for i, _ in c) for c in _components(ideal)}
-    return frozenset(
-        _unchecked(MonomialPrime, ring=ideal.ring, support=t) for t in supports
-    )
+    """The radicals of the irreducible components of I, one prime per
+    distinct component support (``_supports``)."""
+    return _primes(ideal.ring, _supports(ideal))
 
 
 def _summands(ideal: MonomialIdeal) -> list[MonomialIdeal]:
@@ -265,6 +263,16 @@ def _supports(ideal: MonomialIdeal) -> set[int]:
     return {_mask([i for i, _ in c]) for c in _components(ideal)}
 
 
+def _primes(ring: Ring, masks) -> frozenset[MonomialPrime]:
+    """The primes of ``ring`` with the support bitmasks ``masks``: the one
+    place a mask becomes a ``MonomialPrime``."""
+    indices = range(ring.nvars)
+    return frozenset(
+        _unchecked(MonomialPrime, ring=ring, support=tuple([i for i in indices if m >> i & 1]))
+        for m in masks
+    )
+
+
 def _minimal(masks) -> set[int]:
     """The ``masks`` with no proper submask among them: the minimal primes."""
     return {m for m in masks if not any(o != m and o & m == o for o in masks)}
@@ -278,8 +286,7 @@ def _inside_some(mask: int, masks) -> bool:
 
 def minimal_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
     """The primes of Ass(I) that contain no other one."""
-    by_mask = {_mask(p.support): p for p in associated_primes(ideal)}
-    return frozenset(by_mask[m] for m in _minimal(by_mask))
+    return _primes(ideal.ring, _minimal(_supports(ideal)))
 
 
 def default_power_bound(ideal: MonomialIdeal) -> int:
@@ -308,14 +315,12 @@ def ass_star_bounded(
 # typed: a float n_max misses the entry for the equal int, and is rejected as before.
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _ass_star(ideal: MonomialIdeal, n_max: int) -> tuple[frozenset[MonomialPrime], bool]:
-    union: set[MonomialPrime] = set()
-    previous: frozenset[MonomialPrime] = frozenset()
-    current: frozenset[MonomialPrime] = frozenset()
+    union: set[int] = set()
+    current: set[int] = set()
     for n in range(1, n_max + 1):
-        previous = current
-        current = associated_primes(ideal_power(ideal, n))
+        previous, current = current, _supports(ideal_power(ideal, n))
         union |= current
-    return frozenset(union), previous == current
+    return _primes(ideal.ring, union), previous == current
 
 
 def grade_zero(p: MonomialPrime, ideal: MonomialIdeal) -> bool:
@@ -369,14 +374,15 @@ def ass_module_quotient(ideal: MonomialIdeal, i: int) -> frozenset[MonomialPrime
     low = ideal_power(ideal, i - 1)
     high = ideal_power(ideal, i)
     n = max(low.max_exponent(), high.max_exponent())
-    primes: set[MonomialPrime] = set()
-    for c in irreducible_decomposition(high):
+    low_exps = _exponents(low)
+    masks = set()
+    for c in _components(high):
         corner = [n] * ideal.ring.nvars
-        for j, e in c.powers:
+        for j, e in c:
             corner[j] = e - 1
-        if low.contains(ideal.ring.monomial(corner)):
-            primes.add(c.radical())
-    return frozenset(primes)
+        if any(all(map(_le, g, corner)) for g in low_exps):
+            masks.add(_mask([j for j, _ in c]))
+    return _primes(ideal.ring, masks)
 
 
 def ass_module_quotient_exhaustive(

@@ -26,12 +26,14 @@ from idealkit.binomial import (
     prime_sum,
     symbolic_of_sum,
 )
+from idealkit.decomposition import _mask, _primes, _supports, associated_primes
 from idealkit.powers import saturated_power
 
 A2 = Ring.of("x", "y")
 B2 = Ring.of("z", "t")
 AB = Ring.of("a", "b")
 CD = Ring.of("c", "d")
+R3 = Ring.of("x", "y", "z")
 
 
 def ideal(ring, text):
@@ -49,6 +51,13 @@ def ideals_over(ring, proper):
     if proper:
         return pool.filter(lambda i: not i.is_zero and not i.is_unit)
     return pool.filter(lambda i: not i.is_zero)
+
+
+proper_r3 = (
+    st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=3)
+    .map(lambda gens: MonomialIdeal(R3, tuple(map(R3.monomial, gens))))
+    .filter(lambda i: not i.is_unit)
+)
 
 
 class TestJoin:
@@ -69,6 +78,32 @@ class TestJoin:
     def test_plain_join(self):
         joined, _, _ = join_rings(AB, CD)
         assert joined == Ring.of("a", "b", "c", "d")
+
+
+class TestMaskSums:
+    """The prime sum P + Q on support bitmasks, as check_ass_structure forms it."""
+
+    @given(proper_r3, ideals_over(B2, True))
+    @settings(max_examples=40, deadline=None)
+    def test_shifted_or_is_prime_sum(self, i, j):
+        # B2's "z" collides with R3's, so the join renames it and still
+        # places J's variables after I's.
+        _, emb_a, emb_b = join_rings(i.ring, j.ring)
+        by_prime_sum = {
+            _mask(prime_sum(p, q, emb_a, emb_b).support)
+            for p in associated_primes(i)
+            for q in associated_primes(j)
+        }
+        shift = i.ring.nvars
+        assert by_prime_sum == {p | q << shift for p in _supports(i) for q in _supports(j)}
+
+    def test_primes_round_trip_every_mask(self):
+        r5 = Ring.of("a", "b", "c", "d", "e")
+        for m in range(1 << r5.nvars):
+            (p,) = _primes(r5, [m])
+            assert _mask(p.support) == m
+            assert p == MonomialPrime(r5, p.support)
+        assert len(_primes(r5, range(1 << r5.nvars))) == 1 << r5.nvars
 
 
 class TestExtend:
@@ -271,26 +306,27 @@ class TestAssStructure:
         assert not report.passed
 
     def test_grade_check_reads_the_ass_sets_in_hand(self, monkeypatch):
-        from idealkit import decomposition
+        from idealkit import decomposition, powers
 
         asked = []
-        real = decomposition.associated_primes
+        real = decomposition._supports
 
         def counted(ideal):
             asked.append(ideal)
             return real(ideal)
 
-        monkeypatch.setattr(binomial, "associated_primes", counted)
-        monkeypatch.setattr(decomposition, "associated_primes", counted)
+        for module in (binomial, decomposition, powers):
+            monkeypatch.setattr(module, "_supports", counted)
         i = ideal(AB, "a^2, a*b")
         j = ideal(CD, "c^2, c*d")
         s, n_max = 2, 3
         assert check_ass_structure(i, j, s, n_max).passed
         # Ass of I, J and I+J, of (I+J)^s, of I^t for t = 1..s, and of the
-        # n_max powers on each side in ass_star_bounded; the kept rule of the
-        # "min" saturator identity reads component supports, not primes, and
-        # the grade check over the 2 x 2 prime pairs asks for none.
-        assert len(asked) == 4 + s + 2 * n_max
+        # n_max powers on each side in ass_star_bounded: 4 + s + 2 * n_max.
+        # Each notion's saturator identity adds the kept rule's one read of
+        # Ass(I), Ass(J) and Ass(I+J): 3 * 2 more, 18 in all.  The grade
+        # check over the 2 x 2 prime pairs reads none.
+        assert len(asked) == 4 + s + 2 * n_max + 3 * 2
 
     def test_unstabilized_bound_reports_inconclusive(self):
         # the edge ideal of a triangle picks up the maximal ideal only at

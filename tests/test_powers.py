@@ -43,6 +43,7 @@ from idealkit.powers import (
     symbolic_min,
     symbolic_power,
 )
+from conftest import idealkit_memos
 from monomial_boxes import monomials_of_degree_at_most
 
 A = Ring.of("a", "b")
@@ -643,6 +644,16 @@ class TestMemoContract:
         body = decomposition._ass_star.__wrapped__(i, n_max)
         assert ass_star_bounded(i, n_max) == body
         assert ass_star_bounded(i, n_max) == body
+
+    @given(proper3, st.integers(2, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_union_matches_a_test_local_union(self, i, n_max):
+        for memo in idealkit_memos():
+            memo.cache_clear()
+        per_power = [associated_primes(ideal_power(i, n)) for n in range(1, n_max + 1)]
+        union, stabilized = ass_star_bounded(i, n_max)
+        assert union == frozenset().union(*per_power)
+        assert stabilized == (per_power[-2] == per_power[-1])
 
     def test_default_bound_shares_the_entry(self):
         i = ideal(R3, "x^2, x*y, y*z^2")
