@@ -86,9 +86,9 @@ def extend(ideal: MonomialIdeal, emb: RingEmbedding) -> MonomialIdeal:
         raise IdealArgumentError("ideal does not live in the embedding source")
     zeros = [0] * emb.target.nvars
     extended = []
-    for g in ideal.generators:
+    for g in ideal._exps:
         exps = zeros.copy()
-        for i, e in zip(emb.index_map, g.exponents):
+        for i, e in zip(emb.index_map, g):
             exps[i] = e
         extended.append(tuple(exps))
     return _ideal(emb.target, extended)
@@ -333,7 +333,9 @@ def check_ass_structure(
     the report.  Every Ass set is read as support bitmasks (``_supports``).
     ``join_rings`` puts J's variables after I's, so the prime sum P + Q of
     masks p and q is ``p | q << shift`` with shift the number of I's
-    variables.
+    variables.  The grade check takes every prime P of I's ring and Q of
+    J's ring, and tests grade(P + Q) = 0 iff grade(P) = 0 and grade(Q) = 0,
+    each by prime avoidance (``_inside_some``) on the Ass sets in hand.
     """
     _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
@@ -371,13 +373,11 @@ def check_ass_structure(
     lower_holds = lower <= ass_power_total
     upper_holds = ass_power_total <= upper
 
-    # grade_zero against the Ass sets in hand: every prime here has
-    # nonempty support and all three ideals are nonzero and proper.
     grade_holds = all(
         _inside_some(p | q << shift, ass_total)
         == (_inside_some(p, ass_i) and _inside_some(q, ass_j))
-        for p in ass_i
-        for q in ass_j
+        for p in range(1, 1 << shift)
+        for q in range(1, 1 << j.ring.nvars)
     )
 
     star_i, stab_i = ass_star_bounded(i, n_max)

@@ -4,15 +4,15 @@ Every object here is an immutable value and every operation is a pure
 function, so everything is safe to share across threads.  Ideals are kept
 in a canonical minimal form: the generating set is a divisibility
 antichain sorted by total degree and then by reverse-lexicographic
-exponent vectors.  Two ideals are equal exactly when their canonical
-generator tuples are equal.
+exponent vectors, stored as the exponent tuples that every operation
+reads and builds.  Two ideals are equal exactly when those tuples are.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 
 class RingMismatchError(ValueError):
@@ -62,10 +62,12 @@ class _Value:
     are never equal, the hash is the hash of the tuple of fields, and the
     repr reads ``Cls(field=value, ...)``.  Assigning or deleting an attribute
     raises AttributeError; pickle and copy restore the ``__dict__`` directly.
-    Every builder, the constructors and the unchecked ``_monomial`` and
-    ``_unchecked`` alike, stores the fields with ``_set``.  ``Ring``,
-    ``Monomial`` and ``MonomialIdeal`` spell out ``__eq__`` and ``__hash__``,
-    because the memo keys and ring checks call them in hot loops.
+    Every builder, the constructors and the unchecked ``_monomial``,
+    ``_unchecked`` and ``_ideal`` alike, stores the fields with ``_set``.
+    ``Ring``, ``Monomial`` and ``MonomialIdeal`` spell out ``__eq__`` and
+    ``__hash__``, because the memo keys and ring checks call them in hot
+    loops; ``MonomialIdeal`` stores and compares exponent tuples, and
+    fills its ``generators`` field on the first read.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -282,29 +284,39 @@ def _monomial(ring: Ring, exponents: tuple[int, ...]) -> Monomial:
     return m
 
 
+def _contains(gens, e) -> bool:
+    """True iff some exponent tuple of ``gens`` divides the tuple ``e``."""
+    for g in gens:
+        if all(map(_le, g, e)):
+            return True
+    return False
+
+
 def _antichain(exps) -> list[tuple[int, ...]]:
     """Canonical minimal generating set of a sized collection of exponent tuples.
 
     Returns the divisibility antichain sorted by total degree and then by
-    descending tuple, which is the order of ``Monomial.sort_key``: the
-    second sort is stable, so ties in degree keep the descending order of
-    the first.  Only a tuple of lower degree can properly divide another.
+    descending tuple, which is the order of ``Monomial.sort_key``.  Only a
+    tuple of lower degree can properly divide another, so each tuple is
+    tested against the kept tuples of lower degree alone, and an
+    equigenerated input makes no divisibility test.
     """
-    ordered = sorted(set(exps), reverse=True)
-    ordered.sort(key=sum)
+    if len(exps) < 2:
+        return list(exps)
     kept: list[tuple[int, ...]] = []
-    for m in ordered:
-        for k in kept:
+    lower: list[tuple[int, ...]] = []  # the kept tuples of lower degree
+    degree = None
+    # Descending (-degree, tuple): degrees ascend, ties in descending order.
+    for d, m in sorted([(-sum(m), m) for m in set(exps)], reverse=True):
+        if d != degree:
+            degree = d
+            lower = kept.copy()
+        for k in lower:
             if all(map(_le, k, m)):
                 break
         else:
             kept.append(m)
     return kept
-
-
-def _canonical(ring: Ring, exps) -> tuple[Monomial, ...]:
-    """Canonical generators, through the module-level ``_antichain``."""
-    return tuple(_monomial(ring, e) for e in _antichain(exps))
 
 
 def _unchecked(cls, **fields):
@@ -323,11 +335,7 @@ def _ideal(ring: Ring, exps) -> "MonomialIdeal":
 
     Nothing is validated again; only the canonical form is computed.
     """
-    return _unchecked(MonomialIdeal, ring=ring, generators=_canonical(ring, exps))
-
-
-def _exponents(ideal: "MonomialIdeal") -> list[tuple[int, ...]]:
-    return [g.exponents for g in ideal.generators]
+    return _unchecked(MonomialIdeal, ring=ring, _exps=tuple(_antichain(exps)))
 
 
 class MonomialIdeal(_Value):
@@ -335,7 +343,9 @@ class MonomialIdeal(_Value):
 
     The zero ideal has an empty generator tuple; the unit ideal has the
     single generator 1.  The constructor canonicalizes whatever it is
-    given, so structural equality is ideal equality.
+    given, so structural equality is ideal equality.  It stores the
+    exponent tuples ``_exps``; ``generators`` is built from them when
+    first read, and then kept.
     """
 
     __match_args__ = ("ring", "generators")
@@ -346,11 +356,15 @@ class MonomialIdeal(_Value):
             if g.ring != ring:
                 raise RingMismatchError(f"generator {g} not in {ring}")
         _set(self, "ring", ring)
-        _set(self, "generators", _canonical(ring, [g.exponents for g in gens]))
+        _set(self, "_exps", tuple(_antichain([g.exponents for g in gens])))
+
+    @cached_property
+    def generators(self) -> tuple[Monomial, ...]:
+        return tuple([_monomial(self.ring, e) for e in self._exps])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.ring, self.generators) == (other.ring, other.generators)
+            return (self.ring, self._exps) == (other.ring, other._exps)
         return NotImplemented
 
     def __hash__(self):
@@ -375,31 +389,27 @@ class MonomialIdeal(_Value):
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self._exps
 
     @property
     def is_unit(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_one()
+        return len(self._exps) == 1 and not any(self._exps[0])
 
     def contains(self, m: Monomial) -> bool:
         _require_same_ring(self, m)
-        e = m.exponents
-        for g in self.generators:
-            if all(map(_le, g.exponents, e)):
-                return True
-        return False
+        return _contains(self._exps, m.exponents)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         _require_same_ring(self, other)
-        return all(self.contains(g) for g in other.generators)
+        return all(_contains(self._exps, e) for e in other._exps)
 
     def lcm_of_generators(self) -> Monomial:
         if self.is_zero:
             raise IdealArgumentError("zero ideal has no generator lcm")
-        return reduce(Monomial.lcm, self.generators)
+        return _monomial(self.ring, tuple(map(max, zip(*self._exps))))
 
     def max_exponent(self) -> int:
-        return max((e for g in self.generators for e in g.exponents), default=0)
+        return max(map(max, self._exps), default=0)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return ideal_sum(self, other)
@@ -433,7 +443,8 @@ class MonomialPrime(_Value):
         return cls(ring, tuple(ring.index_of(n) for n in names))
 
     def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self.ring, tuple(self.ring.variable(i) for i in self.support))
+        zeros = (0,) * self.ring.nvars
+        return _ideal(self.ring, [zeros[:i] + (1,) + zeros[i + 1:] for i in self.support])
 
     def contains_monomial(self, m: Monomial) -> bool:
         return any(m.exponents[i] > 0 for i in self.support)
@@ -460,7 +471,7 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, b)
-    return _ideal(a.ring, _exponents(a) + _exponents(b))
+    return _ideal(a.ring, a._exps + b._exps)
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -468,8 +479,7 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.ring)
     add = operator.add
-    hs = _exponents(b)
-    return _ideal(a.ring, [tuple(map(add, g, h)) for g in _exponents(a) for h in hs])
+    return _ideal(a.ring, [tuple(map(add, g, h)) for g in a._exps for h in b._exps])
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -500,24 +510,24 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, b)
     if a.is_zero or b.is_zero:
         return MonomialIdeal.zero(a.ring)
-    hs = _exponents(b)
-    return _ideal(a.ring, {tuple(map(max, g, h)) for g in _exponents(a) for h in hs})
+    return _ideal(a.ring, {tuple(map(max, g, h)) for g in a._exps for h in b._exps})
 
 
 def intersect_all(ring: Ring, ideals) -> MonomialIdeal:
     """Intersection of a collection of ideals; empty collection gives (1)."""
-    result = MonomialIdeal.unit(ring)
-    for ideal in ideals:
-        result = intersect(result, ideal)
-    return result
+    return reduce(intersect, ideals, MonomialIdeal.unit(ring))
 
 
 def colon_monomial(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     _require_same_ring(a, m)
+    return _colon(a, m.exponents)
+
+
+def _colon(a: MonomialIdeal, e: tuple[int, ...]) -> MonomialIdeal:
+    """a : x^e, for an exponent tuple ``e`` of a's ring."""
     sub = operator.sub
-    e = m.exponents
     zeros = (0,) * len(e)
-    return _ideal(a.ring, [tuple(map(max, map(sub, g, e), zeros)) for g in _exponents(a)])
+    return _ideal(a.ring, [tuple(map(max, map(sub, g, e), zeros)) for g in a._exps])
 
 
 def colon(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
@@ -525,7 +535,7 @@ def colon(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, k)
     if k.is_zero:
         raise IdealArgumentError("colon by the zero ideal")
-    return intersect_all(a.ring, (colon_monomial(a, g) for g in k.generators))
+    return intersect_all(a.ring, (_colon(a, e) for e in k._exps))
 
 
 def saturate(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
@@ -539,14 +549,13 @@ def saturate(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:
     if k.is_zero:
         raise IdealArgumentError("saturation by the zero ideal")
     mul = operator.mul
-    exps = _exponents(a)
     saturations = []
-    for g in k.generators:
-        kept = tuple(0 if e else 1 for e in g.exponents)
-        saturations.append(_ideal(a.ring, [tuple(map(mul, e, kept)) for e in exps]))
+    for g in k._exps:
+        kept = tuple(0 if e else 1 for e in g)
+        saturations.append(_ideal(a.ring, [tuple(map(mul, e, kept)) for e in a._exps]))
     return intersect_all(a.ring, saturations)
 
 
 def radical(a: MonomialIdeal) -> MonomialIdeal:
     ones = (1,) * a.ring.nvars
-    return _ideal(a.ring, [tuple(map(min, g, ones)) for g in _exponents(a)])
+    return _ideal(a.ring, [tuple(map(min, g, ones)) for g in a._exps])

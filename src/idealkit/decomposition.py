@@ -29,7 +29,7 @@ from .core import (
     MonomialPrime,
     Ring,
     _MEMO_SIZE,
-    _exponents,
+    _contains,
     _ideal,
     _le,
     _monomial,
@@ -195,7 +195,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
 def _components(ideal: MonomialIdeal):
     """``_irredundant`` of a nonzero proper ideal's generator exponents."""
     _require_nonzero_proper(ideal)
-    return _irredundant(frozenset(g.exponents for g in ideal.generators))
+    return _irredundant(frozenset(ideal._exps))
 
 
 def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
@@ -233,9 +233,9 @@ def _summands(ideal: MonomialIdeal) -> list[MonomialIdeal]:
     is; the zero ideal has none.
     """
     groups = []  # [support bitmask, generator exponent tuples]
-    for g in ideal.generators:
-        mask = _mask([i for i, e in enumerate(g.exponents) if e])
-        merged = [mask, [g.exponents]]
+    for g in ideal._exps:
+        mask = _mask([i for i, e in enumerate(g) if e])
+        merged = [mask, [g]]
         apart = []
         for group in groups:
             if group[0] & mask:
@@ -291,8 +291,7 @@ def minimal_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
 
 def default_power_bound(ideal: MonomialIdeal) -> int:
     """Default power cutoff for the bounded union of associated primes."""
-    maxdeg = max((g.degree() for g in ideal.generators), default=1)
-    return max(2, ideal.ring.nvars + maxdeg)
+    return max(2, ideal.ring.nvars + max(map(sum, ideal._exps), default=1))
 
 
 def ass_star_bounded(
@@ -335,14 +334,10 @@ def grade_zero(p: MonomialPrime, ideal: MonomialIdeal) -> bool:
 
 
 def _prime_from_variable_ideal(ideal: MonomialIdeal) -> MonomialPrime | None:
-    if ideal.is_zero or ideal.is_unit:
+    # The unit ideal's one generator has degree 0.
+    if ideal.is_zero or any(sum(g) != 1 for g in ideal._exps):
         return None
-    support = []
-    for g in ideal.generators:
-        if g.degree() != 1:
-            return None
-        support.append(g.support()[0])
-    return MonomialPrime(ideal.ring, tuple(support))
+    return MonomialPrime(ideal.ring, tuple(g.index(1) for g in ideal._exps))
 
 
 def ass_module_quotient(ideal: MonomialIdeal, i: int) -> frozenset[MonomialPrime]:
@@ -374,13 +369,12 @@ def ass_module_quotient(ideal: MonomialIdeal, i: int) -> frozenset[MonomialPrime
     low = ideal_power(ideal, i - 1)
     high = ideal_power(ideal, i)
     n = max(low.max_exponent(), high.max_exponent())
-    low_exps = _exponents(low)
     masks = set()
     for c in _components(high):
         corner = [n] * ideal.ring.nvars
         for j, e in c:
             corner[j] = e - 1
-        if any(all(map(_le, g, corner)) for g in low_exps):
+        if _contains(low._exps, corner):
             masks.add(_mask([j for j, _ in c]))
     return _primes(ideal.ring, masks)
 
@@ -406,14 +400,11 @@ def ass_module_quotient_exhaustive(
         raise ValueError("quotient index must be positive")
     low = ideal_power(ideal, i - 1)
     high = ideal_power(ideal, i)
-    low_exps = [g.exponents for g in low.generators]
-    high_exps = [g.exponents for g in high.generators]
+    low_exps, high_exps = low._exps, high._exps
     box = map(max, zip(*low_exps, *high_exps))
     primes: set[MonomialPrime] = set()
     for e in itertools.product(*(range(b + 1) for b in box)):
-        if not any(all(map(_le, g, e)) for g in low_exps):
-            continue
-        if any(all(map(_le, g, e)) for g in high_exps):
+        if not _contains(low_exps, e) or _contains(high_exps, e):
             continue
         if all(sum(a - b for a, b in zip(g, e) if a > b) > 1 for g in high_exps):
             continue

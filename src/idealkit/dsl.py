@@ -509,7 +509,7 @@ class Evaluator:
             return value
         if isinstance(value, int) and value == 1 and ctx is not None:
             return ctx.one()
-        if isinstance(value, MonomialIdeal) and len(value.generators) == 1:
+        if isinstance(value, MonomialIdeal) and len(value._exps) == 1:
             return value.generators[0]
         raise EvalError("expected a monomial", node.pos)
 

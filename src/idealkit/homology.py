@@ -61,6 +61,7 @@ from .core import (
     Monomial,
     MonomialIdeal,
     _MEMO_SIZE,
+    _ideal,
     _monomial,
     _Value,
     _whole_numbers,
@@ -453,7 +454,7 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     if ideal.is_unit:
         return BettiTable(ring, ideal, ())
     rows = []  # (i, degree of b, negated b, b, beta_{i,b}): sorted as sort_key
-    for b, faces in _lattice_walk([g.exponents for g in ideal.generators]):
+    for b, faces in _lattice_walk(ideal._exps):
         top = max(faces)
         if reduce(or_, faces) == top:
             # K^b is the simplex on top: contractible, unless it is the
@@ -489,7 +490,7 @@ def taylor_betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     ring = ideal.ring
     if ideal.is_unit:
         return BettiTable(ring, ideal, ())
-    gens = [g.exponents for g in ideal.generators]
+    gens = ideal._exps
     if len(gens) > 14:
         raise IdealArgumentError("Taylor oracle limited to 14 generators")
     lcms = [(0,) * ring.nvars]
@@ -544,11 +545,10 @@ def deriv_star(ideal: MonomialIdeal) -> MonomialIdeal:
     """
     if ideal.is_unit:
         return ideal
-    quotients = []
-    for g in ideal.generators:
-        for v in g.support():
-            quotients.append(g.divide_exact(ideal.ring.variable(v)))
-    return MonomialIdeal(ideal.ring, tuple(quotients))
+    return _ideal(
+        ideal.ring,
+        [g[:v] + (e - 1,) + g[v + 1:] for g in ideal._exps for v, e in enumerate(g) if e],
+    )
 
 
 class DepthRegReport(_Value):

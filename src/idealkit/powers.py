@@ -31,7 +31,6 @@ from .core import (
     MonomialIdeal,
     MonomialPrime,
     _MEMO_SIZE,
-    _exponents,
     _ideal,
     ideal_power,
     intersect_all,
@@ -185,7 +184,7 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     if notion == "ass":
         in_min = _kept(ideal, "min")
         kept = [(c, m) for c, m in kept if not in_min(m)]
-        start = _exponents(_symbolic_direct(ideal, s, "min"))
+        start = _symbolic_direct(ideal, s, "min")._exps
     return _ideal(ideal.ring, reduce(_meet, (c for c, _ in kept), start))
 
 
@@ -219,9 +218,9 @@ def _binomial_sum(ring, side_a, side_b) -> MonomialIdeal:
         ring,
         [
             tuple(map(add, g, h))
-            for gs, hs in zip(map(_exponents, side_a), map(_exponents, reversed(side_b)))
-            for g in gs
-            for h in hs
+            for a, b in zip(side_a, reversed(side_b))
+            for g in a._exps
+            for h in b._exps
         ],
     )
 

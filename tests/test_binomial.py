@@ -328,6 +328,16 @@ class TestAssStructure:
         # check over the 2 x 2 prime pairs reads none.
         assert len(asked) == 4 + s + 2 * n_max + 3 * 2
 
+    def test_grade_check_catches_an_overlap_rule(self, monkeypatch):
+        # Overlap is not containment: under it, (b) + (c) would have grade
+        # zero on the sum, though (b) has positive grade on k[a, b]/(a).
+        i, j = ideal(AB, "a"), ideal(CD, "c^2")
+        assert check_ass_structure(i, j, 2).grade_dichotomy_holds
+        monkeypatch.setattr(binomial, "_inside_some", lambda m, ms: any(m & x for x in ms))
+        report = check_ass_structure(i, j, 2)
+        assert report.grade_dichotomy_holds is False
+        assert not report.passed
+
     def test_unstabilized_bound_reports_inconclusive(self):
         # the edge ideal of a triangle picks up the maximal ideal only at
         # the square, so comparing the first two powers is inconclusive

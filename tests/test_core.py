@@ -712,3 +712,73 @@ class TestCanonicalisationSpan:
             calls.clear()
             operation()
             assert calls, name
+
+
+class TestAntichainDegrees:
+    def test_only_lower_degrees_are_tested(self, monkeypatch):
+        line = ideal(XY, "x, y")
+        tests = []
+        real = core._le
+
+        def counted(a, b):
+            tests.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(core, "_le", counted)
+        # An equigenerated input, repeats included, makes no divisibility test.
+        assert core._antichain([(3 - i, i) for i in range(4)] * 2) == [
+            (3, 0), (2, 1), (1, 2), (0, 3)
+        ]
+        power = ideal_power(line, 300)
+        assert len(power.generators) == 301 and power.generators[1] == Monomial(XY, (299, 1))
+        assert tests == []
+        # Across degrees the tests still run and drop the multiples.
+        assert core._antichain([(2, 1), (1, 0), (0, 2), (1, 1)]) == [(1, 0), (0, 2)]
+        assert tests
+
+
+class TestGeneratorView:
+    """Kernel results hold exponent tuples; ``generators`` is built on first read."""
+
+    @staticmethod
+    def count_monomials(monkeypatch):
+        built = []
+        real = core._monomial
+
+        def counted(ring, exps):
+            built.append(exps)
+            return real(ring, exps)
+
+        monkeypatch.setattr(core, "_monomial", counted)
+        return built
+
+    def test_kernel_operations_build_no_monomial(self, monkeypatch):
+        from idealkit import decomposition, powers
+
+        i = ideal(R3, "x^2*y, y*z, x*z^3")
+        j = ideal(R3, "x*y, z^2")
+        unit = MonomialIdeal.unit(R3)
+        # The power memo hashes its base, and the hash reads the generators.
+        hash(i), hash(j)
+        built = self.count_monomials(monkeypatch)
+        results = [
+            intersect(i, j),
+            saturate(i, j),
+            ideal_power(i, 3),
+            powers._binomial_sum(R3, [unit, i, ideal_power(i, 2)], [unit, j, j]),
+        ]
+        decomposition._components(ideal_power(j, 2))
+        assert results[0] == intersect(j, i) and results[2] != results[3]
+        assert built == []
+
+    def test_the_first_read_builds_the_view_once(self, monkeypatch):
+        i = ideal(R3, "x^2*y, y*z, x*z^3")
+        hash(i)
+        built = self.count_monomials(monkeypatch)
+        power = ideal_power(i, 2)
+        assert built == []
+        text = str(power)
+        assert built == list(power._exps) and len(built) == len(power.generators)
+        assert str(power) == text and power.generators is power.generators
+        assert len(built) == len(power.generators)
+        assert power == MonomialIdeal(R3, power.generators)
