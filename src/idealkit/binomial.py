@@ -10,13 +10,14 @@ expansions are always compared against an independent route.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 from .core import (
     IdealArgumentError,
     MonomialIdeal,
     MonomialPrime,
     Ring,
+    _MEMO_SIZE,
     _ideal,
     _Value,
     _whole_numbers,
@@ -63,8 +64,13 @@ class RingEmbedding(_Value):
         super().__init__(source, target, index_map)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def join_rings(a: Ring, b: Ring) -> tuple[Ring, RingEmbedding, RingEmbedding]:
-    """Concatenate two rings; colliding names get the smallest free _k suffix."""
+    """Concatenate two rings; colliding names get the smallest free _k suffix.
+
+    Memoised for the last 1024 distinct ring pairs: every expansion and
+    check of a pair of ideals joins their rings again.
+    """
     names = list(a.variables)
     used = set(names)
     for name in b.variables:
@@ -81,7 +87,14 @@ def join_rings(a: Ring, b: Ring) -> tuple[Ring, RingEmbedding, RingEmbedding]:
     return joined, emb_a, emb_b
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def extend(ideal: MonomialIdeal, emb: RingEmbedding) -> MonomialIdeal:
+    """The ideal generated by ``ideal`` in the target ring of ``emb``.
+
+    Memoised for the last 1024 distinct (ideal, embedding) pairs; the key
+    holds the target ring, so the result is in the caller's ring.  A call
+    that raises stores nothing.
+    """
     if ideal.ring != emb.source:
         raise IdealArgumentError("ideal does not live in the embedding source")
     zeros = [0] * emb.target.nvars

@@ -66,8 +66,9 @@ class _Value:
     ``_unchecked`` and ``_ideal`` alike, stores the fields with ``_set``.
     ``Ring``, ``Monomial`` and ``MonomialIdeal`` spell out ``__eq__`` and
     ``__hash__``, because the memo keys and ring checks call them in hot
-    loops; ``MonomialIdeal`` stores and compares exponent tuples, and
-    fills its ``generators`` field on the first read.
+    loops; ``MonomialIdeal`` stores, compares and hashes exponent tuples,
+    so a memo key builds no ``Monomial``, and it fills its ``generators``
+    field on the first read.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -345,7 +346,8 @@ class MonomialIdeal(_Value):
     single generator 1.  The constructor canonicalizes whatever it is
     given, so structural equality is ideal equality.  It stores the
     exponent tuples ``_exps``; ``generators`` is built from them when
-    first read, and then kept.
+    first read, and then kept.  Equality and the hash read ``(ring,
+    _exps)``, so an ideal used as a memo key builds no ``generators``.
     """
 
     __match_args__ = ("ring", "generators")
@@ -368,7 +370,7 @@ class MonomialIdeal(_Value):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, self.generators))
+        return hash((self.ring, self._exps))
 
     @classmethod
     def zero(cls, ring: Ring) -> "MonomialIdeal":
@@ -514,8 +516,16 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def intersect_all(ring: Ring, ideals) -> MonomialIdeal:
-    """Intersection of a collection of ideals; empty collection gives (1)."""
-    return reduce(intersect, ideals, MonomialIdeal.unit(ring))
+    """Intersection of a collection of ideals of ``ring``; empty collection
+    gives (1).  The fold starts from the first ideal, so no ideal is
+    intersected with (1) and canonicalised again."""
+    ideals = iter(ideals)
+    first = next(ideals, None)
+    if first is None:
+        return MonomialIdeal.unit(ring)
+    if first.ring != ring:
+        raise RingMismatchError(f"ring mismatch: {ring} vs {first.ring}")
+    return reduce(intersect, ideals, first)
 
 
 def colon_monomial(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:

@@ -387,13 +387,15 @@ def ass_module_quotient_exhaustive(
     Membership in I^(i-1) and I^i and the colon I^i : m only depend on the
     exponentwise minimum of m with the generator lcms, so scanning the box
     below max(lcm(G(I^(i-1))), lcm(G(I^i))) sees a representative of every
-    possible witness.  The box is scanned as exponent tuples and both
-    memberships are tested against the generator tuples, so a monomial is
-    built only for a point whose colon is taken.  When no x_j * m lies in
-    I^i, the colon I^i : m holds no variable, so it is no prime P_T with T
-    nonempty and is not built.  For m outside I^i, x_j * m lies in I^i iff
-    some generator g of I^i exceeds m in x_j alone and by one, so the scan
-    skips m when every g exceeds m by more than one in total.
+    possible witness.  When no x_j * m lies in I^i, the colon I^i : m holds
+    no variable, so it is no prime P_T with T nonempty.  For m outside I^i,
+    x_j * m lies in I^i iff some generator g of I^i exceeds m in x_j alone
+    and by one, so only the sub-boxes m_j = g_j - 1, g_k <= m_k <= box_k
+    (k != j), over the generators g of I^i and j in supp g, are scanned.
+    Each point is an exponent tuple, tested for membership against the
+    generator tuples, and a monomial is built only for a point whose colon
+    is taken.  No decomposition is read, so the oracle stays independent
+    of the corner form.
     """
     _require_nonzero_proper(ideal)
     if i < 1:
@@ -401,12 +403,18 @@ def ass_module_quotient_exhaustive(
     low = ideal_power(ideal, i - 1)
     high = ideal_power(ideal, i)
     low_exps, high_exps = low._exps, high._exps
-    box = map(max, zip(*low_exps, *high_exps))
+    box = tuple(map(max, zip(*low_exps, *high_exps)))
+    points = set()
+    for g in high_exps:
+        ranges = [range(a, b + 1) for a, b in zip(g, box)]
+        for j, a in enumerate(g):
+            if a:
+                points.update(itertools.product(
+                    *ranges[:j], (a - 1,), *ranges[j + 1:]
+                ))
     primes: set[MonomialPrime] = set()
-    for e in itertools.product(*(range(b + 1) for b in box)):
+    for e in points:
         if not _contains(low_exps, e) or _contains(high_exps, e):
-            continue
-        if all(sum(a - b for a, b in zip(g, e) if a > b) > 1 for g in high_exps):
             continue
         m = _monomial(ideal.ring, e)
         prime = _prime_from_variable_ideal(colon_monomial(high, m))

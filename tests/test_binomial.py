@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit import binomial
+from idealkit import binomial, core
 from idealkit.core import (
     IdealArgumentError,
     MonomialIdeal,
@@ -121,6 +121,48 @@ class TestExtend:
         _, emb_a, _ = join_rings(A2, B2)
         with pytest.raises(IdealArgumentError):
             extend(ideal(B2, "z"), emb_a)
+
+
+class TestJoinAndExtendMemos:
+    def test_both_memos_have_the_package_bound(self):
+        for memo in (join_rings, extend):
+            assert memo.cache_info().maxsize == core._MEMO_SIZE
+
+    def test_a_repeated_join_is_one_entry(self):
+        first = join_rings(A2, B2)
+        assert join_rings(Ring.of("x", "y"), Ring.of("z", "t")) is first
+        assert join_rings.cache_info()[:2] == (1, 1)
+
+    def test_results_live_in_the_callers_ring(self):
+        # Equal exponent tuples over other rings are other keys.
+        i, renamed = ideal(A2, "x^2, x*y"), ideal(AB, "a^2, a*b")
+        assert i._exps == renamed._exps
+        seen = set()
+        for base in (i, renamed):
+            for other in (B2, CD):
+                joined, emb_a, emb_b = join_rings(base.ring, other)
+                extended = extend(base, emb_a)
+                assert extended.ring == joined and extended._exps == (
+                    (2, 0, 0, 0), (1, 1, 0, 0)
+                )
+                assert extend(MonomialIdeal.unit(other), emb_b).ring == joined
+                seen.add(joined)
+        assert len(seen) == 4
+
+    def test_wrong_source_raises_the_same_cold_and_warm(self):
+        _, emb_a, emb_b = join_rings(A2, B2)
+        wrong = ideal(B2, "z")
+
+        def error():
+            with pytest.raises(IdealArgumentError) as info:
+                extend(wrong, emb_a)
+            return str(info.value)
+
+        cold = error()
+        assert extend.cache_info().currsize == 0
+        extend(ideal(A2, "x"), emb_a), extend(wrong, emb_b)
+        assert error() == cold == "ideal does not live in the embedding source"
+        assert extend.cache_info().currsize == 2
 
 
 class TestBinomialSaturated:

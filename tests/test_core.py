@@ -21,6 +21,7 @@ from idealkit.core import (
     ideal_product,
     ideal_sum,
     intersect,
+    intersect_all,
     minimalize,
     principal,
     radical,
@@ -237,6 +238,34 @@ class TestArithmetic:
         if supports_i & supports_j:
             return
         assert ideal_product(i, j) == intersect(i, j)
+
+
+class TestIntersectAll:
+    def test_empty_collection_gives_the_unit_ideal(self):
+        assert intersect_all(R3, []) == MonomialIdeal.unit(R3)
+        assert intersect_all(A, iter(())).is_unit
+
+    def test_first_ideal_in_another_ring_is_rejected(self):
+        with pytest.raises(RingMismatchError) as info:
+            intersect_all(R3, [ideal(A, "a"), ideal(A, "b")])
+        assert str(info.value) == "ring mismatch: [x, y, z] vs [a, b]"
+        with pytest.raises(RingMismatchError):
+            intersect_all(R3, [ideal(R3, "x"), ideal(A, "b")])
+
+    def test_the_fold_starts_from_the_first_ideal(self, monkeypatch):
+        i, j, k = ideal(R3, "x^2, y"), ideal(R3, "y*z, x"), ideal(R3, "z^3")
+        calls = []
+        real = core.intersect
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(core, "intersect", counted)
+        assert intersect_all(R3, [i]) is i and calls == []
+        assert intersect_all(R3, (i, j, k)) == real(real(i, j), k)
+        assert len(calls) == 2 and calls[0] == (i, j)
+        assert not any(a.is_unit for a, _ in calls)
 
 
 def product_loop(i, s):
@@ -758,8 +787,6 @@ class TestGeneratorView:
         i = ideal(R3, "x^2*y, y*z, x*z^3")
         j = ideal(R3, "x*y, z^2")
         unit = MonomialIdeal.unit(R3)
-        # The power memo hashes its base, and the hash reads the generators.
-        hash(i), hash(j)
         built = self.count_monomials(monkeypatch)
         results = [
             intersect(i, j),
@@ -768,6 +795,12 @@ class TestGeneratorView:
             powers._binomial_sum(R3, [unit, i, ideal_power(i, 2)], [unit, j, j]),
         ]
         decomposition._components(ideal_power(j, 2))
+        # The memos keyed by ideals hash them, and the hash reads no view.
+        powers.saturated_power(i, j, 2)
+        powers.symbolic_power(i, 2, "min")
+        # j splits into (x*y) + (z^2), so its power takes the binomial route.
+        powers.symbolic_power(j, 2, "ass")
+        decomposition.ass_star_bounded(j, 3)
         assert results[0] == intersect(j, i) and results[2] != results[3]
         assert built == []
 

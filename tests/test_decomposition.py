@@ -570,6 +570,19 @@ class TestQuotientAss:
         for m in set(candidates) - set(built):
             assert all(g.degree() > 1 for g in colon_monomial(high, m).generators)
 
+    @given(proper_up_to_4, st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_box_oracle_matches_a_full_box_scan(self, i, index):
+        # The oracle scans only the sub-boxes one step below a generator of
+        # I^index; a scan of every box point, with a colon at each, agrees.
+        high, candidates = self.box_candidates(i, index)
+        primes = set()
+        for m in candidates:
+            gens = colon_monomial(high, m).generators
+            if all(g.degree() == 1 for g in gens):
+                primes.add(MonomialPrime(i.ring, [g.support()[0] for g in gens]))
+        assert ass_module_quotient_exhaustive(i, index) == primes
+
     @given(proper3, st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_contained_in_ass_of_power(self, i, index):
