@@ -5,7 +5,9 @@ function, so everything is safe to share across threads.  Ideals are kept
 in a canonical minimal form: the generating set is a divisibility
 antichain sorted by total degree and then by reverse-lexicographic
 exponent vectors, stored as the exponent tuples that every operation
-reads and builds.  Two ideals are equal exactly when those tuples are.
+reads and builds.  Two ideals are equal exactly when those tuples are,
+and an ideal prints straight from them (``_monomial_text``): only
+``repr`` and reading ``generators`` build its ``Monomial`` values.
 """
 
 from __future__ import annotations
@@ -243,11 +245,7 @@ class Monomial(_Value):
         return (self.degree(), tuple(-e for e in self.exponents))
 
     def __str__(self):
-        return "*".join([
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(self.ring.variables, self.exponents)
-            if e
-        ]) or "1"
+        return _monomial_text(self.ring.variables, self.exponents)
 
     @classmethod
     def parse(cls, ring: Ring, text: str) -> "Monomial":
@@ -283,6 +281,12 @@ def _monomial(ring: Ring, exponents: tuple[int, ...]) -> Monomial:
     _set(m, "ring", ring)
     _set(m, "exponents", exponents)
     return m
+
+
+def _monomial_text(names, e) -> str:
+    """The exponent tuple ``e`` over the variables ``names``, printed as
+    ``Monomial.__str__`` prints it."""
+    return "*".join([name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k]) or "1"
 
 
 def _contains(gens, e) -> bool:
@@ -346,8 +350,9 @@ class MonomialIdeal(_Value):
     single generator 1.  The constructor canonicalizes whatever it is
     given, so structural equality is ideal equality.  It stores the
     exponent tuples ``_exps``; ``generators`` is built from them when
-    first read, and then kept.  Equality and the hash read ``(ring,
-    _exps)``, so an ideal used as a memo key builds no ``generators``.
+    first read, and then kept.  Equality, the hash and ``str`` read
+    ``_exps``, so an ideal used as a memo key or printed builds no
+    ``generators``; only ``repr`` and reading the field do.
     """
 
     __match_args__ = ("ring", "generators")
@@ -423,9 +428,10 @@ class MonomialIdeal(_Value):
         return ideal_power(self, s)
 
     def __str__(self):
-        if self.is_zero:
+        if not self._exps:
             return "(0)"
-        return "(" + ", ".join(str(g) for g in self.generators) + ")"
+        names = self.ring.variables
+        return "(" + ", ".join([_monomial_text(names, e) for e in self._exps]) + ")"
 
 
 class MonomialPrime(_Value):

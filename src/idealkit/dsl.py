@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
+from operator import add
 
 from . import binomial as _binomial
 from . import core as _core
 from . import decomposition as _decomposition
 from . import homology as _homology
 from . import powers as _powers
-from .core import Monomial, MonomialIdeal, MonomialPrime, Ring, _set, _Value
+from .core import Monomial, MonomialIdeal, MonomialPrime, Ring, _ideal, _monomial, _Value
 
 
 class ParseError(ValueError):
@@ -54,18 +56,21 @@ class EvalError(ValueError):
 
 
 KEYWORDS = {"ring", "ideal", "print", "in"}
+# The tokens that carry an expression on past a name: '^', '*', '+', and the
+# '(' that makes the name a call.
+_CONTINUE = {"^", "*", "+", "("}
 # Work budget: the deepest expression accepted, counting each '+'/'*' link, '^',
 # call, parenthesis and bracket on a path; keeps the recursion off the stack limit.
 MAX_DEPTH = 100
 
-# One match per token, each with the blanks before it.  Groups: 1 int (a run
-# of decimal digits), 2 word (a name once its first character is checked),
-# 3 punctuation, 4 newline, 5 any other character; a comment, or the blanks
-# at the end of the text, matches no group.
+# One match per token, with the blanks before it.  Groups: the blanks, then
+# one of int (a run of decimal digits), word (a name once its first character
+# is checked), punctuation, newline and any other character; a comment, or
+# the end of the text, fills none of the five.  ``findall`` hands the groups
+# over as strings, so the scan builds no match object.
 _SCANNER = re.compile(
-    r"[ \t\r]*(?:(\d+)|(\w+)|([()\[\],;+*^=])|(\n)|#[^\n]*|(.)|\Z)", re.DOTALL
+    r"([ \t\r]*)(?:(\d+)|(\w+)|([()\[\],;+*^=])|(\n)|#[^\n]*|(.)|\Z)", re.DOTALL
 )
-_KINDS = (None, "int", "name", "punct")
 
 
 def _scan(text: str) -> list[tuple[str, str, int, int]]:
@@ -73,33 +78,37 @@ def _scan(text: str) -> list[tuple[str, str, int, int]]:
     of 'int', 'name' and 'punct', ending in one 'eof'."""
     tokens = []
     append = tokens.append
-    line, line_start = 1, 0
-    for match in _SCANNER.finditer(text):
-        group = match.lastindex
-        if group is None:
-            continue
-        if group == 4:
+    line = column = 1
+    for blanks, number, word, punct, newline, other in _SCANNER.findall(text):
+        column += len(blanks)
+        if punct:
+            append(("punct", punct, line, column))
+            column += 1
+        elif word:
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", line, column)
+            append(("name", word, line, column))
+            column += len(word)
+        elif number:
+            append(("int", number, line, column))
+            column += len(number)
+        elif newline:
             line += 1
-            line_start = match.end()
-            continue
-        word = match.group(group)
-        column = match.start(group) - line_start + 1
-        if group == 5 or (group == 2 and not (word[0].isalpha() or word[0] == "_")):
-            raise ParseError(f"unexpected character {word[0]!r}", line, column)
-        append((_KINDS[group], word, line, column))
+            column = 1
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", line, column)
     # A comment does not advance the column, so EOF after one sits at its '#'.
-    comment = text.find("#", line_start)
-    end = len(text) if comment < 0 else comment
-    append(("eof", "", line, end - line_start + 1))
+    append(("eof", "", line, column))
     return tokens
 
 
 # AST nodes.  A node class names its fields in ``__match_args__`` and takes
 # them by position through the base of its arity, ``_Node1`` to ``_Node3``,
-# which stores them directly: the parser builds many nodes, and the generic
-# ``_Value`` constructor is slower.  `pos` is keyword-only and left out of
-# equality, hash and repr, so a statement parsed from one REPL line equals
-# the same statement parsed from a whole script.
+# which fills the instance dict in one update: the parser builds many
+# nodes, and the generic ``_Value`` constructor is slower.  `pos` is
+# keyword-only and left out of equality, hash and repr, so a statement
+# parsed from one REPL line equals the same statement parsed from a whole
+# script.
 
 
 class Node(_Value):
@@ -109,25 +118,19 @@ class Node(_Value):
 class _Node1(Node):
     def __init__(self, first, /, *, pos=(0, 0)):
         (name,) = self.__match_args__
-        _set(self, name, first)
-        _set(self, "pos", pos)
+        self.__dict__.update({name: first, "pos": pos})
 
 
 class _Node2(Node):
     def __init__(self, first, second, /, *, pos=(0, 0)):
         name1, name2 = self.__match_args__
-        _set(self, name1, first)
-        _set(self, name2, second)
-        _set(self, "pos", pos)
+        self.__dict__.update({name1: first, name2: second, "pos": pos})
 
 
 class _Node3(Node):
     def __init__(self, first, second, third, /, *, pos=(0, 0)):
         name1, name2, name3 = self.__match_args__
-        _set(self, name1, first)
-        _set(self, name2, second)
-        _set(self, name3, third)
-        _set(self, "pos", pos)
+        self.__dict__.update({name1: first, name2: second, name3: third, "pos": pos})
 
 
 class Name(_Node1):
@@ -183,6 +186,12 @@ class Parser:
 
     Lookahead compares token text only: no name or int token spells a
     punctuation mark and EOF's text is empty, and a keyword is a name.
+
+    Plain atoms skip the general path: ``parse_expr`` reads an expression
+    that is one lone name itself, ``parse_factor`` reads a plain int or
+    name atom itself, and ``parse_atom`` reads the other atoms (calls,
+    parentheses and brackets) and reports every atom error.  No tree,
+    position, error or depth count depends on which path read a token.
     """
 
     def __init__(self, tokens: list[tuple[str, str, int, int]]):
@@ -249,8 +258,15 @@ class Parser:
             raise ParseError(message, tok[2], tok[3])
 
     def parse_expr(self):
-        node = self.parse_term()
         tokens = self.tokens
+        index = self.index
+        kind, text, line, column = tokens[index]
+        if kind == "name" and tokens[index + 1][1] not in _CONTINUE and text not in KEYWORDS:
+            # A lone name, as most call arguments are: no term or factor call.
+            self.index = index + 1
+            self.depth = 0
+            return Name(text, pos=(line, column))
+        node = self.parse_term()
         while tokens[self.index][1] == "+":
             tok = tokens[self.index]
             self.index += 1
@@ -273,18 +289,31 @@ class Parser:
         return node
 
     def parse_factor(self):
-        node = self.parse_atom()
         tokens = self.tokens
-        tok = tokens[self.index]
-        if tok[1] == "^":
-            self.index += 1
-            kind, text, _, _ = tokens[self.index]
-            if kind != "int":
-                self._fail("expected an integer exponent")
-            self.index += 1
-            self._deeper(tok, self.depth)
-            node = PowOp(node, int(text), pos=tok[2:])
-        return node
+        index = self.index
+        kind, text, line, column = tokens[index]
+        if kind == "int":
+            node = IntLit(int(text), pos=(line, column))
+            index += 1
+            self.depth = 0
+        elif kind == "name" and text not in KEYWORDS and tokens[index + 1][1] != "(":
+            node = Name(text, pos=(line, column))
+            index += 1
+            self.depth = 0
+        else:
+            node = self.parse_atom()
+            index = self.index
+        tok = tokens[index]
+        if tok[1] != "^":
+            self.index = index
+            return node
+        self.index = index + 1
+        kind, text, _, _ = tokens[index + 1]
+        if kind != "int":
+            self._fail("expected an integer exponent")
+        self.index = index + 2
+        self._deeper(tok, self.depth)
+        return PowOp(node, int(text), pos=tok[2:])
 
     def _parse_entries(self, tok, close, allow_empty=False):
         """Comma-separated expressions up to ``close``, one level below ``tok``."""
@@ -305,21 +334,15 @@ class Parser:
         return tuple(entries)
 
     def parse_atom(self):
+        """A call, a parenthesised or bracketed list, or an error: the atoms
+        ``parse_factor`` does not read itself."""
         tok = self.tokens[self.index]
         kind, text, pos = tok[0], tok[1], tok[2:]
-        if kind == "int":
-            self.index += 1
-            self.depth = 0
-            return IntLit(int(text), pos=pos)
         if kind == "name":
             if text in KEYWORDS:
                 self._fail(f"keyword {text!r} cannot start an expression")
-            self.index += 1
-            if self.tokens[self.index][1] == "(":
-                self.index += 1
-                return CallOp(text, self._parse_entries(tok, ")", True), pos=pos)
-            self.depth = 0
-            return Name(text, pos=pos)
+            self.index += 2  # the name and its '('
+            return CallOp(text, self._parse_entries(tok, ")", True), pos=pos)
         if text == "(":
             self.index += 1
             entries = self._parse_entries(tok, ")")
@@ -403,11 +426,14 @@ class Evaluator:
         return render_value(self._eval(statement.value, ctx))
 
     def _name(self, node, ctx):
-        if node.text in self.bindings:
-            return self.bindings[node.text]
-        if ctx is not None and node.text in ctx.variables:
-            return ctx.variable(ctx.index_of(node.text))
-        raise EvalError(f"unbound name {node.text!r}", node.pos)
+        text = node.text
+        if text in self.bindings:
+            return self.bindings[text]
+        if ctx is not None:
+            variable = _variables(ctx).get(text)
+            if variable is not None:
+                return variable
+        raise EvalError(f"unbound name {text!r}", node.pos)
 
     def _int(self, node, ctx) -> int:
         return node.value
@@ -424,6 +450,8 @@ class Evaluator:
         left = self._eval(node.left, ctx)
         right = self._eval(node.right, ctx)
         if isinstance(left, Monomial) and isinstance(right, Monomial):
+            if left.ring is right.ring or left.ring == right.ring:
+                return _monomial(left.ring, tuple(map(add, left.exponents, right.exponents)))
             return self._wrap(Monomial.__mul__, node.pos, left, right)
         return self._wrap(
             _core.ideal_product,
@@ -434,13 +462,16 @@ class Evaluator:
 
     def _pow(self, node, ctx):
         base = self._eval(node.base, ctx)
+        k = node.exponent
         if isinstance(base, Monomial):
-            return base.power(node.exponent)
+            if type(k) is int and k >= 0:  # as every parsed exponent is
+                return _monomial(base.ring, tuple([e * k for e in base.exponents]))
+            return base.power(k)
         return self._wrap(
             _core.ideal_power,
             node.pos,
             self._as_ideal(base, node.pos, ctx),
-            node.exponent,
+            k,
         )
 
     def _wrap(self, fn, pos, *args):
@@ -454,7 +485,6 @@ class Evaluator:
         if signature is None:
             raise EvalError(f"unknown function {node.function!r}", node.pos)
         module, attr, kinds, optional, with_char = signature
-        kinds, optional = kinds.split(), optional.split()
         counts = range(len(kinds), len(kinds) + len(optional) + 1)
         if len(node.args) not in counts:
             wanted = " or ".join(str(c) for c in counts)
@@ -475,17 +505,21 @@ class Evaluator:
         ring = next((e.ring for e in entries if isinstance(e, kinds)), ctx)
         if ring is None:
             raise EvalError("ideal literal needs a ring in scope", node.pos)
-        gens = []
+        exps, stray = [], None
         for e in entries:
             if isinstance(e, Monomial):
-                gens.append(e)
+                exps.append(e.exponents)
+                if stray is None and e.ring is not ring and e.ring != ring:
+                    stray = e
             elif isinstance(e, int) and e == 1:
-                gens.append(ring.one())
+                exps.append((0,) * ring.nvars)
             elif isinstance(e, int) and e == 0:
                 continue
             else:
                 raise EvalError("ideal literal entries must be monomials", node.pos)
-        return self._wrap(MonomialIdeal, node.pos, ring, tuple(gens))
+        if stray is not None:  # the message MonomialIdeal gives
+            raise EvalError(f"generator {stray} not in {ring}", node.pos)
+        return _ideal(ring, exps)
 
     def _as_ideal(self, value, pos, ctx) -> MonomialIdeal:
         if isinstance(value, MonomialIdeal):
@@ -510,7 +544,7 @@ class Evaluator:
         if isinstance(value, int) and value == 1 and ctx is not None:
             return ctx.one()
         if isinstance(value, MonomialIdeal) and len(value._exps) == 1:
-            return value.generators[0]
+            return _monomial(value.ring, value._exps[0])
         raise EvalError("expected a monomial", node.pos)
 
     def integer(self, node, ctx) -> int:
@@ -541,6 +575,12 @@ class Evaluator:
         if not isinstance(value, tuple):
             raise EvalError("expected a bracket list of ideals", node.pos)
         return [self._as_ideal(v, node.pos, ctx) for v in value]
+
+
+@lru_cache(maxsize=_core._MEMO_SIZE)
+def _variables(ring: Ring) -> dict[str, Monomial]:
+    """Each variable name of ``ring`` to its variable, for bare names."""
+    return {name: ring.variable(i) for i, name in enumerate(ring.variables)}
 
 
 def _fn_assstar(ideal, bound):
@@ -626,6 +666,11 @@ _SIGNATURES = {
     "check_depthreg_ass": (
         _homology, "check_depth_reg_symbolic_ass", "ideal ideal integer", "", True
     ),
+}
+# The kinds as tuples of method names, split once here rather than per call.
+_SIGNATURES = {
+    name: (module, attr, tuple(kinds.split()), tuple(optional.split()), with_char)
+    for name, (module, attr, kinds, optional, with_char) in _SIGNATURES.items()
 }
 
 # node type -> the Evaluator method that runs it on (node, ring of bare names):

@@ -52,7 +52,6 @@ with the upper Koszul route: no walk, no core, no memo and no entry sort
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import and_, or_
 
@@ -63,6 +62,7 @@ from .core import (
     _MEMO_SIZE,
     _ideal,
     _monomial,
+    _monomial_text,
     _Value,
     _whole_numbers,
 )
@@ -166,8 +166,13 @@ def _rank(columns: list[dict[int, int]], char: int) -> int:
                 if char:
                     inverse = pow(v, -1, char)
                     column = {row: w * inverse % char for row, w in column.items()}
-                elif v != 1:  # -1 is its own inverse and keeps entries integers
-                    inverse = -1 if v == -1 else 1 / Fraction(v)
+                elif v == -1:  # its own inverse, which keeps entries integers
+                    column = {row: -w for row, w in column.items()}
+                elif v != 1:
+                    # Imported here, its only use: most runs never reach it.
+                    from fractions import Fraction
+
+                    inverse = 1 / Fraction(v)
                     column = {row: w * inverse for row, w in column.items()}
                 kept[low] = column
                 break
@@ -430,11 +435,11 @@ class BettiTable(_Value):
     def __str__(self):
         if not self.entries:
             return "{}"
-        return (
-            "{"
-            + ", ".join(f"({i}, {b}): {v}" for i, b, v in self.entries)
-            + "}"
-        )
+        # The renderer Monomial.__str__ calls, called directly: one call per entry.
+        return "{" + ", ".join([
+            f"({i}, {_monomial_text(b.ring.variables, b.exponents)}): {v}"
+            for i, b, v in self.entries
+        ]) + "}"
 
 
 def _freeze_entries(entries: dict[tuple[int, Monomial], int]):

@@ -196,10 +196,15 @@ def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     I^(t) J^(s-t), for both notions (the source paper; also Ha, Nguyen,
     Trung and Trung, Math. Z. 294 (2020)).  Folding the summands in one
     at a time, R(t) = sum over a + b = t of R(a) S(b), gives the symbolic
-    power of the whole sum from the summands' direct-route powers.
+    power of the whole sum from the summands' direct-route powers.  A
+    principal summand (g) needs no decomposition: every associated prime
+    of (g^t) is minimal, so (g)^(t) = (g^t) under both notions.
     """
     parts = [
-        [_symbolic_direct(part, t, notion) for t in range(s + 1)] for part in _summands(ideal)
+        [ideal_power(part, t) for t in range(s + 1)]
+        if len(part._exps) == 1
+        else [_symbolic_direct(part, t, notion) for t in range(s + 1)]
+        for part in _summands(ideal)
     ]
     sums = parts[0]
     for powers in parts[1:-1]:

@@ -810,8 +810,53 @@ class TestGeneratorView:
         built = self.count_monomials(monkeypatch)
         power = ideal_power(i, 2)
         assert built == []
-        text = str(power)
-        assert built == list(power._exps) and len(built) == len(power.generators)
-        assert str(power) == text and power.generators is power.generators
+        view = power.generators
+        assert built == list(power._exps) and len(built) == len(view)
+        assert power.generators is view
         assert len(built) == len(power.generators)
         assert power == MonomialIdeal(R3, power.generators)
+
+    def test_printing_builds_no_monomial(self, monkeypatch):
+        ideals = [
+            ideal_power(ideal(R3, "x^2*y, y*z, x*z^3"), 2),
+            MonomialIdeal.zero(R3),
+            MonomialIdeal.unit(R3),
+        ]
+        built = self.count_monomials(monkeypatch)
+        texts = [str(i) for i in ideals]
+        assert built == []
+        assert all("generators" not in vars(i) for i in ideals)
+        assert texts[1:] == ["(0)", "(1)"]
+        assert texts[0] == "(" + ", ".join(str(g) for g in ideals[0].generators) + ")"
+
+
+# Rings of 1 to 5 variables, and ideals over them whose exponents run from 0
+# through multi-digit values, so every form of a printed factor shows up.
+_print_rings = st.integers(1, 5).map(lambda n: Ring(tuple("xyzuv"[:n])))
+_printed_ideals = _print_rings.flatmap(
+    lambda ring: st.lists(
+        st.tuples(*[st.sampled_from((0, 1, 2, 9, 10, 123))] * ring.nvars), max_size=5
+    ).map(lambda exps: MonomialIdeal(ring, tuple(Monomial(ring, e) for e in exps)))
+)
+
+
+class TestPrinting:
+    """Ideals print from their exponent tuples exactly as from their generators."""
+
+    @given(_printed_ideals)
+    @settings(max_examples=200, deadline=None)
+    def test_str_matches_the_generators(self, i):
+        expected = "(" + ", ".join(str(g) for g in i.generators) + ")"
+        assert str(i) == ("(0)" if i.is_zero else expected)
+
+    @pytest.mark.parametrize(
+        "ring, text, printed",
+        [
+            (R3, "0", "(0)"),
+            (R3, "1", "(1)"),
+            (R3, "x^2, y^10*z, x*z^123", "(x^2, y^10*z, x*z^123)"),
+            (Ring.of("a"), "a^2", "(a^2)"),
+        ],
+    )
+    def test_zero_unit_and_multi_digit_exponents(self, ring, text, printed):
+        assert str(MonomialIdeal.parse(ring, text)) == printed

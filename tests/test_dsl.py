@@ -4,8 +4,27 @@ import re
 
 import pytest
 
-from idealkit import dsl
-from idealkit.dsl import EvalError, ParseError, parse, run_script
+from idealkit import core, dsl
+from idealkit.dsl import (
+    KEYWORDS,
+    MAX_DEPTH,
+    AddOp,
+    BracketList,
+    CallOp,
+    EvalError,
+    IdealDecl,
+    IdealLit,
+    IntLit,
+    MulOp,
+    Name,
+    ParseError,
+    PowOp,
+    PrintStmt,
+    RingDecl,
+    Script,
+    parse,
+    run_script,
+)
 
 
 class TestGoldenScripts:
@@ -196,6 +215,258 @@ class TestTokenizer:
             text = "".join(rng.choices(self.ALPHABET, k=rng.randint(0, 24)))
             expected = scan_outcome(reference_tokenize, text)
             assert scan_outcome(dsl._scan, text) == expected, repr(text)
+
+
+class ReferenceParser:
+    """The recursive-descent parser before ``parse_factor`` read plain atoms
+    itself, kept verbatim as an independent oracle for ``dsl.Parser``.
+
+    Lookahead compares token text only: no name or int token spells a
+    punctuation mark and EOF's text is empty, and a keyword is a name.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
+        self.tokens = tokens
+        self.index = 0
+        self.level = 0
+        self.depth = 0
+
+    def _fail(self, message):
+        _, text, line, column = self.tokens[self.index]
+        shown = text or "end of input"
+        raise ParseError(f"{message} (got {shown!r})", line, column)
+
+    def _expect_punct(self, text):
+        if self.tokens[self.index][1] != text:
+            self._fail(f"expected {text!r}")
+        self.index += 1
+
+    def _expect_name(self) -> str:
+        kind, text, _, _ = self.tokens[self.index]
+        if kind != "name":
+            self._fail("expected a name")
+        self.index += 1
+        return text
+
+    def parse_script(self) -> Script:
+        statements = []
+        tokens = self.tokens
+        while tokens[self.index][0] != "eof":
+            statements.append(self.parse_statement())
+        return Script(tuple(statements))
+
+    def parse_statement(self):
+        _, text, line, column = self.tokens[self.index]
+        if text == "ring" or text == "ideal":
+            self.index += 1
+            name = self._expect_name()
+            self._expect_punct("=")
+            value = self.parse_expr()
+            if text == "ring":
+                self._expect_punct(";")
+                return RingDecl(name, value, pos=(line, column))
+            ring_name = None
+            if self.tokens[self.index][1] == "in":
+                self.index += 1
+                ring_name = self._expect_name()
+            self._expect_punct(";")
+            return IdealDecl(name, value, ring_name, pos=(line, column))
+        if text == "print":
+            self.index += 1
+            value = self.parse_expr()
+            self._expect_punct(";")
+            return PrintStmt(value, pos=(line, column))
+        self._fail("expected 'ring', 'ideal' or 'print'")
+
+    # parse_* leave the depth of the node they return in ``self.depth``;
+    # ``self.level`` counts the calls, parentheses and brackets around it.
+
+    def _deeper(self, tok, depth: int, other: int = 0):
+        """Set ``self.depth`` one over the larger depth; past MAX_DEPTH, fail at ``tok``."""
+        self.depth = (depth if depth > other else other) + 1
+        if self.level + self.depth > MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise ParseError(message, tok[2], tok[3])
+
+    def parse_expr(self):
+        node = self.parse_term()
+        tokens = self.tokens
+        while tokens[self.index][1] == "+":
+            tok = tokens[self.index]
+            self.index += 1
+            depth = self.depth
+            right = self.parse_term()
+            self._deeper(tok, depth, self.depth)
+            node = AddOp(node, right, pos=tok[2:])
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        tokens = self.tokens
+        while tokens[self.index][1] == "*":
+            tok = tokens[self.index]
+            self.index += 1
+            depth = self.depth
+            right = self.parse_factor()
+            self._deeper(tok, depth, self.depth)
+            node = MulOp(node, right, pos=tok[2:])
+        return node
+
+    def parse_factor(self):
+        node = self.parse_atom()
+        tokens = self.tokens
+        tok = tokens[self.index]
+        if tok[1] == "^":
+            self.index += 1
+            kind, text, _, _ = tokens[self.index]
+            if kind != "int":
+                self._fail("expected an integer exponent")
+            self.index += 1
+            self._deeper(tok, self.depth)
+            node = PowOp(node, int(text), pos=tok[2:])
+        return node
+
+    def _parse_entries(self, tok, close, allow_empty=False):
+        """Comma-separated expressions up to ``close``, one level below ``tok``."""
+        self._deeper(tok, 0)
+        self.level += 1
+        tokens = self.tokens
+        entries, depth = [], 0
+        if not (allow_empty and tokens[self.index][1] == close):
+            entries.append(self.parse_expr())
+            depth = self.depth
+            while tokens[self.index][1] == ",":
+                self.index += 1
+                entries.append(self.parse_expr())
+                depth = max(depth, self.depth)
+        self._expect_punct(close)
+        self.level -= 1
+        self._deeper(tok, depth)
+        return tuple(entries)
+
+    def parse_atom(self):
+        tok = self.tokens[self.index]
+        kind, text, pos = tok[0], tok[1], tok[2:]
+        if kind == "int":
+            self.index += 1
+            self.depth = 0
+            return IntLit(int(text), pos=pos)
+        if kind == "name":
+            if text in KEYWORDS:
+                self._fail(f"keyword {text!r} cannot start an expression")
+            self.index += 1
+            if self.tokens[self.index][1] == "(":
+                self.index += 1
+                return CallOp(text, self._parse_entries(tok, ")", True), pos=pos)
+            self.depth = 0
+            return Name(text, pos=pos)
+        if text == "(":
+            self.index += 1
+            entries = self._parse_entries(tok, ")")
+            return entries[0] if len(entries) == 1 else IdealLit(entries, pos=pos)
+        if text == "[":
+            self.index += 1
+            return BracketList(self._parse_entries(tok, "]"), pos=pos)
+        self._fail("expected an expression")
+
+
+def parse_outcome(parser, text):
+    """The tree of ``text`` and every node's (class, pos), or the ParseError's
+    (message, line, column)."""
+    try:
+        tree = parser(dsl._scan(text)).parse_script()
+    except ParseError as err:
+        return (str(err), err.line, err.column)
+    return tree, node_positions(tree.statements)
+
+
+def node_positions(value):
+    """(class name, pos) of every node under ``value``, depth first in field order."""
+    if isinstance(value, tuple):
+        return [p for v in value for p in node_positions(v)]
+    if isinstance(value, dsl.Node):
+        fields = [getattr(value, f) for f in value.__match_args__]
+        return [(type(value).__name__, value.pos)] + node_positions(tuple(fields))
+    return []
+
+
+def depth_shapes():
+    """Expressions around the depth budget, one for each way of nesting."""
+    for n in (MAX_DEPTH - 2, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1):
+        yield "+".join(["a"] * (n + 1))
+        yield "*".join(["a^2"] * (n + 1))
+        yield "(" * n + "a" + ")" * n
+        yield "(" * n + "a" + ")" * n + "^2"
+        yield "(" * n + "a, b" + ")" * n
+        yield "[" * n + "a" + "]" * n
+        yield "radical(" * n + "a" + ")" * n
+        yield "radical(" * (n - 1) + "a^2" + ")" * (n - 1) + "^3"
+        yield "f(" * n + ")" * n
+        yield "[" * (n - 2) + "a*a^2" + "]" * (n - 2)
+        yield "(" * (n // 2) + "+".join(["a"] * (n // 2)) + ")" * (n // 2)
+
+
+PARSE_VOCABULARY = (
+    "ring", "ideal", "print", "in", "a", "b", "I", "radical", "intersect",
+    "0", "1", "2", "10", "(", ")", "[", "]", ",", ";", "+", "*", "^", "=",
+)
+
+
+def random_expression(rng, depth=0):
+    roll = rng.random() if depth < 4 else 0.0
+    if roll < 0.4:
+        return rng.choice(["a", "b", "I", "0", "1", "2"])
+    if roll < 0.55:
+        return f"{random_expression(rng, depth + 1)}^{rng.choice(['0', '2', '10'])}"
+    if roll < 0.75:
+        op = rng.choice(["+", "*"])
+        return f"{random_expression(rng, depth + 1)} {op} {random_expression(rng, depth + 1)}"
+    entries = ", ".join(random_expression(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    return rng.choice(["({})", "[{}]", "radical({})", "intersect({})"]).format(entries)
+
+
+def random_token_text(rng):
+    """A string of vocabulary tokens: either any tokens at all, or a
+    well-formed statement with a few tokens deleted, inserted or replaced."""
+    if rng.random() < 0.5:
+        tokens = rng.choices(PARSE_VOCABULARY, k=rng.randint(0, 30))
+    else:
+        statement = rng.choice(
+            ["print {};", "ideal I = {};", "ideal I = {} in A;", "ring A = {};"]
+        ).format(random_expression(rng))
+        tokens = [token[1] for token in dsl._scan(statement)[:-1]]
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randint(0, len(tokens))
+            edit = rng.choice(["delete", "insert", "replace"])
+            if edit != "insert" and at < len(tokens):
+                del tokens[at]
+            if edit != "delete":
+                tokens.insert(at, rng.choice(PARSE_VOCABULARY))
+    return "".join(t + rng.choice([" ", " ", "\n"]) for t in tokens)
+
+
+class TestParserMatchesReference:
+    """``dsl.Parser`` gives the reference parser's trees, positions and errors."""
+
+    @pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
+    def test_round_trip_corpus(self, text):
+        assert parse_outcome(dsl.Parser, text) == parse_outcome(ReferenceParser, text)
+
+    def test_depth_budget_shapes(self):
+        for shape in depth_shapes():
+            for text in (f"print {shape};", f"ring A = [a];\nideal I = {shape} in A;"):
+                expected = parse_outcome(ReferenceParser, text)
+                assert parse_outcome(dsl.Parser, text) == expected, text
+
+    def test_random_token_strings(self):
+        rng = random.Random(30)
+        outcomes = set()
+        for _ in range(20000):
+            text = random_token_text(rng)
+            expected = parse_outcome(ReferenceParser, text)
+            assert parse_outcome(dsl.Parser, text) == expected, text
+            outcomes.add(isinstance(expected[0], Script))
+        assert outcomes == {True, False}
 
 
 AB = "ring A = [a, b]; "
@@ -484,6 +755,49 @@ PRELUDE = (
     "ideal I = (x^2, x*y) in A;\n"
     "ideal K = (x, y) in A;\n"
 )
+
+
+WITNESS_B = "ring A = [a, b];\nideal I = (a^2, a*b) in A;\nring B = [c];\n"
+
+
+class TestMonomialLiterals:
+    """Monomial literals are evaluated on exponent tuples, at run time."""
+
+    def test_variable_table_is_bounded(self):
+        assert dsl._variables.cache_info().maxsize == core._MEMO_SIZE
+
+    def test_bindings_shadow_variable_names(self):
+        # x is bound to an ideal, so x*y and x^2 are ideal operations.
+        script = "ring A = [x, y];\nideal x = (y^2) in A;\nprint x * y;\nprint x^2;"
+        assert run_script(script) == ["(y^3)", "(y^4)"]
+        with pytest.raises(EvalError) as err:
+            run_script(script + "\nprint (x, y);")
+        assert str(err.value) == "5:7: ideal literal entries must be monomials"
+
+    def test_products_and_powers(self):
+        script = "ring A = [a, b, c];\nprint a*b^3*c^10 * (a^2)^2 * b^0;\nprint (c^12*a, 1, 0);"
+        assert run_script(script) == ["a^5*b^3*c^10", "(1)"]
+        assert run_script("ring A = [a, b];\nprint (a*b, b^2*a^0, 0);") == ["(a*b, b^2)"]
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            # witness(I, min) is b in ring A, while c is a variable of B
+            ("print witness(I, min) * c;", "4:23: ring mismatch: [a, b] vs [c]"),
+            ("print (witness(I, min), c);", "4:7: generator c not in [a, b]"),
+            ("print (c, witness(I, min), 1);", "4:7: generator b not in [c]"),
+            # an entry that is no monomial is reported before a stray ring
+            ("print (witness(I, min), c, I);", "4:7: ideal literal entries must be monomials"),
+        ],
+    )
+    def test_ring_mismatch_messages(self, statement, message):
+        with pytest.raises(EvalError) as err:
+            run_script(WITNESS_B + statement)
+        assert str(err.value) == message
+
+    def test_monomials_of_other_rings_multiply_in_their_ring(self):
+        script = "ring A = [a, b];\nideal I = (a^2, a*b) in A;\nprint witness(I, min)^3 * a;"
+        assert run_script(script) == ["a*b^3"]
 
 
 class TestCoverageAudit:

@@ -143,6 +143,11 @@ class TestRanks:
     def test_empty_matrix(self):
         assert _rank([], 0) == 0
 
+    def test_pivot_other_than_one_over_the_rationals(self):
+        # The only path that needs fractions, imported when first reached.
+        assert _rank([{0: 2}], 0) == 1
+        assert _rank([{0: 2, 1: 3}, {0: 4, 1: 6}, {1: 5}], 0) == 2
+
     @pytest.mark.parametrize("char", [0, 2, 3, (1 << 61) - 1])
     def test_matches_dense_reference(self, char):
         rng = random.Random(char)

@@ -810,6 +810,18 @@ def summand_over(ring, variables):
     return st.lists(tuples, min_size=1, max_size=3).map(build).filter(lambda i: not i.is_unit)
 
 
+def principal_over(ring, variables):
+    """Principal ideals (g), g != 1, generated in ``variables`` only."""
+
+    def build(exps):
+        full = [0] * ring.nvars
+        for i, x in zip(variables, exps):
+            full[i] = x
+        return MonomialIdeal(ring, (ring.monomial(full),))
+
+    return st.tuples(*(st.integers(0, 3) for _ in variables)).filter(any).map(build)
+
+
 R6 = Ring.of("a", "b", "c", "d", "e", "f")
 PATHOLOGICAL = ideal(
     Ring(tuple("abcdefghijkl")), "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"
@@ -943,8 +955,42 @@ two_or_three_summands = st.one_of(
 )
 
 
+with_a_principal_summand = st.one_of(
+    st.tuples(with_embedded_prime(R6, 0, 1), principal_over(R6, (2, 3, 4))),
+    st.tuples(
+        principal_over(R6, (0, 1)),
+        summand_over(R6, (2, 3)),
+        principal_over(R6, (4, 5)),
+    ),
+)
+
+
 class TestSplitFastPath:
     """``symbolic_power`` expands a split ideal by the binomial formula."""
+
+    @given(with_a_principal_summand, st.sampled_from(NOTIONS), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_principal_summands_match_the_direct_route(self, parts, notion, s):
+        total = reduce(core.ideal_sum, parts)
+        assert len(decomposition._summands(total)) >= len(parts)
+        assert symbolic_power(total, s, notion) == powers._symbolic_direct(total, s, notion)
+
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_principal_summands_are_not_decomposed(self, monkeypatch, notion):
+        # (c*d) and (e^2*f) are principal: their powers are their symbolic powers.
+        i = ideal(R6, "a^2, a*b, c*d, e^2*f")
+        asked = []
+        real = powers._symbolic_direct
+
+        def counted(part, t, kind):
+            asked.append(part)
+            return real(part, t, kind)
+
+        monkeypatch.setattr(powers, "_symbolic_direct", counted)
+        result = symbolic_power(i, 3, notion)
+        assert asked == [ideal(R6, "a^2, a*b")] * 4
+        monkeypatch.undo()
+        assert result == powers._symbolic_direct(i, 3, notion)
 
     @given(two_or_three_summands, st.sampled_from(NOTIONS), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -981,7 +1027,7 @@ class TestSplitFastPath:
         assert fast == sums[s]
 
     def test_direct_memo_holds_only_direct_results(self):
-        i = ideal(R6, "a^2, a*b, c*d")
+        i = ideal(R6, "a^2, a*b, c^2, c*d")
         for notion in NOTIONS:
             symbolic_power(i, 3, notion)
         # The direct memo holds the 2 summands' powers t = 0..3 in both

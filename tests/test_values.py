@@ -320,11 +320,13 @@ class TestMonomialBuildHook:
 
 
 class TestColdStart:
-    def test_cli_import_skips_dataclasses_and_inspect(self):
+    @staticmethod
+    def loaded_after_cli_import(names):
+        """Which of ``names`` a fresh interpreter has loaded after ``import idealkit.cli``."""
         src = os.path.dirname(os.path.dirname(idealkit.__file__))
         probe = (
             "import sys, idealkit.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            f"print(sorted({set(names)!r} & set(sys.modules)))\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", probe],
@@ -333,4 +335,11 @@ class TestColdStart:
             text=True,
             check=True,
         )
-        assert run.stdout == "[]\n"
+        return run.stdout
+
+    def test_cli_import_skips_dataclasses_and_inspect(self):
+        assert self.loaded_after_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+    def test_cli_import_skips_fractions(self):
+        # Only a characteristic-0 rank with a pivot other than 1 or -1 needs it.
+        assert self.loaded_after_cli_import({"fractions", "decimal"}) == "[]\n"
