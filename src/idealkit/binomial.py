@@ -341,14 +341,15 @@ def check_ass_structure(
     """Tensor Ass equality, power-quotient bounds, grade additivity, and the
     global-saturator identities, all in the joined ring.
 
-    The corner-form quotient Ass computation is compared against the
-    box-complete oracle on every power it touches; a disagreement fails
-    the report.  Every Ass set is read as support bitmasks (``_supports``).
-    ``join_rings`` puts J's variables after I's, so the prime sum P + Q of
-    masks p and q is ``p | q << shift`` with shift the number of I's
-    variables.  The grade check takes every prime P of I's ring and Q of
-    J's ring, and tests grade(P + Q) = 0 iff grade(P) = 0 and grade(Q) = 0,
-    each by prime avoidance (``_inside_some``) on the Ass sets in hand.
+    The quotient Ass, Ass(I^t) by the lemma of ``ass_module_quotient``, is
+    compared against the box scan of I^(t-1)/I^t on every power it
+    touches; a disagreement fails the report.  Every Ass set is read as
+    support bitmasks (``_supports``).  ``join_rings`` puts J's variables
+    after I's, so the prime sum P + Q of masks p and q is
+    ``p | q << shift`` with shift the number of I's variables.  The grade
+    check takes every prime P of I's ring and Q of J's ring, and tests
+    grade(P + Q) = 0 iff grade(P) = 0 and grade(Q) = 0, each by prime
+    avoidance (``_inside_some``) on the Ass sets in hand.
     """
     _require_positive(s)
     if i.is_zero or i.is_unit or j.is_zero or j.is_unit:
@@ -367,9 +368,8 @@ def check_ass_structure(
 
     def quotient_ass(ideal, index):
         nonlocal quotient_agrees
-        corners = ass_module_quotient(ideal, index)
         oracle = ass_module_quotient_exhaustive(ideal, index)
-        if corners != oracle:
+        if ass_module_quotient(ideal, index) != oracle:
             quotient_agrees = False
         return {_mask(p.support) for p in oracle}
 

@@ -129,8 +129,10 @@ class Ring(_Value):
         _set(self, "variables", variables)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
-            return (self.variables,) == (other.variables,)
+            return self.variables == other.variables
         return NotImplemented
 
     def __hash__(self):
@@ -340,7 +342,10 @@ def _ideal(ring: Ring, exps) -> "MonomialIdeal":
 
     Nothing is validated again; only the canonical form is computed.
     """
-    return _unchecked(MonomialIdeal, ring=ring, _exps=tuple(_antichain(exps)))
+    ideal = _new(MonomialIdeal)
+    _set(ideal, "ring", ring)
+    _set(ideal, "_exps", tuple(_antichain(exps)))
+    return ideal
 
 
 class MonomialIdeal(_Value):

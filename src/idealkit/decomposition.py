@@ -5,17 +5,17 @@ irreducible ideals, canonical primary decomposition with distinct radical
 primes, associated and minimal primes, a bounded approximation of the
 union of associated primes over all powers, the grade-zero test against a
 monomial prime, and associated primes of the consecutive power quotients
-I^(i-1)/I^i.
+I^(i-1)/I^i, which are those of A/I^i.
 
 Every prime set the Ass code computes is a set of support bitmasks
 (``_mask``, bit i for variable i): the supports of Ass(I) (``_supports``),
-the minimal ones among them (``_minimal``), their union over powers, and
-the corner-form quotient primes.  Both kept-prime rules read them too: the
-minimal supports, and the test that a support lies inside one of them
-(``_inside_some``, grade zero by prime avoidance), for ``minimal_primes``,
-``grade_zero``, ``binomial.check_ass_structure`` and both symbolic powers
-in ``powers``.  ``_primes`` is the one builder that turns masks into the
-``MonomialPrime`` values a public function returns.
+the minimal ones among them (``_minimal``), and their union over powers.
+Both kept-prime rules read them too: the minimal supports, and the test
+that a support lies inside one of them (``_inside_some``, grade zero by
+prime avoidance), for ``minimal_primes``, ``grade_zero``,
+``binomial.check_ass_structure`` and both symbolic powers in ``powers``.
+``_primes`` is the one builder that turns masks into the ``MonomialPrime``
+values a public function returns.
 """
 
 from __future__ import annotations
@@ -341,42 +341,21 @@ def _prime_from_variable_ideal(ideal: MonomialIdeal) -> MonomialPrime | None:
 
 
 def ass_module_quotient(ideal: MonomialIdeal, i: int) -> frozenset[MonomialPrime]:
-    """Associated primes of I^(i-1)/I^i, read off the corners of I^i.
+    """Associated primes of I^(i-1)/I^i, which are those of A/I^i.
 
-    Let N be the largest exponent among the generators of I^(i-1) and I^i.
-    The corner of an irredundant irreducible component
-    Q = (x_j^(e_j) : j in T) of I^i is the monomial m with m_j = e_j - 1 on
-    T and m_j = N off T.  Then P_T is associated iff some component with
-    support T has its corner in I^(i-1); no colon is needed:
-
-    * I^i : m = P_T, so m is not in I^i.  Q : m = P_T, and m lies in every
-      other component Q' = (x_k^(e'_k)).  If the support of Q' leaves T,
-      m holds some x_k^(e'_k) with k off T, as e'_k <= N.  If it lies in
-      T, Q does not contain Q' (the decomposition is irredundant), so
-      e'_k <= e_k - 1 = m_k for some k.
-    * The form is complete.  Let I^i : f = P_T with f in I^(i-1).  Raising
-      f to N off T keeps it in I^(i-1) and keeps the colon P_T, since
-      membership in I^i ignores exponents above N.  The raised f lies in
-      every component whose support leaves T, so it misses some Q with
-      support in T.  P_T inside Q : f forces that support to be T and
-      f_j = e_j - 1 on T, so f is the corner of Q.
+    If x_j * m lies in I^i, then m lies in I^(i-1): some product
+    g_1 ... g_i of generators divides x_j * m, and either it divides m, or
+    some g_t holds x_j and the other i - 1 factors divide m.  So every
+    witness m of P in Ass(A/I^i), with I^i : m = P and P nonzero, already
+    lies in I^(i-1).  As I^(i-1)/I^i is a submodule of A/I^i, this gives
+    Ass(I^(i-1)/I^i) = Ass(A/I^i) for i >= 1.
 
     ``ass_module_quotient_exhaustive`` cross-checks this against a box scan.
     """
     _require_nonzero_proper(ideal)
     if i < 1:
         raise ValueError("quotient index must be positive")
-    low = ideal_power(ideal, i - 1)
-    high = ideal_power(ideal, i)
-    n = max(low.max_exponent(), high.max_exponent())
-    masks = set()
-    for c in _components(high):
-        corner = [n] * ideal.ring.nvars
-        for j, e in c:
-            corner[j] = e - 1
-        if _contains(low._exps, corner):
-            masks.add(_mask([j for j, _ in c]))
-    return _primes(ideal.ring, masks)
+    return associated_primes(ideal_power(ideal, i))
 
 
 def ass_module_quotient_exhaustive(

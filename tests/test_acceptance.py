@@ -140,7 +140,7 @@ def test_criterion_07_ass_structure_fuzz():
     suite_report = run_suite("lem25_29", FuzzConfig(seed=1, cases=200))
     elapsed = time.monotonic() - started
     if suite_report["passes"] != suite_report["cases"]:
-        # includes any corner-form discrepancy against the box oracle
+        # includes any Ass(I^t) that differs from the box scan of I^(t-1)/I^t
         fail_with_counterexamples(7, suite_report)
     detail = f"inconclusive={suite_report['counters'].get('inconclusive', 0)}"
     report(7, "tensor Ass structure and global saturators, 200/200", elapsed, detail)

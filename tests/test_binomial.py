@@ -365,10 +365,11 @@ class TestAssStructure:
         assert check_ass_structure(i, j, s, n_max).passed
         # Ass of I, J and I+J, of (I+J)^s, of I^t for t = 1..s, and of the
         # n_max powers on each side in ass_star_bounded: 4 + s + 2 * n_max.
-        # Each notion's saturator identity adds the kept rule's one read of
-        # Ass(I), Ass(J) and Ass(I+J): 3 * 2 more, 18 in all.  The grade
-        # check over the 2 x 2 prime pairs reads none.
-        assert len(asked) == 4 + s + 2 * n_max + 3 * 2
+        # The quotient Ass of I^t and J^(s-t+1), t = 1..s, is the Ass of
+        # the power: 2 * s more.  Each notion's saturator identity adds the
+        # kept rule's one read of Ass(I), Ass(J) and Ass(I+J): 3 * 2 more,
+        # 22 in all.  The grade check over the 2 x 2 prime pairs reads none.
+        assert len(asked) == 4 + s + 2 * n_max + 2 * s + 3 * 2
 
     def test_grade_check_catches_an_overlap_rule(self, monkeypatch):
         # Overlap is not containment: under it, (b) + (c) would have grade

@@ -17,6 +17,7 @@ from idealkit.core import (
     _ideal,
     colon,
     colon_monomial,
+    contains,
     ideal_power,
     intersect,
     intersect_all,
@@ -509,9 +510,29 @@ class TestQuotientAss:
         with pytest.raises(ValueError):
             ass_module_quotient(ideal(A, "a"), 0)
 
-    def test_corner_is_raised_off_its_support(self):
-        # I^2 = (x^2*y^2) has components (x^2) and (y^2); the corner of (x^2)
-        # is x*y^2, which lies in I.  Left at x it would miss I.
+    @pytest.mark.parametrize(
+        "argument, index, error, message",
+        [
+            (MonomialIdeal.zero(A), 1, IdealArgumentError,
+             "the zero ideal has no primary decomposition here"),
+            (MonomialIdeal.unit(A), 1, IdealArgumentError,
+             "the unit ideal has no primary decomposition"),
+            (MonomialIdeal.zero(A), 0, IdealArgumentError,
+             "the zero ideal has no primary decomposition here"),
+            (ideal(A, "a"), 0, ValueError, "quotient index must be positive"),
+            (ideal(A, "a"), -1, ValueError, "quotient index must be positive"),
+        ],
+    )
+    def test_rejections_pinned(self, argument, index, error, message):
+        # Both routes validate alike: the ideal first, then the index.
+        for route in (ass_module_quotient, ass_module_quotient_exhaustive):
+            with pytest.raises(ValueError) as caught:
+                route(argument, index)
+            assert (caught.type, str(caught.value)) == (error, message)
+
+    def test_square_of_a_product_has_both_variable_primes(self):
+        # I^2 = (x^2*y^2) has components (x^2) and (y^2), with witnesses
+        # x*y^2 and x^2*y, both in I.
         assert ass_module_quotient(ideal(XY, "x*y"), 2) == {
             MonomialPrime.of_names(XY, "x"),
             MonomialPrime.of_names(XY, "y"),
@@ -519,10 +540,38 @@ class TestQuotientAss:
 
     @given(proper_up_to_4, st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
-    def test_corner_form_matches_exhaustive_box(self, i, index):
+    def test_ass_of_power_matches_exhaustive_box(self, i, index):
         assert ass_module_quotient(i, index) == ass_module_quotient_exhaustive(
             i, index
         )
+
+    @given(proper_up_to_4, st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_a_variable_times_m_in_the_power_puts_m_in_the_one_below(self, i, index):
+        # The lemma behind ass_module_quotient, with no decomposition: if
+        # x_j * m lies in I^index, then m lies in I^(index-1).  Membership in
+        # I^index ignores exponents above the lcm of G(I^index), and m lies
+        # in I^(index-1) once its meet with that lcm does, so the box below
+        # the lcm covers every m.
+        high, low = ideal_power(i, index), ideal_power(i, index - 1)
+        variables = [i.ring.variable(j) for j in range(i.ring.nvars)]
+        for m in monomials_below(high.lcm_of_generators()):
+            if any(contains(high, x * m) for x in variables):
+                assert contains(low, m)
+
+    @given(proper_up_to_4)
+    @settings(max_examples=30, deadline=None)
+    def test_no_component_is_shared_by_two_powers(self, i):
+        # Consequence (b) of the lemma.  For a component
+        # Q = (x_j^e_j : j in T) of I^k, let m_j = e_j - 1 on T and m exceed
+        # every generator exponent off T.  Then m misses Q and lies in every
+        # other component, so x_j * m lies in I^k for j in T, and m lies in
+        # I^(k-1) by the lemma.  Every lower power holds m, so none lies
+        # inside Q, and Q is none of their components.
+        seen = {}
+        for index in range(1, 5):
+            for c in decomposition._components(ideal_power(i, index)):
+                assert seen.setdefault(c, index) == index
 
     @staticmethod
     def box_candidates(i, index):
