@@ -488,8 +488,9 @@ class Evaluator:
         counts = range(len(kinds), len(kinds) + len(optional) + 1)
         if len(node.args) not in counts:
             wanted = " or ".join(str(c) for c in counts)
+            noun = "argument" if wanted == "1" else "arguments"
             raise EvalError(
-                f"{node.function} expects {wanted} arguments, got {len(node.args)}",
+                f"{node.function} expects {wanted} {noun}, got {len(node.args)}",
                 node.pos,
             )
         kinds += optional

@@ -21,38 +21,49 @@ S_g restricted to the first k variables.  A child takes only a level of
 variable k that some held generator has, and is cut as soon as an earlier
 b_j is attained by none of the generators it keeps, so every node
 extends to a lattice point.  Each block is split by the g_k < v mask once
-per node, not once per point, and each point comes out with its faces
-only: the distinct S_g(b), with no generator masks.  When one face holds
-all the others, K^b is a simplex with no reduced homology, unless it is
-the complex {emptyset} of a minimal generator, which gives beta_1 = 1;
-this is read off the largest face, before any maximal faces are taken.
-When all maximal S_g(b) share a vertex, K^b is a cone and has no reduced
-homology either, so no rank is computed.  Otherwise the complex is shrunk
-to its strong-collapse core (Barmak-Minian, Discrete Comput. Geom. 47,
-2012): a vertex whose facets all share one other vertex is deleted, which
-keeps the homology in every characteristic.  A core of one facet is
-contractible and is skipped.  Two bounded memos, each of the last
-``core._MEMO_SIZE`` distinct keys, hold the rest: ``_collapse_core`` maps
-the sorted tuple of maximal facet masks to its core, with no
-characteristic in the key, and ``_core_homology`` maps a core of more
-than one facet and the characteristic to its homology.  Both are
-ring-free and ideal-free: the same small complexes recur at many lattice
-points and across the powers of an ideal.  Vertices keep their labels in
-the core.  Entries are sorted on plain tuples (i, degree, negated
-exponents), the order of ``Monomial.sort_key``, and then one Monomial is
-built per entry, so none is built for a multidegree with no Betti number.  Homology ranks come
+per node, not once per point.  The walk yields only the points whose K^b
+is not a simplex, each with its faces: the distinct S_g(b), with no
+generator masks.  It tracks the faces' union and largest member as it
+builds them at the last variable, and drops the point when they are
+equal, since then one face holds all the others and K^b, a simplex, has
+no reduced homology.  The complex {emptyset} of a minimal generator is
+such a simplex too, and the minimal generators are exactly the points
+with the one face emptyset, so their beta_1 = 1 rows are read straight
+off the ideal's exponent tuples.  When all maximal S_g(b) share a
+vertex, K^b is a cone and has no reduced homology either, so no rank is
+computed.  When there are two maximal faces and they share no vertex,
+K^b is two disjoint simplices and beta_{2,b} = 1 in every
+characteristic (the proof is in ``betti_table``), with no core and no
+memo.  Otherwise the complex is shrunk to its strong-collapse core
+(Barmak-Minian, Discrete Comput. Geom. 47, 2012): a vertex whose facets
+all share one other vertex is deleted, which keeps the homology in every
+characteristic.  A core of one facet is contractible and is skipped.
+Two bounded memos, each of the last ``core._MEMO_SIZE`` distinct keys,
+hold the rest: ``_collapse_core`` maps the sorted tuple of maximal facet
+masks to its core, with no characteristic in the key, and
+``_core_homology`` maps a core of more than one facet and the
+characteristic to its homology.  Both are ring-free and ideal-free: the
+same small complexes recur at many lattice points and across the powers
+of an ideal.  Vertices keep their labels in the core.  The rows of
+i >= 2 are sorted on plain tuples (i, degree, negated exponents), the
+order of ``Monomial.sort_key``, and the table keeps its rows as
+(i, exponent tuple, beta) triples, as an ideal keeps ``_exps``: printing
+it, comparing it and reading its invariants build no Monomial, and its
+``entries`` are built on first read.  Homology ranks come
 from one exact column reduction over sparse boundary columns (``_rank``),
 on fractions in characteristic zero and on residues mod p otherwise.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it never shares code
-with the upper Koszul route: no walk, no core, no memo and no entry sort
-(it alone uses ``_freeze_entries``).
+with the upper Koszul route: no walk, no short-cut, no core, no memo and
+no row sort.  It builds its table through the public ``BettiTable``
+constructor from sorted ``Monomial`` entries (it alone uses
+``_freeze_entries``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .core import (
@@ -63,6 +74,7 @@ from .core import (
     _ideal,
     _monomial,
     _monomial_text,
+    _unchecked,
     _Value,
     _whole_numbers,
 )
@@ -254,9 +266,10 @@ def reduced_homology_dimensions(
 
 
 def _lattice_walk(gens):
-    """Each point b of the lcm lattice of ``gens`` (exponent tuples) with its
-    faces: the distinct sets S_g(b) = {i : g_i < b_i} of the generators g
-    dividing b, as vertex bitmasks, in no particular order.
+    """Each point b of the lcm lattice of ``gens`` (exponent tuples) whose
+    K^b is not a simplex, with its faces: the distinct sets
+    S_g(b) = {i : g_i < b_i} of the generators g dividing b, as vertex
+    bitmasks, in no particular order.
 
     A depth-first walk over the variables.  A node at depth k holds the
     prefix b_0..b_(k-1), the candidate generators (those with g_j <= b_j
@@ -269,8 +282,11 @@ def _lattice_walk(gens):
     when some earlier j is left with no candidate attaining b_j.  A node
     that survives extends to a lattice point (the lcm of its candidates
     has its prefix), so the walk has no dead ends, and each point is
-    yielded once.  The points stream in no particular order; no
-    generators give none.
+    reached once.  At the leaf the faces' union and their numerically
+    largest member are tracked as the faces are built; when they are
+    equal, one face holds all the others, K^b is a simplex (the complex
+    {emptyset} of a minimal generator included) and the point is dropped.
+    The points stream in no particular order; no generators give none.
     """
     if not gens:
         return
@@ -308,12 +324,21 @@ def _lattice_walk(gens):
                     continue
             if depth == last:
                 faces = []
+                union = top = 0
                 for block, face in blocks:
                     if block & lower:
-                        faces.append(face | bit)
+                        inside = face | bit
+                        faces.append(inside)
+                        union |= inside
+                        if inside > top:
+                            top = inside
                     if block & equal:
                         faces.append(face)
-                yield prefix + (v,), faces
+                        union |= face
+                        if face > top:
+                            top = face
+                if union != top:
+                    yield prefix + (v,), faces
                 continue
             split = []
             for block, face in blocks:
@@ -398,28 +423,58 @@ def _core_homology(core: tuple[int, ...], char: int) -> tuple[tuple[int, int], .
     return tuple(_homology_dims(_upper_koszul_faces(core), char).items())
 
 
+# The reduced homology of two disjoint simplices (see ``betti_table``).
+_TWO_SIMPLICES = ((0, 1),)
+
+
 class BettiTable(_Value):
     """Nonzero multigraded Betti numbers of R/I, with derived invariants.
 
     The zero module (I the unit ideal) has an empty table, depth +inf and
-    regularity -inf.
+    regularity -inf.  The table holds its rows ``_rows`` as triples
+    (i, exponent tuple of b, beta_{i,b}); ``entries``, the same triples
+    with a ``Monomial`` for b, is built from them when first read, and
+    then kept.  The public constructor takes ``entries`` and derives the
+    rows from them on first use.  Equality, the hash, ``str`` and every
+    invariant read the rows, so a table that is only compared or printed
+    builds no ``Monomial``.
     """
 
     __match_args__ = ("ring", "against", "entries")
 
+    @cached_property
+    def entries(self) -> tuple[tuple[int, Monomial, int], ...]:
+        ring = self.ring
+        return tuple([(i, _monomial(ring, e), v) for i, e, v in self._rows])
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        return tuple([(i, b.exponents, v) for i, b, v in self.entries])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ring, self.against, self._rows) == (
+                other.ring, other.against, other._rows
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.against, self._rows))
+
     def multiplicity(self, i: int, b: Monomial) -> int:
-        for j, m, v in self.entries:
-            if j == i and m == b:
-                return v
+        if b.ring == self.ring:
+            for j, e, v in self._rows:
+                if j == i and e == b.exponents:
+                    return v
         return 0
 
     def total_betti(self, i: int) -> int:
-        return sum(v for j, _, v in self.entries if j == i)
+        return sum(v for j, _, v in self._rows if j == i)
 
     def projective_dimension(self) -> int | None:
-        if not self.entries:
+        if not self._rows:
             return None
-        return max(i for i, _, _ in self.entries)
+        return max(i for i, _, _ in self._rows)
 
     def depth(self) -> ExtendedInt:
         pd = self.projective_dimension()
@@ -428,17 +483,16 @@ class BettiTable(_Value):
         return ExtendedInt(self.ring.nvars - pd)
 
     def regularity(self) -> ExtendedInt:
-        if not self.entries:
+        if not self._rows:
             return NEG_INF
-        return ExtendedInt(max(b.degree() - i for i, b, _ in self.entries))
+        return ExtendedInt(max(sum(e) - i for i, e, _ in self._rows))
 
     def __str__(self):
-        if not self.entries:
+        if not self._rows:
             return "{}"
-        # The renderer Monomial.__str__ calls, called directly: one call per entry.
+        names = self.ring.variables
         return "{" + ", ".join([
-            f"({i}, {_monomial_text(b.ring.variables, b.exponents)}): {v}"
-            for i, b, v in self.entries
+            f"({i}, {_monomial_text(names, e)}): {v}" for i, e, v in self._rows
         ]) + "}"
 
 
@@ -453,32 +507,41 @@ def _freeze_entries(entries: dict[tuple[int, Monomial], int]):
 
 
 def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
-    """Multigraded Betti numbers of R/I via upper Koszul complexes."""
+    """Multigraded Betti numbers of R/I via upper Koszul complexes.
+
+    Two maximal faces that share no vertex give beta_{2,b} = 1 and nothing
+    else: both are nonempty (the empty face lies inside any other), so
+    K^b is the disjoint union of two simplices.  Each simplex is
+    contractible, so K^b has two path components and no other homology:
+    H~_0 has dimension 2 - 1 = 1 and H~_k = 0 for k != 0, over every
+    field.  Such a point needs no collapse and no rank.
+    """
     _require_char(char)
     ring = ideal.ring
     if ideal.is_unit:
-        return BettiTable(ring, ideal, ())
+        return _unchecked(BettiTable, ring=ring, against=ideal, _rows=())
     rows = []  # (i, degree of b, negated b, b, beta_{i,b}): sorted as sort_key
     for b, faces in _lattice_walk(ideal._exps):
-        top = max(faces)
-        if reduce(or_, faces) == top:
-            # K^b is the simplex on top: contractible, unless it is the
-            # complex {emptyset} of a minimal generator
-            if not top:
-                rows.append((1, sum(b), tuple(-e for e in b), b, 1))
-            continue
         facets = _maximal(faces)
         if reduce(and_, facets):
             continue  # a cone: every maximal face holds a common vertex
-        core = _collapse_core(tuple(facets))
-        if len(core) == 1:
-            continue  # collapses onto a simplex: contractible
-        for degree, dim in _core_homology(core, char):
-            rows.append((degree + 2, sum(b), tuple(-e for e in b), b, dim))
+        if len(facets) == 2:
+            homology = _TWO_SIMPLICES
+        else:
+            core = _collapse_core(tuple(facets))
+            if len(core) == 1:
+                continue  # collapses onto a simplex: contractible
+            homology = _core_homology(core, char)
+        degree_of_b, negated = sum(b), tuple([-e for e in b])
+        for degree, dim in homology:
+            rows.append((degree + 2, degree_of_b, negated, b, dim))
     rows.sort()
-    entries = [(0, ring.one(), 1)]
-    entries += [(i, _monomial(ring, b), dim) for i, _, _, b, dim in rows]
-    return BettiTable(ring, ideal, tuple(entries))
+    # The generators are the points with the one face {emptyset}, in _exps
+    # already in sort_key order, and every other row has i >= 2.
+    table = [(0, (0,) * ring.nvars, 1)]
+    table += [(1, g, 1) for g in ideal._exps]
+    table += [(i, b, dim) for i, _, _, b, dim in rows]
+    return _unchecked(BettiTable, ring=ring, against=ideal, _rows=tuple(table))
 
 
 def taylor_betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:

@@ -537,6 +537,10 @@ class TestErrors:
         with pytest.raises(EvalError) as err:
             run_script("ring A = [x];\nprint satk_min_global();")
         assert str(err.value) == "2:7: satk_min_global expects 1 or 2 arguments, got 0"
+        # One wanted argument is singular.
+        with pytest.raises(EvalError) as err:
+            run_script("ring A = [x];\nprint betti((x), (x));")
+        assert str(err.value) == "2:7: betti expects 1 argument, got 2"
 
     @pytest.mark.parametrize(
         "call",

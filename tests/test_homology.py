@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import inspect
+import pickle
 import random
 import sys
 import threading
@@ -7,7 +9,7 @@ import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 from unittest import mock
 
 import pytest
@@ -25,6 +27,7 @@ from idealkit.homology import (
     _is_prime_number,
     NEG_INF,
     POS_INF,
+    BettiTable,
     ExtendedInt,
     _collapse_core,
     _core_homology,
@@ -322,9 +325,17 @@ class TestBettiTable:
 
     def test_lattice_contains_generators(self):
         i = ideal(R3, "x*y, y*z")
-        lattice = lattice_points(i)
-        assert {g.exponents for g in i.generators} <= set(lattice)
+        gens = [g.exponents for g in i.generators]
+        lattice = tuple_closure(gens)
+        assert set(gens) <= lattice
         assert i.lcm_of_generators().exponents in lattice
+        # The walk drops the generators, whose K^b is {emptyset}, and keeps
+        # x*y*z, where the faces {x} and {z} are disjoint; the generators'
+        # rows come from the ideal itself.
+        assert lattice_points(i) == [(1, 1, 1)]
+        table = betti_table(i)
+        assert {b.exponents for j, b, _ in table.entries if j == 1} == set(gens)
+        assert table.multiplicity(2, R3.monomial((1, 1, 1))) == 1
 
     def test_lattice_of_zero_ideal_is_empty(self):
         assert lattice_points(MonomialIdeal.zero(R3)) == []
@@ -333,9 +344,12 @@ class TestBettiTable:
         # At a^2*b^2 the generator a*b gives the facet {a, b}, which holds
         # the facets {b} of a^2 and {a} of b^2: K^b is a simplex, a cone.
         i = ideal(AB, "a^2, a*b, b^2")
+        gens = [g.exponents for g in i.generators]
         b = AB.monomial((2, 2))
-        assert b.exponents in lattice_points(i)
-        assert walk_facets(i)[b.exponents] == [0b11]
+        assert b.exponents in tuple_closure(gens)
+        assert generator_facets(gens, b.exponents) == [0b11]
+        # A simplex, so the walk never yields it.
+        assert b.exponents not in lattice_points(i)
         table = betti_table(i)
         assert all(table.multiplicity(k, b) == 0 for k in range(4))
         assert table == taylor_betti_table(i)
@@ -479,9 +493,12 @@ class TestOracleAgreement:
     @given(wide_ideals.filter(lambda i: len(i.generators) <= 8))
     @settings(max_examples=40, deadline=None)
     def test_lattice_is_every_subset_lcm(self, i):
+        gens = [g.exponents for g in i.generators]
+        lattice = tuple_closure(gens)
+        assert lattice == {m.exponents for m in all_subset_lcms(i)}
         points = lattice_points(i)
         assert len(points) == len(set(points))
-        assert set(points) == {m.exponents for m in all_subset_lcms(i)}
+        assert set(points) <= lattice
 
 
 def generator_facets(gens, b):
@@ -546,7 +563,23 @@ class TestLatticeWalk:
         gens = [g.exponents for g in i.generators]
         points = [b for b, _ in _lattice_walk(gens)]
         assert len(points) == len(set(points))
-        assert set(points) == tuple_closure(gens)
+        assert set(points) <= tuple_closure(gens)
+        # A point is left out only when K^b has a single facet: a simplex.
+        for b in tuple_closure(gens) - set(points):
+            assert len(generator_facets(gens, b)) == 1
+
+    @given(st.one_of(wide_ideals, zero_and_unit))
+    @settings(max_examples=60, deadline=None)
+    def test_points_are_the_closure_points_that_are_not_simplices(self, i):
+        gens = [g.exponents for g in i.generators]
+        walked = [(b, faces) for b, faces in _lattice_walk(gens)]
+        expected = {}
+        for b in tuple_closure(gens):
+            faces = generator_blocks(gens, b).keys()
+            if reduce(or_, faces) not in faces:
+                expected[b] = set(faces)
+        assert len(walked) == len(expected)
+        assert {b: set(faces) for b, faces in walked} == expected
 
     def test_points_stream(self):
         gens = [g.exponents for g in ideal(R3, "x*y, y*z, x*z").generators]
@@ -557,10 +590,16 @@ class TestLatticeWalk:
 
     def test_zero_and_unit_ideals(self):
         assert list(_lattice_walk([])) == []
-        assert list(_lattice_walk([(0, 0, 0)])) == [((0, 0, 0), [0])]
+        assert tuple_closure([]) == set()
+        # The unit ideal's one lattice point has the face {emptyset} only.
+        assert tuple_closure([(0, 0, 0)]) == {(0, 0, 0)}
+        assert generator_blocks([(0, 0, 0)], (0, 0, 0)) == {0: 1}
+        assert list(_lattice_walk([(0, 0, 0)])) == []
         for ring in (R4, R5):
             assert walk_facets(MonomialIdeal.zero(ring)) == {}
-            assert walk_facets(MonomialIdeal.unit(ring)) == {(0,) * ring.nvars: [0]}
+            assert walk_facets(MonomialIdeal.unit(ring)) == {}
+            unit = [g.exponents for g in MonomialIdeal.unit(ring).generators]
+            assert tuple_closure(unit) == {(0,) * ring.nvars}
 
 
 def all_subfaces(facets):
@@ -820,11 +859,150 @@ class TestSingleFacetShortCut:
     @settings(max_examples=30, deadline=None)
     def test_points_with_one_nonempty_facet_have_no_entry(self, i, char):
         gens = [g.exponents for g in i.generators]
-        simplices = {b for b, f in walk_facets(i).items() if len(f) == 1 and f[0]}
+        simplices = {
+            b for b in tuple_closure(gens)
+            if generator_facets(gens, b) != [0] and len(generator_facets(gens, b)) == 1
+        }
+        assert not simplices & set(lattice_points(i))
         table = betti_table(i, char)
         assert not any(b.exponents in simplices for _, b, _ in table.entries)
         assert table == taylor_betti_table(i, char)
         assert {b.exponents for j, b, _ in table.entries if j == 1} == set(gens)
+
+
+# Two nonempty vertex sets over 8 vertices that share no vertex.
+disjoint_pairs = st.tuples(st.integers(1, 255), st.integers(1, 255)).filter(
+    lambda pair: not pair[0] & pair[1]
+)
+
+
+class TestTwoFacetShortCut:
+    @given(disjoint_pairs)
+    @settings(max_examples=100, deadline=None)
+    def test_two_disjoint_simplices_have_one_reduced_zero_cycle(self, pair):
+        facets = tuple(sorted(pair))
+        for char in (0, 2, 3):
+            assert _core_homology(_collapse_core(facets), char) == ((0, 1),)
+            assert reduced_homology_dimensions(all_subfaces(facets), char) == {0: 1}
+        assert homology._TWO_SIMPLICES == ((0, 1),)
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_disjoint_pair_needs_no_core_or_rank(self, char):
+        # At x*y*z*t the faces are {z, t} of x*y and {x, y} of z*t.
+        i = ideal(R4, "x*y, z*t")
+        with mock.patch.object(homology, "_collapse_core", side_effect=AssertionError), \
+                mock.patch.object(homology, "_core_homology", side_effect=AssertionError):
+            table = betti_table(i, char)
+        assert str(table) == "{(0, 1): 1, (1, x*y): 1, (1, z*t): 1, (2, x*y*z*t): 1}"
+        assert table == taylor_betti_table(i, char)
+
+
+class TestTaylorIndependence:
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=20, deadline=None)
+    def test_oracle_runs_with_the_fast_route_broken(self, i, char):
+        expected = betti_table(i, char)
+        names = ["_lattice_walk", "_maximal", "_collapse_core", "_core_homology", "_unchecked"]
+        patches = [
+            mock.patch.object(homology, name, side_effect=AssertionError(name))
+            for name in names
+        ]
+        for patch in patches:
+            patch.start()
+        try:
+            with pytest.raises(AssertionError, match="_lattice_walk"):
+                betti_table(i, char)
+            assert taylor_betti_table(i, char) == expected
+        finally:
+            for patch in patches:
+                patch.stop()
+
+
+class TestBettiRows:
+    """Tables hold exponent-tuple rows; ``entries`` is built on first read."""
+
+    @staticmethod
+    def count_monomials(monkeypatch):
+        built = []
+        real = homology._monomial
+
+        def counted(ring, exps):
+            built.append(exps)
+            return real(ring, exps)
+
+        monkeypatch.setattr(homology, "_monomial", counted)
+        monkeypatch.setattr(Monomial, "__post_init__", lambda m: built.append(m))
+        return built
+
+    def tables(self):
+        return [
+            betti_table(ideal(R3, HOLLOW_TRIANGLE + ", z^3"), 2),
+            betti_table(MonomialIdeal.zero(R3)),
+            betti_table(MonomialIdeal.unit(R3)),
+        ]
+
+    def test_printing_and_invariants_build_no_monomial(self, monkeypatch):
+        tables = self.tables()
+        built = self.count_monomials(monkeypatch)
+        texts = [str(t) for t in tables]
+        invariants = [
+            (t.depth(), t.regularity(), t.projective_dimension(), t.total_betti(1))
+            for t in tables
+        ]
+        hash(tables[0]), tables[0] == tables[1]
+        assert built == []
+        assert all("entries" not in vars(t) for t in tables)
+        assert texts[1:] == ["{(0, 1): 1}", "{}"]
+        assert invariants[1:] == [
+            (ExtendedInt(3), ExtendedInt(0), 0, 0), (POS_INF, NEG_INF, None, 0)
+        ]
+        expected = "{" + ", ".join(
+            f"({i}, {b}): {v}" for i, b, v in tables[0].entries
+        ) + "}"
+        assert texts[0] == expected
+
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=20, deadline=None)
+    def test_entries_equal_the_eager_tuple(self, i, char):
+        table = betti_table(i, char)
+        # The oracle's public constructor is given Monomial entries eagerly.
+        eager = taylor_betti_table(i, char).entries
+        assert table.entries == eager
+        assert table.entries is table.entries
+        assert BettiTable(i.ring, i, eager) == table
+        assert hash(BettiTable(i.ring, i, eager)) == hash(table)
+
+    def test_the_first_read_builds_the_entries_once(self, monkeypatch):
+        table = self.tables()[0]
+        built = self.count_monomials(monkeypatch)
+        entries = table.entries
+        assert built == [b.exponents for _, b, _ in entries]
+        assert table.entries is entries
+        assert len(built) == len(entries) == len(table._rows)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_keep_the_rows(self, round_trip):
+        for table in self.tables():
+            restored = round_trip(table)
+            assert "entries" not in vars(restored)
+            assert restored == table and hash(restored) == hash(table)
+            assert str(restored) == str(table)
+            table.entries
+            read = round_trip(table)
+            assert read.entries == table.entries and read == table
+
+    def test_constructor_keeps_its_errors(self):
+        table = self.tables()[0]
+        with pytest.raises(TypeError, match=r"^BettiTable takes the fields \(ring, against, entries\)"):
+            BettiTable(table.ring, table.against)
+        with pytest.raises(TypeError, match="^BettiTable takes the fields"):
+            BettiTable(table.ring, table.against, table.entries, rows=())
+        rebuilt = BettiTable(table.ring, against=table.against, entries=table.entries)
+        assert rebuilt == table and str(rebuilt) == str(table)
 
 
 class TestDerivStar:

@@ -114,8 +114,12 @@ VALUES = {
 }
 
 # An ideal hashes its ring and canonical exponent tuples, not its Monomial
-# view, so a memo key builds no view; every other value hashes its fields.
-HASHED = {"MonomialIdeal": lambda i: (i.ring, i._exps)}
+# view, so a memo key builds no view; a Betti table likewise hashes its
+# exponent-tuple rows, not its entries; every other value hashes its fields.
+HASHED = {
+    "MonomialIdeal": lambda i: (i.ring, i._exps),
+    "BettiTable": lambda t: (t.ring, t.against, t._rows),
+}
 
 
 @pytest.mark.parametrize("name", VALUES)
