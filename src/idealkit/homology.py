@@ -1,76 +1,66 @@
 """Multigraded Betti numbers, depth, and Castelnuovo-Mumford regularity.
 
-Betti numbers of R/I are read off reduced simplicial homology.  For a
-multidegree b in the lcm lattice of I, let K^b be the simplicial complex
-of squarefree vectors t with x^(b-t) in I (the upper Koszul complex of I
-at b).  The convention used and tested throughout is
+Betti numbers of R/I come from an iterated mapping cone over the
+generators (a Mayer-Vietoris tree, Saenz-de-Cabezon, Appl. Algebra Engrg.
+Comm. Comput. 20, 2009).  For J = J' + (m), the sequence
+0 -> J' cap (m) -> J' (+) (m) -> J -> 0 is exact and J' cap (m) is
+generated by the lcm(g, m) of the generators g of J', so the mapping cone
+of a lift of the left map resolves J.  Unrolled over the generators
+(``_cone_ranks``), this gives a multigraded free resolution F of I, not
+always minimal, with one basis element per tree node: r_d(b) of them in
+homological degree d and multidegree b.  Tor_d(I, k)_b is the homology of
+(F (x) k)_b, a complex of dimension r_d(b) in degree d.  Where no two
+nonzero r_d(b) sit in consecutive degrees every map of that complex is 0,
+so beta_{d+1,b}(R/I) = r_d(b) over any field; this holds at most
+multidegrees, and no homology is computed there.
+
+At the other multidegrees the numbers come from reduced simplicial
+homology.  Let K^b be the simplicial complex of squarefree vectors t with
+x^(b-t) in I (the upper Koszul complex of I at b).  The convention used
+and tested throughout is
 
     beta_{i,b}(R/I) = dim H~_{i-2}(K^b)       for i >= 1,
 
-with beta_{0,0}(R/I) = 1; so a minimal generator contributes via the
-homology of the one-point complex {emptyset} in degree -1.
+with beta_{0,0}(R/I) = 1.  K^b has a closed form (Miller-Sturmfels,
+Combinatorial Commutative Algebra, Thm 1.34 and ch. 5): x^(b-t) lies in I
+iff some generator g divides b with t inside S_g(b) = {i : g_i < b_i}, so
+K^b is the complex generated by the sets S_g(b) of the generators g
+dividing b.  Its maximal faces (``_maximal``) are shrunk to a
+strong-collapse core (Barmak-Minian, Discrete Comput. Geom. 47, 2012): a
+vertex whose facets all share one other vertex is deleted, which keeps
+the homology in every characteristic.  Two bounded memos, each of the
+last ``core._MEMO_SIZE`` distinct keys, hold the rest: ``_collapse_core``
+maps the sorted tuple of maximal facet masks to its core, with no
+characteristic in the key, and ``_core_homology`` maps a core and the
+characteristic to its homology.  Both are ring-free and ideal-free.
+Vertices keep their labels in the core.  Homology ranks come from one
+exact column reduction over sparse boundary columns (``_rank``), on
+fractions in characteristic zero and on residues mod p otherwise.
 
-K^b has a closed form (Miller-Sturmfels, Combinatorial Commutative
-Algebra, Thm 1.34 and ch. 5): x^(b-t) lies in I iff some generator g
-divides b with t inside S_g(b) = {i : g_i < b_i}, so K^b is the complex
-generated by the sets S_g(b) of the generators g dividing b.  One
-depth-first walk over the generators' exponent levels (``_lattice_walk``)
-streams the lcm lattice: a node at depth k fixes b_0..b_(k-1), holds the
-generators below that prefix as a bitmask, and groups them into blocks by
-S_g restricted to the first k variables.  A child takes only a level of
-variable k that some held generator has, and is cut as soon as an earlier
-b_j is attained by none of the generators it keeps, so every node
-extends to a lattice point.  Each block is split by the g_k < v mask once
-per node, not once per point.  The walk yields only the points whose K^b
-is not a simplex, each with its faces: the distinct S_g(b), with no
-generator masks.  It tracks the faces' union and largest member as it
-builds them at the last variable, and drops the point when they are
-equal, since then one face holds all the others and K^b, a simplex, has
-no reduced homology.  The complex {emptyset} of a minimal generator is
-such a simplex too, and the minimal generators are exactly the points
-with the one face emptyset, so their beta_1 = 1 rows are read straight
-off the ideal's exponent tuples.  When all maximal S_g(b) share a
-vertex, K^b is a cone and has no reduced homology either, so no rank is
-computed.  When there are two maximal faces and they share no vertex,
-K^b is two disjoint simplices and beta_{2,b} = 1 in every
-characteristic (the proof is in ``betti_table``), with no core and no
-memo.  Otherwise the complex is shrunk to its strong-collapse core
-(Barmak-Minian, Discrete Comput. Geom. 47, 2012): a vertex whose facets
-all share one other vertex is deleted, which keeps the homology in every
-characteristic.  A core of one facet is contractible and is skipped.
-Two bounded memos, each of the last ``core._MEMO_SIZE`` distinct keys,
-hold the rest: ``_collapse_core`` maps the sorted tuple of maximal facet
-masks to its core, with no characteristic in the key, and
-``_core_homology`` maps a core of more than one facet and the
-characteristic to its homology.  Both are ring-free and ideal-free: the
-same small complexes recur at many lattice points and across the powers
-of an ideal.  Vertices keep their labels in the core.  The rows of
-i >= 2 are sorted on plain tuples (i, degree, negated exponents), the
-order of ``Monomial.sort_key``, and the table keeps its rows as
-(i, exponent tuple, beta) triples, as an ideal keeps ``_exps``: printing
-it, comparing it and reading its invariants build no Monomial, and its
-``entries`` are built on first read.  Homology ranks come
-from one exact column reduction over sparse boundary columns (``_rank``),
-on fractions in characteristic zero and on residues mod p otherwise.
+The rows of i >= 2 are sorted on plain tuples (i, degree, negated
+exponents), the order of ``Monomial.sort_key``, and the table keeps its
+rows as (i, exponent tuple, beta) triples, as an ideal keeps ``_exps``:
+printing it, comparing it and reading its invariants build no Monomial,
+and its ``entries`` are built on first read.
 
 An independent Taylor-complex oracle computes the same numbers from the
-generator-subset strands and backs the test suite; it never shares code
-with the upper Koszul route: no walk, no short-cut, no core, no memo and
-no row sort.  It builds its table through the public ``BettiTable``
-constructor from sorted ``Monomial`` entries (it alone uses
-``_freeze_entries``).
+generator-subset strands and backs the test suite; it shares only
+``_rank`` with the route above: no tree, no core, no memo and no row
+sort.  It builds its table through the public ``BettiTable`` constructor
+from sorted ``Monomial`` entries (it alone uses ``_freeze_entries``).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from operator import and_, or_
+from operator import or_
 
 from .core import (
     IdealArgumentError,
     Monomial,
     MonomialIdeal,
     _MEMO_SIZE,
+    _antichain,
     _ideal,
     _monomial,
     _monomial_text,
@@ -265,90 +255,34 @@ def reduced_homology_dimensions(
     return _homology_dims((sum(bit[v] for v in f) for f in faces), char)
 
 
-def _lattice_walk(gens):
-    """Each point b of the lcm lattice of ``gens`` (exponent tuples) whose
-    K^b is not a simplex, with its faces: the distinct sets
-    S_g(b) = {i : g_i < b_i} of the generators g dividing b, as vertex
-    bitmasks, in no particular order.
+def _cone_ranks(gens) -> dict[tuple[int, ...], dict[int, int]]:
+    """For each multidegree b, {d: r_d(b)}: the basis elements of degree d
+    and multidegree b in the iterated mapping cone that resolves the ideal
+    of ``gens`` (its minimal generators as exponent tuples).
 
-    A depth-first walk over the variables.  A node at depth k holds the
-    prefix b_0..b_(k-1), the candidate generators (those with g_j <= b_j
-    for j < k), their blocks on the first k variables (pairs of a
-    generator bitmask, generator k as bit k, and the face they share
-    there), and for each j < k the candidates with g_j = b_j.  A child
-    takes a level v of variable k that some candidate has, keeps the
-    candidates with g_k <= v, and splits each block once by g_k < v; at
-    the last variable only the faces of the split are kept.  It is cut
-    when some earlier j is left with no candidate attaining b_j.  A node
-    that survives extends to a lattice point (the lcm of its candidates
-    has its prefix), so the walk has no dead ends, and each point is
-    reached once.  At the leaf the faces' union and their numerically
-    largest member are tracked as the faces are built; when they are
-    equal, one face holds all the others, K^b is a simplex (the complex
-    {emptyset} of a minimal generator included) and the point is dropped.
-    The points stream in no particular order; no generators give none.
+    A node (g_1 .. g_k, d) takes each g_j in turn as the pivot m of the
+    prefix (g_1 .. g_j): m adds one basis element in degree d, and the
+    intersection (g_1 .. g_(j-1)) cap (m), generated by the antichain of
+    the lcm(g_i, m), is a node of degree d + 1.  A one-generator
+    intersection is counted at once.  No generators give {}.  No lcm of
+    two distinct minimal generators is a generator, so the generators are
+    exactly the multidegrees with a basis element in degree 0, one each.
     """
-    if not gens:
-        return
-    last = len(gens[0]) - 1
-    levels = []  # per variable: (v, g_i == v mask, g_i < v mask), v ascending
-    for column in zip(*gens):
-        at: dict[int, int] = {}
-        for k, e in enumerate(column):
-            at[e] = at.get(e, 0) | 1 << k
-        below = 0
-        row = []
-        for v in sorted(at):
-            row.append((v, at[v], below))
-            below |= at[v]
-        levels.append(row)
-    everyone = (1 << len(gens)) - 1
-    stack = [((), everyone, [(everyone, 0)], ())]
+    ranks: dict[tuple[int, ...], dict[int, int]] = {}
+    stack = [(gens, 0)] if gens else []
     while stack:
-        prefix, candidates, blocks, attained = stack.pop()
-        depth = len(prefix)
-        bit = 1 << depth
-        reached = False  # every earlier b_j stays attained from here up
-        for v, equal, lower in levels[depth]:
-            attaining = candidates & equal
-            if not attaining:
-                continue
-            kept = candidates & (equal | lower)
-            if not reached:
-                for tight in attained:
-                    if not kept & tight:
-                        break
-                else:
-                    reached = True
-                if not reached:
-                    continue
-            if depth == last:
-                faces = []
-                union = top = 0
-                for block, face in blocks:
-                    if block & lower:
-                        inside = face | bit
-                        faces.append(inside)
-                        union |= inside
-                        if inside > top:
-                            top = inside
-                    if block & equal:
-                        faces.append(face)
-                        union |= face
-                        if face > top:
-                            top = face
-                if union != top:
-                    yield prefix + (v,), faces
-                continue
-            split = []
-            for block, face in blocks:
-                inside = block & lower
-                if inside:
-                    split.append((inside, face | bit))
-                outside = block & equal
-                if outside:
-                    split.append((outside, face))
-            stack.append((prefix + (v,), kept, split, attained + (attaining,)))
+        node, d = stack.pop()
+        for j, m in enumerate(node):
+            at = ranks.setdefault(m, {})
+            at[d] = at.get(d, 0) + 1
+            if j == 1:
+                b = tuple(map(max, node[0], m))
+                at = ranks.setdefault(b, {})
+                at[d + 1] = at.get(d + 1, 0) + 1
+            elif j:
+                lcms = [tuple(map(max, g, m)) for g in node[:j]]
+                stack.append((_antichain(lcms), d + 1))
+    return ranks
 
 
 def _maximal(faces) -> list[int]:
@@ -421,10 +355,6 @@ def _core_homology(core: tuple[int, ...], char: int) -> tuple[tuple[int, int], .
     by ``core`` (its facets as vertex bitmasks, ascending), from a memo of
     the last 1024 (core, characteristic) pairs."""
     return tuple(_homology_dims(_upper_koszul_faces(core), char).items())
-
-
-# The reduced homology of two disjoint simplices (see ``betti_table``).
-_TWO_SIMPLICES = ((0, 1),)
 
 
 class BettiTable(_Value):
@@ -507,39 +437,51 @@ def _freeze_entries(entries: dict[tuple[int, Monomial], int]):
 
 
 def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
-    """Multigraded Betti numbers of R/I via upper Koszul complexes.
+    """Multigraded Betti numbers of R/I, from the ranks of ``_cone_ranks``.
 
-    Two maximal faces that share no vertex give beta_{2,b} = 1 and nothing
-    else: both are nonempty (the empty face lies inside any other), so
-    K^b is the disjoint union of two simplices.  Each simplex is
-    contractible, so K^b has two path components and no other homology:
-    H~_0 has dimension 2 - 1 = 1 and H~_k = 0 for k != 0, over every
-    field.  Such a point needs no collapse and no rank.
+    The cone F resolves I, so beta_{d+1,b}(R/I) = dim Tor_d(I, k)_b is the
+    homology at degree d of (F (x) k)_b, whose term at degree d has
+    dimension r_d(b).  When no two nonzero r_d(b) sit in consecutive
+    degrees, each map of that complex starts or ends at 0, so it is 0 and
+    the homology is r_d(b) itself, over every field.  Only at the other
+    multidegrees is K^b built, from the S_g(b) of the generators dividing
+    b, and its homology read on its collapse core.  For example, the
+    Stanley-Reisner ideal of the 6-vertex real projective plane has ranks
+    {2: 1, 3: 1} at the product of its variables, and K^b there gives
+    beta_3 = beta_4 = 1 in characteristic 2 and nothing otherwise.
     """
     _require_char(char)
     ring = ideal.ring
     if ideal.is_unit:
         return _unchecked(BettiTable, ring=ring, against=ideal, _rows=())
+    gens = ideal._exps
     rows = []  # (i, degree of b, negated b, b, beta_{i,b}): sorted as sort_key
-    for b, faces in _lattice_walk(ideal._exps):
-        facets = _maximal(faces)
-        if reduce(and_, facets):
-            continue  # a cone: every maximal face holds a common vertex
-        if len(facets) == 2:
-            homology = _TWO_SIMPLICES
+    for b, at in _cone_ranks(gens).items():
+        if 0 in at:
+            continue  # a generator: its beta_1 = 1 row is read off _exps
+        if len(at) > 1 and any(d + 1 in at for d in at):
+            faces = set()
+            for g in gens:
+                face = 0
+                for k, (e, top) in enumerate(zip(g, b)):
+                    if e > top:
+                        break
+                    if e < top:
+                        face |= 1 << k
+                else:
+                    faces.add(face)
+            core = _collapse_core(tuple(_maximal(faces)))
+            betti = [(degree + 2, dim) for degree, dim in _core_homology(core, char)]
         else:
-            core = _collapse_core(tuple(facets))
-            if len(core) == 1:
-                continue  # collapses onto a simplex: contractible
-            homology = _core_homology(core, char)
+            betti = [(d + 1, r) for d, r in at.items()]
         degree_of_b, negated = sum(b), tuple([-e for e in b])
-        for degree, dim in homology:
-            rows.append((degree + 2, degree_of_b, negated, b, dim))
+        for i, dim in betti:
+            rows.append((i, degree_of_b, negated, b, dim))
     rows.sort()
-    # The generators are the points with the one face {emptyset}, in _exps
-    # already in sort_key order, and every other row has i >= 2.
+    # The generators are in _exps already in sort_key order, and every
+    # other row has i >= 2.
     table = [(0, (0,) * ring.nvars, 1)]
-    table += [(1, g, 1) for g in ideal._exps]
+    table += [(1, g, 1) for g in gens]
     table += [(i, b, dim) for i, _, _, b, dim in rows]
     return _unchecked(BettiTable, ring=ring, against=ideal, _rows=tuple(table))
 

@@ -30,8 +30,8 @@ from idealkit.homology import (
     BettiTable,
     ExtendedInt,
     _collapse_core,
+    _cone_ranks,
     _core_homology,
-    _lattice_walk,
     _maximal,
     _rank,
     _upper_koszul_faces,
@@ -47,6 +47,7 @@ from idealkit.homology import (
 from idealkit import homology
 from idealkit.binomial import joined_sum
 from idealkit.powers import saturated_power
+from lattice_betti import lattice_betti_table, lattice_points, lattice_walk, walk_facets
 
 AB = Ring.of("a", "b")
 R3 = Ring.of("x", "y", "z")
@@ -58,15 +59,6 @@ def ideal(ring, text):
     return MonomialIdeal.parse(ring, text)
 
 
-def lattice_points(i):
-    """The lattice points of i as exponent tuples, in the walk's order."""
-    return [b for b, _ in _lattice_walk([g.exponents for g in i.generators])]
-
-
-def walk_facets(i):
-    """The lattice points of i, each mapped to the maximal faces of K^b."""
-    gens = [g.exponents for g in i.generators]
-    return {b: _maximal(faces) for b, faces in _lattice_walk(gens)}
 
 
 class TestExtendedInt:
@@ -546,14 +538,14 @@ class TestLatticeWalk:
     @settings(max_examples=60, deadline=None)
     def test_facets_match_the_per_generator_definition(self, i):
         gens = [g.exponents for g in i.generators]
-        for b, faces in _lattice_walk(gens):
+        for b, faces in lattice_walk(gens):
             assert _maximal(faces) == generator_facets(gens, b)
 
     @given(st.one_of(wide_ideals, zero_and_unit))
     @settings(max_examples=60, deadline=None)
     def test_faces_are_those_of_the_dividing_generators_each_once(self, i):
         gens = [g.exponents for g in i.generators]
-        for b, faces in _lattice_walk(gens):
+        for b, faces in lattice_walk(gens):
             assert set(faces) == generator_blocks(gens, b).keys()
             assert len(set(faces)) == len(faces)
 
@@ -561,7 +553,7 @@ class TestLatticeWalk:
     @settings(max_examples=60, deadline=None)
     def test_points_are_the_tuple_closure_each_once(self, i):
         gens = [g.exponents for g in i.generators]
-        points = [b for b, _ in _lattice_walk(gens)]
+        points = [b for b, _ in lattice_walk(gens)]
         assert len(points) == len(set(points))
         assert set(points) <= tuple_closure(gens)
         # A point is left out only when K^b has a single facet: a simplex.
@@ -572,7 +564,7 @@ class TestLatticeWalk:
     @settings(max_examples=60, deadline=None)
     def test_points_are_the_closure_points_that_are_not_simplices(self, i):
         gens = [g.exponents for g in i.generators]
-        walked = list(_lattice_walk(gens))
+        walked = list(lattice_walk(gens))
         expected = {}
         for b in tuple_closure(gens):
             faces = generator_blocks(gens, b).keys()
@@ -583,18 +575,18 @@ class TestLatticeWalk:
 
     def test_points_stream(self):
         gens = [g.exponents for g in ideal(R3, "x*y, y*z, x*z").generators]
-        walk = _lattice_walk(gens)
+        walk = lattice_walk(gens)
         assert inspect.isgenerator(walk)
         first, _ = next(walk)
         assert first in tuple_closure(gens)
 
     def test_zero_and_unit_ideals(self):
-        assert list(_lattice_walk([])) == []
+        assert list(lattice_walk([])) == []
         assert tuple_closure([]) == set()
         # The unit ideal's one lattice point has the face {emptyset} only.
         assert tuple_closure([(0, 0, 0)]) == {(0, 0, 0)}
         assert generator_blocks([(0, 0, 0)], (0, 0, 0)) == {0: 1}
-        assert list(_lattice_walk([(0, 0, 0)])) == []
+        assert list(lattice_walk([(0, 0, 0)])) == []
         for ring in (R4, R5):
             assert walk_facets(MonomialIdeal.zero(ring)) == {}
             assert walk_facets(MonomialIdeal.unit(ring)) == {}
@@ -633,6 +625,18 @@ class TestCollapseCore:
                 holding = [f for f in core if f >> v & 1]
                 if holding:
                     assert reduce(and_, holding) == 1 << v
+
+    @given(facet_sets, st.integers(0, 7), st.sampled_from([0, 2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_cones_and_simplices_collapse_to_one_facet(self, facets, apex, char):
+        # Every facet holds the apex, so a vertex other than the apex is
+        # dominated until one facet is left.
+        cone = tuple(_maximal({f | 1 << apex for f in facets}))
+        assert len(_collapse_core(cone)) == 1
+        assert _core_homology(_collapse_core(cone), char) == ()
+        simplex = reduce(or_, facets) | 1 << apex
+        assert _collapse_core((simplex,)) == (simplex,)
+        assert _core_homology((simplex,), char) == ()
 
     def test_cone_collapses_to_one_facet(self):
         # Three triangles around the apex 0.
@@ -734,6 +738,15 @@ class TestPathologicalIdeal:
 
 
 HOLLOW_TRIANGLE = "x*y*z^2, x*y^2*z, x^2*y*z"
+# At x*y^2*z the cone ranks are {1: 1, 2: 1}, in consecutive degrees, so
+# the table reads K^b there: a cone, with beta = 0.
+CONE_AT_XY2Z = "x*z, y^2, y*z"
+# The Stanley-Reisner ideal of the 6-vertex real projective plane; at
+# a*b*c*d*e*f the cone ranks are {2: 1, 3: 1}.
+ABCDEF = Ring.of(*"abcdef")
+PROJECTIVE_PLANE = (
+    "a*b*d, a*b*e, a*c*d, a*c*f, a*e*f, b*c*e, b*c*f, b*d*f, c*d*e, d*e*f"
+)
 
 
 class TestHomologyMemo:
@@ -757,7 +770,9 @@ class TestHomologyMemo:
         assert _collapse_core.cache_info().misses == collapse_misses
 
     def test_collapse_memo_ignores_the_characteristic(self):
-        i = ideal(R3, HOLLOW_TRIANGLE)
+        # RP^2's top multidegree is the one that needs K^b, and its table
+        # differs between the two characteristics.
+        i = ideal(ABCDEF, PROJECTIVE_PLANE)
         _collapse_core.cache_clear()
         zero = betti_table(i, 0)
         before = _collapse_core.cache_info()
@@ -766,36 +781,41 @@ class TestHomologyMemo:
         after = _collapse_core.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
         assert zero == taylor_betti_table(i, 0) and two == taylor_betti_table(i, 2)
+        assert zero != two
 
     def test_memo_is_ring_free(self):
-        betti_table(ideal(R3, "x*y*z^2, x*y^2*z, x^2*y*z"))
+        betti_table(ideal(ABCDEF, PROJECTIVE_PLANE), 2)
         before = _core_homology.cache_info()
-        other = Ring.of("u", "v", "w")
-        table = betti_table(ideal(other, "u*v*w^2, u*v^2*w, u^2*v*w"))
+        other = Ring.of(*"uvwxyz")
+        renamed = PROJECTIVE_PLANE.translate(str.maketrans("abcdef", "uvwxyz"))
+        table = betti_table(ideal(other, renamed), 2)
         after = _core_homology.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
-        assert table.multiplicity(3, other.monomial((2, 2, 2))) == 1
+        assert table.multiplicity(4, other.monomial((1,) * 6)) == 1
 
     def test_threads_share_the_memo(self):
         # More distinct cores than the memo holds, so threads also evict.
-        # Squarefree ideals in 10 variables give far more distinct
-        # non-contractible K^b than the small exponent boxes of wide_ideals.
-        ring = Ring(tuple(f"x{k}" for k in range(10)))
+        # Squarefree ideals in 8 variables give far more distinct
+        # multidegrees that need K^b than the small exponent boxes of
+        # wide_ideals; they are drawn until both memos have missed more
+        # often than they hold.
+        ring = Ring(tuple(f"x{k}" for k in range(8)))
         rnd = random.Random(0)
-        ideals = []
-        for _ in range(150):
+        _core_homology.cache_clear()
+        _collapse_core.cache_clear()
+        serial = {}
+        while min(
+            _core_homology.cache_info().misses, _collapse_core.cache_info().misses
+        ) <= _MEMO_SIZE:
             gens = [
-                ring.monomial([rnd.randint(0, 1) for _ in range(10)])
-                for _ in range(rnd.randint(6, 12))
+                ring.monomial([rnd.randint(0, 1) for _ in range(8)])
+                for _ in range(rnd.randint(12, 18))
             ]
             i = MonomialIdeal(ring, tuple(gens))
             if not i.is_unit:
-                ideals += [(i, char) for char in (0, 2, 3)]
-        _core_homology.cache_clear()
-        _collapse_core.cache_clear()
-        serial = {key: betti_table(*key) for key in ideals}
-        assert _core_homology.cache_info().misses > _MEMO_SIZE
-        assert _collapse_core.cache_info().misses > _MEMO_SIZE
+                for char in (0, 2, 3):
+                    serial[(i, char)] = betti_table(i, char)
+        ideals = list(serial)
         _core_homology.cache_clear()
         _collapse_core.cache_clear()
         results = [{} for _ in range(4)]
@@ -835,7 +855,7 @@ class TestHomologyMemo:
             assert core.call_count == 0
             # The counters do see the Betti route reach the core.
             _collapse_core.cache_clear()
-            betti_table(ideal(R3, HOLLOW_TRIANGLE), char)
+            betti_table(ideal(R3, CONE_AT_XY2Z), char)
             assert core.call_count > 0
             assert _collapse_core.cache_info().misses > 0
 
@@ -884,10 +904,13 @@ class TestTwoFacetShortCut:
     @settings(max_examples=100, deadline=None)
     def test_two_disjoint_simplices_have_one_reduced_zero_cycle(self, pair):
         facets = tuple(sorted(pair))
+        # Each simplex collapses onto one of its vertices.
+        core = _collapse_core(facets)
+        assert len(core) == 2 and all(v.bit_count() == 1 for v in core)
+        assert all(v & f for v, f in zip(core, facets))
         for char in (0, 2, 3):
-            assert _core_homology(_collapse_core(facets), char) == ((0, 1),)
+            assert _core_homology(core, char) == ((0, 1),)
             assert reduced_homology_dimensions(all_subfaces(facets), char) == {0: 1}
-        assert homology._TWO_SIMPLICES == ((0, 1),)
 
     @pytest.mark.parametrize("char", [0, 2, 3])
     def test_disjoint_pair_needs_no_core_or_rank(self, char):
@@ -905,7 +928,7 @@ class TestTaylorIndependence:
     @settings(max_examples=20, deadline=None)
     def test_oracle_runs_with_the_fast_route_broken(self, i, char):
         expected = betti_table(i, char)
-        names = ["_lattice_walk", "_maximal", "_collapse_core", "_core_homology", "_unchecked"]
+        names = ["_cone_ranks", "_maximal", "_collapse_core", "_core_homology", "_unchecked"]
         patches = [
             mock.patch.object(homology, name, side_effect=AssertionError(name))
             for name in names
@@ -913,12 +936,129 @@ class TestTaylorIndependence:
         for patch in patches:
             patch.start()
         try:
-            with pytest.raises(AssertionError, match="_lattice_walk"):
+            with pytest.raises(AssertionError, match="_cone_ranks"):
                 betti_table(i, char)
             assert taylor_betti_table(i, char) == expected
         finally:
             for patch in patches:
                 patch.stop()
+
+
+def rank_table(i):
+    return _cone_ranks(i._exps)
+
+
+def adjacent(at):
+    return any(d + 1 in at for d in at)
+
+
+class TestConeRanks:
+    @given(st.one_of(wide_ideals, zero_and_unit))
+    @settings(max_examples=40, deadline=None)
+    def test_generators_sit_only_in_degree_zero(self, i):
+        ranks = rank_table(i)
+        assert {b for b, at in ranks.items() if 0 in at} == set(i._exps)
+        assert all(ranks[g] == {0: 1} for g in i._exps)
+
+    def test_no_generators_give_no_ranks(self):
+        assert _cone_ranks(()) == {}
+        assert _cone_ranks([]) == {}
+        for ring in (R3, R4):
+            table = betti_table(MonomialIdeal.zero(ring))
+            assert table._rows == ((0, (0,) * ring.nvars, 1),)
+            assert str(table) == "{(0, 1): 1}"
+
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_ranks_bound_the_betti_numbers(self, i, char):
+        ranks = rank_table(i)
+        for k, b, beta in taylor_betti_table(i, char)._rows:
+            if k:
+                assert ranks[b].get(k - 1, 0) >= beta
+
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_ranks_in_non_adjacent_degrees_are_the_betti_numbers(self, i, char):
+        taylor = taylor_betti_table(i, char)
+        rows = {(k, b): beta for k, b, beta in taylor._rows}
+        for b, at in rank_table(i).items():
+            if not adjacent(at):
+                assert {k: v for (k, e), v in rows.items() if e == b} == {
+                    d + 1: r for d, r in at.items()
+                }
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_fixtures_need_the_upper_koszul_complex(self, char):
+        cone = ideal(R3, CONE_AT_XY2Z)
+        assert rank_table(cone)[(1, 2, 1)] == {1: 1, 2: 1}
+        table = betti_table(cone, char)
+        assert all(table.multiplicity(k, R3.monomial((1, 2, 1))) == 0 for k in range(5))
+        assert table == taylor_betti_table(cone, char)
+        plane = ideal(ABCDEF, PROJECTIVE_PLANE)
+        assert rank_table(plane)[(1,) * 6] == {2: 1, 3: 1}
+        assert betti_table(plane, char) == taylor_betti_table(plane, char)
+        # K^b is read exactly at the multidegrees whose ranks are adjacent.
+        for i in (cone, plane):
+            with mock.patch.object(
+                homology, "_collapse_core", wraps=homology._collapse_core
+            ) as core:
+                betti_table(i, char)
+            assert core.call_count == sum(map(adjacent, rank_table(i).values())) >= 1
+
+    def test_projective_plane_depends_on_the_characteristic(self):
+        plane = ideal(ABCDEF, PROJECTIVE_PLANE)
+        top = ABCDEF.monomial((1,) * 6)
+        zero, two, three = (betti_table(plane, char) for char in (0, 2, 3))
+        assert zero != two and zero == BettiTable(ABCDEF, plane, three.entries)
+        assert [zero.multiplicity(k, top) for k in (3, 4)] == [0, 0]
+        assert [two.multiplicity(k, top) for k in (3, 4)] == [1, 1]
+        assert str(two).endswith("(3, a*b*c*d*e*f): 1, (4, a*b*c*d*e*f): 1}")
+        assert zero._rows == two._rows[:-2]
+
+
+R6 = Ring.of("a", "b", "c", "d", "e", "f")
+CHAIN = "a^2*b, a*b*c, c^2*d, d*e*f, f*g*h, h*i*j*k*l"
+
+
+def power_generators(shape):
+    ring, s, count = shape
+    vector = st.tuples(*[st.integers(0, 3)] * ring.nvars).filter(any)
+    return st.lists(vector.map(ring.monomial), min_size=count, max_size=count).map(
+        lambda gens: ideal_power(MonomialIdeal(ring, tuple(gens)), s)
+    )
+
+
+# I^2 and I^3 of ideals in 4-6 variables, with 15 to 60 generators: past
+# the Taylor oracle's cap of 14.
+large_powers = (
+    st.one_of(
+        st.tuples(st.sampled_from([R4, R5, R6]), st.just(2), st.integers(6, 10)),
+        st.tuples(st.sampled_from([R4, R5, R6]), st.just(3), st.integers(4, 6)),
+    )
+    .flatmap(power_generators)
+    .filter(lambda i: 15 <= len(i._exps) <= 60)
+)
+
+
+class TestLatticeReference:
+    """The tree's tables against the lcm-lattice walk, past the Taylor cap."""
+
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_reference_agrees_with_taylor(self, i, char):
+        assert lattice_betti_table(i, char) == taylor_betti_table(i, char)
+
+    @given(large_powers, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=25, deadline=None)
+    def test_powers_past_the_taylor_cap(self, i, char):
+        assert betti_table(i, char) == lattice_betti_table(i, char)
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    @pytest.mark.parametrize("text", [PATHOLOGICAL, CHAIN], ids=["I^3", "J^3"])
+    def test_cubes_of_the_twelve_variable_ideals(self, text, char):
+        cube = ideal_power(ideal(R12, text), 3)
+        assert len(cube._exps) > 14
+        assert betti_table(cube, char) == lattice_betti_table(cube, char)
 
 
 class TestBettiRows:
