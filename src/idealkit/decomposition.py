@@ -373,8 +373,8 @@ def ass_module_quotient_exhaustive(
     (k != j), over the generators g of I^i and j in supp g, are scanned.
     Each point is an exponent tuple, tested for membership against the
     generator tuples, and a monomial is built only for a point whose colon
-    is taken.  No decomposition is read, so the oracle stays independent
-    of the corner form.
+    is taken.  The oracle reads no decomposition, so it stays independent
+    of ``ass_module_quotient``, which reads the decomposition of I^i.
     """
     _require_nonzero_proper(ideal)
     if i < 1:

@@ -56,9 +56,6 @@ class EvalError(ValueError):
 
 
 KEYWORDS = {"ring", "ideal", "print", "in"}
-# The tokens that carry an expression on past a name: '^', '*', '+', and the
-# '(' that makes the name a call.
-_CONTINUE = {"^", "*", "+", "("}
 # Work budget: the deepest expression accepted, counting each '+'/'*' link, '^',
 # call, parenthesis and bracket on a path; keeps the recursion off the stack limit.
 MAX_DEPTH = 100
@@ -186,12 +183,7 @@ class Parser:
 
     Lookahead compares token text only: no name or int token spells a
     punctuation mark and EOF's text is empty, and a keyword is a name.
-
-    Plain atoms skip the general path: ``parse_expr`` reads an expression
-    that is one lone name itself, ``parse_factor`` reads a plain int or
-    name atom itself, and ``parse_atom`` reads the other atoms (calls,
-    parentheses and brackets) and reports every atom error.  No tree,
-    position, error or depth count depends on which path read a token.
+    Every atom, an int and a name included, is read by ``parse_atom``.
     """
 
     def __init__(self, tokens: list[tuple[str, str, int, int]]):
@@ -258,15 +250,8 @@ class Parser:
             raise ParseError(message, tok[2], tok[3])
 
     def parse_expr(self):
-        tokens = self.tokens
-        index = self.index
-        kind, text, line, column = tokens[index]
-        if kind == "name" and tokens[index + 1][1] not in _CONTINUE and text not in KEYWORDS:
-            # A lone name, as most call arguments are: no term or factor call.
-            self.index = index + 1
-            self.depth = 0
-            return Name(text, pos=(line, column))
         node = self.parse_term()
+        tokens = self.tokens
         while tokens[self.index][1] == "+":
             tok = tokens[self.index]
             self.index += 1
@@ -289,31 +274,18 @@ class Parser:
         return node
 
     def parse_factor(self):
+        node = self.parse_atom()
         tokens = self.tokens
-        index = self.index
-        kind, text, line, column = tokens[index]
-        if kind == "int":
-            node = IntLit(int(text), pos=(line, column))
-            index += 1
-            self.depth = 0
-        elif kind == "name" and text not in KEYWORDS and tokens[index + 1][1] != "(":
-            node = Name(text, pos=(line, column))
-            index += 1
-            self.depth = 0
-        else:
-            node = self.parse_atom()
-            index = self.index
-        tok = tokens[index]
-        if tok[1] != "^":
-            self.index = index
-            return node
-        self.index = index + 1
-        kind, text, _, _ = tokens[index + 1]
-        if kind != "int":
-            self._fail("expected an integer exponent")
-        self.index = index + 2
-        self._deeper(tok, self.depth)
-        return PowOp(node, int(text), pos=tok[2:])
+        tok = tokens[self.index]
+        if tok[1] == "^":
+            self.index += 1
+            kind, text, _, _ = tokens[self.index]
+            if kind != "int":
+                self._fail("expected an integer exponent")
+            self.index += 1
+            self._deeper(tok, self.depth)
+            node = PowOp(node, int(text), pos=tok[2:])
+        return node
 
     def _parse_entries(self, tok, close, allow_empty=False):
         """Comma-separated expressions up to ``close``, one level below ``tok``."""
@@ -334,15 +306,21 @@ class Parser:
         return tuple(entries)
 
     def parse_atom(self):
-        """A call, a parenthesised or bracketed list, or an error: the atoms
-        ``parse_factor`` does not read itself."""
         tok = self.tokens[self.index]
         kind, text, pos = tok[0], tok[1], tok[2:]
+        if kind == "int":
+            self.index += 1
+            self.depth = 0
+            return IntLit(int(text), pos=pos)
         if kind == "name":
             if text in KEYWORDS:
                 self._fail(f"keyword {text!r} cannot start an expression")
-            self.index += 2  # the name and its '('
-            return CallOp(text, self._parse_entries(tok, ")", True), pos=pos)
+            self.index += 1
+            if self.tokens[self.index][1] == "(":
+                self.index += 1
+                return CallOp(text, self._parse_entries(tok, ")", True), pos=pos)
+            self.depth = 0
+            return Name(text, pos=pos)
         if text == "(":
             self.index += 1
             entries = self._parse_entries(tok, ")")
@@ -449,6 +427,7 @@ class Evaluator:
     def _mul(self, node, ctx):
         left = self._eval(node.left, ctx)
         right = self._eval(node.right, ctx)
+        # Monomial products build no ideal and no checked Monomial: pays on script.
         if isinstance(left, Monomial) and isinstance(right, Monomial):
             if left.ring is right.ring or left.ring == right.ring:
                 return _monomial(left.ring, tuple(map(add, left.exponents, right.exponents)))
@@ -463,6 +442,7 @@ class Evaluator:
     def _pow(self, node, ctx):
         base = self._eval(node.base, ctx)
         k = node.exponent
+        # Monomial powers build no ideal and no checked Monomial: pays on script.
         if isinstance(base, Monomial):
             if type(k) is int and k >= 0:  # as every parsed exponent is
                 return _monomial(base.ring, tuple([e * k for e in base.exponents]))

@@ -276,6 +276,7 @@ def _cone_ranks(gens) -> dict[tuple[int, ...], dict[int, int]]:
             at = ranks.setdefault(m, {})
             at[d] = at.get(d, 0) + 1
             if j == 1:
+                # One lcm, counted here rather than pushed: pays on fuzz-default.
                 b = tuple(map(max, node[0], m))
                 at = ranks.setdefault(b, {})
                 at[d + 1] = at.get(d + 1, 0) + 1
@@ -479,7 +480,7 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
             rows.append((i, degree_of_b, negated, b, dim))
     rows.sort()
     # The generators are in _exps already in sort_key order, and every
-    # other row has i >= 2.
+    # other row has i >= 2; skipping their sort pays on the betti workload.
     table = [(0, (0,) * ring.nvars, 1)]
     table += [(1, g, 1) for g in gens]
     table += [(i, b, dim) for i, _, _, b, dim in rows]

@@ -6,15 +6,17 @@ primes of grade zero on A/I.  Both rules are the support-bitmask helpers
 of ``decomposition`` (``_supports``, ``_minimal``, ``_inside_some``), the
 same ones ``minimal_primes`` and ``grade_zero`` use.  The decomposition
 route (``_symbolic_direct``) intersects the irreducible components of I^s
-over kept primes; the saturation route saturates I^s by the primes of
-Ass(I^s), or of their bounded union over powers, that are not kept.  The
-tests cross-check the two routes.
+over kept primes, each notion folding its own from the unit ideal, so
+neither reads the other's result.  The saturation route saturates I^s by
+the primes of Ass(I^s), or of their bounded union over powers, that are
+not kept.  The tests cross-check the two routes.
 
 ``symbolic_power`` adds a fast path for an ideal that splits into
 summands in disjoint variables: it expands the symbolic power of the sum
 by the source paper's binomial formula, (I+J)^(s) = sum over t of
-I^(t) J^(s-t), from the summands' direct-route powers.  The checks of
-that formula read the direct route, never the fast path.
+I^(t) J^(s-t), from the summands' direct-route powers.  It keeps no
+memo of its own: those powers are memoised where they are computed.  The
+checks of that formula read the direct route, never the fast path.
 
 ``_binomial_sum`` forms every sum of products A_t B_(s-t) in the
 package, here and in ``binomial``, canonicalising each sum once.
@@ -151,8 +153,9 @@ def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
 
     An ideal that splits into summands in disjoint variables (``_summands``)
     takes the binomial fast path (``_symbolic_split``) for whole s >= 1;
-    every other call is the decomposition route (``_symbolic_direct``).
-    Each is memoised for the last 1024 distinct (I, s, notion).
+    every other call is the decomposition route (``_symbolic_direct``),
+    memoised for the last 1024 distinct (I, s, notion).  The fast path is
+    not memoised itself; it reads the summands' memoised powers.
     """
     _require_notion(notion)
     # Any other s takes the direct route, which answers or raises as it always has.
@@ -166,29 +169,22 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     """The decomposition route to the symbolic power; the notion is valid.
 
     The components of I^s are read ring-free from ``_components`` and
-    their supports tested as bitmasks.  When every component is kept, the
-    result is I^s itself, the intersection of its irredundant
-    decomposition.  Min(I) lies in Ass(I), so "ass" keeps every component
-    "min" keeps, and folds only the others into the "min" power.
+    their supports tested as bitmasks; each notion folds its own kept
+    components with ``_meet``, starting from the unit ideal.  When every
+    component is kept, the result is I^s itself, the intersection of its
+    irredundant decomposition.
     """
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
     keep = _kept(ideal, notion)
     power = ideal_power(ideal, s)
     components = _components(power)
-    masks = [_mask([i for i, _ in c]) for c in components]
-    kept = [(c, m) for c, m in zip(components, masks) if keep(m)]
+    kept = [c for c in components if keep(_mask([i for i, _ in c]))]
     if len(kept) == len(components):
         return power
-    start = [(0,) * ideal.ring.nvars]
-    if notion == "ass":
-        in_min = _kept(ideal, "min")
-        kept = [(c, m) for c, m in kept if not in_min(m)]
-        start = _symbolic_direct(ideal, s, "min")._exps
-    return _ideal(ideal.ring, reduce(_meet, (c for c, _ in kept), start))
+    return _ideal(ideal.ring, reduce(_meet, kept, [(0,) * ideal.ring.nvars]))
 
 
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     """The symbolic power of a split ideal, by the binomial expansion.
 

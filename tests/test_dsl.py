@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import random
 import re
@@ -217,164 +218,11 @@ class TestTokenizer:
             assert scan_outcome(dsl._scan, text) == expected, repr(text)
 
 
-class ReferenceParser:
-    """The recursive-descent parser before ``parse_factor`` read plain atoms
-    itself, kept verbatim as an independent oracle for ``dsl.Parser``.
-
-    Lookahead compares token text only: no name or int token spells a
-    punctuation mark and EOF's text is empty, and a keyword is a name.
-    """
-
-    def __init__(self, tokens: list[tuple[str, str, int, int]]):
-        self.tokens = tokens
-        self.index = 0
-        self.level = 0
-        self.depth = 0
-
-    def _fail(self, message):
-        _, text, line, column = self.tokens[self.index]
-        shown = text or "end of input"
-        raise ParseError(f"{message} (got {shown!r})", line, column)
-
-    def _expect_punct(self, text):
-        if self.tokens[self.index][1] != text:
-            self._fail(f"expected {text!r}")
-        self.index += 1
-
-    def _expect_name(self) -> str:
-        kind, text, _, _ = self.tokens[self.index]
-        if kind != "name":
-            self._fail("expected a name")
-        self.index += 1
-        return text
-
-    def parse_script(self) -> Script:
-        statements = []
-        tokens = self.tokens
-        while tokens[self.index][0] != "eof":
-            statements.append(self.parse_statement())
-        return Script(tuple(statements))
-
-    def parse_statement(self):
-        _, text, line, column = self.tokens[self.index]
-        if text == "ring" or text == "ideal":
-            self.index += 1
-            name = self._expect_name()
-            self._expect_punct("=")
-            value = self.parse_expr()
-            if text == "ring":
-                self._expect_punct(";")
-                return RingDecl(name, value, pos=(line, column))
-            ring_name = None
-            if self.tokens[self.index][1] == "in":
-                self.index += 1
-                ring_name = self._expect_name()
-            self._expect_punct(";")
-            return IdealDecl(name, value, ring_name, pos=(line, column))
-        if text == "print":
-            self.index += 1
-            value = self.parse_expr()
-            self._expect_punct(";")
-            return PrintStmt(value, pos=(line, column))
-        self._fail("expected 'ring', 'ideal' or 'print'")
-
-    # parse_* leave the depth of the node they return in ``self.depth``;
-    # ``self.level`` counts the calls, parentheses and brackets around it.
-
-    def _deeper(self, tok, depth: int, other: int = 0):
-        """Set ``self.depth`` one over the larger depth; past MAX_DEPTH, fail at ``tok``."""
-        self.depth = (depth if depth > other else other) + 1
-        if self.level + self.depth > MAX_DEPTH:
-            message = f"expression nested deeper than {MAX_DEPTH} levels"
-            raise ParseError(message, tok[2], tok[3])
-
-    def parse_expr(self):
-        node = self.parse_term()
-        tokens = self.tokens
-        while tokens[self.index][1] == "+":
-            tok = tokens[self.index]
-            self.index += 1
-            depth = self.depth
-            right = self.parse_term()
-            self._deeper(tok, depth, self.depth)
-            node = AddOp(node, right, pos=tok[2:])
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        tokens = self.tokens
-        while tokens[self.index][1] == "*":
-            tok = tokens[self.index]
-            self.index += 1
-            depth = self.depth
-            right = self.parse_factor()
-            self._deeper(tok, depth, self.depth)
-            node = MulOp(node, right, pos=tok[2:])
-        return node
-
-    def parse_factor(self):
-        node = self.parse_atom()
-        tokens = self.tokens
-        tok = tokens[self.index]
-        if tok[1] == "^":
-            self.index += 1
-            kind, text, _, _ = tokens[self.index]
-            if kind != "int":
-                self._fail("expected an integer exponent")
-            self.index += 1
-            self._deeper(tok, self.depth)
-            node = PowOp(node, int(text), pos=tok[2:])
-        return node
-
-    def _parse_entries(self, tok, close, allow_empty=False):
-        """Comma-separated expressions up to ``close``, one level below ``tok``."""
-        self._deeper(tok, 0)
-        self.level += 1
-        tokens = self.tokens
-        entries, depth = [], 0
-        if not (allow_empty and tokens[self.index][1] == close):
-            entries.append(self.parse_expr())
-            depth = self.depth
-            while tokens[self.index][1] == ",":
-                self.index += 1
-                entries.append(self.parse_expr())
-                depth = max(depth, self.depth)
-        self._expect_punct(close)
-        self.level -= 1
-        self._deeper(tok, depth)
-        return tuple(entries)
-
-    def parse_atom(self):
-        tok = self.tokens[self.index]
-        kind, text, pos = tok[0], tok[1], tok[2:]
-        if kind == "int":
-            self.index += 1
-            self.depth = 0
-            return IntLit(int(text), pos=pos)
-        if kind == "name":
-            if text in KEYWORDS:
-                self._fail(f"keyword {text!r} cannot start an expression")
-            self.index += 1
-            if self.tokens[self.index][1] == "(":
-                self.index += 1
-                return CallOp(text, self._parse_entries(tok, ")", True), pos=pos)
-            self.depth = 0
-            return Name(text, pos=pos)
-        if text == "(":
-            self.index += 1
-            entries = self._parse_entries(tok, ")")
-            return entries[0] if len(entries) == 1 else IdealLit(entries, pos=pos)
-        if text == "[":
-            self.index += 1
-            return BracketList(self._parse_entries(tok, "]"), pos=pos)
-        self._fail("expected an expression")
-
-
-def parse_outcome(parser, text):
+def parse_outcome(text):
     """The tree of ``text`` and every node's (class, pos), or the ParseError's
     (message, line, column)."""
     try:
-        tree = parser(dsl._scan(text)).parse_script()
+        tree = dsl.Parser(dsl._scan(text)).parse_script()
     except ParseError as err:
         return (str(err), err.line, err.column)
     return tree, node_positions(tree.statements)
@@ -445,28 +293,71 @@ def random_token_text(rng):
     return "".join(t + rng.choice([" ", " ", "\n"]) for t in tokens)
 
 
+def outcome_digest(texts):
+    """SHA-256 of the reprs of ``parse_outcome`` over ``texts``, one a line."""
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(repr(parse_outcome(text)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# Outcome digests recorded from the reference parser this one was checked
+# against.  A change to any tree, node position, error message or depth count
+# changes them.
+CORPUS_DIGESTS = dict(
+    zip(
+        ROUND_TRIP_CORPUS,
+        [
+            "dcff06cd89dc49b466c97d34d9b485eb2d258ad260065e220d2ef79a217c9357",
+            "a4328559d3c1cba57030613d07c381a69d4839689c9cc9e09f556135a0077aa7",
+            "0471576b5afee3e5d230e365e1e0f72c738caef611bc546cb009cabdceac6e34",
+            "2748022d07e875259c218c48c1b5f716e97de6fe2e718b214630dd6968bc6bc4",
+            "bc54e5f1197a72fbdfab81ed572a0ab5c58e30227a20061f617edcd7636e8853",
+            "9b1193fb711b6d99d5304798bfb564bd803e021555765cd8a779de45ee919ea0",
+            "76db358ecb018c5b0ce71cfbf27c5525fd1610f7638aa1bb06a151a68a5a4eac",
+            "195374c20f7605963c3a4d30ee42eb911ee70882875776cf0bf5007993bbcd57",
+            "985164e1936c9969302e83bfb64afed46fd1483724bbcc8d5e2494394574dace",
+            "44e424f5e57e6dbbaed912853e266353224df6e45ade78e495fe5707f87f55a7",
+            "7b8da3228408558f55ab83f7a0f8f56c86977aafa7180e98985f35615b1ce04b",
+            "7924b8095620878cdb8e4a12ea28466ee1f690fbd732fc2f12e616e1b5b006cc",
+            "bea0d06abd2f00f4e6045d3373d11ab4b1340362a97fc9c7026dc5c6e5c61bd2",
+            "2a8a60078af08da30a25da77a1b2ab8dd14c9cb80e3e3ae88ee569fc30dbcf59",
+            "a3dcdfb712cdcd2fd6f0f2d864f7f32dd75064124cf5be7d679d87f43837e0aa",
+            "10db491c306a208a9306d513fc2ae9c975ee24c8dbd4984eff80e1691d9d3750",
+            "ff15be1f9cee2859339841d55111714e0124f01ee9d6914d70b587fd63679004",
+            "f08f3c06db531f8010f29eeb520ea978f19b9eb1be84e73ca46bc68b4205b59f",
+            "9e1bce9b98735d712293e7f587ddd8b9dbac7265e3c4c312385eb0d492d3e6d2",
+        ],
+        strict=True,
+    )
+)
+
+
 class TestParserMatchesReference:
     """``dsl.Parser`` gives the reference parser's trees, positions and errors."""
 
     @pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
     def test_round_trip_corpus(self, text):
-        assert parse_outcome(dsl.Parser, text) == parse_outcome(ReferenceParser, text)
+        assert outcome_digest([text]) == CORPUS_DIGESTS[text]
 
     def test_depth_budget_shapes(self):
-        for shape in depth_shapes():
-            for text in (f"print {shape};", f"ring A = [a];\nideal I = {shape} in A;"):
-                expected = parse_outcome(ReferenceParser, text)
-                assert parse_outcome(dsl.Parser, text) == expected, text
+        texts = [
+            text
+            for shape in depth_shapes()
+            for text in (f"print {shape};", f"ring A = [a];\nideal I = {shape} in A;")
+        ]
+        assert len(texts) == 88
+        assert outcome_digest(texts) == (
+            "d4098be46bf9a6d414d5a523dd5ef104e148cd5783b313f116c5279ab9993fca"
+        )
 
     def test_random_token_strings(self):
         rng = random.Random(30)
-        outcomes = set()
-        for _ in range(20000):
-            text = random_token_text(rng)
-            expected = parse_outcome(ReferenceParser, text)
-            assert parse_outcome(dsl.Parser, text) == expected, text
-            outcomes.add(isinstance(expected[0], Script))
-        assert outcomes == {True, False}
+        texts = [random_token_text(rng) for _ in range(20000)]
+        assert {isinstance(parse_outcome(text)[0], Script) for text in texts} == {True, False}
+        assert outcome_digest(texts) == (
+            "3337026b1e979e382a3d630d7d1f0fad4ebccafa9730343ec90e81f247afa8fa"
+        )
 
 
 AB = "ring A = [a, b]; "
