@@ -6,10 +6,9 @@ primes of grade zero on A/I.  Both rules are the support-bitmask helpers
 of ``decomposition`` (``_supports``, ``_minimal``, ``_inside_some``), the
 same ones ``minimal_primes`` and ``grade_zero`` use.  The decomposition
 route (``_symbolic_direct``) intersects the irreducible components of I^s
-over kept primes, each notion folding its own from the unit ideal, so
-neither reads the other's result.  The saturation route saturates I^s by
-the primes of Ass(I^s), or of their bounded union over powers, that are
-not kept.  The tests cross-check the two routes.
+over kept primes; the saturation route saturates I^s by the primes of
+Ass(I^s), or of their bounded union over powers, that are not kept.  The
+tests cross-check the two routes.
 
 ``symbolic_power`` adds a fast path for an ideal that splits into
 summands in disjoint variables: it expands the symbolic power of the sum
@@ -169,20 +168,26 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     """The decomposition route to the symbolic power; the notion is valid.
 
     The components of I^s are read ring-free from ``_components`` and
-    their supports tested as bitmasks; each notion folds its own kept
-    components with ``_meet``, starting from the unit ideal.  When every
-    component is kept, the result is I^s itself, the intersection of its
-    irredundant decomposition.
+    their supports tested as bitmasks.  When every component is kept, the
+    result is I^s itself, the intersection of its irredundant
+    decomposition.  Min(I) lies in Ass(I), so "ass" keeps every component
+    "min" keeps, and folds only the others into the "min" power.
     """
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
     keep = _kept(ideal, notion)
     power = ideal_power(ideal, s)
     components = _components(power)
-    kept = [c for c in components if keep(_mask([i for i, _ in c]))]
+    masks = [_mask([i for i, _ in c]) for c in components]
+    kept = [(c, m) for c, m in zip(components, masks) if keep(m)]
     if len(kept) == len(components):
         return power
-    return _ideal(ideal.ring, reduce(_meet, kept, [(0,) * ideal.ring.nvars]))
+    start = [(0,) * ideal.ring.nvars]
+    if notion == "ass":
+        in_min = _kept(ideal, "min")
+        kept = [(c, m) for c, m in kept if not in_min(m)]
+        start = _symbolic_direct(ideal, s, "min")._exps
+    return _ideal(ideal.ring, reduce(_meet, (c for c, _ in kept), start))
 
 
 def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
