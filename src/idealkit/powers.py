@@ -153,8 +153,8 @@ def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     An ideal that splits into summands in disjoint variables (``_summands``)
     takes the binomial fast path (``_symbolic_split``) for whole s >= 1;
     every other call is the decomposition route (``_symbolic_direct``),
-    memoised for the last 1024 distinct (I, s, notion).  The fast path is
-    not memoised itself; it reads the summands' memoised powers.
+    memoised for the last 1024 distinct (I, s, notion); the fast path
+    keeps no memo of its own.
     """
     _require_notion(notion)
     # Any other s takes the direct route, which answers or raises as it always has.
