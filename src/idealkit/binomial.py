@@ -1,16 +1,16 @@
 """Sums of ideals living in disjoint sets of variables.
 
 Builds the joined ring, extends ideals and primes into it, evaluates the
-binomial expansions for saturated and symbolic powers, and packages the
-identity / structure checks that the fuzz driver and the test suite run.
-The ``direct_*`` functions compute the left-hand sides from first
-principles (power, then saturate or decompose, in the joined ring) so the
-expansions are always compared against an independent route.
+binomial expansions for saturated and (through ``symbolic_power``)
+symbolic powers, and packages the checks that the fuzz driver and the
+tests run.  The ``direct_*`` functions and ``symbolic_of_sum`` compute the
+left-hand sides from first principles (power, then saturate or decompose,
+in the joined ring), an independent route for every expansion.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .core import (
     IdealArgumentError,
@@ -87,14 +87,8 @@ def join_rings(a: Ring, b: Ring) -> tuple[Ring, RingEmbedding, RingEmbedding]:
     return joined, emb_a, emb_b
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def extend(ideal: MonomialIdeal, emb: RingEmbedding) -> MonomialIdeal:
-    """The ideal generated by ``ideal`` in the target ring of ``emb``.
-
-    Memoised for the last 1024 distinct (ideal, embedding) pairs; the key
-    holds the target ring, so the result is in the caller's ring.  A call
-    that raises stores nothing.
-    """
+    """The ideal generated by ``ideal`` in the target ring of ``emb``; not memoised."""
     if ideal.ring != emb.source:
         raise IdealArgumentError("ideal does not live in the embedding source")
     zeros = [0] * emb.target.nvars
@@ -125,12 +119,14 @@ def joined_sum(
     return joined, emb_a, emb_b, total
 
 
-def _sides(i: MonomialIdeal, j: MonomialIdeal, s: int, power_a, power_b):
-    """The joined ring of I and J, with power_a(t) and power_b(t) for
-    t = 0..s extended into it: the two sides of a binomial expansion."""
+def _sides(
+    i: MonomialIdeal, k: MonomialIdeal, j: MonomialIdeal, l: MonomialIdeal, s: int
+):
+    """The joined ring of I and J, with I^t : K^inf and J^t : L^inf for
+    t = 0..s extended into it: the two sides of the saturated expansion."""
     joined, emb_a, emb_b = join_rings(i.ring, j.ring)
-    side_a = [extend(power_a(t), emb_a) for t in range(s + 1)]
-    side_b = [extend(power_b(t), emb_b) for t in range(s + 1)]
+    side_a = [extend(saturated_power(i, k, t), emb_a) for t in range(s + 1)]
+    side_b = [extend(saturated_power(j, l, t), emb_b) for t in range(s + 1)]
     return joined, side_a, side_b
 
 
@@ -139,9 +135,7 @@ def binomial_saturated(
 ) -> MonomialIdeal:
     """Sum over t of (I^t : K^inf) * (J^(s-t) : L^inf), in the joined ring."""
     _require_positive(s)
-    return _binomial_sum(
-        *_sides(i, j, s, partial(saturated_power, i, k), partial(saturated_power, j, l))
-    )
+    return _binomial_sum(*_sides(i, k, j, l, s))
 
 
 def direct_saturated_sum(
@@ -158,13 +152,15 @@ def direct_saturated_sum(
 def binomial_symbolic(
     i: MonomialIdeal, j: MonomialIdeal, s: int, notion: str
 ) -> MonomialIdeal:
-    """Sum over t of symbolic(I, t) * symbolic(J, s-t), in the joined ring."""
+    """Sum over t of symbolic(I, t) * symbolic(J, s-t), in the joined ring: I + J
+    splits, so ``symbolic_power`` expands it by its split route."""
     _require_positive(s)
     if i.is_unit or j.is_unit:
         raise IdealArgumentError("binomial symbolic expansion needs proper ideals")
-    power_i = partial(symbolic_power, i, notion=notion)
-    power_j = partial(symbolic_power, j, notion=notion)
-    return _binomial_sum(*_sides(i, j, s, power_i, power_j))
+    _require_notion(notion)
+    if i.is_zero or j.is_zero:
+        raise IdealArgumentError("the zero ideal has no primary decomposition here")
+    return symbolic_power(joined_sum(i, j)[3], s, notion)
 
 
 def symbolic_of_sum(
@@ -200,9 +196,7 @@ def check_term_inclusions(
 ) -> TermInclusionReport:
     _require_positive(s)
     direct = direct_saturated_sum(i, k, j, l, s)
-    _, side_a, side_b = _sides(
-        i, j, s, partial(saturated_power, i, k), partial(saturated_power, j, l)
-    )
+    _, side_a, side_b = _sides(i, k, j, l, s)
     terms = map(ideal_product, side_a, reversed(side_b))
     return TermInclusionReport(tuple(direct.contains_ideal(term) for term in terms))
 

@@ -13,9 +13,10 @@ tests cross-check the two routes.
 ``symbolic_power`` adds a fast path for an ideal that splits into
 summands in disjoint variables: it expands the symbolic power of the sum
 by the source paper's binomial formula, (I+J)^(s) = sum over t of
-I^(t) J^(s-t), from the summands' direct-route powers.  It keeps no
-memo of its own: those powers are memoised where they are computed.  The
-checks of that formula read the direct route, never the fast path.
+I^(t) J^(s-t), from the summands' direct-route powers; it is the one
+implementation of that formula, ``binomial_symbolic`` included.  It keeps
+no memo of its own: those powers are memoised where they are computed.
+The checks of that formula read the direct route, never the fast path.
 
 ``_binomial_sum`` forms every sum of products A_t B_(s-t) in the
 package, here and in ``binomial``, canonicalising each sum once.
@@ -199,7 +200,9 @@ def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     at a time, R(t) = sum over a + b = t of R(a) S(b), gives the symbolic
     power of the whole sum from the summands' direct-route powers.  A
     principal summand (g) needs no decomposition: every associated prime
-    of (g^t) is minimal, so (g)^(t) = (g^t) under both notions.
+    of (g^t) is minimal, so (g)^(t) = (g^t) under both notions.  Summands
+    fold in increasing size of their s-th power: the largest one's powers
+    multiply every product they enter, so they enter only the last fold.
     """
     parts = [
         [ideal_power(part, t) for t in range(s + 1)]
@@ -207,6 +210,7 @@ def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
         else [_symbolic_direct(part, t, notion) for t in range(s + 1)]
         for part in _summands(ideal)
     ]
+    parts.sort(key=lambda powers: len(powers[-1]._exps))
     sums = parts[0]
     for powers in parts[1:-1]:
         sums = [_binomial_sum(ideal.ring, sums[: t + 1], powers[: t + 1]) for t in range(s + 1)]

@@ -26,8 +26,8 @@ from idealkit.binomial import (
     prime_sum,
     symbolic_of_sum,
 )
-from idealkit.decomposition import _mask, _primes, _supports, associated_primes
-from idealkit.powers import saturated_power
+from idealkit.decomposition import _mask, _primes, _summands, _supports, associated_primes
+from idealkit.powers import NOTIONS, _binomial_sum, _symbolic_direct, saturated_power
 
 A2 = Ring.of("x", "y")
 B2 = Ring.of("z", "t")
@@ -58,6 +58,39 @@ proper_r3 = (
     .map(lambda gens: MonomialIdeal(R3, tuple(map(R3.monomial, gens))))
     .filter(lambda i: not i.is_unit)
 )
+
+
+def reference_binomial_symbolic(i, j, s, notion):
+    """Sum over t of I^(t) J^(s-t), each side expanded in its own ring: the
+    sides' direct-route symbolic powers, extended into the joined ring and
+    summed there, with no split route on either side or on the sum."""
+    joined, emb_a, emb_b = join_rings(i.ring, j.ring)
+    side_a = [extend(_symbolic_direct(i, t, notion), emb_a) for t in range(s + 1)]
+    side_b = [extend(_symbolic_direct(j, t, notion), emb_b) for t in range(s + 1)]
+    return _binomial_sum(joined, side_a, side_b)
+
+
+@st.composite
+def split_side(draw, prefix):
+    """A nonzero proper ideal summed from 1-3 blocks in disjoint variables,
+    each block over 1-3 variables with 1-2 generators, exponents at most 2."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ring = Ring(tuple(f"{prefix}{n}" for n in range(sum(sizes))))
+    exps, start = [], 0
+    for size in sizes:
+        block = st.tuples(*[st.integers(0, 2)] * size).filter(any)
+        for g in draw(st.lists(block, min_size=1, max_size=2)):
+            exps.append((0,) * start + g + (0,) * (ring.nvars - start - size))
+        start += size
+    return MonomialIdeal(ring, tuple(map(ring.monomial, exps)))
+
+
+# At least one side splits into two or more summands.
+split_pairs = st.tuples(split_side("x"), split_side("y")).filter(
+    lambda pair: max(len(_summands(side)) for side in pair) > 1
+)
+SPLIT_I = ideal(Ring(tuple("abcd")), "a^2*b, a*b*c, c^2*d")
+SPLIT_J = ideal(Ring(tuple("efghijkl")), "e*f, g*h, i*j*k*l")
 
 
 class TestJoin:
@@ -125,8 +158,9 @@ class TestExtend:
 
 class TestJoinAndExtendMemos:
     def test_both_memos_have_the_package_bound(self):
-        for memo in (join_rings, extend):
-            assert memo.cache_info().maxsize == core._MEMO_SIZE
+        # Only the join is memoised; an extension is a copy of exponents.
+        assert join_rings.cache_info().maxsize == core._MEMO_SIZE
+        assert not hasattr(extend, "cache_info")
 
     def test_a_repeated_join_is_one_entry(self):
         first = join_rings(A2, B2)
@@ -159,10 +193,8 @@ class TestJoinAndExtendMemos:
             return str(info.value)
 
         cold = error()
-        assert extend.cache_info().currsize == 0
         extend(ideal(A2, "x"), emb_a), extend(wrong, emb_b)
         assert error() == cold == "ideal does not live in the embedding source"
-        assert extend.cache_info().currsize == 2
 
 
 class TestBinomialSaturated:
@@ -243,6 +275,42 @@ class TestBinomialSymbolic:
     def test_expansion_matches_direct_symbolic(self, i, j, s):
         for notion in ("min", "ass"):
             assert binomial_symbolic(i, j, s, notion) == symbolic_of_sum(i, j, s, notion)
+
+    @given(split_pairs, st.sampled_from(NOTIONS), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_split_sides_match_the_per_side_reference(self, pair, notion, s):
+        i, j = pair
+        assert binomial_symbolic(i, j, s, notion) == reference_binomial_symbolic(
+            i, j, s, notion
+        )
+
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_split_pair_at_six(self, notion):
+        # The sum is the pathological ideal of test_powers, with 4 summands.
+        result = binomial_symbolic(SPLIT_I, SPLIT_J, 6, notion)
+        assert len(result.generators) == 462
+        assert result == reference_binomial_symbolic(SPLIT_I, SPLIT_J, 6, notion)
+
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_errors_keep_their_order(self, zero_first):
+        # s, then a unit side, then the notion, then a zero side.
+        zero = MonomialIdeal.zero(AB)
+
+        def expand(other, s, notion):
+            pair = (zero, other) if zero_first else (other, zero)
+            return binomial_symbolic(*pair, s, notion)
+
+        unit, proper = MonomialIdeal.unit(CD), ideal(CD, "c^2, c*d")
+        with pytest.raises(ValueError, match="^power must be positive$"):
+            expand(unit, 0, "max")
+        with pytest.raises(IdealArgumentError, match="^binomial symbolic expansion needs"):
+            expand(unit, 2, "max")
+        with pytest.raises(ValueError, match="^notion must be one of"):
+            expand(proper, 2, "max")
+        for notion in NOTIONS:
+            with pytest.raises(IdealArgumentError) as info:
+                expand(proper, 2, notion)
+            assert str(info.value) == "the zero ideal has no primary decomposition here"
 
 
 class TestEqualityCriteria:

@@ -162,6 +162,18 @@ class TestRun:
         assert out == ""
         assert err == f"error: {script}:2:9: unexpected character '\u00b2'\n"
 
+    def test_zero_side_of_a_symbolic_expansion_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "zero.ik"
+        script.write_text(
+            "ring B = [c, d];\nideal J = (c^2, c*d) in B;\nprint binom_symb(0, J, 2, min);\n"
+        )
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {script}:3:7: the zero ideal has no primary decomposition here\n"
+        )
+
     def test_bad_characteristic_exits_2(self, tmp_path, capsys):
         script = tmp_path / "depth.ik"
         script.write_text("ring A = [a];\nprint depth((a));\n")

@@ -1,5 +1,6 @@
 import inspect
 from functools import reduce
+import itertools
 import os
 import random
 import subprocess
@@ -1025,6 +1026,33 @@ class TestSplitFastPath:
         fast = symbolic_power(PATHOLOGICAL, s, notion)
         assert len(fast.generators) == 462
         assert fast == sums[s]
+
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_every_summand_order_gives_the_same_ideal(self, monkeypatch, notion):
+        expected = powers._symbolic_direct(PATHOLOGICAL, 3, notion)
+        orders = list(itertools.permutations(decomposition._summands(PATHOLOGICAL)))
+        assert len(orders) == 24
+        for order in orders:
+            monkeypatch.setattr(powers, "_summands", lambda ideal, order=order: list(order))
+            assert powers._symbolic_split(PATHOLOGICAL, 3, notion) == expected
+
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_the_largest_summand_folds_last(self, monkeypatch, notion):
+        # _summands lists (a^2*b, a*b*c, c^2*d) third of four; its powers
+        # are the largest, so they enter only the last of the three folds.
+        folds = []
+        real = powers._binomial_sum
+
+        def recorded(ring, side_a, side_b):
+            folds.append(side_b[-1])
+            return real(ring, side_a, side_b)
+
+        monkeypatch.setattr(powers, "_binomial_sum", recorded)
+        powers._symbolic_split(PATHOLOGICAL, 3, notion)
+        part = ideal(PATHOLOGICAL.ring, "a^2*b, a*b*c, c^2*d")
+        largest = powers._symbolic_direct(part, 3, notion)
+        assert folds[-1] == largest
+        assert folds.count(largest) == 1
 
     def test_direct_memo_holds_only_direct_results(self):
         i = ideal(R6, "a^2, a*b, c^2, c*d")
