@@ -290,35 +290,22 @@ class AssStructureReport(_Value):
         "stabilized",
     )
 
+    # Printed names of every flag but ``stabilized``, which prints as the suffix.
+    _labels = ("tensor", "lower", "upper", "quotients", "grade", "global_min", "global_ass")
+
     @property
     def inconclusive(self) -> bool:
         return not self.stabilized
 
     @property
     def passed(self) -> bool:
-        checks = [
-            self.tensor_ass_equal,
-            self.lower_bound_holds,
-            self.upper_bound_holds,
-            self.quotient_ass_agrees,
-            self.grade_dichotomy_holds,
-        ]
-        if self.saturator_min_equal is not None:
-            checks.append(self.saturator_min_equal)
-        if self.saturator_ass_equal is not None:
-            checks.append(self.saturator_ass_equal)
-        return all(checks)
+        """The first five flags, and each saturator flag that was checked (not None)."""
+        flags = self._field_values()
+        return all(flags[:5]) and all(f for f in flags[5:7] if f is not None)
 
     def __str__(self):
-        bits = [
-            f"tensor={self.tensor_ass_equal}",
-            f"lower={self.lower_bound_holds}",
-            f"upper={self.upper_bound_holds}",
-            f"quotients={self.quotient_ass_agrees}",
-            f"grade={self.grade_dichotomy_holds}",
-            f"global_min={self.saturator_min_equal}",
-            f"global_ass={self.saturator_ass_equal}",
-        ]
+        pairs = zip(self._labels, self._field_values())
+        bits = [f"{label}={flag}" for label, flag in pairs]
         if self.inconclusive:
             bits.append("inconclusive")
         return " ".join(bits)
@@ -423,23 +410,15 @@ class FiltrationReport(_Value):
         "colon_distributes",
     )
 
+    _labels = ("premises", "disjoint", "sum", "step", "long", "colon")
+
     @property
     def passed(self) -> bool:
-        return (
-            self.premises_ok
-            and self.disjoint_product_equal
-            and self.sum_intersection_equal
-            and self.single_step_equal
-            and self.long_intersection_equal
-            and self.colon_distributes
-        )
+        return all(self._field_values())
 
     def __str__(self):
-        return (
-            f"premises={self.premises_ok} disjoint={self.disjoint_product_equal} "
-            f"sum={self.sum_intersection_equal} step={self.single_step_equal} "
-            f"long={self.long_intersection_equal} colon={self.colon_distributes}"
-        )
+        pairs = zip(self._labels, self._field_values())
+        return " ".join([f"{label}={flag}" for label, flag in pairs])
 
 
 def _validate_filtration(terms: list[MonomialIdeal], s: int) -> bool:

@@ -150,8 +150,9 @@ def _meet(gens, powers) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _irredundant(gens: frozenset) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Ring-free irredundant components of ``gens``, canonically sorted.
+def _irredundant(gens: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Ring-free irredundant components of the canonical generator tuples
+    ``gens`` (an ideal's ``_exps``), canonically sorted.
 
     ``_meet`` folds the irreducible ideals m^(g^a) of the generators g,
     from the unit ideal, into the Alexander dual; each of its minimal
@@ -165,8 +166,8 @@ def _irredundant(gens: frozenset) -> tuple[tuple[tuple[int, int], ...], ...]:
         return tuple([(i, a + 1 - e) for i, (a, e) in enumerate(zip(top, u)) if e])
 
     dual = [(0,) * len(top)]
-    # Canonical order, lowest degree first, keeps the partial duals smallest.
-    for g in sorted(sorted(gens, reverse=True), key=sum):
+    # The canonical order, lowest degree first, keeps the partial duals smallest.
+    for g in gens:
         dual = _meet(dual, flip(g))
     return tuple(sorted(map(flip, dual), key=lambda c: (len(c), c)))
 
@@ -182,8 +183,8 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 5.27).  The
     dual is intersected one irreducible ideal at a time by the local rule
     of ``_meet``, with no splitting and no pruning pass.  The result is
-    memoised, ring-free and keyed by the generator exponent set, for the
-    last 1024 distinct ideals.
+    memoised, ring-free and keyed by the ideal's canonical generator
+    exponent tuples, for the last 1024 distinct ideals.
     """
     # _irredundant's pairs are sorted, with distinct indices and positive exponents.
     return tuple(
@@ -195,7 +196,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
 def _components(ideal: MonomialIdeal):
     """``_irredundant`` of a nonzero proper ideal's generator exponents."""
     _require_nonzero_proper(ideal)
-    return _irredundant(frozenset(ideal._exps))
+    return _irredundant(ideal._exps)
 
 
 def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
@@ -300,20 +301,14 @@ def ass_star_bounded(
     """Union of Ass(I^n) for n <= n_max, plus a heuristic stabilization flag.
 
     The flag is true iff Ass(I^(n_max - 1)) == Ass(I^n_max); it is
-    evidence, not proof, that the union has stabilized.  Memoised for the
-    last 1024 distinct (I, n_max), with n_max = None read as its default.
+    evidence, not proof, that the union has stabilized.  Each Ass(I^n) is
+    read from the memoised powers and decompositions.
     """
     _require_nonzero_proper(ideal)
     if n_max is None:
         n_max = default_power_bound(ideal)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    return _ass_star(ideal, n_max)
-
-
-# typed: a float n_max misses the entry for the equal int, and is rejected as before.
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _ass_star(ideal: MonomialIdeal, n_max: int) -> tuple[frozenset[MonomialPrime], bool]:
     union: set[int] = set()
     current: set[int] = set()
     for n in range(1, n_max + 1):

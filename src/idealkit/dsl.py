@@ -18,12 +18,13 @@ and ideal lists for the filtration checks.  Bare names resolve to bound
 identifiers first, then to variables of the statement's ring ('in R' if
 given, otherwise the most recently declared ring).
 
-Tokens are NAMEs (a letter or '_', then letters, digits or '_'), INTs (runs
-of decimal digits) and the punctuation ( ) [ ] , ; + * ^ =; spaces, tabs and
-carriage returns separate them.  Every token and error carries a 1-based
-line and column, the column counting characters from the line's start.  A
-comment does not advance the column, so the end of input after a trailing
-comment sits at its '#'.
+Tokens are NAMEs (an ASCII letter or '_', then ASCII letters, digits or
+'_', as in ``Ring`` names), INTs (runs of ASCII digits) and the
+punctuation ( ) [ ] , ; + * ^ =; spaces, tabs and carriage returns
+separate them; any other character is an error.  Every token and error
+carries a 1-based line and column, the column counting characters from the
+line's start.  A comment does not advance the column, so the end of input
+after a trailing comment sits at its '#'.
 """
 
 from __future__ import annotations
@@ -61,12 +62,13 @@ KEYWORDS = {"ring", "ideal", "print", "in"}
 MAX_DEPTH = 100
 
 # One match per token, with the blanks before it.  Groups: the blanks, then
-# one of int (a run of decimal digits), word (a name once its first character
-# is checked), punctuation, newline and any other character; a comment, or
-# the end of the text, fills none of the five.  ``findall`` hands the groups
-# over as strings, so the scan builds no match object.
+# one of int (a run of ASCII digits), name (an ASCII letter or '_', then
+# letters, digits or '_': the alphabet of ``Ring`` names, since a digit
+# starts an int), punctuation, newline and any other character; a comment,
+# or the end of the text, fills none of the five.  ``findall`` hands the
+# groups over as strings, so the scan builds no match object.
 _SCANNER = re.compile(
-    r"([ \t\r]*)(?:(\d+)|(\w+)|([()\[\],;+*^=])|(\n)|#[^\n]*|(.)|\Z)", re.DOTALL
+    r"([ \t\r]*)(?:(\d+)|(\w+)|([()\[\],;+*^=])|(\n)|#[^\n]*|(.)|\Z)", re.ASCII | re.DOTALL
 )
 
 
@@ -82,8 +84,6 @@ def _scan(text: str) -> list[tuple[str, str, int, int]]:
             append(("punct", punct, line, column))
             column += 1
         elif word:
-            if not (word[0].isalpha() or word[0] == "_"):
-                raise ParseError(f"unexpected character {word[0]!r}", line, column)
             append(("name", word, line, column))
             column += len(word)
         elif number:

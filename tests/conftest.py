@@ -1,8 +1,8 @@
 """Every test starts with cold idealkit memos.
 
 The package memoises powers, decompositions, saturated and symbolic
-powers, Ass* unions, ring joins, homology and the script language's
-variable tables in module-level ``functools.lru_cache`` bodies.  A test
+powers, ring joins, homology and the script language's variable tables in
+module-level ``functools.lru_cache`` bodies.  A test
 that counts calls into the kernel, or times a cleared memo, would
 otherwise see the entries an earlier test left behind, and its result
 would depend on the order the tests run in.

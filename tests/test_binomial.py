@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from idealkit.core import (
     ideal_power,
 )
 from idealkit.binomial import (
+    AssStructureReport,
+    FiltrationReport,
     RingEmbedding,
     TermInclusionReport,
     binomial_saturated,
@@ -518,6 +522,61 @@ class TestFiltrationIdentities:
     @settings(max_examples=25, deadline=None)
     def test_identity_fuzz(self, i, k, j, s):
         assert self._ordinary(i, k, j, s).passed
+
+
+def reference_ass_report(flags):
+    """(passed, str) of an AssStructureReport's flags by the field-by-field rules."""
+    tensor, lower, upper, quotients, grade, global_min, global_ass, stabilized = flags
+    checks = [tensor, lower, upper, quotients, grade]
+    if global_min is not None:
+        checks.append(global_min)
+    if global_ass is not None:
+        checks.append(global_ass)
+    bits = [
+        f"tensor={tensor}",
+        f"lower={lower}",
+        f"upper={upper}",
+        f"quotients={quotients}",
+        f"grade={grade}",
+        f"global_min={global_min}",
+        f"global_ass={global_ass}",
+    ]
+    if not stabilized:
+        bits.append("inconclusive")
+    return all(checks), " ".join(bits)
+
+
+def reference_filtration_report(flags):
+    """(passed, str) of a FiltrationReport's flags by the field-by-field rules."""
+    premises, disjoint, total, step, long, colon = flags
+    passed = premises and disjoint and total and step and long and colon
+    text = (
+        f"premises={premises} disjoint={disjoint} sum={total} step={step} "
+        f"long={long} colon={colon}"
+    )
+    return passed, text
+
+
+class TestReportFlags:
+    """Both reports judge and print every combination of their flags."""
+
+    def test_ass_structure_report(self):
+        checked = (True, False, None)
+        combinations = itertools.product(
+            *[(True, False)] * 5, checked, checked, (True, False)
+        )
+        seen = set()
+        for flags in combinations:
+            report = AssStructureReport(*flags)
+            expected = reference_ass_report(flags)
+            assert (report.passed, str(report)) == expected, flags
+            seen.add(expected[0])
+        assert seen == {True, False}
+
+    def test_filtration_report(self):
+        for flags in itertools.product((True, False), repeat=6):
+            report = FiltrationReport(*flags)
+            assert (report.passed, str(report)) == reference_filtration_report(flags), flags
 
 
 class TestEmbeddingValidation:

@@ -607,7 +607,6 @@ class TestSaturatorOrder:
 MEMOS = (
     (powers._saturated, core._MEMO_SIZE),
     (powers._symbolic_direct, core._MEMO_SIZE),
-    (decomposition._ass_star, core._MEMO_SIZE),
 )
 
 
@@ -619,7 +618,8 @@ def raised(fn, *args):
 
 
 class TestMemoContract:
-    """Saturated powers, symbolic powers and Ass* unions are bounded memos."""
+    """Saturated and symbolic powers are bounded memos; an Ass* union is
+    read from the memoised powers and decompositions."""
 
     def test_bounds_are_the_documented_constants(self):
         for memo, size in MEMOS:
@@ -641,10 +641,6 @@ class TestMemoContract:
         body = powers._saturated.__wrapped__(i, k, s)
         assert saturated_power(i, k, s) == body
         assert saturated_power(i, k, s) == body
-        n_max = s + 2
-        body = decomposition._ass_star.__wrapped__(i, n_max)
-        assert ass_star_bounded(i, n_max) == body
-        assert ass_star_bounded(i, n_max) == body
 
     @given(proper3, st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
@@ -655,12 +651,6 @@ class TestMemoContract:
         union, stabilized = ass_star_bounded(i, n_max)
         assert union == frozenset().union(*per_power)
         assert stabilized == (per_power[-2] == per_power[-1])
-
-    def test_default_bound_shares_the_entry(self):
-        i = ideal(R3, "x^2, x*y, y*z^2")
-        star = ass_star_bounded(i)
-        assert ass_star_bounded(i, decomposition.default_power_bound(i)) is star
-        assert decomposition._ass_star.cache_info().currsize == 1
 
     def test_bad_arguments_fail_alike_cold_and_warm(self):
         i = ideal(R3, "x^2, x*y, y*z^2")
