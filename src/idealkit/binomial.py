@@ -18,6 +18,7 @@ from .core import (
     MonomialPrime,
     Ring,
     _MEMO_SIZE,
+    _binomial_sum,
     _ideal,
     _Value,
     _whole_numbers,
@@ -38,7 +39,6 @@ from .decomposition import (
 )
 from .powers import (
     NOTIONS,
-    _binomial_sum,
     _require_notion,
     _require_positive,
     _saturator,

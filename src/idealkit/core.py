@@ -8,6 +8,8 @@ exponent vectors, stored as the exponent tuples that every operation
 reads and builds.  Two ideals are equal exactly when those tuples are,
 and an ideal prints straight from them (``_monomial_text``): only
 ``repr`` and reading ``generators`` build its ``Monomial`` values.
+Every product of ideals, ``ideal_product`` included, is a ``_binomial_sum``
+of products A_t B_(s-t), canonicalised once.
 """
 
 from __future__ import annotations
@@ -489,10 +491,19 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, b)
-    if a.is_zero or b.is_zero:
-        return MonomialIdeal.zero(a.ring)
+    return _binomial_sum(a.ring, (a,), (b,))
+
+
+def _binomial_sum(ring: Ring, side_a, side_b) -> MonomialIdeal:
+    """The sum of side_a[t] * side_b[n - t] over t = 0..n, for two sequences
+    of n + 1 ideals in ``ring``, canonicalised once; the zero ideal when both
+    are empty.  A product is the one-term case, and is zero when a side is.
+    """
     add = operator.add
-    return _ideal(a.ring, [tuple(map(add, g, h)) for g in a._exps for h in b._exps])
+    terms = zip(side_a, reversed(side_b))
+    return _ideal(
+        ring, [tuple(map(add, g, h)) for a, b in terms for g in a._exps for h in b._exps]
+    )
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

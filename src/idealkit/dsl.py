@@ -178,6 +178,11 @@ class Script(_Value):
     __match_args__ = ("statements",)
 
 
+# The binary operators, loosest first, with the node each one builds.
+_BINARY = (("+", AddOp), ("*", MulOp))
+_PRECEDENCE = {op: prec for prec, (op, _) in enumerate(_BINARY)}
+
+
 class Parser:
     """Recursive descent over (kind, text, line, column) token tuples.
 
@@ -249,29 +254,21 @@ class Parser:
             message = f"expression nested deeper than {MAX_DEPTH} levels"
             raise ParseError(message, tok[2], tok[3])
 
-    def parse_expr(self):
-        node = self.parse_term()
-        tokens = self.tokens
-        while tokens[self.index][1] == "+":
-            tok = tokens[self.index]
-            self.index += 1
-            depth = self.depth
-            right = self.parse_term()
-            self._deeper(tok, depth, self.depth)
-            node = AddOp(node, right, pos=tok[2:])
-        return node
-
-    def parse_term(self):
+    def parse_expr(self, prec: int = 0):
+        """Factors joined by the operators of ``_BINARY[prec:]``, each
+        left-associative, by precedence climbing: a sum of products at 0."""
         node = self.parse_factor()
         tokens = self.tokens
-        while tokens[self.index][1] == "*":
+        while True:
             tok = tokens[self.index]
+            level = _PRECEDENCE.get(tok[1], -1)
+            if level < prec:
+                return node
             self.index += 1
             depth = self.depth
-            right = self.parse_factor()
+            right = self.parse_expr(level + 1)
             self._deeper(tok, depth, self.depth)
-            node = MulOp(node, right, pos=tok[2:])
-        return node
+            node = _BINARY[level][1](node, right, pos=tok[2:])
 
     def parse_factor(self):
         node = self.parse_atom()

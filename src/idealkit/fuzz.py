@@ -187,7 +187,8 @@ def _check_thm41(inst: Instance, char: int, notion: str) -> CaseOutcome:
     body = (
         f"print binom_symb(I, J, {inst.s}, {notion});\n"
         "ring R = join(A, B);\n"
-        f"print symb_{notion}(extend(I, R) + extend(J, R), {inst.s});"
+        "ideal P = extend(I, R) + extend(J, R);\n"
+        f"print satpow(P, satk_{notion}(P, {inst.s}), {inst.s});"
     )
     counters = tuple(counters_i.items()) + tuple(counters_j.items())
     return CaseOutcome(direct == expansion and routes_ok, expected, actual, body, counters)
@@ -215,16 +216,15 @@ def _check_lem32_36(inst: Instance, char: int) -> CaseOutcome:
     )
     ok = ordinary.passed and saturated.passed and terms.passed
 
-    def powers(name):
-        return "[" + ", ".join(f"{name}^{t}" for t in range(1, s + 1)) + "]"
+    def listing(term):
+        """The script list of ``term`` filled in with t = 1..s."""
+        return "[" + ", ".join(term.format(t) for t in range(1, s + 1)) + "]"
 
-    def satpows(name, sat):
-        return "[" + ", ".join(f"satpow({name}, {sat}, {t})" for t in range(1, s + 1)) + "]"
-
+    k = listing("K^{}")
     body = (
-        f"print check_filt({powers('I')}, {powers('K')}, {powers('J')}, K, {s});\n"
-        f"print check_filt({satpows('I', 'K')}, {powers('K')}, "
-        f"{satpows('J', 'L')}, K, {s});\n"
+        f"print check_filt({listing('I^{}')}, {k}, {listing('J^{}')}, K, {s});\n"
+        f"print check_filt({listing('satpow(I, K, {})')}, {k}, "
+        f"{listing('satpow(J, L, {})')}, K, {s});\n"
         f"print check_terms(I, K, J, L, {s});"
     )
     return CaseOutcome(
@@ -306,6 +306,13 @@ _SUITE_CHECKS = {
 }
 
 
+def _report(suite: str, cases: int, passes: int, failures: list[dict], **extra) -> dict:
+    """The fields of every JSON report, in their printed order, then ``extra``."""
+    return dict(
+        schema=REPORT_SCHEMA, suite=suite, cases=cases, passes=passes, failures=failures, **extra
+    )
+
+
 def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
     """Run one suite over the seeded instance stream and report results."""
     if name not in SUITE_NAMES:
@@ -330,13 +337,7 @@ def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
                     "actual": outcome.actual,
                 }
             )
-    report = {
-        "schema": REPORT_SCHEMA,
-        "suite": name,
-        "cases": config.cases,
-        "passes": passes,
-        "failures": failures,
-    }
+    report = _report(name, config.cases, passes, failures)
     if counters:
         report["counters"] = dict(sorted(counters.items()))
     return report

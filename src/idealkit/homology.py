@@ -255,10 +255,11 @@ def reduced_homology_dimensions(
     return _homology_dims((sum(bit[v] for v in f) for f in faces), char)
 
 
-def _cone_ranks(gens) -> dict[tuple[int, ...], dict[int, int]]:
-    """For each multidegree b, {d: r_d(b)}: the basis elements of degree d
-    and multidegree b in the iterated mapping cone that resolves the ideal
-    of ``gens`` (its minimal generators as exponent tuples).
+def _cone_ranks(gens) -> dict[tuple[int, ...], list[int]]:
+    """For each multidegree b, the degrees of the basis elements of
+    multidegree b in the iterated mapping cone that resolves the ideal of
+    ``gens`` (its minimal generators as exponent tuples): d appears r_d(b)
+    times, in no fixed order.
 
     A node (g_1 .. g_k, d) takes each g_j in turn as the pivot m of the
     prefix (g_1 .. g_j): m adds one basis element in degree d, and the
@@ -267,19 +268,17 @@ def _cone_ranks(gens) -> dict[tuple[int, ...], dict[int, int]]:
     intersection is counted at once.  No generators give {}.  No lcm of
     two distinct minimal generators is a generator, so the generators are
     exactly the multidegrees with a basis element in degree 0, one each.
+    A list per multidegree holds less than a {d: r_d(b)} counter would.
     """
-    ranks: dict[tuple[int, ...], dict[int, int]] = {}
+    ranks: dict[tuple[int, ...], list[int]] = {}
     stack = [(gens, 0)] if gens else []
     while stack:
         node, d = stack.pop()
         for j, m in enumerate(node):
-            at = ranks.setdefault(m, {})
-            at[d] = at.get(d, 0) + 1
+            ranks.setdefault(m, []).append(d)
             if j == 1:
                 # One lcm, counted here rather than pushed: pays on fuzz-default.
-                b = tuple(map(max, node[0], m))
-                at = ranks.setdefault(b, {})
-                at[d + 1] = at.get(d + 1, 0) + 1
+                ranks.setdefault(tuple(map(max, node[0], m)), []).append(d + 1)
             elif j:
                 lcms = [tuple(map(max, g, m)) for g in node[:j]]
                 stack.append((_antichain(lcms), d + 1))
@@ -447,8 +446,8 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     the homology is r_d(b) itself, over every field.  Only at the other
     multidegrees is K^b built, from the S_g(b) of the generators dividing
     b, and its homology read on its collapse core.  For example, the
-    Stanley-Reisner ideal of the 6-vertex real projective plane has ranks
-    {2: 1, 3: 1} at the product of its variables, and K^b there gives
+    Stanley-Reisner ideal of the 6-vertex real projective plane has
+    r_2(b) = r_3(b) = 1 at the product b of its variables, and K^b gives
     beta_3 = beta_4 = 1 in characteristic 2 and nothing otherwise.
     """
     _require_char(char)
@@ -474,7 +473,7 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
             core = _collapse_core(tuple(_maximal(faces)))
             betti = [(degree + 2, dim) for degree, dim in _core_homology(core, char)]
         else:
-            betti = [(d + 1, r) for d, r in at.items()]
+            betti = [(d + 1, at.count(d)) for d in set(at)]
         degree_of_b, negated = sum(b), tuple([-e for e in b])
         for i, dim in betti:
             rows.append((i, degree_of_b, negated, b, dim))

@@ -18,14 +18,14 @@ implementation of that formula, ``binomial_symbolic`` included.  It keeps
 no memo of its own: those powers are memoised where they are computed.
 The checks of that formula read the direct route, never the fast path.
 
-``_binomial_sum`` forms every sum of products A_t B_(s-t) in the
-package, here and in ``binomial``, canonicalising each sum once.
+Every sum of products A_t B_(s-t) here and in ``binomial`` is
+``core._binomial_sum``, which canonicalises each sum once.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
-from operator import add, or_
+from operator import or_
 
 from .core import (
     IdealArgumentError,
@@ -33,6 +33,7 @@ from .core import (
     MonomialIdeal,
     MonomialPrime,
     _MEMO_SIZE,
+    _binomial_sum,
     _ideal,
     ideal_power,
     intersect_all,
@@ -48,7 +49,6 @@ from .decomposition import (
     _supports,
     ass_star_bounded,
     associated_primes,
-    default_power_bound,
 )
 
 NOTIONS = ("min", "ass")
@@ -217,24 +217,6 @@ def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     return _binomial_sum(ideal.ring, sums, parts[-1])
 
 
-def _binomial_sum(ring, side_a, side_b) -> MonomialIdeal:
-    """The sum of side_a[t] * side_b[n - t] over t = 0..n, for two lists of
-    n + 1 ideals in ``ring``; the zero ideal when both are empty.
-
-    Every product of generators goes into one ``_ideal``, so the sum is
-    canonicalised once rather than once per term.
-    """
-    return _ideal(
-        ring,
-        [
-            tuple(map(add, g, h))
-            for a, b in zip(side_a, reversed(side_b))
-            for g in a._exps
-            for h in b._exps
-        ],
-    )
-
-
 def regular_witness_candidates(
     ideal: MonomialIdeal,
     notion: str = "min",
@@ -261,8 +243,6 @@ def regular_witness_candidates(
     is a generator.
     """
     _require_notion(notion)
-    if n_max is None:
-        n_max = default_power_bound(ideal)
     star, _ = ass_star_bounded(ideal, n_max)
     return _witnesses(ideal, _saturator(ideal, star, notion), notion, max_degree)
 

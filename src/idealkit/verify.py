@@ -12,7 +12,7 @@ the script that ran.
 """
 
 from . import dsl as _dsl
-from .fuzz import REPORT_SCHEMA
+from .fuzz import _report
 
 _AI = "ring A = [a, b];\nideal I = (a^2, a*b) in A;\n"
 _RS = "ring R = [x, y, z, t];\nideal S = (x^2, x*y, z^2, z*t) in R;\n"
@@ -148,11 +148,5 @@ def run_verify() -> dict:
                     "actual": actual,
                 }
             )
-    return {
-        "schema": REPORT_SCHEMA,
-        "suite": "verify",
-        "cases": len(checks),
-        "passes": sum(1 for c in checks if c["passed"]),
-        "failures": failures,
-        "checks": checks,
-    }
+    passes = sum(1 for c in checks if c["passed"])
+    return _report("verify", len(checks), passes, failures, checks=checks)

@@ -37,5 +37,5 @@ def test_reports_are_byte_identical(capsys):
     found = {command: stdout_digest(capsys, command) for command in DIGESTS}
     assert found == DIGESTS
     # A second run in the same process reads saturated and symbolic powers,
-    # Ass* unions, decompositions and powers from the memos the first filled.
+    # decompositions and powers from the memos the first filled.
     assert stdout_digest(capsys, HUNDRED_CASES) == DIGESTS[HUNDRED_CASES]

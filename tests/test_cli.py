@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from idealkit import binomial, core, dsl, fuzz, homology
+from idealkit import binomial, core, dsl, fuzz, homology, powers
 from idealkit.cli import build_parser, main
 
 
@@ -437,6 +437,27 @@ class TestFuzz:
             assert len(lines) == failure["instance_script"].count("print ")
             if suite.startswith("thm41"):
                 assert lines[0] == lines[1]
+
+    @pytest.mark.parametrize("suite", ["thm41_min", "thm41_ass"])
+    def test_thm41_reproducer_shows_a_split_route_fault(
+        self, suite, tmp_path, capsys, monkeypatch
+    ):
+        # The binomial expansion of a joined sum is the split route; the
+        # script's second line saturates the joined sum's power instead, so a
+        # fault in the split route prints two different lines while it stays.
+        healthy = powers._symbolic_split
+        monkeypatch.setattr(
+            powers, "_symbolic_split", lambda *args: core.ideal_power(healthy(*args), 2)
+        )
+        report = fuzz.run_suite(suite, fuzz.FuzzConfig(seed=1, cases=3))
+        assert len(report["failures"]) == 3
+        for failure in report["failures"]:
+            script = tmp_path / "counterexample.ik"
+            script.write_text(failure["instance_script"] + "\n")
+            code, out, err = run_cli(capsys, "run", str(script))
+            assert (code, err) == (0, "")
+            first, second = out.splitlines()
+            assert first != second
 
     def test_parser_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["fuzz"])

@@ -213,6 +213,12 @@ class TestArithmetic:
     def test_product_of_disjoint_variables(self):
         assert ideal_product(ideal(XY, "x"), ideal(XY, "y")) == ideal(XY, "x*y")
 
+    def test_product_with_a_zero_side_is_the_callers_zero_ideal(self):
+        zero, x = MonomialIdeal.zero(XY), ideal(XY, "x")
+        for a, b in ((zero, x), (x, zero), (zero, zero)):
+            product = ideal_product(a, b)
+            assert product == zero and product.ring is XY and str(product) == "(0)"
+
     def test_intersect_disjoint_variables(self):
         assert intersect(ideal(XY, "x"), ideal(XY, "y")) == ideal(XY, "x*y")
 

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -958,7 +959,7 @@ class TestConeRanks:
     def test_generators_sit_only_in_degree_zero(self, i):
         ranks = rank_table(i)
         assert {b for b, at in ranks.items() if 0 in at} == set(i._exps)
-        assert all(ranks[g] == {0: 1} for g in i._exps)
+        assert all(Counter(ranks[g]) == {0: 1} for g in i._exps)
 
     def test_no_generators_give_no_ranks(self):
         assert _cone_ranks(()) == {}
@@ -974,7 +975,7 @@ class TestConeRanks:
         ranks = rank_table(i)
         for k, b, beta in taylor_betti_table(i, char)._rows:
             if k:
-                assert ranks[b].get(k - 1, 0) >= beta
+                assert Counter(ranks[b])[k - 1] >= beta
 
     @given(wide_ideals, st.sampled_from([0, 2, 3]))
     @settings(max_examples=40, deadline=None)
@@ -984,18 +985,18 @@ class TestConeRanks:
         for b, at in rank_table(i).items():
             if not adjacent(at):
                 assert {k: v for (k, e), v in rows.items() if e == b} == {
-                    d + 1: r for d, r in at.items()
+                    d + 1: r for d, r in Counter(at).items()
                 }
 
     @pytest.mark.parametrize("char", [0, 2, 3])
     def test_fixtures_need_the_upper_koszul_complex(self, char):
         cone = ideal(R3, CONE_AT_XY2Z)
-        assert rank_table(cone)[(1, 2, 1)] == {1: 1, 2: 1}
+        assert Counter(rank_table(cone)[(1, 2, 1)]) == {1: 1, 2: 1}
         table = betti_table(cone, char)
         assert all(table.multiplicity(k, R3.monomial((1, 2, 1))) == 0 for k in range(5))
         assert table == taylor_betti_table(cone, char)
         plane = ideal(ABCDEF, PROJECTIVE_PLANE)
-        assert rank_table(plane)[(1,) * 6] == {2: 1, 3: 1}
+        assert Counter(rank_table(plane)[(1,) * 6]) == {2: 1, 3: 1}
         assert betti_table(plane, char) == taylor_betti_table(plane, char)
         # K^b is read exactly at the multidegrees whose ranks are adjacent.
         for i in (cone, plane):
