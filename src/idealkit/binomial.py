@@ -422,8 +422,8 @@ class FiltrationReport(_Value):
 
 
 def _validate_filtration(terms: list[MonomialIdeal], s: int) -> bool:
-    """Index 0 is the unit ideal; descending; closed under term products."""
-    if len(terms) < s + 1 or not terms[0].is_unit:
+    """Descending and closed under term products; the caller prepends (1)."""
+    if len(terms) < s + 1:
         return False
     for t in range(s):
         if not terms[t].contains_ideal(terms[t + 1]):

@@ -39,20 +39,17 @@ def _whole_numbers(values) -> tuple[int, ...]:
     """``values`` as a tuple of ints; a ValueError names the first value that
     is not a whole number (``2.0`` and ``True`` are whole; ``2.5``, ``"3"``,
     ``inf``, ``nan`` and ``None`` are not)."""
-    values = tuple(values)
-    try:
-        ints = tuple(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != values:
-        for v in values:
-            try:
-                whole = int(v) == v
-            except (TypeError, ValueError, OverflowError):
-                whole = False
-            if not whole:
-                raise ValueError(f"expected a whole number, got {v!r}")
-    return ints
+    ints = []
+    for v in values:
+        try:
+            n = int(v)
+            whole = n == v
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"expected a whole number, got {v!r}")
+        ints.append(n)
+    return tuple(ints)
 
 
 class _Value:
@@ -68,11 +65,11 @@ class _Value:
     raises AttributeError; pickle and copy restore the ``__dict__`` directly.
     Every builder, the constructors and the unchecked ``_monomial``,
     ``_unchecked`` and ``_ideal`` alike, stores the fields with ``_set``.
-    ``Ring``, ``Monomial`` and ``MonomialIdeal`` spell out ``__eq__`` and
-    ``__hash__``, because the memo keys and ring checks call them in hot
-    loops; ``MonomialIdeal`` stores, compares and hashes exponent tuples,
-    so a memo key builds no ``Monomial``, and it fills its ``generators``
-    field on the first read.
+    Only ``Ring``, ``MonomialIdeal`` and ``homology.BettiTable`` spell out
+    ``__eq__`` and ``__hash__``: every memo key hashes a ring and an ideal and
+    every ring check compares rings, so those skip the field loop, and the
+    last two compare and hash exponent tuples, not their ``Monomial`` field,
+    so a memo key builds no ``Monomial``; each builds that field when read.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -190,14 +187,6 @@ class Monomial(_Value):
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps!r}")
         _set(self, "exponents", exps)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ring, self.exponents) == (other.ring, other.exponents)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.exponents))
 
     def degree(self) -> int:
         return sum(self.exponents)
@@ -532,8 +521,6 @@ def ideal_power(a: MonomialIdeal, s: int) -> MonomialIdeal:
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _require_same_ring(a, b)
-    if a.is_zero or b.is_zero:
-        return MonomialIdeal.zero(a.ring)
     return _ideal(a.ring, {tuple(map(max, g, h)) for g in a._exps for h in b._exps})
 
 

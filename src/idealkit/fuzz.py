@@ -195,35 +195,32 @@ def _check_thm41(inst: Instance, char: int, notion: str) -> CaseOutcome:
 
 
 def _check_lem32_36(inst: Instance, char: int) -> CaseOutcome:
-    s = inst.s
-    k_powers = [ideal_power(inst.sat_k, t) for t in range(1, s + 1)]
-    ordinary = _binomial.check_filtration_identities(
-        [ideal_power(inst.ideal_i, t) for t in range(1, s + 1)],
-        k_powers,
-        [ideal_power(inst.ideal_j, t) for t in range(1, s + 1)],
-        inst.sat_k,
-        s,
-    )
-    saturated = _binomial.check_filtration_identities(
-        [_powers.saturated_power(inst.ideal_i, inst.sat_k, t) for t in range(1, s + 1)],
-        k_powers,
-        [_powers.saturated_power(inst.ideal_j, inst.sat_l, t) for t in range(1, s + 1)],
-        inst.sat_k,
-        s,
-    )
-    terms = _binomial.check_term_inclusions(
-        inst.ideal_i, inst.sat_k, inst.ideal_j, inst.sat_l, s
-    )
-    ok = ordinary.passed and saturated.passed and terms.passed
+    i, k, j, l, s = inst.ideal_i, inst.sat_k, inst.ideal_j, inst.sat_l, inst.s
+    ts = range(1, s + 1)
+
+    def powers(power, *ideals):
+        """The list of ``power(*ideals, t)`` for t = 1..s."""
+        return [power(*ideals, t) for t in ts]
 
     def listing(term):
         """The script list of ``term`` filled in with t = 1..s."""
-        return "[" + ", ".join(term.format(t) for t in range(1, s + 1)) + "]"
+        return "[" + ", ".join(term.format(t) for t in ts) + "]"
 
-    k = listing("K^{}")
+    k_powers = powers(ideal_power, k)
+    ordinary = _binomial.check_filtration_identities(
+        powers(ideal_power, i), k_powers, powers(ideal_power, j), k, s
+    )
+    sat = _powers.saturated_power
+    saturated = _binomial.check_filtration_identities(
+        powers(sat, i, k), k_powers, powers(sat, j, l), k, s
+    )
+    terms = _binomial.check_term_inclusions(i, k, j, l, s)
+    ok = ordinary.passed and saturated.passed and terms.passed
+
+    k_list = listing("K^{}")
     body = (
-        f"print check_filt({listing('I^{}')}, {k}, {listing('J^{}')}, K, {s});\n"
-        f"print check_filt({listing('satpow(I, K, {})')}, {k}, "
+        f"print check_filt({listing('I^{}')}, {k_list}, {listing('J^{}')}, K, {s});\n"
+        f"print check_filt({listing('satpow(I, K, {})')}, {k_list}, "
         f"{listing('satpow(J, L, {})')}, K, {s});\n"
         f"print check_terms(I, K, J, L, {s});"
     )

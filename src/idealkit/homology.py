@@ -196,15 +196,14 @@ def _homology_dims(faces, char: int) -> dict[int, int]:
 
     Keys are homological degrees (the empty face sits in degree -1).  The
     boundary column of a face is keyed by its codimension-one faces: the
-    one without the k-th lowest vertex has sign (-1)^k.
+    one without the k-th lowest vertex has sign (-1)^k.  The empty face
+    has an empty boundary column, so the rank in size 0 is 0.
     """
     by_size: dict[int, list[int]] = {}
     for face in sorted(faces):
         by_size.setdefault(face.bit_count(), []).append(face)
     ranks = {}
     for t, members in by_size.items():
-        if t == 0:
-            continue
         columns = []
         for face in members:
             column, sign, rest = {}, 1, face

@@ -372,6 +372,29 @@ class TestEqualityCriteria:
         assert check_symbolic_equality_implication(i, j, s).passed
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            lambda i, j: check_equality_criteria(i, i, j, j, 1),
+            "equality criteria need nonzero proper ideals",
+        ),
+        (
+            lambda i, j: check_symbolic_equality_implication(i, j, 1),
+            "implication check needs nonzero proper ideals",
+        ),
+        (lambda i, j: check_ass_structure(i, j, 1), "structure check needs nonzero proper ideals"),
+    ],
+    ids=["check_eq", "check_symb_eq", "check_ass"],
+)
+def test_pair_checks_refuse_a_zero_or_unit_side(check, message):
+    i, j = ideal(A2, "x"), ideal(B2, "z")
+    for side in (MonomialIdeal.zero, MonomialIdeal.unit):
+        for pair in ((side(A2), j), (i, side(B2))):
+            with pytest.raises(IdealArgumentError, match=f"^{message}$"):
+                check(*pair)
+
+
 class TestAssStructure:
     def test_tensor_example(self):
         report = check_ass_structure(ideal(AB, "a^2, a*b"), ideal(CD, "c^2, c*d"), 2)
@@ -513,6 +536,24 @@ class TestFiltrationIdentities:
         )
         assert not report.premises_ok and not report.passed
 
+    @pytest.mark.parametrize(
+        "i_terms",
+        [[ideal(A2, "x")], [ideal(A2, "x"), ideal(A2, "x^3")]],
+        ids=["too-short", "not-closed-under-products"],
+    )
+    def test_failed_premise_clears_every_flag(self, i_terms):
+        k = ideal(A2, "y")
+        report = check_filtration_identities(
+            i_terms, [k, ideal_power(k, 2)], [ideal(B2, "z"), ideal(B2, "z^2")], k, 2
+        )
+        assert report == FiltrationReport(False, False, False, False, False, False)
+
+    def test_empty_filtration_rejected(self):
+        x, z = ideal(A2, "x"), ideal(B2, "z")
+        for lists in (([], [x], [z]), ([x], [], [z]), ([x], [x], [])):
+            with pytest.raises(IdealArgumentError, match="^empty filtration$"):
+                check_filtration_identities(*lists, x, 1)
+
     @given(
         ideals_over(A2, True),
         ideals_over(A2, False),
@@ -587,6 +628,11 @@ class TestEmbeddingValidation:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             RingEmbedding(A2, Ring.of("u", "v"), (0,))
+
+    def test_out_of_range_rejected(self):
+        for index_map in ((0, 2), (-1, 0)):
+            with pytest.raises(ValueError, match="^index map out of range$"):
+                RingEmbedding(A2, Ring.of("u", "v"), index_map)
 
 
 class TestDirectRouteIndependence:

@@ -313,6 +313,12 @@ class TestFuzz:
         for report in reports:
             assert set(report) >= {"suite", "cases", "passes", "failures"}
 
+    def test_unknown_suites_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown suites: \['nope'\]$"):
+            fuzz.FuzzConfig(suites=["thm38", "nope"])
+        with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
+            fuzz.run_suite("nope", fuzz.FuzzConfig())
+
     def test_identical_config_gives_identical_bytes(self, capsys):
         args = ("fuzz", "--seed", "3", "--cases", "4", "--suite", "thm38", "--json")
         _, first, _ = run_cli(capsys, *args)

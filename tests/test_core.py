@@ -147,6 +147,15 @@ class TestRingAndMonomial:
             assert built == public and hash(built) == hash(public)
             assert all(type(x) is int for x in built.exponents)
 
+    @pytest.mark.parametrize(
+        "value, other",
+        [(A, ("a", "b")), (ideal(A, "a^2, a*b"), (A, ((2, 0), (1, 1))))],
+        ids=["ring", "ideal"],
+    )
+    def test_values_never_equal_another_class(self, value, other):
+        assert value.__eq__(other) is NotImplemented
+        assert value != other and not value == other
+
     def test_arithmetic_error_messages(self):
         a, x = Monomial.parse(A, "a"), Monomial.parse(XY, "x")
         mismatch = r"^ring mismatch: \[a, b\] vs \[x, y\]$"
@@ -218,6 +227,16 @@ class TestArithmetic:
         for a, b in ((zero, x), (x, zero), (zero, zero)):
             product = ideal_product(a, b)
             assert product == zero and product.ring is XY and str(product) == "(0)"
+
+    def test_operators_are_the_named_operations(self):
+        i, j = ideal(XY, "x^2, x*y"), ideal(XY, "y^3")
+        assert i + j == ideal_sum(i, j) == ideal(XY, "x^2, x*y, y^3")
+        assert i * j == ideal_product(i, j) == ideal(XY, "x^2*y^3, x*y^4")
+
+    def test_generator_lcm(self):
+        assert ideal(XY, "x^2, x*y^3").lcm_of_generators() == Monomial.parse(XY, "x^2*y^3")
+        with pytest.raises(IdealArgumentError, match="^zero ideal has no generator lcm$"):
+            MonomialIdeal.zero(XY).lcm_of_generators()
 
     def test_intersect_disjoint_variables(self):
         assert intersect(ideal(XY, "x"), ideal(XY, "y")) == ideal(XY, "x*y")
@@ -651,9 +670,11 @@ def kernel_inputs(draw):
     return ring, draw(ideals), draw(ideals), draw(monomials)
 
 
-def assert_same_value(built, expected_gens):
-    """``built`` equals and hashes like the publicly constructed ideal and generators."""
-    public = MonomialIdeal(built.ring, expected_gens)
+def assert_same_value(built, ring, expected_gens):
+    """``built`` lies in ``ring``, the operands' ring, and equals and hashes
+    like the publicly constructed ideal and generators."""
+    assert built.ring == ring
+    public = MonomialIdeal(ring, expected_gens)
     assert built == public and hash(built) == hash(public)
     assert built.generators == expected_gens
     for g, h in zip(built.generators, expected_gens):
@@ -669,14 +690,14 @@ class TestTupleKernel:
         assert core._antichain([g.exponents for g in a.generators + b.generators]) == [
             g.exponents for g in ref_sum(a, b)
         ]
-        assert_same_value(a, ref_antichain(a.generators))
-        assert_same_value(ideal_sum(a, b), ref_sum(a, b))
-        assert_same_value(ideal_product(a, b), ref_product(a, b))
-        assert_same_value(intersect(a, b), ref_intersect(a, b))
-        assert_same_value(colon_monomial(a, m), ref_colon_monomial(a, m))
-        assert_same_value(radical(a), ref_radical(a))
+        assert_same_value(a, ring, ref_antichain(a.generators))
+        assert_same_value(ideal_sum(a, b), ring, ref_sum(a, b))
+        assert_same_value(ideal_product(a, b), ring, ref_product(a, b))
+        assert_same_value(intersect(a, b), ring, ref_intersect(a, b))
+        assert_same_value(colon_monomial(a, m), ring, ref_colon_monomial(a, m))
+        assert_same_value(radical(a), ring, ref_radical(a))
         if not b.is_zero:
-            assert_same_value(saturate(a, b), ref_saturate(a, b))
+            assert_same_value(saturate(a, b), ring, ref_saturate(a, b))
         for g in b.generators:
             assert a.contains(g) == any(h.divides(g) for h in a.generators)
 
@@ -686,8 +707,8 @@ class TestTupleKernel:
             assert one == Monomial(ring, (0,) * ring.nvars) and hash(one) == hash(
                 Monomial(ring, (0,) * ring.nvars)
             )
-            assert_same_value(MonomialIdeal.unit(ring), (Monomial(ring, one.exponents),))
-            assert_same_value(MonomialIdeal.zero(ring), ())
+            assert_same_value(MonomialIdeal.unit(ring), ring, (Monomial(ring, one.exponents),))
+            assert_same_value(MonomialIdeal.zero(ring), ring, ())
 
     def test_components_equal_the_public_ones(self):
         i = ideal(R3, "x^2*y, x*z^3, y^130*z")
@@ -699,7 +720,7 @@ class TestTupleKernel:
             gens = tuple(
                 R3.monomial([e if v == j else 0 for j in range(3)]) for v, e in c.powers
             )
-            assert_same_value(c.as_ideal(), ref_antichain(gens))
+            assert_same_value(c.as_ideal(), R3, ref_antichain(gens))
 
     def test_public_constructors_still_validate(self):
         with pytest.raises(ValueError, match=re.escape("negative exponent in (1, -1, 0)")):

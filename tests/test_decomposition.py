@@ -177,6 +177,19 @@ def ass_by_colon_oracle(i):
 
 
 class TestIrreducibleDecomposition:
+    @pytest.mark.parametrize(
+        "powers, message",
+        [
+            ((), "^irreducible component must be nonempty$"),
+            (((0, 0),), r"^exponents must be positive: \(\(0, 0\),\)$"),
+            (((0, 1), (0, 2)), r"^repeated variable in \(\(0, 1\), \(0, 2\)\)$"),
+        ],
+        ids=["empty", "zero-exponent", "repeated-variable"],
+    )
+    def test_irreducible_component_rejects(self, powers, message):
+        with pytest.raises(ValueError, match=message):
+            IrreducibleComponent(A, powers)
+
     def test_example_ideal(self):
         comps = {c.as_ideal() for c in irreducible_decomposition(ideal(A, "a^2, a*b"))}
         assert comps == {ideal(A, "a"), ideal(A, "a^2, b")}
@@ -402,6 +415,11 @@ class TestPrimaryDecomposition:
         decomposition = primary_decomposition(square)
         assert len(decomposition) == 1
         assert decomposition.component(MonomialPrime.of_names(A, "a", "b")) == square
+
+    def test_component_of_a_prime_not_in_the_decomposition(self):
+        decomposition = primary_decomposition(ideal_power(ideal(A, "a, b"), 2))
+        with pytest.raises(KeyError, match=r"^'\(a\)'$"):
+            decomposition.component(MonomialPrime.of_names(A, "a"))
 
     @given(proper3)
     @settings(max_examples=40, deadline=None)

@@ -90,6 +90,18 @@ class TestGoldenScripts:
         )
         assert output == ["0", "1", "b", "+inf"]
 
+    def test_missing_witness_prints_none(self):
+        output = run_script(
+            "ring A = [a, b];\nideal I = (a^2*b, a*b^2) in A;\nprint witness(I, min);"
+        )
+        assert output == ["none"]
+
+    def test_non_int_monomial_power_is_validated(self):
+        # The parser only makes int exponents; a hand-built node may not.
+        evaluator = dsl.Evaluator()
+        evaluator.execute(parse("ring A = [x, y];").statements[0])
+        assert evaluator.execute(PrintStmt(PowOp(Name("x"), 2.0))) == "x^2"
+
     def test_check_reports_render(self):
         output = run_script(
             "ring A = [x, y];\nideal I = (x) in A;\nideal K = (y) in A;\n"

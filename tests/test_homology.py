@@ -74,6 +74,14 @@ class TestExtendedInt:
         with pytest.raises(ValueError):
             POS_INF + NEG_INF
 
+    def test_conflicting_infinities_rejected_with_minus_inf_first(self):
+        with pytest.raises(ValueError, match=r"^cannot add \+inf and -inf$"):
+            NEG_INF + POS_INF
+
+    def test_order_operators(self):
+        assert NEG_INF <= ExtendedInt(-2) <= ExtendedInt(-2) <= POS_INF <= POS_INF
+        assert not POS_INF <= ExtendedInt(7) and not ExtendedInt(3) <= ExtendedInt(2)
+
     def test_ordering_for_min_max(self):
         values = [ExtendedInt(1), POS_INF, ExtendedInt(-2), NEG_INF]
         assert min(values) == NEG_INF
@@ -299,6 +307,15 @@ class TestBettiTable:
         assert table.entries == ()
         assert table.depth() == POS_INF
         assert table.regularity() == NEG_INF
+
+    def test_taylor_oracle_of_the_unit_ideal_is_empty(self):
+        table = taylor_betti_table(MonomialIdeal.unit(R3))
+        assert table == betti_table(MonomialIdeal.unit(R3)) and table.entries == ()
+
+    def test_never_equals_another_class(self):
+        table = betti_table(ideal(R3, "x"))
+        assert table.__eq__(table.entries) is NotImplemented
+        assert table != table.entries and not table == table.entries
 
     def test_zero_ideal_resolves_the_ring(self):
         table = betti_table(MonomialIdeal.zero(R3))
