@@ -372,27 +372,28 @@ class TestEqualityCriteria:
         assert check_symbolic_equality_implication(i, j, s).passed
 
 
-@pytest.mark.parametrize(
-    "check, message",
-    [
-        (
-            lambda i, j: check_equality_criteria(i, i, j, j, 1),
-            "equality criteria need nonzero proper ideals",
-        ),
-        (
-            lambda i, j: check_symbolic_equality_implication(i, j, 1),
-            "implication check needs nonzero proper ideals",
-        ),
-        (lambda i, j: check_ass_structure(i, j, 1), "structure check needs nonzero proper ideals"),
-    ],
-    ids=["check_eq", "check_symb_eq", "check_ass"],
-)
-def test_pair_checks_refuse_a_zero_or_unit_side(check, message):
-    i, j = ideal(A2, "x"), ideal(B2, "z")
-    for side in (MonomialIdeal.zero, MonomialIdeal.unit):
-        for pair in ((side(A2), j), (i, side(B2))):
-            with pytest.raises(IdealArgumentError, match=f"^{message}$"):
-                check(*pair)
+class TestProperPairGuards:
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            (
+                lambda i, j: check_equality_criteria(i, i, j, j, 1),
+                "equality criteria need nonzero proper ideals",
+            ),
+            (
+                lambda i, j: check_symbolic_equality_implication(i, j, 1),
+                "implication check needs nonzero proper ideals",
+            ),
+            (lambda i, j: check_ass_structure(i, j, 1), "structure check needs nonzero proper ideals"),
+        ],
+        ids=["check_eq", "check_symb_eq", "check_ass"],
+    )
+    def test_a_zero_or_unit_side_is_refused(self, check, message):
+        i, j = ideal(A2, "x"), ideal(B2, "z")
+        for side in (MonomialIdeal.zero, MonomialIdeal.unit):
+            for pair in ((side(A2), j), (i, side(B2))):
+                with pytest.raises(IdealArgumentError, match=f"^{message}$"):
+                    check(*pair)
 
 
 class TestAssStructure:
