@@ -10,16 +10,14 @@ in the joined ring), an independent route for every expansion.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .core import (
     IdealArgumentError,
     MonomialIdeal,
     MonomialPrime,
     Ring,
-    _MEMO_SIZE,
     _binomial_sum,
     _ideal,
+    _memo,
     _Value,
     _whole_numbers,
     colon,
@@ -64,11 +62,11 @@ class RingEmbedding(_Value):
         super().__init__(source, target, index_map)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def join_rings(a: Ring, b: Ring) -> tuple[Ring, RingEmbedding, RingEmbedding]:
     """Concatenate two rings; colliding names get the smallest free _k suffix.
 
-    Memoised for the last 1024 distinct ring pairs: every expansion and
+    Memoised (``core._memo``) on the ring pair: every expansion and
     check of a pair of ideals joins their rings again.
     """
     names = list(a.variables)

@@ -31,8 +31,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _new = object.__new__
 # Every builder stores fields through this, which keeps CPython's fast reads.
 _set = object.__setattr__
-# The bound of every memo in the package, each a functools.lru_cache.
+# Every memo of the package: the last _MEMO_SIZE distinct keys, typed, so a
+# float argument never reads the entry of the equal int.
 _MEMO_SIZE = 1024
+_memo = lru_cache(maxsize=_MEMO_SIZE, typed=True)
 
 
 def _whole_numbers(values) -> tuple[int, ...]:
@@ -257,7 +259,7 @@ class Monomial(_Value):
                 exps[ring.index_of(name.strip())] += int(power)
             else:
                 exps[ring.index_of(factor)] += 1
-        return cls(ring, tuple(exps))
+        return _monomial(ring, tuple(exps))
 
 
 def _require_same_ring(a, b):
@@ -495,18 +497,18 @@ def _binomial_sum(ring: Ring, side_a, side_b) -> MonomialIdeal:
     )
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _power(a: MonomialIdeal, t: int) -> MonomialIdeal:
     """a^t for t >= 1, one product with the a^(t - 1) stored just before.
 
     ``ideal_power`` asks for t = 1, 2, ... in turn, so recursion stays one
-    level deep unless other threads insert 1024 entries between two steps.
+    level deep unless other threads fill the memo (``_memo``) between two steps.
     """
     return a if t == 1 else ideal_product(_power(a, t - 1), a)
 
 
 def ideal_power(a: MonomialIdeal, s: int) -> MonomialIdeal:
-    """a^s, from a memo of the last 1024 (ideal, exponent) pairs.
+    """a^s, from the memo (``_memo``) of (ideal, exponent) pairs.
 
     The key holds the ring, so a result is always in the caller's ring.
     """

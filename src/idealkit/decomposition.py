@@ -21,17 +21,17 @@ values a public function returns.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .core import (
     IdealArgumentError,
     MonomialIdeal,
     MonomialPrime,
     Ring,
-    _MEMO_SIZE,
     _contains,
     _ideal,
     _le,
+    _memo,
     _monomial,
     _unchecked,
     _Value,
@@ -149,7 +149,7 @@ def _meet(gens, powers) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _irredundant(gens: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Ring-free irredundant components of the canonical generator tuples
     ``gens`` (an ideal's ``_exps``), canonically sorted.
@@ -183,8 +183,8 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 5.27).  The
     dual is intersected one irreducible ideal at a time by the local rule
     of ``_meet``, with no splitting and no pruning pass.  The result is
-    memoised, ring-free and keyed by the ideal's canonical generator
-    exponent tuples, for the last 1024 distinct ideals.
+    memoised (``core._memo``), ring-free and keyed by the ideal's
+    canonical generator exponent tuples.
     """
     # _irredundant's pairs are sorted, with distinct indices and positive exponents.
     return tuple(

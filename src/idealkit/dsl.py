@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache
 from operator import add
 
 from . import binomial as _binomial
@@ -39,7 +38,7 @@ from . import core as _core
 from . import decomposition as _decomposition
 from . import homology as _homology
 from . import powers as _powers
-from .core import Monomial, MonomialIdeal, MonomialPrime, Ring, _ideal, _monomial, _Value
+from .core import Monomial, MonomialIdeal, MonomialPrime, Ring, _ideal, _memo, _monomial, _Value
 
 
 class ParseError(ValueError):
@@ -454,7 +453,7 @@ class Evaluator:
     def _wrap(self, fn, pos, *args):
         try:
             return fn(*args)
-        except (_core.RingMismatchError, _core.IdealArgumentError, ValueError) as exc:
+        except ValueError as exc:  # RingMismatchError and IdealArgumentError too
             raise EvalError(str(exc), pos) from exc
 
     def _call(self, node, ctx):
@@ -555,7 +554,7 @@ class Evaluator:
         return [self._as_ideal(v, node.pos, ctx) for v in value]
 
 
-@lru_cache(maxsize=_core._MEMO_SIZE)
+@_memo
 def _variables(ring: Ring) -> dict[str, Monomial]:
     """Each variable name of ``ring`` to its variable, for bare names."""
     return {name: ring.variable(i) for i, name in enumerate(ring.variables)}

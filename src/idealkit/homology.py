@@ -28,8 +28,8 @@ K^b is the complex generated by the sets S_g(b) of the generators g
 dividing b.  Its maximal faces (``_maximal``) are shrunk to a
 strong-collapse core (Barmak-Minian, Discrete Comput. Geom. 47, 2012): a
 vertex whose facets all share one other vertex is deleted, which keeps
-the homology in every characteristic.  Two bounded memos, each of the
-last ``core._MEMO_SIZE`` distinct keys, hold the rest: ``_collapse_core``
+the homology in every characteristic.  Two memos (``core._memo``) hold
+the rest: ``_collapse_core``
 maps the sorted tuple of maximal facet masks to its core, with no
 characteristic in the key, and ``_core_homology`` maps a core and the
 characteristic to its homology.  Both are ring-free and ideal-free.
@@ -52,16 +52,16 @@ from sorted ``Monomial`` entries (it alone uses ``_freeze_entries``).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .core import (
     IdealArgumentError,
     Monomial,
     MonomialIdeal,
-    _MEMO_SIZE,
     _antichain,
     _ideal,
+    _memo,
     _monomial,
     _monomial_text,
     _unchecked,
@@ -84,13 +84,11 @@ class ExtendedInt(_Value):
 
     def __add__(self, other: "ExtendedInt") -> "ExtendedInt":
         a, b = self.value, other.value
-        if isinstance(a, int) and isinstance(b, int):
-            return ExtendedInt(a + b)
-        if a == float("inf") and b == float("-inf"):
+        # An infinity absorbs an int, which may be too large to convert to float.
+        total = a + b if type(a) is type(b) else (a if type(a) is float else b)
+        if total != total:  # only +inf plus -inf is NaN
             raise ValueError("cannot add +inf and -inf")
-        if a == float("-inf") and b == float("inf"):
-            raise ValueError("cannot add +inf and -inf")
-        return ExtendedInt(a if isinstance(a, float) else b)
+        return ExtendedInt(total)
 
     def __lt__(self, other: "ExtendedInt") -> bool:
         return self.value < other.value
@@ -99,11 +97,7 @@ class ExtendedInt(_Value):
         return self.value <= other.value
 
     def __str__(self):
-        if self.value == float("inf"):
-            return "+inf"
-        if self.value == float("-inf"):
-            return "-inf"
-        return str(self.value)
+        return f"{self.value:+}" if isinstance(self.value, float) else str(self.value)
 
 
 POS_INF = ExtendedInt(float("inf"))
@@ -270,7 +264,7 @@ def _cone_ranks(gens) -> dict[tuple[int, ...], list[int]]:
     A list per multidegree holds less than a {d: r_d(b)} counter would.
     """
     ranks: dict[tuple[int, ...], list[int]] = {}
-    stack = [(gens, 0)] if gens else []
+    stack = [(gens, 0)]
     while stack:
         node, d = stack.pop()
         for j, m in enumerate(node):
@@ -314,7 +308,7 @@ def _upper_koszul_faces(facets) -> set[int]:
     return faces
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _collapse_core(facets: tuple[int, ...]) -> tuple[int, ...]:
     """The facets, ascending, of a strong-collapse core of the complex
     generated by ``facets`` (its maximal faces as vertex bitmasks, a tuple).
@@ -325,8 +319,8 @@ def _collapse_core(facets: tuple[int, ...]) -> tuple[int, ...]:
     (Barmak-Minian, Discrete Comput. Geom. 47, 2012), so the reduced
     homology is the same in every characteristic.  Dominated vertices are
     deleted one at a time, lowest first, until none is left or one facet
-    is.  Vertices keep their labels.  Memoised for the last 1024 distinct
-    facet tuples; the core does not depend on the characteristic.
+    is.  Vertices keep their labels.  Memoised (``core._memo``) on the
+    facet tuple; the core does not depend on the characteristic.
     """
     facets = list(facets)
     deleted = True
@@ -348,11 +342,11 @@ def _collapse_core(facets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(facets)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@_memo
 def _core_homology(core: tuple[int, ...], char: int) -> tuple[tuple[int, int], ...]:
     """(degree, dim) pairs of the reduced homology of the complex generated
-    by ``core`` (its facets as vertex bitmasks, ascending), from a memo of
-    the last 1024 (core, characteristic) pairs."""
+    by ``core`` (its facets as vertex bitmasks, ascending), memoised
+    (``core._memo``) on the core and the characteristic."""
     return tuple(_homology_dims(_upper_koszul_faces(core), char).items())
 
 
@@ -566,16 +560,8 @@ class DepthRegReport(_Value):
     __match_args__ = ("depth_lhs", "depth_rhs", "reg_lhs", "reg_rhs")
 
     @property
-    def depth_equal(self) -> bool:
-        return self.depth_lhs == self.depth_rhs
-
-    @property
-    def reg_equal(self) -> bool:
-        return self.reg_lhs == self.reg_rhs
-
-    @property
     def passed(self) -> bool:
-        return self.depth_equal and self.reg_equal
+        return self.depth_lhs == self.depth_rhs and self.reg_lhs == self.reg_rhs
 
     def __str__(self):
         return (

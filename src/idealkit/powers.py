@@ -24,7 +24,7 @@ Every sum of products A_t B_(s-t) here and in ``binomial`` is
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 from operator import or_
 
 from .core import (
@@ -32,9 +32,9 @@ from .core import (
     Monomial,
     MonomialIdeal,
     MonomialPrime,
-    _MEMO_SIZE,
     _binomial_sum,
     _ideal,
+    _memo,
     ideal_power,
     intersect_all,
     saturate,
@@ -96,16 +96,15 @@ def saturated_power(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialI
     """The s-th saturated power I^s : K^infinity.
 
     s = 0 is allowed and gives the unit ideal (empty product convention),
-    which the binomial expansions rely on.  Memoised for the last 1024
-    distinct (I, K, s).
+    which the binomial expansions rely on.  Memoised (``core._memo``) on
+    (I, K, s).
     """
     if ideal.is_zero or k.is_zero:
         raise IdealArgumentError("saturated power needs nonzero ideals")
     return _saturated(ideal, k, s)
 
 
-# typed: a float s misses the entry for the equal int, and is rejected as before.
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+@_memo
 def _saturated(ideal: MonomialIdeal, k: MonomialIdeal, s: int) -> MonomialIdeal:
     return saturate(ideal_power(ideal, s), k)
 
@@ -154,7 +153,7 @@ def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     An ideal that splits into summands in disjoint variables (``_summands``)
     takes the binomial fast path (``_symbolic_split``) for whole s >= 1;
     every other call is the decomposition route (``_symbolic_direct``),
-    memoised for the last 1024 distinct (I, s, notion); the fast path
+    memoised (``core._memo``) on (I, s, notion); the fast path
     keeps no memo of its own.
     """
     _require_notion(notion)
@@ -164,7 +163,7 @@ def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     return _symbolic_direct(ideal, s, notion)
 
 
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+@_memo
 def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     """The decomposition route to the symbolic power; the notion is valid.
 

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import inspect
+import itertools
 import pickle
 import random
 import sys
@@ -29,6 +30,7 @@ from idealkit.homology import (
     NEG_INF,
     POS_INF,
     BettiTable,
+    DepthRegReport,
     ExtendedInt,
     _collapse_core,
     _cone_ranks,
@@ -62,9 +64,54 @@ def ideal(ring, text):
 
 
 
+def reference_sum(a, b):
+    """The sum of two ExtendedInt values, by the case rules that
+    ``ExtendedInt.__add__`` once spelled out by hand."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b
+    if a == float("inf") and b == float("-inf"):
+        raise ValueError("cannot add +inf and -inf")
+    if a == float("-inf") and b == float("inf"):
+        raise ValueError("cannot add +inf and -inf")
+    return a if isinstance(a, float) else b
+
+
+def reference_str(value):
+    """``str`` of an ExtendedInt value, by the rules ``__str__`` once spelled out."""
+    if value == float("inf"):
+        return "+inf"
+    if value == float("-inf"):
+        return "-inf"
+    return str(value)
+
+
+EXTENDED_VALUES = (-2, 0, 3, float("inf"), float("-inf"))
+
+
 class TestExtendedInt:
+    @pytest.mark.parametrize("a, b", list(itertools.product(EXTENDED_VALUES, repeat=2)))
+    def test_every_sum_follows_the_case_rules(self, a, b):
+        try:
+            expected = reference_sum(a, b)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                ExtendedInt(a) + ExtendedInt(b)
+            assert str(info.value) == str(exc)
+            return
+        total = ExtendedInt(a) + ExtendedInt(b)
+        assert total == ExtendedInt(expected)
+        assert type(total.value) is type(expected)
+        assert str(total) == reference_str(expected)
+        assert str(ExtendedInt(a)) == reference_str(a)
+
     def test_finite_arithmetic(self):
         assert ExtendedInt(2) + ExtendedInt(3) == ExtendedInt(5)
+
+    def test_infinities_absorb_ints_beyond_float_range(self):
+        # A regularity past 1e308 is one exponent of that size away.
+        huge = ExtendedInt(10**400)
+        assert huge + POS_INF == POS_INF and NEG_INF + huge == NEG_INF
+        assert str(huge + huge) == str(2 * 10**400)
 
     def test_infinities_absorb(self):
         assert POS_INF + ExtendedInt(5) == POS_INF
@@ -787,6 +834,16 @@ class TestHomologyMemo:
         assert _core_homology.cache_info().misses == misses
         assert _collapse_core.cache_info().misses == collapse_misses
 
+    def test_a_float_characteristic_fails_alike_cold_and_warm(self):
+        # The memos are typed: char 2.0 never reads the entries char 2 left.
+        i = ideal(ABCDEF, PROJECTIVE_PLANE)
+        with pytest.raises((TypeError, ValueError)) as cold:
+            betti_table(i, 2.0)
+        betti_table(i, 2)
+        with pytest.raises((TypeError, ValueError)) as warm:
+            betti_table(i, 2.0)
+        assert (warm.type, str(warm.value)) == (cold.type, str(cold.value))
+
     def test_collapse_memo_ignores_the_characteristic(self):
         # RP^2's top multidegree is the one that needs K^b, and its table
         # differs between the two characteristics.
@@ -1197,6 +1254,12 @@ class TestDerivStar:
 
 
 class TestDepthRegFormulas:
+    @pytest.mark.parametrize("depth_rhs", [ExtendedInt(2), ExtendedInt(3)])
+    @pytest.mark.parametrize("reg_rhs", [NEG_INF, ExtendedInt(1)])
+    def test_passed_needs_both_sides_equal(self, depth_rhs, reg_rhs):
+        report = DepthRegReport(ExtendedInt(2), depth_rhs, NEG_INF, reg_rhs)
+        assert report.passed == (depth_rhs == ExtendedInt(2) and reg_rhs == NEG_INF)
+
     def test_worked_example(self):
         report = check_depth_reg_binomial(
             ideal(AB, "a^2, a*b"),

@@ -625,6 +625,26 @@ class TestMemoContract:
         for memo, size in MEMOS:
             assert memo.cache_info().maxsize == size == 1024
 
+    def test_every_memo_takes_the_one_policy(self):
+        # Declared once, as core._memo: bounded and typed, so a float s never
+        # reads the entry of the equal int.
+        policy = {"maxsize": core._MEMO_SIZE, "typed": True}
+        found = {
+            f"{memo.__module__}.{memo.__qualname__}": memo.cache_parameters()
+            for memo in idealkit_memos()
+        }
+        names = [
+            "idealkit.core._power",
+            "idealkit.decomposition._irredundant",
+            "idealkit.powers._saturated",
+            "idealkit.powers._symbolic_direct",
+            "idealkit.binomial.join_rings",
+            "idealkit.dsl._variables",
+            "idealkit.homology._collapse_core",
+            "idealkit.homology._core_homology",
+        ]
+        assert found == dict.fromkeys(names, policy)
+
     def test_public_names_stay_plain_functions(self):
         for name in ("saturated_power", "symbolic_power", "ass_star_bounded"):
             assert inspect.isfunction(getattr(idealkit, name))
