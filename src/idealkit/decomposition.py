@@ -16,12 +16,22 @@ prime avoidance), for ``minimal_primes``, ``grade_zero``,
 ``binomial.check_ass_structure`` and both symbolic powers in ``powers``.
 ``_primes`` is the one builder that turns masks into the ``MonomialPrime``
 values a public function returns.
+
+The Alexander-dual fold and every intersection of irreducible ideals
+(``_irredundant``, ``_fold``) run on packed exponent tuples, one int each
+(``_layout``): every variable gets a field of w = bit_length(largest
+exponent in play) + 1 bits, variable 0 in the highest field, and the top
+bit of each field is a guard that a packed tuple keeps clear, so that one
+subtraction tests divisibility in every field at once (``_meet``).  A
+fold packs once and unpacks once.  ``_irredundant`` returns each
+component with its support mask, read from the packed dual, so the masks
+are built once per decomposition.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from operator import lshift
 
 from .core import (
     IdealArgumentError,
@@ -30,7 +40,6 @@ from .core import (
     Ring,
     _contains,
     _ideal,
-    _le,
     _memo,
     _monomial,
     _unchecked,
@@ -110,13 +119,28 @@ def _require_nonzero_proper(ideal: MonomialIdeal):
         raise IdealArgumentError("the unit ideal has no primary decomposition")
 
 
-def _meet(gens, powers) -> list[tuple[int, ...]]:
-    """Minimal generators of (G) cap Q, for Q = (x_j^e_j : (j, e) in ``powers``).
+def _layout(nvars: int, top: int):
+    """The packed layout of exponents up to ``top`` in ``nvars`` variables.
+
+    Returns the field mask (the low ``w`` bits), the field shifts (variable
+    0 in the highest field) and the guard G, the top bit of every field,
+    for a field width w = top.bit_length() + 1.
+    """
+    w = top.bit_length() + 1
+    guard = ((1 << w * nvars) - 1) // ((1 << w) - 1) << w - 1
+    return (1 << w) - 1, range(w * (nvars - 1), -1, -w), guard
+
+
+def _meet(gens, powers, guard) -> list[int]:
+    """Minimal generators of (G) cap Q, for Q = (x_j^e_j), on packed tuples.
 
     ``gens`` is the antichain G of minimal exponent tuples of an ideal, in
-    any order, and so is the result.  Each g in Q is kept unchanged.  Each
-    g outside Q gives, for every j of Q, r = g raised to e_j in x_j (the
-    lcm of g and x_j^e_j), kept iff no other h in G divides r.
+    any order and packed by ``_layout``, and so is the result.  ``powers``
+    holds one pair (F_j, e_j << s_j) per variable x_j of Q: its field mask
+    F_j, shifted into place, and its exponent, shifted to its field.  Each
+    g in Q is kept unchanged.  Each g outside Q gives, for every j of Q,
+    r = g raised to e_j in x_j (the lcm of g and x_j^e_j), kept iff no
+    other h in G divides r.
 
     Proof: these candidates generate (G) cap Q.  As G is an antichain,
     there are no duplicates (equal r from g != h would make g and h equal
@@ -125,6 +149,15 @@ def _meet(gens, powers) -> list[tuple[int, ...]]:
     exponent e_j' > r_j', so only a kept h or an h raised at the same j
     can divide r, and either one divides r iff h does.
 
+    Guard bits: every exponent in play is below 2^(w-1), so each packed
+    tuple keeps its guard bits clear.  Then h divides r iff
+    ((r | G) - h) & G == G.  Field i of r | G holds r_i + 2^(w-1), and
+    r_i + 2^(w-1) - h_i lies between 1 and 2^w - 1, so no field borrows
+    from the one above it, and the difference keeps field i's guard bit
+    iff r_i >= h_i.  Masking a field reads one exponent in place, so
+    g & F_j >= e_j << s_j iff g_j >= e_j, and g ^ (g & F_j) | e_j << s_j
+    is g with its x_j exponent replaced by e_j.
+
     Cost: each g outside Q makes |Q|·|G| divisor tests, one scan of G
     per candidate, so a call is quadratic in |G|.
     """
@@ -132,44 +165,75 @@ def _meet(gens, powers) -> list[tuple[int, ...]]:
     # than the tests it runs on the small duals of a typical fold.
     out = []
     for g in gens:
-        for j, e in powers:
-            if g[j] >= e:
+        for f, q in powers:
+            if g & f >= q:
                 out.append(g)
                 break
         else:
-            for j, e in powers:
-                r = g[:j] + (e,) + g[j + 1:]
+            for f, q in powers:
+                b = g & f
+                r = g ^ b | q
+                ceiling = r | guard
                 # An h dividing r but not g exceeds g in x_j; g itself does not.
-                b = g[j]
                 for h in gens:
-                    if h[j] > b and all(map(_le, h, r)):
+                    if h & f > b and (ceiling - h) & guard == guard:
                         break
                 else:
                     out.append(r)
     return out
 
 
+def _fold(nvars: int, components, exps) -> list[tuple[int, ...]]:
+    """Minimal generators of (exps) cap Q_1 cap ... cap Q_k, in any order.
+
+    ``exps`` is the antichain of an ideal's exponent tuples and
+    ``components`` the pairs of the irreducible ideals Q_t.  Everything is
+    packed once, in one ``_layout`` wide enough for every exponent in
+    play, folded by ``_meet`` and unpacked once.
+    """
+    top = max(max(map(max, exps)), max([e for c in components for _, e in c], default=0))
+    full, shifts, guard = _layout(nvars, top)
+    # The shifted exponents fill disjoint fields, so their sum packs them.
+    dual = [sum(map(lshift, g, shifts)) for g in exps]
+    for c in components:
+        dual = _meet(dual, [(full << shifts[j], e << shifts[j]) for j, e in c], guard)
+    return [tuple([u >> s & full for s in shifts]) for u in dual]
+
+
 @_memo
-def _irredundant(gens: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _irredundant(gens: tuple) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
     """Ring-free irredundant components of the canonical generator tuples
-    ``gens`` (an ideal's ``_exps``), canonically sorted.
+    ``gens`` (an ideal's ``_exps``), canonically sorted, each with its
+    support bitmask (``_mask``).
 
     ``_meet`` folds the irreducible ideals m^(g^a) of the generators g,
     from the unit ideal, into the Alexander dual; each of its minimal
     generators u gives the component m^(u^a) (see
-    ``irreducible_decomposition`` for the notation).
+    ``irreducible_decomposition`` for the notation).  The dual is packed
+    (``_layout``) for exponents up to max(a): each m^(g^a) is built from
+    g's exponents, and each component and its mask are read from u.
     """
     top = tuple(map(max, zip(*gens)))
-
-    def flip(u):
-        """The pairs of m^(u^a): (i, a_i + 1 - u_i) wherever u_i > 0."""
-        return tuple([(i, a + 1 - e) for i, (a, e) in enumerate(zip(top, u)) if e])
-
-    dual = [(0,) * len(top)]
+    full, shifts, guard = _layout(len(top), max(top))
+    # (variable index, shift, field mask, a_i + 1) per variable.
+    fields = [(i, s, full << s, a + 1) for i, (s, a) in enumerate(zip(shifts, top))]
+    dual = [0]
     # The canonical order, lowest degree first, keeps the partial duals smallest.
     for g in gens:
-        dual = _meet(dual, flip(g))
-    return tuple(sorted(map(flip, dual), key=lambda c: (len(c), c)))
+        # The pairs of m^(g^a): (i, a_i + 1 - g_i) wherever g_i > 0.
+        dual = _meet(dual, [(f, a - e << s) for (_, s, f, a), e in zip(fields, g) if e], guard)
+    components = []
+    for u in dual:
+        powers = []
+        mask = 0
+        for i, s, _, a in fields:
+            e = u >> s & full
+            if e:
+                powers.append((i, a - e))
+                mask |= 1 << i
+        components.append((tuple(powers), mask))
+    components.sort(key=lambda c: (len(c[0]), c[0]))
+    return tuple(components)
 
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
@@ -189,12 +253,13 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     # _irredundant's pairs are sorted, with distinct indices and positive exponents.
     return tuple(
         _unchecked(IrreducibleComponent, ring=ideal.ring, powers=c)
-        for c in _components(ideal)
+        for c, _ in _components(ideal)
     )
 
 
 def _components(ideal: MonomialIdeal):
-    """``_irredundant`` of a nonzero proper ideal's generator exponents."""
+    """``_irredundant`` of a nonzero proper ideal's generator exponents:
+    (component pairs, support bitmask) per irredundant component."""
     _require_nonzero_proper(ideal)
     return _irredundant(ideal._exps)
 
@@ -202,21 +267,21 @@ def _components(ideal: MonomialIdeal):
 def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
     """Group irreducible components by radical and intersect each group.
 
-    Each group is intersected by ``_meet``, from the unit ideal.  Grouping
-    an irredundant irreducible decomposition can introduce no redundancy:
-    a redundant group would force one of its irreducible members to
-    contain a member of another group.
+    The components are grouped by their support bitmasks, and each group
+    is intersected by ``_fold``, from the unit ideal.  Grouping an
+    irredundant irreducible decomposition can introduce no redundancy: a
+    redundant group would force one of its irreducible members to contain
+    a member of another group.
     """
-    components = irreducible_decomposition(ideal)
-    by_prime: dict[MonomialPrime, list] = {}
-    for c in components:
-        by_prime.setdefault(c.radical(), []).append(c.powers)
-    unit = [(0,) * ideal.ring.nvars]
-    pairs = []
-    for prime in sorted(by_prime, key=MonomialPrime.sort_key):
-        primary = _ideal(ideal.ring, reduce(_meet, by_prime[prime], unit))
-        pairs.append((prime, primary))
-    return PrimaryDecomposition(tuple(pairs))
+    ring = ideal.ring
+    by_mask: dict[int, list] = {}
+    for c, mask in _components(ideal):
+        by_mask.setdefault(mask, []).append(c)
+    unit = [(0,) * ring.nvars]
+    return PrimaryDecomposition(tuple(
+        (prime, _ideal(ring, _fold(ring.nvars, by_mask[_mask(prime.support)], unit)))
+        for prime in sorted(_primes(ring, by_mask), key=MonomialPrime.sort_key)
+    ))
 
 
 def associated_primes(ideal: MonomialIdeal) -> frozenset[MonomialPrime]:
@@ -260,8 +325,9 @@ def _mask(support) -> int:
 
 def _supports(ideal: MonomialIdeal) -> set[int]:
     """The supports of Ass(I) as bitmasks, one per distinct support, read
-    from the components of I (``_components``) with no prime built."""
-    return {_mask([i for i, _ in c]) for c in _components(ideal)}
+    from the masks the components of I carry (``_components``) with no
+    prime built."""
+    return {mask for _, mask in _components(ideal)}
 
 
 def _primes(ring: Ring, masks) -> frozenset[MonomialPrime]:

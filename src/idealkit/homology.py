@@ -133,6 +133,9 @@ def _is_prime_number(p: int) -> bool:
 
 
 def _require_char(char: int):
+    # A whole float such as 2.0 passes the primality test but not pow(b, d, p).
+    if type(char) is not int:
+        raise ValueError(f"characteristic must be an int, got {char!r}")
     if char >= _CHAR_LIMIT:
         raise ValueError(f"characteristic must be below 2^64, got {char}")
     if char != 0 and not _is_prime_number(char):

@@ -41,9 +41,9 @@ from .core import (
 )
 from .decomposition import (
     _components,
+    _fold,
     _inside_some,
     _mask,
-    _meet,
     _minimal,
     _summands,
     _supports,
@@ -167,9 +167,10 @@ def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
 def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     """The decomposition route to the symbolic power; the notion is valid.
 
-    The components of I^s are read ring-free from ``_components`` and
-    their supports tested as bitmasks.  When every component is kept, the
-    result is I^s itself, the intersection of its irredundant
+    The components of I^s are read ring-free from ``_components``, with
+    the support bitmasks the kept rule tests, and the kept ones are
+    intersected by one packed fold (``_fold``).  When every component is
+    kept, the result is I^s itself, the intersection of its irredundant
     decomposition.  Min(I) lies in Ass(I), so "ass" keeps every component
     "min" keeps, and folds only the others into the "min" power.
     """
@@ -178,16 +179,16 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     keep = _kept(ideal, notion)
     power = ideal_power(ideal, s)
     components = _components(power)
-    masks = [_mask([i for i, _ in c]) for c in components]
-    kept = [(c, m) for c, m in zip(components, masks) if keep(m)]
+    kept = [(c, m) for c, m in components if keep(m)]
     if len(kept) == len(components):
         return power
-    start = [(0,) * ideal.ring.nvars]
+    ring = ideal.ring
+    start = [(0,) * ring.nvars]
     if notion == "ass":
         in_min = _kept(ideal, "min")
         kept = [(c, m) for c, m in kept if not in_min(m)]
         start = _symbolic_direct(ideal, s, "min")._exps
-    return _ideal(ideal.ring, reduce(_meet, (c for c, _ in kept), start))
+    return _ideal(ring, _fold(ring.nvars, [c for c, _ in kept], start))
 
 
 def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:

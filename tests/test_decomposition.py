@@ -4,9 +4,10 @@ import random
 import sys
 import threading
 import time
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealkit import decomposition, powers
 from idealkit.core import (
@@ -39,6 +40,7 @@ from idealkit.decomposition import (
 from idealkit.homology import taylor_betti_table
 from idealkit.powers import saturator_min, symbolic_min
 from monomial_boxes import monomials_below
+from packed_meet import packed_meet, tuple_components, tuple_meet
 
 A = Ring.of("a", "b")
 XY = Ring.of("x", "y")
@@ -265,11 +267,16 @@ class TestIrreducibleDecomposition:
 
 
 class TestMeet:
+    """The packed kernel, through a test-local pack and unpack, against the
+    tuple kernel it replaced (``packed_meet.tuple_meet``) and ``intersect``."""
+
     @given(ideals_up_to_4, st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_generic_intersection(self, i, data):
         q = irreducible_for(i, data)
-        result = decomposition._meet([g.exponents for g in i.generators], q.powers)
+        gens = [g.exponents for g in i.generators]
+        result = packed_meet(gens, q.powers, data.draw(st.integers(0, 3)))
+        assert result == tuple_meet(gens, q.powers)
         expected = intersect(i, q.as_ideal())
         assert _ideal(i.ring, result) == expected
         # Already minimal: no duplicates and no generator dividing another.
@@ -289,7 +296,8 @@ class TestMeet:
             if g[j] and data.draw(st.booleans()):
                 exps[j] = g[j]
         q = IrreducibleComponent(R5, tuple(exps.items()))
-        result = decomposition._meet(gens, q.powers)
+        result = packed_meet(gens, q.powers)
+        assert result == tuple_meet(gens, q.powers)
         expected = intersect(i, q.as_ideal())
         assert _ideal(R5, result) == expected
         assert len(set(result)) == len(result)
@@ -297,12 +305,14 @@ class TestMeet:
             h != r and all(map(operator.le, h, r)) for h in result for r in result
         )
         shuffled = data.draw(st.permutations(gens))
-        assert set(decomposition._meet(shuffled, q.powers)) == set(result)
+        assert set(packed_meet(shuffled, q.powers)) == set(result)
 
     def test_generators_inside_q_are_kept_unchanged(self):
         i = ideal(R3, "x^2*y, y^2*z, x*z^3")
         q = IrreducibleComponent(R3, ((0, 2), (2, 2)))
-        result = decomposition._meet([g.exponents for g in i.generators], q.powers)
+        gens = [g.exponents for g in i.generators]
+        result = packed_meet(gens, q.powers)
+        assert result == tuple_meet(gens, q.powers)
         assert sorted(result) == [(0, 2, 2), (1, 0, 3), (2, 1, 0)]
 
     def test_saturation_route_and_oracles_never_call_it(self, monkeypatch):
@@ -316,8 +326,8 @@ class TestMeet:
         def forbidden(*args):
             raise AssertionError("the saturation route reached _meet")
 
+        # The symbolic fold reaches the kernel through decomposition's global.
         monkeypatch.setattr(decomposition, "_meet", forbidden)
-        monkeypatch.setattr(powers, "_meet", forbidden)
         with pytest.raises(AssertionError):
             powers.symbolic_min(i, 3)
         for notion in powers.NOTIONS:
@@ -326,6 +336,63 @@ class TestMeet:
         intersect(cube, i)
         ass_module_quotient_exhaustive(i, 3)
         taylor_betti_table(i, 0)
+
+
+# Exponents at the packed kernel's field-width boundaries: 2^k - 1 fills k
+# bits, and 2^k and 2^k + 1 need one more, up to k = 62, where a field with
+# its guard bit passes 64 bits.
+BOUNDARY_EXPONENTS = sorted({2**k + d for k in (1, 2, 3, 30, 62) for d in (-1, 0, 1)})
+X1 = Ring.of("x")
+# 13 fields of 3 or more bits span several 30-bit CPython digits.
+R13 = Ring(tuple("abcdefghijklm"))
+
+
+def sparse_ideal(ring, gens):
+    """The ideal of ``ring`` generated by {variable index: exponent} dicts."""
+    return _ideal(ring, [tuple(g.get(i, 0) for i in range(ring.nvars)) for g in gens])
+
+
+def boundary_ideals(ring):
+    """Ideals of 1-3 generators, each in 1-2 variables, with boundary exponents."""
+    generator = st.dictionaries(
+        st.integers(0, ring.nvars - 1), st.sampled_from(BOUNDARY_EXPONENTS), min_size=1, max_size=2
+    )
+    return st.lists(generator, min_size=1, max_size=3).map(lambda gens: sparse_ideal(ring, gens))
+
+
+class TestFieldWidths:
+    """Every decomposition and symbolic fold at the field-width boundaries,
+    against the tuple kernel and against ``intersect``."""
+
+    @given(st.one_of(boundary_ideals(X1), boundary_ideals(R13)), st.integers(1, 2))
+    @example(sparse_ideal(X1, [{0: 2**62}]), 2)
+    @example(sparse_ideal(R13, [{0: 2**62 + 1, 12: 1}, {12: 2**30}, {5: 7, 6: 2**62 - 1}]), 2)
+    @example(sparse_ideal(R13, [{0: 3, 1: 4}, {1: 2, 12: 8}, {0: 1, 12: 9}]), 2)
+    @settings(max_examples=80, deadline=None)
+    def test_boundary_exponents_match_the_tuple_and_intersect_routes(self, i, s):
+        ring, unit = i.ring, [(0,) * i.ring.nvars]
+        power = ideal_power(i, s)
+        components = irreducible_decomposition(power)
+        assert [c.powers for c in components] == tuple_components(power._exps)
+        assert intersect_all(ring, [c.as_ideal() for c in components]) == power
+        primary = primary_decomposition(power)
+        assert primary.primes() == {c.radical() for c in components}
+        for prime, q in primary:
+            group = [c for c in components if c.radical() == prime]
+            assert q == intersect_all(ring, [c.as_ideal() for c in group])
+            assert q == _ideal(ring, reduce(tuple_meet, [c.powers for c in group], unit))
+        # The kept rules, on the supports of the tuple kernel's components of I.
+        supports = {frozenset(j for j, _ in c) for c in tuple_components(i._exps)}
+        kept = {
+            "min": lambda p: not any(q < p for q in supports),
+            "ass": lambda p: any(p <= q for q in supports),
+        }
+        for notion, keep in kept.items():
+            chosen = [c for c in components if keep(frozenset(c.radical().support))]
+            expected = intersect_all(ring, [c.as_ideal() for c in chosen])
+            assert expected == _ideal(ring, reduce(tuple_meet, [c.powers for c in chosen], unit))
+            assert powers._symbolic_direct(i, s, notion) == expected
+            assert powers.symbolic_power(i, s, notion) == expected
 
 
 class TestDecompositionMemo:
@@ -588,7 +655,7 @@ class TestQuotientAss:
         # inside Q, and Q is none of their components.
         seen = {}
         for index in range(1, 5):
-            for c in decomposition._components(ideal_power(i, index)):
+            for c, _ in decomposition._components(ideal_power(i, index)):
                 assert seen.setdefault(c, index) == index
 
     @staticmethod

@@ -46,6 +46,7 @@ from idealkit.powers import (
 )
 from conftest import idealkit_memos
 from monomial_boxes import monomials_of_degree_at_most
+from packed_meet import tuple_meet, unpack, unpack_powers
 
 A = Ring.of("a", "b")
 XY = Ring.of("x", "y")
@@ -761,8 +762,8 @@ class TestAssociatedPrimes:
 
 # The decomposition route as it was before the kept rule read support
 # bitmasks: every component of I^s is built and filtered, and the kept ones
-# are folded from the unit ideal.  It spells out its notion instead of
-# asking ``powers._kept``.
+# are intersected as ideals by ``intersect_all``, not by the kernel's fold.
+# It spells out its notion instead of asking ``powers._kept``.
 def reference_symbolic_direct(ideal, s, notion):
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
@@ -772,9 +773,7 @@ def reference_symbolic_direct(ideal, s, notion):
         ass = associated_primes(ideal)
         kept = lambda p: any(set(p.support) <= set(q.support) for q in ass)  # noqa: E731
     components = irreducible_decomposition(ideal_power(ideal, s))
-    folded = (c.powers for c in components if kept(c.radical()))
-    unit = [(0,) * ideal.ring.nvars]
-    return core._ideal(ideal.ring, reduce(decomposition._meet, folded, unit))
+    return intersect_all(ideal.ring, [c.as_ideal() for c in components if kept(c.radical())])
 
 
 def with_embedded_prime(ring, u, v, others=()):
@@ -870,15 +869,28 @@ class TestDirectRoute:
         assert saturator_ass(i, 2) == reference_saturator_ass(i, 2)
 
     @staticmethod
-    def count_meets(monkeypatch):
+    def count_meets(monkeypatch, i, s):
+        """Count the kernel calls of the symbolic folds of I^s, each checked,
+        through a test-local unpack, against the tuple kernel.  The
+        decompositions of I and I^s are read first, so that their own
+        Alexander-dual folds are not counted."""
+        decomposition._components(i)
+        decomposition._components(ideal_power(i, s))
         calls = []
         real = decomposition._meet
+        nvars = i.ring.nvars
 
-        def counted(gens, component):
-            calls.append(component)
-            return real(gens, component)
+        def counted(gens, component, guard):
+            w = (guard & -guard).bit_length()
+            powers = unpack_powers(component, nvars, w)
+            result = real(gens, component, guard)
+            assert [unpack(u, nvars, w) for u in result] == tuple_meet(
+                [unpack(g, nvars, w) for g in gens], powers
+            )
+            calls.append(powers)
+            return result
 
-        monkeypatch.setattr(powers, "_meet", counted)
+        monkeypatch.setattr(decomposition, "_meet", counted)
         return calls
 
     @pytest.mark.parametrize(
@@ -886,14 +898,14 @@ class TestDirectRoute:
     )
     def test_all_kept_is_the_power_with_no_fold(self, monkeypatch, text, notion):
         i = ideal(R3, text)
-        calls = self.count_meets(monkeypatch)
+        calls = self.count_meets(monkeypatch, i, 3)
         assert powers._symbolic_direct(i, 3, notion) == ideal_power(i, 3)
         assert calls == []
 
     def test_ass_folds_only_what_min_does_not_keep(self, monkeypatch):
         # Of the 6 components of I^2, "min" keeps 3 and "ass" keeps 5.
         i = ideal(R3, "x^2*z, x*z^3, x^2*y^3")
-        calls = self.count_meets(monkeypatch)
+        calls = self.count_meets(monkeypatch, i, 2)
         minimal = powers._symbolic_direct(i, 2, "min")
         assert len(calls) == 3
         assert powers._symbolic_direct(i, 2, "ass") == reference_symbolic_direct(i, 2, "ass")
