@@ -23,7 +23,7 @@ from . import binomial as _binomial
 from . import dsl as _dsl
 from . import homology as _homology
 from . import powers as _powers
-from .core import MonomialIdeal, Ring, _ideal, _Value, ideal_power, principal
+from .core import MonomialIdeal, Ring, _ideal, _Value, _whole_numbers, ideal_power, principal
 from .decomposition import ass_star_bounded, associated_primes
 
 SUITE_NAMES = (
@@ -63,7 +63,8 @@ class FuzzConfig(_Value):
         cases: int = 500,
         suites: tuple[str, ...] = SUITE_NAMES,
     ):
-        sizes = (max_vars_per_side, max_generators, max_exponent, max_s, cases)
+        # Whole numbers only: the draw (_randint) takes their bit lengths.
+        sizes = _whole_numbers((max_vars_per_side, max_generators, max_exponent, max_s, cases))
         for name, size in zip(self.__match_args__[1:], sizes):
             if size < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -91,27 +92,44 @@ class Instance(_Value):
         return "\n".join(lines)
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, drawn from the same bits.
+
+    CPython's ``randint`` draws r = getrandbits(k) for k the bit length of
+    n = hi - lo + 1, again while r >= n, and returns lo + r; this is that
+    rejection sampler without the argument checks and calls around it,
+    so the stream, and every seeded instance, stays the same.  lo == hi
+    still draws one bit at least.
+    """
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def _draw_ideal(rng: random.Random, ring: Ring, cfg: FuzzConfig, proper: bool) -> MonomialIdeal:
+    variables, top = range(ring.nvars), cfg.max_exponent
     while True:
-        count = rng.randint(1, cfg.max_generators)
+        count = _randint(rng, 1, cfg.max_generators)
         ideal = _ideal(ring, [
-            tuple(rng.randint(0, cfg.max_exponent) for _ in range(ring.nvars))
-            for _ in range(count)
+            tuple([_randint(rng, 0, top) for _ in variables]) for _ in range(count)
         ])
         if not (proper and ideal.is_unit):
             return ideal
 
 
 def generate_instance(rng: random.Random, cfg: FuzzConfig) -> Instance:
-    nvars_a = rng.randint(1, cfg.max_vars_per_side)
+    nvars_a = _randint(rng, 1, cfg.max_vars_per_side)
     ring_a = Ring(tuple(f"x{i + 1}" for i in range(nvars_a)))
     ideal_i = _draw_ideal(rng, ring_a, cfg, proper=True)
     sat_k = _draw_ideal(rng, ring_a, cfg, proper=False)
-    nvars_b = rng.randint(1, cfg.max_vars_per_side)
+    nvars_b = _randint(rng, 1, cfg.max_vars_per_side)
     ring_b = Ring(tuple(f"y{i + 1}" for i in range(nvars_b)))
     ideal_j = _draw_ideal(rng, ring_b, cfg, proper=True)
     sat_l = _draw_ideal(rng, ring_b, cfg, proper=False)
-    s = rng.randint(1, cfg.max_s)
+    s = _randint(rng, 1, cfg.max_s)
     return Instance(ring_a, ideal_i, sat_k, ring_b, ideal_j, sat_l, s)
 
 

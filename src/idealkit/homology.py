@@ -37,11 +37,27 @@ Vertices keep their labels in the core.  Homology ranks come from one
 exact column reduction over sparse boundary columns (``_rank``), on
 fractions in characteristic zero and on residues mod p otherwise.
 
-The rows of i >= 2 are sorted on plain tuples (i, degree, negated
-exponents), the order of ``Monomial.sort_key``, and the table keeps its
-rows as (i, exponent tuple, beta) triples, as an ideal keeps ``_exps``:
-printing it, comparing it and reading its invariants build no Monomial,
-and its ``entries`` are built on first read.
+The tree, the faces and the row keys run on packed exponent tuples, one
+int each, in the layout of the decomposition kernel
+(``decomposition._layout``): every variable gets a field of w bits,
+variable 0 in the highest field, and the top bit of each field is a
+guard that a packed tuple keeps clear.  Here w = bit_length(n * top) + 1
+for n variables and the largest exponent top, so the degree of every
+lcm, and every field, stays below 2^(w-1).  ``betti_table`` packs the
+generators once; ``_cone_ranks`` takes lcms, tests divisibility and
+reads degrees on the packed ints.  With G the guard bits and c = b | G,
+g divides b iff (c - g) & G == G, and then the guard bits of
+(c - g - (G >> (w - 1))) & G are S_g(b): field i holds
+b_i - g_i - 1 + 2^(w-1), at least 2^(w-1) iff g_i < b_i.  Those guard
+bits are compacted to bit i for variable i before ``_maximal``, so the
+memo keys below do not depend on w.
+
+The rows of i >= 2 are sorted on (i, degree, -b) for packed b, the order
+of ``Monomial.sort_key`` (a descending packed int is a descending
+exponent tuple), and each multidegree is unpacked once.  The table keeps
+its rows as (i, exponent tuple, beta) triples, as an ideal keeps
+``_exps``: printing it, comparing it and reading its invariants build no
+Monomial, and its ``entries`` are built on first read.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it shares only
@@ -53,13 +69,12 @@ from sorted ``Monomial`` entries (it alone uses ``_freeze_entries``).
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import or_
+from operator import lshift, or_
 
 from .core import (
     IdealArgumentError,
     Monomial,
     MonomialIdeal,
-    _antichain,
     _ideal,
     _memo,
     _monomial,
@@ -69,6 +84,7 @@ from .core import (
     _whole_numbers,
 )
 from .binomial import direct_saturated_sum, symbolic_of_sum
+from .decomposition import _layout
 from .powers import _require_positive, _symbolic_direct, saturated_power
 
 
@@ -251,11 +267,12 @@ def reduced_homology_dimensions(
     return _homology_dims((sum(bit[v] for v in f) for f in faces), char)
 
 
-def _cone_ranks(gens) -> dict[tuple[int, ...], list[int]]:
+def _cone_ranks(gens, full: int, guard: int) -> dict[int, list[int]]:
     """For each multidegree b, the degrees of the basis elements of
     multidegree b in the iterated mapping cone that resolves the ideal of
-    ``gens`` (its minimal generators as exponent tuples): d appears r_d(b)
-    times, in no fixed order.
+    ``gens`` (its minimal generators, packed by ``_layout`` with field mask
+    ``full`` and guard ``guard``, in ``Monomial.sort_key`` order): d
+    appears r_d(b) times, in no fixed order.  The keys are packed too.
 
     A node (g_1 .. g_k, d) takes each g_j in turn as the pivot m of the
     prefix (g_1 .. g_j): m adds one basis element in degree d, and the
@@ -265,8 +282,23 @@ def _cone_ranks(gens) -> dict[tuple[int, ...], list[int]]:
     two distinct minimal generators is a generator, so the generators are
     exactly the multidegrees with a basis element in degree 0, one each.
     A list per multidegree holds less than a {d: r_d(b)} counter would.
+
+    Packed lemmas, with w the field width and every field below 2^(w-1)
+    (the layout is wide enough for the degree, so also for every field):
+
+    - lcm.  ge = ((a | G) - m) & G keeps the guard bit of field i iff
+      a_i >= m_i, as field i of a | G holds a_i + 2^(w-1) and no field
+      borrows; k = ge - (ge >> (w - 1)) fills the low w - 1 bits of those
+      fields, so lcm(a, m) = a & k | m & ~k, written m ^ (a ^ m) & k.
+    - Order.  The degree of x is x % full, as 2^w = 1 mod full and the
+      sum of the fields stays below full.  Variable 0 sits in the highest
+      field, so descending packed ints are descending tuples, and each
+      node is in the order of ``core._antichain``: degree ascending, then
+      descending.  The tree is node for node the one on tuples.
+    - Divisibility.  h divides x iff ((x | G) - h) & G == G.
     """
-    ranks: dict[tuple[int, ...], list[int]] = {}
+    shift = full.bit_length() - 1
+    ranks: dict[int, list[int]] = {}
     stack = [(gens, 0)]
     while stack:
         node, d = stack.pop()
@@ -274,10 +306,30 @@ def _cone_ranks(gens) -> dict[tuple[int, ...], list[int]]:
             ranks.setdefault(m, []).append(d)
             if j == 1:
                 # One lcm, counted here rather than pushed: pays on fuzz-default.
-                ranks.setdefault(tuple(map(max, node[0], m)), []).append(d + 1)
+                a = node[0]
+                ge = ((a | guard) - m) & guard
+                ranks.setdefault(m ^ (a ^ m) & ge - (ge >> shift), []).append(d + 1)
             elif j:
-                lcms = [tuple(map(max, g, m)) for g in node[:j]]
-                stack.append((_antichain(lcms), d + 1))
+                lcms = set()
+                for a in node[:j]:
+                    ge = ((a | guard) - m) & guard
+                    lcms.add(m ^ (a ^ m) & ge - (ge >> shift))
+                # The antichain of the lcms, as core._antichain builds it:
+                # each is tested against the kept ones of lower degree.
+                kept: list[int] = []
+                lower: list[int] = []
+                degree = None
+                for e, x in sorted([(-(x % full), x) for x in lcms], reverse=True):
+                    if e != degree:
+                        degree = e
+                        lower = kept.copy()
+                    ceiling = x | guard
+                    for h in lower:
+                        if (ceiling - h) & guard == guard:
+                            break
+                    else:
+                        kept.append(x)
+                stack.append((kept, d + 1))
     return ranks
 
 
@@ -451,32 +503,40 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     if ideal.is_unit:
         return _unchecked(BettiTable, ring=ring, against=ideal, _rows=())
     gens = ideal._exps
-    rows = []  # (i, degree of b, negated b, b, beta_{i,b}): sorted as sort_key
-    for b, at in _cone_ranks(gens).items():
+    nvars = ring.nvars
+    full, shifts, guard = _layout(nvars, nvars * max(map(max, gens), default=0))
+    shift = full.bit_length() - 1
+    ones = guard >> shift
+    packed = [sum(map(lshift, g, shifts)) for g in gens]
+    rows = []  # (i, degree of b, -b, b as a tuple, beta_{i,b}): sorted as sort_key
+    for b, at in _cone_ranks(packed, full, guard).items():
         if 0 in at:
             continue  # a generator: its beta_1 = 1 row is read off _exps
         if len(at) > 1 and any(d + 1 in at for d in at):
-            faces = set()
-            for g in gens:
-                face = 0
-                for k, (e, top) in enumerate(zip(g, b)):
-                    if e > top:
-                        break
-                    if e < top:
-                        face |= 1 << k
-                else:
-                    faces.add(face)
+            # g divides b iff every field of c - g keeps its guard, and
+            # then the guards of c - g - ones mark S_g(b) = {i : g_i < b_i}.
+            c = b | guard
+            marks = set()
+            for g in packed:
+                t = c - g
+                if t & guard == guard:
+                    marks.add((t - ones) & guard)
+            # Variable i's guard bit, at s_i + w - 1, becomes bit i.
+            faces = [
+                sum([1 << i for i, s in enumerate(shifts) if mark >> s + shift & 1])
+                for mark in marks
+            ]
             core = _collapse_core(tuple(_maximal(faces)))
             betti = [(degree + 2, dim) for degree, dim in _core_homology(core, char)]
         else:
             betti = [(d + 1, at.count(d)) for d in set(at)]
-        degree_of_b, negated = sum(b), tuple([-e for e in b])
+        degree_of_b, exps = b % full, tuple([b >> s & full for s in shifts])
         for i, dim in betti:
-            rows.append((i, degree_of_b, negated, b, dim))
+            rows.append((i, degree_of_b, -b, exps, dim))
     rows.sort()
     # The generators are in _exps already in sort_key order, and every
     # other row has i >= 2; skipping their sort pays on the betti workload.
-    table = [(0, (0,) * ring.nvars, 1)]
+    table = [(0, (0,) * nvars, 1)]
     table += [(1, g, 1) for g in gens]
     table += [(i, b, dim) for i, _, _, b, dim in rows]
     return _unchecked(BettiTable, ring=ring, against=ideal, _rows=tuple(table))

@@ -172,7 +172,8 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     intersected by one packed fold (``_fold``).  When every component is
     kept, the result is I^s itself, the intersection of its irredundant
     decomposition.  Min(I) lies in Ass(I), so "ass" keeps every component
-    "min" keeps, and folds only the others into the "min" power.
+    "min" keeps, and folds only the others into the "min" power; with no
+    others, the "min" power is the result.
     """
     if s == 0:
         return MonomialIdeal.unit(ideal.ring)
@@ -187,7 +188,10 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     if notion == "ass":
         in_min = _kept(ideal, "min")
         kept = [(c, m) for c, m in kept if not in_min(m)]
-        start = _symbolic_direct(ideal, s, "min")._exps
+        min_power = _symbolic_direct(ideal, s, "min")
+        if not kept:
+            return min_power
+        start = min_power._exps
     return _ideal(ring, _fold(ring.nvars, [c for c, _ in kept], start))
 
 

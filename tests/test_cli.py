@@ -341,6 +341,42 @@ class TestFuzz:
             for _ in range(200):
                 assert fuzz.generate_instance(fast, config) == reference_draw(reference, config)
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 0), (1, 1), (0, 1), (1, 3), (0, 3), (1, 4), (0, 4), (1, 5), (2, 9), (-3, 3),
+         (0, 2**31 - 1), (1, 2**64), (5, 5 + 10**30)],
+    )
+    def test_randint_helper_draws_what_randint_draws(self, lo, hi):
+        for seed in range(300):
+            fast, reference = random.Random(seed), random.Random(seed)
+            for _ in range(8):
+                assert fuzz._randint(fast, lo, hi) == reference.randint(lo, hi)
+            # Both consumed the same bits, lo == hi included.
+            assert fast.getstate() == reference.getstate()
+
+    def test_config_sizes_are_whole_numbers(self):
+        assert fuzz.FuzzConfig(max_exponent=3.0, cases=True) == fuzz.FuzzConfig(cases=1)
+        with pytest.raises(ValueError, match="expected a whole number, got 2.5"):
+            fuzz.FuzzConfig(max_exponent=2.5)
+        with pytest.raises(ValueError, match="max_s must be at least 1"):
+            fuzz.FuzzConfig(max_s=0)
+
+    def test_instance_stream_is_pinned(self):
+        # The digest of 800 instances' reprs, recorded when every draw still
+        # called rng.randint.
+        digest = hashlib.sha256()
+        for config in (
+            fuzz.FuzzConfig(),
+            fuzz.FuzzConfig(max_vars_per_side=4, max_generators=5, max_exponent=4, max_s=4),
+        ):
+            for seed in range(1, 41):
+                rng = random.Random(seed)
+                for _ in range(10):
+                    digest.update(repr(fuzz.generate_instance(rng, config)).encode())
+        assert digest.hexdigest() == (
+            "28e60a2bc6b771058df54ed262e80da0c61d496ae8e4cff84a502454485f9e28"
+        )
+
     def test_different_seeds_differ(self):
         # reports may coincide; the instances drawn must not
         first, second = (

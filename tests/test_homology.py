@@ -15,7 +15,7 @@ from operator import and_, or_
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealkit.core import (
     IdealArgumentError,
@@ -23,6 +23,7 @@ from idealkit.core import (
     MonomialIdeal,
     Ring,
     _MEMO_SIZE,
+    _ideal,
     ideal_power,
 )
 from idealkit.homology import (
@@ -51,6 +52,7 @@ from idealkit import homology
 from idealkit.binomial import joined_sum
 from idealkit.powers import saturated_power
 from lattice_betti import lattice_betti_table, lattice_points, lattice_walk, walk_facets
+from packed_cone import packed_cone_ranks, tuple_collapse_keys, tuple_cone_ranks
 
 AB = Ring.of("a", "b")
 R3 = Ring.of("x", "y", "z")
@@ -1042,8 +1044,13 @@ class TestTaylorIndependence:
                 patch.stop()
 
 
-def rank_table(i):
-    return _cone_ranks(i._exps)
+def rank_table(i, spare=0):
+    """The packed tree's ranks of ``i``, keyed on exponent tuples; the same
+    lists, in the same order, as the tuple tree's."""
+    ranks = packed_cone_ranks(i._exps, i.ring.nvars, spare)
+    expected = tuple_cone_ranks(i._exps)
+    assert ranks == expected and list(ranks) == list(expected)
+    return ranks
 
 
 def adjacent(at):
@@ -1059,8 +1066,9 @@ class TestConeRanks:
         assert all(Counter(ranks[g]) == {0: 1} for g in i._exps)
 
     def test_no_generators_give_no_ranks(self):
-        assert _cone_ranks(()) == {}
-        assert _cone_ranks([]) == {}
+        assert _cone_ranks((), 1, 0) == {}
+        assert _cone_ranks([], 1, 0) == {}
+        assert tuple_cone_ranks(()) == {}
         for ring in (R3, R4):
             table = betti_table(MonomialIdeal.zero(ring))
             assert table._rows == ((0, (0,) * ring.nvars, 1),)
@@ -1102,6 +1110,23 @@ class TestConeRanks:
             ) as core:
                 betti_table(i, char)
             assert core.call_count == sum(map(adjacent, rank_table(i).values())) >= 1
+
+    @given(st.one_of(wide_ideals, zero_and_unit), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_spare_field_bits_change_no_rank(self, i, spare):
+        assert rank_table(i, spare) == rank_table(i)
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_collapse_keys_are_the_tuple_routes_variable_masks(self, char):
+        for i in (ideal(R3, CONE_AT_XY2Z), ideal(ABCDEF, PROJECTIVE_PLANE)):
+            with mock.patch.object(
+                homology, "_collapse_core", wraps=homology._collapse_core
+            ) as core:
+                betti_table(i, char)
+            keys = [call.args[0] for call in core.call_args_list]
+            assert keys == tuple_collapse_keys(i._exps) != []
+            # Bit k is variable k, whatever the field width.
+            assert all(0 < facet < 1 << i.ring.nvars for key in keys for facet in key)
 
     def test_projective_plane_depends_on_the_characteristic(self):
         plane = ideal(ABCDEF, PROJECTIVE_PLANE)
@@ -1154,6 +1179,57 @@ class TestLatticeReference:
     @pytest.mark.parametrize("text", [PATHOLOGICAL, CHAIN], ids=["I^3", "J^3"])
     def test_cubes_of_the_twelve_variable_ideals(self, text, char):
         cube = ideal_power(ideal(R12, text), 3)
+        assert len(cube._exps) > 14
+        assert betti_table(cube, char) == lattice_betti_table(cube, char)
+
+
+# Exponents at the field-width boundaries of the packed tree: 2^k - 1 fills
+# k bits, and 2^k and 2^k + 1 need one more.  The fields hold degrees, so
+# 13 variables at 2^62 + 1 take 67 bits each, over several CPython digits.
+BOUNDARY_EXPONENTS = sorted({2**k + d for k in (1, 2, 3, 30, 62) for d in (-1, 0, 1)})
+X1 = Ring.of("x")
+R13 = Ring(tuple("abcdefghijklm"))
+R20 = Ring(tuple("abcdefghijklmnopqrst"))
+
+
+def sparse_ideal(ring, gens):
+    """The ideal of ``ring`` generated by {variable index: exponent} dicts."""
+    return _ideal(ring, [tuple(g.get(i, 0) for i in range(ring.nvars)) for g in gens])
+
+
+def boundary_ideals(ring):
+    """Ideals of 1-5 generators, each in 1-3 variables, with boundary exponents."""
+    generator = st.dictionaries(
+        st.integers(0, ring.nvars - 1), st.sampled_from(BOUNDARY_EXPONENTS), min_size=1, max_size=3
+    )
+    return st.lists(generator, min_size=1, max_size=5).map(lambda gens: sparse_ideal(ring, gens))
+
+
+class TestFieldWidths:
+    """Betti tables at the field-width boundaries, against the Taylor
+    oracle up to its cap of 14 generators and the lattice walk past it."""
+
+    @given(
+        st.one_of(boundary_ideals(X1), boundary_ideals(R13), boundary_ideals(R20)),
+        st.integers(1, 3),
+        st.sampled_from([0, 2, 3]),
+    )
+    @example(sparse_ideal(X1, [{0: 2**62 + 1}]), 3, 0)
+    @example(
+        sparse_ideal(R13, [{0: 2**62 + 1, 12: 1}, {12: 2**30}, {5: 7, 6: 2**62 - 1}]), 2, 2
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_exponents_match_the_oracles(self, i, s, char):
+        power = ideal_power(i, s)
+        oracle = taylor_betti_table if len(power._exps) <= 14 else lattice_betti_table
+        assert betti_table(power, char) == oracle(power, char)
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_a_cube_past_the_taylor_cap(self, char):
+        i = sparse_ideal(
+            R13, [{0: 2**62, 1: 3}, {1: 2**30 + 1}, {2: 9, 12: 2**62 - 1}, {0: 1, 12: 4}, {7: 2}]
+        )
+        cube = ideal_power(i, 3)
         assert len(cube._exps) > 14
         assert betti_table(cube, char) == lattice_betti_table(cube, char)
 

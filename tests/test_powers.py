@@ -912,6 +912,20 @@ class TestDirectRoute:
         assert len(calls) == 3 + 2
         assert minimal == reference_symbolic_direct(i, 2, "min")
 
+    def test_ass_with_nothing_beyond_min_is_the_min_power_with_no_fold(self, monkeypatch):
+        # The triangle's square has the embedded prime (x, y, z), which lies
+        # in no prime of Ass(I): "ass" keeps the 3 minimal components alone.
+        i = ideal(R3, "x*y, y*z, x*z")
+        powers._symbolic_direct.cache_clear()
+        minimal = powers._symbolic_direct(i, 2, "min")
+        assert minimal != ideal_power(i, 2)
+        folds = []
+        real = powers._fold
+        monkeypatch.setattr(powers, "_fold", lambda *args: folds.append(args) or real(*args))
+        assert powers._symbolic_direct(i, 2, "ass") is minimal
+        assert folds == []
+        assert minimal == reference_symbolic_direct(i, 2, "ass")
+
 
 class TestSummands:
     def test_pathological_ideal_splits_in_four(self):
