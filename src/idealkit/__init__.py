@@ -51,6 +51,8 @@ from .binomial import (
     binomial_saturated,
     binomial_symbolic,
     check_ass_structure,
+    check_depth_reg_binomial,
+    check_depth_reg_symbolic_ass,
     check_equality_criteria,
     check_filtration_identities,
     check_symbolic_equality_implication,
@@ -64,8 +66,6 @@ from .homology import (
     BettiTable,
     ExtendedInt,
     betti_table,
-    check_depth_reg_binomial,
-    check_depth_reg_symbolic_ass,
     depth_quotient,
     deriv_star,
     reg_quotient,

@@ -3,7 +3,8 @@
 Builds the joined ring, extends ideals and primes into it, evaluates the
 binomial expansions for saturated and (through ``symbolic_power``)
 symbolic powers, and packages the checks that the fuzz driver and the
-tests run.  The ``direct_*`` functions and ``symbolic_of_sum`` compute the
+tests run, the depth and regularity formulas (on ``homology.betti_table``)
+among them.  The ``direct_*`` functions and ``symbolic_of_sum`` compute the
 left-hand sides from first principles (power, then saturate or decompose,
 in the joined ring), an independent route for every expansion.
 """
@@ -35,6 +36,7 @@ from .decomposition import (
     ass_module_quotient_exhaustive,
     ass_star_bounded,
 )
+from .homology import ExtendedInt, betti_table
 from .powers import (
     NOTIONS,
     _require_notion,
@@ -272,6 +274,80 @@ def check_symbolic_equality_implication(
     i_eq = _equal_to_powers(lambda t: _symbolic_direct(i, t, "ass"), i, s)
     j_eq = _equal_to_powers(lambda t: _symbolic_direct(j, t, "ass"), j, s)
     return SymbolicEqualityReport(joint, i_eq, j_eq)
+
+
+class DepthRegReport(_Value):
+    """Left- and right-hand sides of the depth and regularity formulas."""
+
+    __match_args__ = ("depth_lhs", "depth_rhs", "reg_lhs", "reg_rhs")
+
+    @property
+    def passed(self) -> bool:
+        return self.depth_lhs == self.depth_rhs and self.reg_lhs == self.reg_rhs
+
+    def __str__(self):
+        return (
+            f"depth {self.depth_lhs} vs {self.depth_rhs}; "
+            f"reg {self.reg_lhs} vs {self.reg_rhs}"
+        )
+
+
+def _depth_reg_report(lhs: MonomialIdeal, power_a, power_b, s: int, char: int):
+    """Depth and regularity of R/lhs against the min/max formulas over the
+    per-side powers power_a(t), t = 1..s, and power_b(t), t = 0..s."""
+    lhs_table = betti_table(lhs, char)
+    side_a = {t: betti_table(power_a(t), char) for t in range(1, s + 1)}
+    side_b = {t: betti_table(power_b(t), char) for t in range(s + 1)}
+    depths = []
+    regs = []
+    for t in range(1, s + 1):
+        a, b, b_next = side_a[t], side_b[s - t], side_b[s + 1 - t]
+        depths.append(a.depth() + b.depth() + ExtendedInt(1))
+        depths.append(a.depth() + b_next.depth())
+        regs.append(a.regularity() + b.regularity() + ExtendedInt(1))
+        regs.append(a.regularity() + b_next.regularity())
+    return DepthRegReport(
+        lhs_table.depth(), min(depths), lhs_table.regularity(), max(regs)
+    )
+
+
+def check_depth_reg_binomial(
+    i: MonomialIdeal,
+    k: MonomialIdeal,
+    j: MonomialIdeal,
+    l: MonomialIdeal,
+    s: int,
+    char: int = 0,
+) -> DepthRegReport:
+    """Depth and regularity of R modulo the saturated power of the sum,
+    against the min/max formulas over the per-side saturated powers."""
+    _require_positive(s)
+    return _depth_reg_report(
+        direct_saturated_sum(i, k, j, l, s),
+        lambda t: saturated_power(i, k, t),
+        lambda t: saturated_power(j, l, t),
+        s,
+        char,
+    )
+
+
+def check_depth_reg_symbolic_ass(
+    i: MonomialIdeal, j: MonomialIdeal, s: int, char: int = 0
+) -> DepthRegReport:
+    """Same formulas with the associated-primes symbolic powers throughout.
+
+    The left-hand side is the symbolic power of the sum computed directly
+    from its primary decomposition in the joined ring; the per-side powers
+    take the same decomposition route, never the binomial fast path.
+    """
+    _require_positive(s)
+    return _depth_reg_report(
+        symbolic_of_sum(i, j, s, "ass"),
+        lambda t: _symbolic_direct(i, t, "ass"),
+        lambda t: _symbolic_direct(j, t, "ass"),
+        s,
+        char,
+    )
 
 
 class AssStructureReport(_Value):

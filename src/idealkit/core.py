@@ -10,6 +10,14 @@ and an ideal prints straight from them (``_monomial_text``): only
 ``repr`` and reading ``generators`` build its ``Monomial`` values.
 Every product of ideals, ``ideal_product`` included, is a ``_binomial_sum``
 of products A_t B_(s-t), canonicalised once.
+
+The decomposition and Betti kernels pack an exponent tuple into one int
+(``_layout``): for exponents up to top, each variable gets a field of
+w = bit_length(top) + 1 bits, variable 0 highest, whose top bit is a
+guard kept clear.  With G the guard bits, h divides r iff
+((r | G) - h) & G == G: field i of r | G holds r_i + 2^(w-1), and
+r_i + 2^(w-1) - h_i lies in [1, 2^w - 1], so no field borrows from the
+one above it, and field i keeps its guard bit iff r_i >= h_i.
 """
 
 from __future__ import annotations
@@ -317,6 +325,18 @@ def _antichain(exps) -> list[tuple[int, ...]]:
         else:
             kept.append(m)
     return kept
+
+
+def _layout(nvars: int, top: int):
+    """The packed layout of exponents up to ``top`` in ``nvars`` variables.
+
+    Returns the field mask (the low ``w`` bits), the field shifts (variable
+    0 in the highest field) and the guard G, the top bit of every field,
+    for a field width w = top.bit_length() + 1.
+    """
+    w = top.bit_length() + 1
+    guard = ((1 << w * nvars) - 1) // ((1 << w) - 1) << w - 1
+    return (1 << w) - 1, range(w * (nvars - 1), -1, -w), guard
 
 
 def _unchecked(cls, **fields):

@@ -18,14 +18,12 @@ prime avoidance), for ``minimal_primes``, ``grade_zero``,
 values a public function returns.
 
 The Alexander-dual fold and every intersection of irreducible ideals
-(``_irredundant``, ``_fold``) run on packed exponent tuples, one int each
-(``_layout``): every variable gets a field of w = bit_length(largest
-exponent in play) + 1 bits, variable 0 in the highest field, and the top
-bit of each field is a guard that a packed tuple keeps clear, so that one
-subtraction tests divisibility in every field at once (``_meet``).  A
-fold packs once and unpacks once.  ``_irredundant`` returns each
-component with its support mask, read from the packed dual, so the masks
-are built once per decomposition.
+(``_irredundant``, ``_fold``) run on packed exponent tuples, one int each,
+in the guard-bit layout of ``core._layout`` for the largest exponent in
+play, so that ``_meet`` tests divisibility with one subtraction.  A fold
+packs once and unpacks once.  ``_irredundant`` returns each component
+with its support mask, read from the packed dual, so the masks are built
+once per decomposition.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from .core import (
     Ring,
     _contains,
     _ideal,
+    _layout,
     _memo,
     _monomial,
     _unchecked,
@@ -119,23 +118,11 @@ def _require_nonzero_proper(ideal: MonomialIdeal):
         raise IdealArgumentError("the unit ideal has no primary decomposition")
 
 
-def _layout(nvars: int, top: int):
-    """The packed layout of exponents up to ``top`` in ``nvars`` variables.
-
-    Returns the field mask (the low ``w`` bits), the field shifts (variable
-    0 in the highest field) and the guard G, the top bit of every field,
-    for a field width w = top.bit_length() + 1.
-    """
-    w = top.bit_length() + 1
-    guard = ((1 << w * nvars) - 1) // ((1 << w) - 1) << w - 1
-    return (1 << w) - 1, range(w * (nvars - 1), -1, -w), guard
-
-
 def _meet(gens, powers, guard) -> list[int]:
     """Minimal generators of (G) cap Q, for Q = (x_j^e_j), on packed tuples.
 
     ``gens`` is the antichain G of minimal exponent tuples of an ideal, in
-    any order and packed by ``_layout``, and so is the result.  ``powers``
+    any order and packed (``core._layout``), and so is the result.  ``powers``
     holds one pair (F_j, e_j << s_j) per variable x_j of Q: its field mask
     F_j, shifted into place, and its exponent, shifted to its field.  Each
     g in Q is kept unchanged.  Each g outside Q gives, for every j of Q,
@@ -149,12 +136,8 @@ def _meet(gens, powers, guard) -> list[int]:
     exponent e_j' > r_j', so only a kept h or an h raised at the same j
     can divide r, and either one divides r iff h does.
 
-    Guard bits: every exponent in play is below 2^(w-1), so each packed
-    tuple keeps its guard bits clear.  Then h divides r iff
-    ((r | G) - h) & G == G.  Field i of r | G holds r_i + 2^(w-1), and
-    r_i + 2^(w-1) - h_i lies between 1 and 2^w - 1, so no field borrows
-    from the one above it, and the difference keeps field i's guard bit
-    iff r_i >= h_i.  Masking a field reads one exponent in place, so
+    Packed fields: h divides r iff ((r | G) - h) & G == G, the test of
+    ``core._layout``.  Masking a field reads one exponent in place, so
     g & F_j >= e_j << s_j iff g_j >= e_j, and g ^ (g & F_j) | e_j << s_j
     is g with its x_j exponent replaced by e_j.
 

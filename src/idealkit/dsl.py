@@ -637,11 +637,11 @@ _SIGNATURES = {
     "betti": (_homology, "betti_table", "ideal", "", True),
     "dstar": (_homology, "deriv_star", "ideal", "", False),
     "check_depthreg": (
-        _homology, "check_depth_reg_binomial",
+        _binomial, "check_depth_reg_binomial",
         "ideal ideal ideal ideal integer", "", True,
     ),
     "check_depthreg_ass": (
-        _homology, "check_depth_reg_symbolic_ass", "ideal ideal integer", "", True
+        _binomial, "check_depth_reg_symbolic_ass", "ideal ideal integer", "", True
     ),
 }
 # The kinds as tuples of method names, split once here rather than per call.

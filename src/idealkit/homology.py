@@ -37,17 +37,13 @@ Vertices keep their labels in the core.  Homology ranks come from one
 exact column reduction over sparse boundary columns (``_rank``), on
 fractions in characteristic zero and on residues mod p otherwise.
 
-The tree, the faces and the row keys run on packed exponent tuples, one
-int each, in the layout of the decomposition kernel
-(``decomposition._layout``): every variable gets a field of w bits,
-variable 0 in the highest field, and the top bit of each field is a
-guard that a packed tuple keeps clear.  Here w = bit_length(n * top) + 1
-for n variables and the largest exponent top, so the degree of every
-lcm, and every field, stays below 2^(w-1).  ``betti_table`` packs the
-generators once; ``_cone_ranks`` takes lcms, tests divisibility and
-reads degrees on the packed ints.  With G the guard bits and c = b | G,
-g divides b iff (c - g) & G == G, and then the guard bits of
-(c - g - (G >> (w - 1))) & G are S_g(b): field i holds
+The tree, the faces and the row keys run on packed exponent tuples in
+``core._layout``, with top = n * (the largest exponent) for n variables,
+so the degree of every lcm, and every field, stays below 2^(w-1) for
+w = bit_length(top) + 1.  ``betti_table`` packs the generators once; ``_cone_ranks``
+takes lcms, tests divisibility and reads degrees on the packed ints.
+Faces: with c = b | G, g divides b iff (c - g) & G == G, and then the
+guard bits of (c - g - (G >> (w - 1))) & G are S_g(b): field i holds
 b_i - g_i - 1 + 2^(w-1), at least 2^(w-1) iff g_i < b_i.  Those guard
 bits are compacted to bit i for variable i before ``_maximal``, so the
 memo keys below do not depend on w.
@@ -64,6 +60,7 @@ generator-subset strands and backs the test suite; it shares only
 ``_rank`` with the route above: no tree, no core, no memo and no row
 sort.  It builds its table through the public ``BettiTable`` constructor
 from sorted ``Monomial`` entries (it alone uses ``_freeze_entries``).
+The module reads only ``core``.
 """
 
 from __future__ import annotations
@@ -76,6 +73,7 @@ from .core import (
     Monomial,
     MonomialIdeal,
     _ideal,
+    _layout,
     _memo,
     _monomial,
     _monomial_text,
@@ -83,9 +81,6 @@ from .core import (
     _Value,
     _whole_numbers,
 )
-from .binomial import direct_saturated_sum, symbolic_of_sum
-from .decomposition import _layout
-from .powers import _require_positive, _symbolic_direct, saturated_power
 
 
 class ExtendedInt(_Value):
@@ -270,8 +265,8 @@ def reduced_homology_dimensions(
 def _cone_ranks(gens, full: int, guard: int) -> dict[int, list[int]]:
     """For each multidegree b, the degrees of the basis elements of
     multidegree b in the iterated mapping cone that resolves the ideal of
-    ``gens`` (its minimal generators, packed by ``_layout`` with field mask
-    ``full`` and guard ``guard``, in ``Monomial.sort_key`` order): d
+    ``gens`` (its minimal generators, packed by ``core._layout`` with field
+    mask ``full`` and guard ``guard``, in ``Monomial.sort_key`` order): d
     appears r_d(b) times, in no fixed order.  The keys are packed too.
 
     A node (g_1 .. g_k, d) takes each g_j in turn as the pivot m of the
@@ -284,18 +279,18 @@ def _cone_ranks(gens, full: int, guard: int) -> dict[int, list[int]]:
     A list per multidegree holds less than a {d: r_d(b)} counter would.
 
     Packed lemmas, with w the field width and every field below 2^(w-1)
-    (the layout is wide enough for the degree, so also for every field):
+    (the layout is wide enough for the degree, so also for every field);
+    divisibility is the test of ``core._layout``:
 
     - lcm.  ge = ((a | G) - m) & G keeps the guard bit of field i iff
-      a_i >= m_i, as field i of a | G holds a_i + 2^(w-1) and no field
-      borrows; k = ge - (ge >> (w - 1)) fills the low w - 1 bits of those
-      fields, so lcm(a, m) = a & k | m & ~k, written m ^ (a ^ m) & k.
+      a_i >= m_i, that test field by field; k = ge - (ge >> (w - 1)) fills
+      the low w - 1 bits of those fields, so lcm(a, m) = a & k | m & ~k,
+      written m ^ (a ^ m) & k.
     - Order.  The degree of x is x % full, as 2^w = 1 mod full and the
       sum of the fields stays below full.  Variable 0 sits in the highest
       field, so descending packed ints are descending tuples, and each
       node is in the order of ``core._antichain``: degree ascending, then
       descending.  The tree is node for node the one on tuples.
-    - Divisibility.  h divides x iff ((x | G) - h) & G == G.
     """
     shift = full.bit_length() - 1
     ranks: dict[int, list[int]] = {}
@@ -614,78 +609,4 @@ def deriv_star(ideal: MonomialIdeal) -> MonomialIdeal:
     return _ideal(
         ideal.ring,
         [g[:v] + (e - 1,) + g[v + 1:] for g in ideal._exps for v, e in enumerate(g) if e],
-    )
-
-
-class DepthRegReport(_Value):
-    """Left- and right-hand sides of the depth and regularity formulas."""
-
-    __match_args__ = ("depth_lhs", "depth_rhs", "reg_lhs", "reg_rhs")
-
-    @property
-    def passed(self) -> bool:
-        return self.depth_lhs == self.depth_rhs and self.reg_lhs == self.reg_rhs
-
-    def __str__(self):
-        return (
-            f"depth {self.depth_lhs} vs {self.depth_rhs}; "
-            f"reg {self.reg_lhs} vs {self.reg_rhs}"
-        )
-
-
-def _depth_reg_report(lhs: MonomialIdeal, power_a, power_b, s: int, char: int):
-    """Depth and regularity of R/lhs against the min/max formulas over the
-    per-side powers power_a(t), t = 1..s, and power_b(t), t = 0..s."""
-    lhs_table = betti_table(lhs, char)
-    side_a = {t: betti_table(power_a(t), char) for t in range(1, s + 1)}
-    side_b = {t: betti_table(power_b(t), char) for t in range(s + 1)}
-    depths = []
-    regs = []
-    for t in range(1, s + 1):
-        a, b, b_next = side_a[t], side_b[s - t], side_b[s + 1 - t]
-        depths.append(a.depth() + b.depth() + ExtendedInt(1))
-        depths.append(a.depth() + b_next.depth())
-        regs.append(a.regularity() + b.regularity() + ExtendedInt(1))
-        regs.append(a.regularity() + b_next.regularity())
-    return DepthRegReport(
-        lhs_table.depth(), min(depths), lhs_table.regularity(), max(regs)
-    )
-
-
-def check_depth_reg_binomial(
-    i: MonomialIdeal,
-    k: MonomialIdeal,
-    j: MonomialIdeal,
-    l: MonomialIdeal,
-    s: int,
-    char: int = 0,
-) -> DepthRegReport:
-    """Depth and regularity of R modulo the saturated power of the sum,
-    against the min/max formulas over the per-side saturated powers."""
-    _require_positive(s)
-    return _depth_reg_report(
-        direct_saturated_sum(i, k, j, l, s),
-        lambda t: saturated_power(i, k, t),
-        lambda t: saturated_power(j, l, t),
-        s,
-        char,
-    )
-
-
-def check_depth_reg_symbolic_ass(
-    i: MonomialIdeal, j: MonomialIdeal, s: int, char: int = 0
-) -> DepthRegReport:
-    """Same formulas with the associated-primes symbolic powers throughout.
-
-    The left-hand side is the symbolic power of the sum computed directly
-    from its primary decomposition in the joined ring; the per-side powers
-    take the same decomposition route, never the binomial fast path.
-    """
-    _require_positive(s)
-    return _depth_reg_report(
-        symbolic_of_sum(i, j, s, "ass"),
-        lambda t: _symbolic_direct(i, t, "ass"),
-        lambda t: _symbolic_direct(j, t, "ass"),
-        s,
-        char,
     )

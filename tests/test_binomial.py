@@ -651,7 +651,7 @@ class TestDirectRouteIndependence:
     )
     def test_checks_never_take_the_fast_path(self, monkeypatch, i, j):
         from idealkit import decomposition, powers
-        from idealkit.homology import check_depth_reg_symbolic_ass
+        from idealkit.binomial import check_depth_reg_symbolic_ass
         from idealkit.powers import NOTIONS
 
         expansions = {

@@ -31,7 +31,6 @@ from idealkit.homology import (
     NEG_INF,
     POS_INF,
     BettiTable,
-    DepthRegReport,
     ExtendedInt,
     _collapse_core,
     _cone_ranks,
@@ -40,8 +39,6 @@ from idealkit.homology import (
     _rank,
     _upper_koszul_faces,
     betti_table,
-    check_depth_reg_binomial,
-    check_depth_reg_symbolic_ass,
     depth_quotient,
     deriv_star,
     reduced_homology_dimensions,
@@ -49,7 +46,12 @@ from idealkit.homology import (
     taylor_betti_table,
 )
 from idealkit import homology
-from idealkit.binomial import joined_sum
+from idealkit.binomial import (
+    DepthRegReport,
+    check_depth_reg_binomial,
+    check_depth_reg_symbolic_ass,
+    joined_sum,
+)
 from idealkit.powers import saturated_power
 from lattice_betti import lattice_betti_table, lattice_points, lattice_walk, walk_facets
 from packed_cone import packed_cone_ranks, tuple_collapse_keys, tuple_cone_ranks

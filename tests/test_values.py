@@ -14,6 +14,7 @@ import idealkit
 from idealkit import fuzz
 from idealkit.binomial import (
     AssStructureReport,
+    DepthRegReport,
     EqualityCriteriaReport,
     FiltrationReport,
     SymbolicEqualityReport,
@@ -24,7 +25,7 @@ from idealkit import dsl
 from idealkit.core import Monomial, MonomialIdeal, MonomialPrime, Ring, _Value
 from idealkit.decomposition import IrreducibleComponent, primary_decomposition
 from idealkit.dsl import AddOp, MulOp, Name, parse
-from idealkit.homology import DepthRegReport, ExtendedInt, betti_table
+from idealkit.homology import ExtendedInt, betti_table
 
 A = Ring.of("a", "b")
 B = Ring.of("x", "y", "z")
