@@ -9,7 +9,9 @@ I^(i-1)/I^i, which are those of A/I^i.
 
 Every prime set the Ass code computes is a set of support bitmasks
 (``_mask``, bit i for variable i): the supports of Ass(I) (``_supports``),
-the minimal ones among them (``_minimal``), and their union over powers.
+the minimal ones among them (``_minimal``), their union over powers, and
+the primes among the box oracle's colons, read by ``_prime_support``, the
+one prime test on exponent tuples.
 Both kept-prime rules read them too: the minimal supports, and the test
 that a support lies inside one of them (``_inside_some``, grade zero by
 prime avoidance), for ``minimal_primes``, ``grade_zero``,
@@ -40,11 +42,9 @@ from .core import (
     _ideal,
     _layout,
     _memo,
-    _monomial,
     _unchecked,
     _Value,
     _whole_numbers,
-    colon_monomial,
     ideal_power,
 )
 
@@ -377,11 +377,13 @@ def grade_zero(p: MonomialPrime, ideal: MonomialIdeal) -> bool:
     return _inside_some(_mask(p.support), _supports(ideal))
 
 
-def _prime_from_variable_ideal(ideal: MonomialIdeal) -> MonomialPrime | None:
-    # The unit ideal's one generator has degree 0.
-    if ideal.is_zero or any(sum(g) != 1 for g in ideal._exps):
-        return None
-    return MonomialPrime(ideal.ring, tuple(g.index(1) for g in ideal._exps))
+def _prime_support(gens) -> int:
+    """The mask of T, the j with x_j among the tuples ``gens`` (minimal or
+    not), if they generate P_T, as they do iff each support meets T; else 0."""
+    t = {g.index(1) for g in gens if sum(g) == 1}
+    if all(any(g[j] for j in t) for g in gens):
+        return _mask(t)
+    return 0
 
 
 def ass_module_quotient(ideal: MonomialIdeal, i: int) -> frozenset[MonomialPrime]:
@@ -415,32 +417,27 @@ def ass_module_quotient_exhaustive(
     x_j * m lies in I^i iff some generator g of I^i exceeds m in x_j alone
     and by one, so only the sub-boxes m_j = g_j - 1, g_k <= m_k <= box_k
     (k != j), over the generators g of I^i and j in supp g, are scanned.
-    Each point is an exponent tuple, tested for membership against the
-    generator tuples, and a monomial is built only for a point whose colon
-    is taken.  The oracle reads no decomposition, so it stays independent
-    of ``ass_module_quotient``, which reads the decomposition of I^i.
+    Each point e is a tuple, and I^i : x^e is generated by the (g - e)^+
+    (the colon lemma), so ``_prime_support`` reads the colon from them and
+    no ideal is built per point.  The oracle reads no decomposition, so it
+    stays independent of ``ass_module_quotient``, which reads that of I^i.
     """
     _require_nonzero_proper(ideal)
     if i < 1:
         raise ValueError("quotient index must be positive")
-    low = ideal_power(ideal, i - 1)
-    high = ideal_power(ideal, i)
-    low_exps, high_exps = low._exps, high._exps
-    box = tuple(map(max, zip(*low_exps, *high_exps)))
+    low, high = ideal_power(ideal, i - 1)._exps, ideal_power(ideal, i)._exps
+    box = tuple(map(max, zip(*low, *high)))
     points = set()
-    for g in high_exps:
+    for g in high:
         ranges = [range(a, b + 1) for a, b in zip(g, box)]
         for j, a in enumerate(g):
             if a:
                 points.update(itertools.product(
                     *ranges[:j], (a - 1,), *ranges[j + 1:]
                 ))
-    primes: set[MonomialPrime] = set()
-    for e in points:
-        if not _contains(low_exps, e) or _contains(high_exps, e):
-            continue
-        m = _monomial(ideal.ring, e)
-        prime = _prime_from_variable_ideal(colon_monomial(high, m))
-        if prime is not None:
-            primes.add(prime)
-    return frozenset(primes)
+    masks = {
+        _prime_support([tuple([a - b if a > b else 0 for a, b in zip(g, e)]) for g in high])
+        for e in points
+        if _contains(low, e) and not _contains(high, e)
+    }
+    return _primes(ideal.ring, masks - {0})

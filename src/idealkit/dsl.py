@@ -542,9 +542,11 @@ class Evaluator:
         raise EvalError("expected " + " or ".join(map(repr, _powers.NOTIONS)), node.pos)
 
     def prime(self, node, ctx) -> MonomialPrime:
-        prime = _decomposition._prime_from_variable_ideal(self.ideal(node, ctx))
-        if prime is None:
+        ideal = self.ideal(node, ctx)
+        mask = _decomposition._prime_support(ideal._exps)
+        if not mask:
             raise EvalError("expected a prime generated by variables", node.pos)
+        [prime] = _decomposition._primes(ideal.ring, [mask])
         return prime
 
     def ideal_list(self, node, ctx) -> list[MonomialIdeal]:

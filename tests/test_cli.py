@@ -174,6 +174,14 @@ class TestRun:
             f"error: {script}:3:7: the zero ideal has no primary decomposition here\n"
         )
 
+    @pytest.mark.parametrize("argument", ["(0)", "(1)"])
+    def test_gradezero_of_no_prime_exits_2(self, tmp_path, capsys, argument):
+        script = tmp_path / "prime.ik"
+        script.write_text(f"ring A = [a, b];\nprint gradezero({argument}, (a));\n")
+        assert run_cli(capsys, "run", str(script)) == (
+            2, "", f"error: {script}:2:18: expected a prime generated by variables\n"
+        )
+
     def test_bad_characteristic_exits_2(self, tmp_path, capsys):
         script = tmp_path / "depth.ik"
         script.write_text("ring A = [a];\nprint depth((a));\n")

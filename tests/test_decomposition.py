@@ -9,7 +9,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealkit import decomposition, powers
+from idealkit import core, decomposition, powers
 from idealkit.core import (
     IdealArgumentError,
     MonomialIdeal,
@@ -336,6 +336,15 @@ class TestMeet:
         intersect(cube, i)
         ass_module_quotient_exhaustive(i, 3)
         taylor_betti_table(i, 0)
+
+        # The box oracle builds no colon ideal per point: with the cube in
+        # the power memo, it reads no colon and canonicalises nothing.
+        def canonical(*args):
+            raise AssertionError("the box oracle built an ideal")
+
+        monkeypatch.setattr(core, "_colon", canonical)
+        monkeypatch.setattr(core, "_antichain", canonical)
+        assert ass_module_quotient_exhaustive(i, 3) == primes
 
 
 # Exponents at the packed kernel's field-width boundaries: 2^k - 1 fills k
@@ -668,41 +677,51 @@ class TestQuotientAss:
         ]
 
     @staticmethod
-    def count_colons(monkeypatch):
-        built = []
+    def count_prime_tests(monkeypatch):
+        """The colons, as lists of (g - e)^+, that the oracle tests for a prime."""
+        read = []
+        prime_support = decomposition._prime_support
 
-        def counted(a, m):
-            built.append(m)
-            return colon_monomial(a, m)
+        def counted(gens):
+            read.append(tuple(gens))
+            return prime_support(gens)
 
-        monkeypatch.setattr(decomposition, "colon_monomial", counted)
-        return built
+        monkeypatch.setattr(decomposition, "_prime_support", counted)
+        return read
+
+    @staticmethod
+    def colon_tuples(high, m):
+        """I^i : m as the (g - e)^+ over the generators g of I^i, e = exp(m)."""
+        return tuple(
+            tuple(max(a - b, 0) for a, b in zip(g, m.exponents)) for g in high._exps
+        )
 
     def test_box_oracle_builds_fewer_colons(self, monkeypatch):
         # Of the 94 box points in I^2 and outside I^3, 45 have some x_j * m
-        # in I^3; only their colons are built.
+        # in I^3; only their colons are tested for a prime.
         i = ideal(R3, "x^3, x*y^2, y^3*z")
         _, candidates = self.box_candidates(i, 3)
-        built = self.count_colons(monkeypatch)
+        read = self.count_prime_tests(monkeypatch)
         assert ass_module_quotient_exhaustive(i, 3) == ass_module_quotient(i, 3)
-        assert (len(built), len(candidates)) == (45, 94)
+        assert (len(read), len(candidates)) == (45, 94)
 
     @given(proper3, st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_box_oracle_skips_only_colons_without_a_variable(self, i, index):
-        # Same result as building the colon at every candidate, and every
-        # skipped candidate's colon holds no variable.
+        # Same result as testing the canonical colon at every candidate, and
+        # every skipped candidate's colon holds no variable.
         high, candidates = self.box_candidates(i, index)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            built = self.count_colons(monkeypatch)
+            read = self.count_prime_tests(monkeypatch)
             result = ass_module_quotient_exhaustive(i, index)
         every = {
-            decomposition._prime_from_variable_ideal(colon_monomial(high, m))
+            decomposition._prime_support(colon_monomial(high, m)._exps)
             for m in candidates
         }
-        assert result == every - {None}
-        for m in set(candidates) - set(built):
-            assert all(g.degree() > 1 for g in colon_monomial(high, m).generators)
+        assert result == decomposition._primes(i.ring, every - {0})
+        for m in candidates:
+            if self.colon_tuples(high, m) not in read:
+                assert all(g.degree() > 1 for g in colon_monomial(high, m).generators)
 
     @given(proper_up_to_4, st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
@@ -716,6 +735,30 @@ class TestQuotientAss:
             if all(g.degree() == 1 for g in gens):
                 primes.add(MonomialPrime(i.ring, [g.support()[0] for g in gens]))
         assert ass_module_quotient_exhaustive(i, index) == primes
+
+    @given(
+        st.sampled_from(RINGS_UP_TO_4).flatmap(
+            lambda ring: st.tuples(
+                st.just(ring),
+                st.lists(st.tuples(*[st.integers(0, 3)] * ring.nvars), max_size=6),
+            )
+        )
+    )
+    @example((R3, [(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 0)]))
+    @example((R3, [(0, 0, 0), (1, 0, 0)]))
+    @example((R3, [(1, 0, 0), (0, 1, 1)]))
+    @example((R3, []))
+    @settings(max_examples=200, deadline=None)
+    def test_prime_support_reads_any_generating_set(self, ring_and_gens):
+        # Repeats, the zero tuple and non-minimal lists included, the mask is
+        # that of the canonical generators when all of them are variables.
+        ring, gens = ring_and_gens
+        canonical = MonomialIdeal(ring, tuple(map(ring.monomial, gens))).generators
+        expected = 0
+        if all(g.degree() == 1 for g in canonical):
+            for g in canonical:
+                expected |= 1 << g.support()[0]
+        assert decomposition._prime_support(gens) == expected
 
     @given(proper3, st.integers(1, 3))
     @settings(max_examples=30, deadline=None)

@@ -584,6 +584,14 @@ class TestErrors:
                 "1:36: expected a prime generated by variables",
             ),
             (
+                AB + "print gradezero((0), (a));",
+                "1:35: expected a prime generated by variables",
+            ),
+            (
+                AB + "print gradezero((1), (a));",
+                "1:35: expected a prime generated by variables",
+            ),
+            (
                 AB + "print check_filt(a, [a], [a], a, 1);",
                 "1:35: expected a bracket list of ideals",
             ),
