@@ -496,14 +496,16 @@ class FiltrationReport(_Value):
 
 
 def _validate_filtration(terms: list[MonomialIdeal], s: int) -> bool:
-    """Descending and closed under term products; the caller prepends (1)."""
+    """Descending and closed under term products; the caller prepends (1),
+    so a product with a factor (1) is a term and the products start at 1.
+    The inclusions start at 0: (1) refuses a terms[1] of another ring."""
     if len(terms) < s + 1:
         return False
     for t in range(s):
         if not terms[t].contains_ideal(terms[t + 1]):
             return False
-    for a in range(s + 1):
-        for b in range(s + 1 - a):
+    for a in range(1, s + 1):
+        for b in range(1, s + 1 - a):
             if not terms[a + b].contains_ideal(ideal_product(terms[a], terms[b])):
                 return False
     return True

@@ -566,9 +566,8 @@ def colon_monomial(a: MonomialIdeal, m: Monomial) -> MonomialIdeal:
 
 def _colon(a: MonomialIdeal, e: tuple[int, ...]) -> MonomialIdeal:
     """a : x^e, for an exponent tuple ``e`` of a's ring."""
-    sub = operator.sub
-    zeros = (0,) * len(e)
-    return _ideal(a.ring, [tuple(map(max, map(sub, g, e), zeros)) for g in a._exps])
+    gens = [tuple([x - y if x > y else 0 for x, y in zip(g, e)]) for g in a._exps]
+    return _ideal(a.ring, gens)
 
 
 def colon(a: MonomialIdeal, k: MonomialIdeal) -> MonomialIdeal:

@@ -37,16 +37,12 @@ Vertices keep their labels in the core.  Homology ranks come from one
 exact column reduction over sparse boundary columns (``_rank``), on
 fractions in characteristic zero and on residues mod p otherwise.
 
-The tree, the faces and the row keys run on packed exponent tuples in
-``core._layout``, with top = n * (the largest exponent) for n variables,
+Only the tree and the row keys run on packed exponent tuples, in
+``core._layout`` with top = n * (the largest exponent) for n variables,
 so the degree of every lcm, and every field, stays below 2^(w-1) for
 w = bit_length(top) + 1.  ``betti_table`` packs the generators once; ``_cone_ranks``
 takes lcms, tests divisibility and reads degrees on the packed ints.
-Faces: with c = b | G, g divides b iff (c - g) & G == G, and then the
-guard bits of (c - g - (G >> (w - 1))) & G are S_g(b): field i holds
-b_i - g_i - 1 + 2^(w-1), at least 2^(w-1) iff g_i < b_i.  Those guard
-bits are compacted to bit i for variable i before ``_maximal``, so the
-memo keys below do not depend on w.
+Each face S_g(b) is read from exponent tuples, bit i for variable i.
 
 The rows of i >= 2 are sorted on (i, degree, -b) for packed b, the order
 of ``Monomial.sort_key`` (a descending packed int is a descending
@@ -500,32 +496,24 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     gens = ideal._exps
     nvars = ring.nvars
     full, shifts, guard = _layout(nvars, nvars * max(map(max, gens), default=0))
-    shift = full.bit_length() - 1
-    ones = guard >> shift
     packed = [sum(map(lshift, g, shifts)) for g in gens]
     rows = []  # (i, degree of b, -b, b as a tuple, beta_{i,b}): sorted as sort_key
     for b, at in _cone_ranks(packed, full, guard).items():
         if 0 in at:
             continue  # a generator: its beta_1 = 1 row is read off _exps
+        exps = tuple([b >> s & full for s in shifts])
         if len(at) > 1 and any(d + 1 in at for d in at):
-            # g divides b iff every field of c - g keeps its guard, and
-            # then the guards of c - g - ones mark S_g(b) = {i : g_i < b_i}.
+            # core._layout's test finds the g dividing b; S_g(b) = {i : g_i < b_i}.
             c = b | guard
-            marks = set()
-            for g in packed:
-                t = c - g
-                if t & guard == guard:
-                    marks.add((t - ones) & guard)
-            # Variable i's guard bit, at s_i + w - 1, becomes bit i.
-            faces = [
-                sum([1 << i for i, s in enumerate(shifts) if mark >> s + shift & 1])
-                for mark in marks
-            ]
+            faces = {
+                sum([1 << i for i, (x, y) in enumerate(zip(g, exps)) if x < y])
+                for g, p in zip(gens, packed) if (c - p) & guard == guard
+            }
             core = _collapse_core(tuple(_maximal(faces)))
             betti = [(degree + 2, dim) for degree, dim in _core_homology(core, char)]
         else:
             betti = [(d + 1, at.count(d)) for d in set(at)]
-        degree_of_b, exps = b % full, tuple([b >> s & full for s in shifts])
+        degree_of_b = b % full
         for i, dim in betti:
             rows.append((i, degree_of_b, -b, exps, dim))
     rows.sort()

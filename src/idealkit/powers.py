@@ -69,8 +69,10 @@ def _kept(ideal: MonomialIdeal, notion: str):
 
     "min" keeps the minimal primes of I (``_minimal``); "ass" keeps the
     primes of grade zero on A/I, those inside some prime of Ass(I)
-    (``_inside_some``), whose supports are read once, on the first test.
-    The notion must already be validated.
+    (``_inside_some``), whose supports are read once, on the first test,
+    not here: ``_symbolic_direct`` builds the rule before I^s, and
+    ``symbolic_ass`` of the zero ideal at s = -1 must still raise
+    "negative ideal power".  The notion must already be validated.
     """
     if notion == "min":
         return _minimal(_supports(ideal)).__contains__

@@ -555,6 +555,16 @@ class TestFiltrationIdentities:
             with pytest.raises(IdealArgumentError, match="^empty filtration$"):
                 check_filtration_identities(*lists, x, 1)
 
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_second_filtration_in_another_ring_is_refused(self, s):
+        # Only the inclusion of its first term in the prepended (1) sees it.
+        i_terms = [ideal(A2, "x"), ideal(A2, "x^2")]
+        k_terms = [ideal(B2, "t"), ideal(B2, "t^2")]
+        j_terms = [ideal(B2, "z"), ideal(B2, "z^2")]
+        message = r"^ring mismatch: \[x, y\] vs \[z, t\]$"
+        with pytest.raises(core.RingMismatchError, match=message):
+            check_filtration_identities(i_terms, k_terms, j_terms, i_terms[0], s)
+
     @given(
         ideals_over(A2, True),
         ideals_over(A2, False),

@@ -494,6 +494,14 @@ wide_ideals = st.tuples(st.sampled_from([R4, R5]), st.integers(1, 14)).flatmap(
 )
 
 
+def spread(i):
+    """i with each exponent e > 0 sent to e * 2^61 + 1.  The map keeps the
+    order of each variable's exponents, so the lcm lattice and the Betti
+    numbers stay, while K^b is read past 64-bit fields."""
+    exps = [tuple([e * 2**61 + 1 if e else 0 for e in g]) for g in i._exps]
+    return MonomialIdeal(i.ring, tuple(map(i.ring.monomial, exps)))
+
+
 class TestOracleAgreement:
     @given(random_ideals)
     @settings(max_examples=30, deadline=None)
@@ -503,6 +511,9 @@ class TestOracleAgreement:
         top = i.lcm_of_generators()
         assert all(b.divides(top) for _, b, _ in table.entries)
         assert table.multiplicity(0, R3.one()) == 1
+        wide = spread(i)
+        for char in (0, 2):
+            assert betti_table(wide, char) == taylor_betti_table(wide, char)
 
     @given(random_ideals)
     @settings(max_examples=30, deadline=None)
@@ -519,6 +530,8 @@ class TestOracleAgreement:
     @settings(max_examples=40, deadline=None)
     def test_wide_ideals_agree_with_taylor(self, i, char):
         assert betti_table(i, char) == taylor_betti_table(i, char)
+        wide = spread(i)
+        assert betti_table(wide, char) == taylor_betti_table(wide, char)
 
     # Every second degree-5 monomial of R4 in descending lex order, up to the
     # Taylor oracle's cap of 14 generators, and every fourth one.
@@ -1120,7 +1133,8 @@ class TestConeRanks:
 
     @pytest.mark.parametrize("char", [0, 2, 3])
     def test_collapse_keys_are_the_tuple_routes_variable_masks(self, char):
-        for i in (ideal(R3, CONE_AT_XY2Z), ideal(ABCDEF, PROJECTIVE_PLANE)):
+        cone, plane = ideal(R3, CONE_AT_XY2Z), ideal(ABCDEF, PROJECTIVE_PLANE)
+        for i in (cone, plane, spread(cone), spread(plane)):
             with mock.patch.object(
                 homology, "_collapse_core", wraps=homology._collapse_core
             ) as core:
