@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+import shutil
 import time
 
 import pytest
 
-from idealkit import binomial, core, dsl, fuzz, homology, powers
+from idealkit import binomial, core, dsl, fuzz, homology, powers, verify
 from idealkit.cli import build_parser, main
 
 
@@ -268,6 +269,23 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--json")
         names = [check["name"] for check in json.loads(out)["checks"]]
         assert names == VERIFY_CHECK_NAMES
+
+    def test_expected_lines_come_from_the_shipped_files(self, capsys, monkeypatch, tmp_path):
+        golden = tmp_path / "golden"
+        shutil.copytree(verify._GOLDEN, golden)
+        edited = golden / "01-power_of_example_ideal.out"
+        assert edited.read_text(encoding="utf-8") == "(a^4, a^3*b, a^2*b^2)\n"
+        edited.write_text("(a^4, a^3*b)\n", encoding="utf-8")
+        monkeypatch.setattr(verify, "_GOLDEN", str(golden))
+        code, out, err = run_cli(capsys, "verify", "--json")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert [check["name"] for check in report["checks"]] == VERIFY_CHECK_NAMES
+        assert report["passes"] == report["cases"] - 1
+        (failure,) = report["failures"]
+        assert failure["name"] == "power_of_example_ideal"
+        assert failure["expected"] == "(a^4, a^3*b)"
+        assert failure["actual"] == "(a^4, a^3*b, a^2*b^2)"
 
     def test_raising_kernel_fails_the_named_checks(self, capsys, monkeypatch):
         def broken(ideal, k):
