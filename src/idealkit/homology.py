@@ -55,7 +55,7 @@ An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it shares only
 ``_rank`` with the route above: no tree, no core, no memo and no row
 sort.  It builds its table through the public ``BettiTable`` constructor
-from sorted ``Monomial`` entries (it alone uses ``_freeze_entries``).
+from ``Monomial`` entries, sorted once by (i, ``Monomial.sort_key``).
 The module reads only ``core``.
 """
 
@@ -465,16 +465,6 @@ class BettiTable(_Value):
         ]) + "}"
 
 
-def _freeze_entries(entries: dict[tuple[int, Monomial], int]):
-    return tuple(
-        (i, b, v)
-        for (i, b), v in sorted(
-            entries.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())
-        )
-        if v
-    )
-
-
 def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     """Multigraded Betti numbers of R/I, from the ranks of ``_cone_ranks``.
 
@@ -549,7 +539,7 @@ def taylor_betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     strands: dict[tuple[int, ...], list[int]] = {}
     for mask, b in enumerate(lcms):
         strands.setdefault(b, []).append(mask)
-    entries: dict[tuple[int, Monomial], int] = {}
+    entries: list[tuple[int, Monomial, int]] = []
     for b, strand in strands.items():
         by_size: dict[int, list[int]] = {}
         for mask in strand:
@@ -571,8 +561,9 @@ def taylor_betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
         for size, members in by_size.items():
             h = len(members) - ranks.get(size, 0) - ranks.get(size + 1, 0)
             if h:
-                entries[(size, Monomial(ring, b))] = h
-    return BettiTable(ring, ideal, _freeze_entries(entries))
+                entries.append((size, Monomial(ring, b), h))
+    entries.sort(key=lambda e: (e[0], e[1].sort_key()))
+    return BettiTable(ring, ideal, tuple(entries))
 
 
 def depth_quotient(ideal: MonomialIdeal, char: int = 0) -> ExtendedInt:

@@ -24,7 +24,7 @@ Every sum of products A_t B_(s-t) here and in ``binomial`` is
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 from operator import or_
 
 from .core import (
@@ -69,15 +69,13 @@ def _kept(ideal: MonomialIdeal, notion: str):
 
     "min" keeps the minimal primes of I (``_minimal``); "ass" keeps the
     primes of grade zero on A/I, those inside some prime of Ass(I)
-    (``_inside_some``), whose supports are read once, on the first test,
-    not here: ``_symbolic_direct`` builds the rule before I^s, and
-    ``symbolic_ass`` of the zero ideal at s = -1 must still raise
-    "negative ideal power".  The notion must already be validated.
+    (``_inside_some``).  Both read the supports of Ass(I) here, once.  The
+    notion must already be validated.
     """
+    ass = _supports(ideal)
     if notion == "min":
-        return _minimal(_supports(ideal)).__contains__
-    ass = cache(lambda: _supports(ideal))
-    return lambda m: _inside_some(m, ass())
+        return _minimal(ass).__contains__
+    return lambda m: _inside_some(m, ass)
 
 
 def _saturator(ideal: MonomialIdeal, primes, notion: str) -> MonomialIdeal:

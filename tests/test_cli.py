@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from idealkit import binomial, core, dsl, fuzz, homology, powers, verify
+from idealkit import binomial, cli, core, dsl, fuzz, homology, powers
 from idealkit.cli import build_parser, main
 
 
@@ -272,11 +272,11 @@ class TestVerify:
 
     def test_expected_lines_come_from_the_shipped_files(self, capsys, monkeypatch, tmp_path):
         golden = tmp_path / "golden"
-        shutil.copytree(verify._GOLDEN, golden)
+        shutil.copytree(cli._GOLDEN, golden)
         edited = golden / "01-power_of_example_ideal.out"
         assert edited.read_text(encoding="utf-8") == "(a^4, a^3*b, a^2*b^2)\n"
         edited.write_text("(a^4, a^3*b)\n", encoding="utf-8")
-        monkeypatch.setattr(verify, "_GOLDEN", str(golden))
+        monkeypatch.setattr(cli, "_GOLDEN", str(golden))
         code, out, err = run_cli(capsys, "verify", "--json")
         assert (code, err) == (1, "")
         report = json.loads(out)

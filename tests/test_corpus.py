@@ -5,12 +5,14 @@ case with ``NAME.err`` must write exactly that stderr and exit 2; any other
 case must exit 0 and write nothing on stderr.  An optional first line
 ``# --char P`` is the one flag a case passes.
 
-Two directories hold cases in this format: ``tests/scripts``, the cases
-the CI workflow also runs through the installed console script, and the
-package's ``golden`` directory, the checks of ``idealkit verify``, named
-``NN-name`` with the prefixes 01, 02, ... in order, which take no flag
-and no ``.err``.  The integrity checks make a lost or renamed file fail
-here, so the coverage cannot quietly shrink.
+Three directories hold cases in this format: ``tests/scripts``, the cases
+the CI workflow also runs through the installed console script;
+``tests/scripts/hard``, large powers whose cases take seconds each, run
+under the ``slow`` marker; and the package's ``golden`` directory, the
+checks of ``idealkit verify``, named ``NN-name`` with the prefixes 01, 02,
+... in order, which take no flag and no ``.err``.  The integrity checks
+make a lost or renamed file fail here, so the coverage cannot quietly
+shrink.
 """
 
 import os
@@ -18,11 +20,15 @@ import re
 
 import pytest
 
-from idealkit import verify
+from idealkit import cli
 from idealkit.cli import main
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "scripts")
-DIRECTORIES = {"scripts": SCRIPTS, "golden": verify._GOLDEN}
+DIRECTORIES = {
+    "scripts": SCRIPTS,
+    "hard": os.path.join(SCRIPTS, "hard"),
+    "golden": cli._GOLDEN,
+}
 GOLDEN_CHECKS = 21
 HEADER = re.compile(r"# --char (\d+)")
 
@@ -42,12 +48,16 @@ def flags(script):
     return ["--char", header[1]] if header else []
 
 
-CASES = [(label, stem) for label, path in DIRECTORIES.items() for stem in stems(path, ".idk")]
+CASES = [
+    pytest.param(
+        label, stem, id=f"{label}/{stem}", marks=[pytest.mark.slow] if label == "hard" else []
+    )
+    for label, path in DIRECTORIES.items()
+    for stem in stems(path, ".idk")
+]
 
 
-@pytest.mark.parametrize(
-    "label, stem", CASES, ids=[f"{label}/{stem}" for label, stem in CASES]
-)
+@pytest.mark.parametrize("label, stem", CASES)
 def test_case_prints_its_pinned_output(label, stem, capsys, monkeypatch):
     # From the case's own directory, so an error names the bare file name.
     monkeypatch.chdir(DIRECTORIES[label])
@@ -84,13 +94,13 @@ def test_a_header_holds_only_the_characteristic(label):
 
 
 def test_golden_prefixes_run_from_one_without_gap_or_repeat():
-    prefixes = [stem.partition("-")[0] for stem in stems(verify._GOLDEN, ".idk")]
+    prefixes = [stem.partition("-")[0] for stem in stems(cli._GOLDEN, ".idk")]
     assert prefixes == [f"{n:02d}" for n in range(1, GOLDEN_CHECKS + 1)]
 
 
 def test_golden_checks_take_no_flag_and_expect_no_error():
     # verify compares printed lines in characteristic 0 only, so a header
     # or a check that must fail has no place among them.
-    assert stems(verify._GOLDEN, ".err") == []
-    for stem in stems(verify._GOLDEN, ".idk"):
-        assert not read(os.path.join(verify._GOLDEN, f"{stem}.idk")).startswith("# --")
+    assert stems(cli._GOLDEN, ".err") == []
+    for stem in stems(cli._GOLDEN, ".idk"):
+        assert not read(os.path.join(cli._GOLDEN, f"{stem}.idk")).startswith("# --")

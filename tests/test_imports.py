@@ -25,7 +25,6 @@ RANKS = {
     "binomial": 3,
     "dsl": 4,
     "fuzz": 5,
-    "verify": 6,
     "cli": 7,
 }
 
