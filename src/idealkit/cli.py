@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification or fuzz check fails,
-2 on usage, parse, or evaluation errors.
+2 on usage, parse, or evaluation errors, and 141 (128 + SIGPIPE) when the
+reader of stdout closes it early (``| head``): the command stops, writing nothing more.
 
 `run` parses the whole script first, so a parse error runs nothing; it then
 writes each statement's output as that statement runs, so a script that
@@ -180,7 +181,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        try:  # with stdout on devnull, the interpreter's exit flush stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # no file descriptor
+            pass
+        return 141
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ after a trailing comment sits at its '#'.
 
 from __future__ import annotations
 
+import collections
 import re
 import sys
 from operator import add
@@ -460,18 +461,16 @@ class Evaluator:
         signature = _SIGNATURES.get(node.function)
         if signature is None:
             raise EvalError(f"unknown function {node.function!r}", node.pos)
-        module, attr, kinds, optional, with_char = signature
-        counts = range(len(kinds), len(kinds) + len(optional) + 1)
+        module, attr, readers, optional, with_char = signature
+        counts = range(len(readers), len(readers) + len(optional) + 1)
         if len(node.args) not in counts:
             wanted = " or ".join(str(c) for c in counts)
             noun = "argument" if wanted == "1" else "arguments"
-            raise EvalError(
-                f"{node.function} expects {wanted} {noun}, got {len(node.args)}",
-                node.pos,
-            )
-        kinds += optional
-        values = [getattr(self, kind)(arg, ctx) for kind, arg in zip(kinds, node.args)]
-        values += [None] * (len(kinds) - len(values))
+            message = f"{node.function} expects {wanted} {noun}, got {len(node.args)}"
+            raise EvalError(message, node.pos)
+        readers += optional
+        values = [read(self, arg, ctx) for read, arg in zip(readers, node.args)]
+        values += [None] * (len(readers) - len(values))
         if with_char:
             values.append(self.char)
         return self._wrap(getattr(module, attr), node.pos, *values)
@@ -509,7 +508,7 @@ class Evaluator:
             return MonomialIdeal.unit(ctx) if value else MonomialIdeal.zero(ctx)
         raise EvalError("expected a monomial ideal", pos)
 
-    # typed argument helpers used by the function table
+    # the argument readers that the built-in table's kinds name (``_row``)
 
     def ideal(self, node, ctx) -> MonomialIdeal:
         return self._as_ideal(self._eval(node, ctx), node.pos, ctx)
@@ -584,72 +583,65 @@ def _fn_extend(ideal, target):
 
 _SCRIPT = sys.modules[__name__]  # the three handlers above
 
-# name -> (module, function name, argument kinds, optional trailing kinds,
-# whether the evaluator's characteristic is appended).  A kind names the
-# Evaluator method that reads the argument; an absent optional argument is
-# passed as None.  Functions are looked up by name at call time, so a
-# module attribute replaced after import (a monkeypatch, a tracer) is used.
+_Row = collections.namedtuple("_Row", "module attr readers optional with_char")
+
+
+def _row(module, attr, kinds, optional="", with_char=False) -> _Row:
+    """A built-in calling ``module.attr`` on the arguments its ``kinds`` read,
+    then those of the ``optional`` trailing kinds (None when absent), then the
+    characteristic if ``with_char``.  A kind names the Evaluator method that
+    reads its argument; each resolves here, so a misspelt one fails at import."""
+    readers = tuple(getattr(Evaluator, kind) for kind in kinds.split())
+    optional = tuple(getattr(Evaluator, kind) for kind in optional.split())
+    return _Row(module, attr, readers, optional, with_char)
+
+
+# name -> the built-in's ``_row``, stating only what differs from its
+# defaults: no optional trailing kinds, no characteristic.  Functions are
+# looked up by name at call time, so a module attribute replaced after
+# import (a monkeypatch, a tracer) is used.
 _SIGNATURES = {
-    "intersect": (_core, "intersect", "ideal ideal", "", False),
-    "colon": (_core, "colon", "ideal ideal", "", False),
-    "saturate": (_core, "saturate", "ideal ideal", "", False),
-    "radical": (_core, "radical", "ideal", "", False),
-    "contains": (_core, "contains", "ideal monomial", "", False),
-    "satpow": (_powers, "saturated_power", "ideal ideal integer", "", False),
-    "symb_min": (_powers, "symbolic_min", "ideal integer", "", False),
-    "symb_ass": (_powers, "symbolic_ass", "ideal integer", "", False),
-    "satk_min": (_powers, "saturator_min", "ideal integer", "", False),
-    "satk_ass": (_powers, "saturator_ass", "ideal integer", "", False),
-    "satk_min_global": (_powers, "saturator_min_global", "ideal", "integer", False),
-    "satk_ass_global": (_powers, "saturator_ass_global", "ideal", "integer", False),
-    "witness": (_powers, "regular_witness", "ideal notion", "integer", False),
-    "ass": (_decomposition, "associated_primes", "ideal", "", False),
-    "min": (_decomposition, "minimal_primes", "ideal", "", False),
-    "assstar": (_SCRIPT, "_fn_assstar", "ideal integer", "", False),
-    "decompose": (_decomposition, "primary_decomposition", "ideal", "", False),
-    "irrdecomp": (_decomposition, "irreducible_decomposition", "ideal", "", False),
-    "gradezero": (_decomposition, "grade_zero", "prime ideal", "", False),
-    "assquot": (_decomposition, "ass_module_quotient", "ideal integer", "", False),
-    "join": (_SCRIPT, "_fn_join", "ring_value ring_value", "", False),
-    "extend": (_SCRIPT, "_fn_extend", "ideal ring_value", "", False),
-    "binom_sat": (
-        _binomial, "binomial_saturated", "ideal ideal ideal ideal integer", "", False
+    "intersect": _row(_core, "intersect", "ideal ideal"),
+    "colon": _row(_core, "colon", "ideal ideal"),
+    "saturate": _row(_core, "saturate", "ideal ideal"),
+    "radical": _row(_core, "radical", "ideal"),
+    "contains": _row(_core, "contains", "ideal monomial"),
+    "satpow": _row(_powers, "saturated_power", "ideal ideal integer"),
+    "symb_min": _row(_powers, "symbolic_min", "ideal integer"),
+    "symb_ass": _row(_powers, "symbolic_ass", "ideal integer"),
+    "satk_min": _row(_powers, "saturator_min", "ideal integer"),
+    "satk_ass": _row(_powers, "saturator_ass", "ideal integer"),
+    "satk_min_global": _row(_powers, "saturator_min_global", "ideal", "integer"),
+    "satk_ass_global": _row(_powers, "saturator_ass_global", "ideal", "integer"),
+    "witness": _row(_powers, "regular_witness", "ideal notion", "integer"),
+    "ass": _row(_decomposition, "associated_primes", "ideal"),
+    "min": _row(_decomposition, "minimal_primes", "ideal"),
+    "assstar": _row(_SCRIPT, "_fn_assstar", "ideal integer"),
+    "decompose": _row(_decomposition, "primary_decomposition", "ideal"),
+    "irrdecomp": _row(_decomposition, "irreducible_decomposition", "ideal"),
+    "gradezero": _row(_decomposition, "grade_zero", "prime ideal"),
+    "assquot": _row(_decomposition, "ass_module_quotient", "ideal integer"),
+    "join": _row(_SCRIPT, "_fn_join", "ring_value ring_value"),
+    "extend": _row(_SCRIPT, "_fn_extend", "ideal ring_value"),
+    "binom_sat": _row(_binomial, "binomial_saturated", "ideal ideal ideal ideal integer"),
+    "binom_symb": _row(_binomial, "binomial_symbolic", "ideal ideal integer notion"),
+    "check_eq": _row(_binomial, "check_equality_criteria", "ideal ideal ideal ideal integer"),
+    "check_symb_eq": _row(_binomial, "check_symbolic_equality_implication", "ideal ideal integer"),
+    "check_ass": _row(_binomial, "check_ass_structure", "ideal ideal integer"),
+    "check_filt": _row(
+        _binomial, "check_filtration_identities", "ideal_list ideal_list ideal_list ideal integer"
     ),
-    "binom_symb": (
-        _binomial, "binomial_symbolic", "ideal ideal integer notion", "", False
+    "check_terms": _row(_binomial, "check_term_inclusions", "ideal ideal ideal ideal integer"),
+    "depth": _row(_homology, "depth_quotient", "ideal", with_char=True),
+    "reg": _row(_homology, "reg_quotient", "ideal", with_char=True),
+    "betti": _row(_homology, "betti_table", "ideal", with_char=True),
+    "dstar": _row(_homology, "deriv_star", "ideal"),
+    "check_depthreg": _row(
+        _binomial, "check_depth_reg_binomial", "ideal ideal ideal ideal integer", with_char=True
     ),
-    "check_eq": (
-        _binomial, "check_equality_criteria",
-        "ideal ideal ideal ideal integer", "", False,
+    "check_depthreg_ass": _row(
+        _binomial, "check_depth_reg_symbolic_ass", "ideal ideal integer", with_char=True
     ),
-    "check_symb_eq": (
-        _binomial, "check_symbolic_equality_implication",
-        "ideal ideal integer", "", False,
-    ),
-    "check_ass": (_binomial, "check_ass_structure", "ideal ideal integer", "", False),
-    "check_filt": (
-        _binomial, "check_filtration_identities",
-        "ideal_list ideal_list ideal_list ideal integer", "", False,
-    ),
-    "check_terms": (
-        _binomial, "check_term_inclusions", "ideal ideal ideal ideal integer", "", False
-    ),
-    "depth": (_homology, "depth_quotient", "ideal", "", True),
-    "reg": (_homology, "reg_quotient", "ideal", "", True),
-    "betti": (_homology, "betti_table", "ideal", "", True),
-    "dstar": (_homology, "deriv_star", "ideal", "", False),
-    "check_depthreg": (
-        _binomial, "check_depth_reg_binomial",
-        "ideal ideal ideal ideal integer", "", True,
-    ),
-    "check_depthreg_ass": (
-        _binomial, "check_depth_reg_symbolic_ass", "ideal ideal integer", "", True
-    ),
-}
-# The kinds as tuples of method names, split once here rather than per call.
-_SIGNATURES = {
-    name: (module, attr, tuple(kinds.split()), tuple(optional.split()), with_char)
-    for name, (module, attr, kinds, optional, with_char) in _SIGNATURES.items()
 }
 
 # node type -> the Evaluator method that runs it on (node, ring of bare names):

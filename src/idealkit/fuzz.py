@@ -294,11 +294,11 @@ _LETTERS = {"I": "ideal_i", "K": "sat_k", "J": "ideal_j", "L": "sat_l"}
 def _check_report(builtin, letters, expected, counter, inst: Instance, char: int):
     """Run a report-returning built-in; its function and whether it takes the
     characteristic are read from the script language's table at call time."""
-    module, attr, _, _, with_char = _dsl._SIGNATURES[builtin]
+    row = _dsl._SIGNATURES[builtin]
     args = [getattr(inst, _LETTERS[letter]) for letter in letters] + [inst.s]
-    if with_char:
+    if row.with_char:
         args.append(char)
-    report = getattr(module, attr)(*args)
+    report = getattr(row.module, row.attr)(*args)
     return CaseOutcome(
         ok=report.passed,
         expected=expected,

@@ -158,8 +158,8 @@ def symbolic_power(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
     """
     _require_notion(notion)
     # Any other s takes the direct route, which answers or raises as it always has.
-    if type(s) is int and s > 0 and len(_summands(ideal)) > 1:
-        return _symbolic_split(ideal, s, notion)
+    if type(s) is int and s > 0 and len(summands := _summands(ideal)) > 1:
+        return _symbolic_split(summands, s, notion)
     return _symbolic_direct(ideal, s, notion)
 
 
@@ -195,8 +195,8 @@ def _symbolic_direct(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal
     return _ideal(ring, _fold(ring.nvars, [c for c, _ in kept], start))
 
 
-def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
-    """The symbolic power of a split ideal, by the binomial expansion.
+def _symbolic_split(summands: list[MonomialIdeal], s: int, notion: str) -> MonomialIdeal:
+    """The symbolic power of a split ideal from its ``_summands``, by the binomial expansion.
 
     For I and J in disjoint variables, (I+J)^(s) is the sum over t of
     I^(t) J^(s-t), for both notions (the source paper; also Ha, Nguyen,
@@ -212,13 +212,13 @@ def _symbolic_split(ideal: MonomialIdeal, s: int, notion: str) -> MonomialIdeal:
         [ideal_power(part, t) for t in range(s + 1)]
         if len(part._exps) == 1
         else [_symbolic_direct(part, t, notion) for t in range(s + 1)]
-        for part in _summands(ideal)
+        for part in summands
     ]
     parts.sort(key=lambda powers: len(powers[-1]._exps))
-    sums = parts[0]
+    ring, sums = summands[0].ring, parts[0]
     for powers in parts[1:-1]:
-        sums = [_binomial_sum(ideal.ring, sums[: t + 1], powers[: t + 1]) for t in range(s + 1)]
-    return _binomial_sum(ideal.ring, sums, parts[-1])
+        sums = [_binomial_sum(ring, sums[: t + 1], powers[: t + 1]) for t in range(s + 1)]
+    return _binomial_sum(ring, sums, parts[-1])
 
 
 def regular_witness_candidates(

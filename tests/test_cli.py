@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import pathlib
 import random
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
 
+import idealkit
 from idealkit import binomial, cli, core, dsl, fuzz, homology, powers
 from idealkit.cli import build_parser, main
 
@@ -688,3 +693,39 @@ class TestStatementSpan:
         assert code == 0
         assert out.splitlines()[1:] == ["(a^4, a^3*b, a^2*b^2)", "a"]
         assert executed == expected
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``| head`` does, gets exit 141
+    (128 + SIGPIPE) and nothing on stderr: no traceback, no exit 1."""
+
+    def test_run_exits_141_with_empty_stderr(self):
+        # The script prints one 137 KB line, more than a 64 KB pipe buffer
+        # holds, so the write is still under way when the reader goes.
+        script = pathlib.Path(__file__).parent / "scripts" / "hard" / "betti_J5.idk"
+        src = os.path.dirname(os.path.dirname(idealkit.__file__))
+        run = subprocess.Popen(
+            [sys.executable, "-m", "idealkit.cli", "run", str(script)],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = run.stdout.read(20)
+        run.stdout.close()
+        _, err = run.communicate(timeout=60)
+        assert head == script.with_suffix(".out").read_bytes()[:20]
+        assert (run.returncode, err) == (141, b"")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fuzz", "--seed", "1", "--cases", "3"], ["verify"], ["verify", "--json"], ["repl"]],
+    )
+    def test_a_closed_stdout_returns_141(self, argv, capsys, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(argv) == 141
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "")

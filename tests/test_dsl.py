@@ -765,6 +765,13 @@ class TestCoverageAudit:
                     used.add(name)
         assert used == set(dsl._SIGNATURES)
 
+    def test_a_misspelt_kind_fails_when_its_row_is_built(self):
+        assert dsl._row(core, "radical", "ideal").readers == (dsl.Evaluator.ideal,)
+        with pytest.raises(AttributeError, match="idael"):
+            dsl._row(core, "radical", "idael")
+        with pytest.raises(AttributeError, match="integr"):
+            dsl._row(core, "radical", "ideal", "integr")
+
     def test_readme_rows_name_the_registered_functions(self):
         readme = pathlib.Path(__file__).parents[1] / "README.md"
         rows = re.findall(

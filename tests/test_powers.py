@@ -1045,7 +1045,7 @@ class TestSplitFastPath:
         assert len(decomposition._summands(total)) >= len(parts)
         fast = symbolic_power(total, s, notion)
         # The result is the fast path's, which keeps no memo of its own.
-        assert fast == powers._symbolic_split(total, s, notion)
+        assert fast == powers._symbolic_split(decomposition._summands(total), s, notion)
         assert fast == powers._symbolic_direct(total, s, notion)
 
     @pytest.mark.parametrize("s", [1, 2])
@@ -1073,13 +1073,12 @@ class TestSplitFastPath:
         assert fast == sums[s]
 
     @pytest.mark.parametrize("notion", NOTIONS)
-    def test_every_summand_order_gives_the_same_ideal(self, monkeypatch, notion):
+    def test_every_summand_order_gives_the_same_ideal(self, notion):
         expected = powers._symbolic_direct(PATHOLOGICAL, 3, notion)
         orders = list(itertools.permutations(decomposition._summands(PATHOLOGICAL)))
         assert len(orders) == 24
         for order in orders:
-            monkeypatch.setattr(powers, "_summands", lambda ideal, order=order: list(order))
-            assert powers._symbolic_split(PATHOLOGICAL, 3, notion) == expected
+            assert powers._symbolic_split(list(order), 3, notion) == expected
 
     @pytest.mark.parametrize("notion", NOTIONS)
     def test_the_largest_summand_folds_last(self, monkeypatch, notion):
@@ -1093,11 +1092,28 @@ class TestSplitFastPath:
             return real(ring, side_a, side_b)
 
         monkeypatch.setattr(powers, "_binomial_sum", recorded)
-        powers._symbolic_split(PATHOLOGICAL, 3, notion)
+        powers._symbolic_split(decomposition._summands(PATHOLOGICAL), 3, notion)
         part = ideal(PATHOLOGICAL.ring, "a^2*b, a*b*c, c^2*d")
         largest = powers._symbolic_direct(part, 3, notion)
         assert folds[-1] == largest
         assert folds.count(largest) == 1
+
+    @pytest.mark.parametrize("notion", NOTIONS)
+    def test_one_summand_split_per_call(self, monkeypatch, notion):
+        # symbolic_power splits the ideal to choose the route and hands the
+        # summands to the fast path, which does not split again.
+        split = []
+        real = powers._summands
+
+        def counted(ideal):
+            split.append(ideal)
+            return real(ideal)
+
+        monkeypatch.setattr(powers, "_summands", counted)
+        fast = symbolic_power(PATHOLOGICAL, 2, notion)
+        assert split == [PATHOLOGICAL]
+        monkeypatch.undo()
+        assert fast == powers._symbolic_direct(PATHOLOGICAL, 2, notion)
 
     def test_direct_memo_holds_only_direct_results(self):
         i = ideal(R6, "a^2, a*b, c^2, c*d")
