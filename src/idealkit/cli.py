@@ -128,10 +128,6 @@ def _cmd_fuzz(args) -> int:
     return status
 
 
-def _cmd_repl(args) -> int:
-    return dsl.repl()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idealkit",
@@ -169,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.set_defaults(func=_cmd_fuzz)
 
     repl_p = sub.add_parser("repl", help="interactive statement loop")
-    repl_p.set_defaults(func=_cmd_repl)
+    repl_p.set_defaults(func=lambda args: dsl.repl())
     return parser
 
 
@@ -182,11 +178,14 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # the buffer's last write may meet a closed reader
+        return status
     except BrokenPipeError:
         try:  # with stdout on devnull, the interpreter's exit flush stays quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (AttributeError, OSError, ValueError):  # no file descriptor
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        except (OSError, ValueError):  # no file descriptor
             pass
         return 141
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -699,14 +700,20 @@ class TestClosedStdout:
     """A reader that closes stdout early, as ``| head`` does, gets exit 141
     (128 + SIGPIPE) and nothing on stderr: no traceback, no exit 1."""
 
+    @staticmethod
+    def _env():
+        # Buffered, as a shell pipe leaves stdout unless PYTHONUNBUFFERED is set.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(idealkit.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
     def test_run_exits_141_with_empty_stderr(self):
         # The script prints one 137 KB line, more than a 64 KB pipe buffer
         # holds, so the write is still under way when the reader goes.
         script = pathlib.Path(__file__).parent / "scripts" / "hard" / "betti_J5.idk"
-        src = os.path.dirname(os.path.dirname(idealkit.__file__))
         run = subprocess.Popen(
             [sys.executable, "-m", "idealkit.cli", "run", str(script)],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=self._env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -717,6 +724,26 @@ class TestClosedStdout:
         assert (run.returncode, err) == (141, b"")
 
     @pytest.mark.parametrize(
+        "argv", [["fuzz", "--seed", "1", "--cases", "3"], ["verify"], ["verify", "--json"]]
+    )
+    def test_a_buffered_last_write_exits_141_with_empty_stderr(self, argv):
+        # These outputs fit stdout's buffer, so their one write is the flush
+        # after the command returns; the reader is gone before it starts.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "idealkit.cli", *argv],
+                env=self._env(),
+                stdout=write,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (141, b"")
+
+    @pytest.mark.parametrize(
         "argv",
         [["fuzz", "--seed", "1", "--cases", "3"], ["verify"], ["verify", "--json"], ["repl"]],
     )
@@ -724,6 +751,9 @@ class TestClosedStdout:
         class Closed:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                raise io.UnsupportedOperation("fileno")
 
         monkeypatch.setattr(sys, "stdout", Closed())
         assert main(argv) == 141
