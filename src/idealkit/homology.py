@@ -12,7 +12,8 @@ homological degree d and multidegree b.  Tor_d(I, k)_b is the homology of
 (F (x) k)_b, a complex of dimension r_d(b) in degree d.  Where no two
 nonzero r_d(b) sit in consecutive degrees every map of that complex is 0,
 so beta_{d+1,b}(R/I) = r_d(b) over any field; this holds at most
-multidegrees, and no homology is computed there.
+multidegrees, and no homology is computed there.  Most multidegrees hold
+one basis element, and give their row at once.
 
 At the other multidegrees the numbers come from reduced simplicial
 homology.  Let K^b be the simplicial complex of squarefree vectors t with
@@ -42,14 +43,16 @@ Only the tree and the row keys run on packed exponent tuples, in
 so the degree of every lcm, and every field, stays below 2^(w-1) for
 w = bit_length(top) + 1.  ``betti_table`` packs the generators once; ``_cone_ranks``
 takes lcms, tests divisibility and reads degrees on the packed ints.
-Each face S_g(b) is read from exponent tuples, bit i for variable i.
+Each face S_g(b) is read from exponent tuples: ``compress`` keeps bit i iff g_i < b_i.
 
 The rows of i >= 2 are sorted on (i, degree, -b) for packed b, the order
 of ``Monomial.sort_key`` (a descending packed int is a descending
 exponent tuple), and each multidegree is unpacked once.  The table keeps
 its rows as (i, exponent tuple, beta) triples, as an ideal keeps
 ``_exps``: printing it, comparing it and reading its invariants build no
-Monomial, and its ``entries`` are built on first read.
+Monomial, and its ``entries`` are built on first read.  It prints from one
+piece map per variable, {exponent: text}, over the exponents its rows
+hold, so each (variable, exponent) is formatted once.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it shares only
@@ -62,7 +65,8 @@ The module reads only ``core``.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import lshift, or_
+from itertools import compress
+from operator import getitem, lshift, lt, or_
 
 from .core import (
     IdealArgumentError,
@@ -72,7 +76,6 @@ from .core import (
     _layout,
     _memo,
     _monomial,
-    _monomial_text,
     _unchecked,
     _Value,
     _whole_numbers,
@@ -459,9 +462,14 @@ class BettiTable(_Value):
     def __str__(self):
         if not self._rows:
             return "{}"
-        names = self.ring.variables
+        columns = zip(*[e for _, e, _ in self._rows])
+        pieces = [
+            {k: name if k == 1 else f"{name}^{k}" for k in set(column)} | {0: ""}
+            for name, column in zip(self.ring.variables, columns)
+        ]
         return "{" + ", ".join([
-            f"({i}, {_monomial_text(names, e)}): {v}" for i, e, v in self._rows
+            f"({i}, {'*'.join(filter(None, map(getitem, pieces, e))) or '1'}): {v}"
+            for i, e, v in self._rows
         ]) + "}"
 
 
@@ -472,9 +480,12 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     homology at degree d of (F (x) k)_b, whose term at degree d has
     dimension r_d(b).  When no two nonzero r_d(b) sit in consecutive
     degrees, each map of that complex starts or ends at 0, so it is 0 and
-    the homology is r_d(b) itself, over every field.  Only at the other
-    multidegrees is K^b built, from the S_g(b) of the generators dividing
-    b, and its homology read on its collapse core.  For example, the
+    the homology is r_d(b) itself, over every field.  A multidegree with
+    one basis element, in degree d >= 1, gives the row (d + 1, b, 1) at
+    once; one in degree 0 is a generator, whose beta_1 row is read off
+    ``_exps``.  Only at the other multidegrees is K^b built, from the
+    S_g(b) = {i : g_i < b_i} of the generators g dividing b, and its
+    homology read on its collapse core.  For example, the
     Stanley-Reisner ideal of the 6-vertex real projective plane has
     r_2(b) = r_3(b) = 1 at the product b of its variables, and K^b gives
     beta_3 = beta_4 = 1 in characteristic 2 and nothing otherwise.
@@ -487,16 +498,20 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     nvars = ring.nvars
     full, shifts, guard = _layout(nvars, nvars * max(map(max, gens), default=0))
     packed = [sum(map(lshift, g, shifts)) for g in gens]
+    bits = [1 << i for i in range(nvars)]
     rows = []  # (i, degree of b, -b, b as a tuple, beta_{i,b}): sorted as sort_key
     for b, at in _cone_ranks(packed, full, guard).items():
-        if 0 in at:
-            continue  # a generator: its beta_1 = 1 row is read off _exps
+        if len(at) == 1:
+            d = at[0]
+            if d:  # d == 0 is a generator: its beta_1 = 1 row is read off _exps
+                rows.append((d + 1, b % full, -b, tuple([b >> s & full for s in shifts]), 1))
+            continue
         exps = tuple([b >> s & full for s in shifts])
-        if len(at) > 1 and any(d + 1 in at for d in at):
+        if any(d + 1 in at for d in at):
             # core._layout's test finds the g dividing b; S_g(b) = {i : g_i < b_i}.
             c = b | guard
             faces = {
-                sum([1 << i for i, (x, y) in enumerate(zip(g, exps)) if x < y])
+                sum(compress(bits, map(lt, g, exps)))
                 for g, p in zip(gens, packed) if (c - p) & guard == guard
             }
             core = _collapse_core(tuple(_maximal(faces)))

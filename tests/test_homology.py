@@ -1266,6 +1266,11 @@ class TestBettiRows:
         monkeypatch.setattr(Monomial, "__post_init__", lambda m: built.append(m))
         return built
 
+    @staticmethod
+    def printed_entries(table):
+        """The table as printed from its ``entries`` by ``Monomial.__str__``."""
+        return "{" + ", ".join(f"({i}, {b}): {v}" for i, b, v in table.entries) + "}"
+
     def tables(self):
         return [
             betti_table(ideal(R3, HOLLOW_TRIANGLE + ", z^3"), 2),
@@ -1288,10 +1293,14 @@ class TestBettiRows:
         assert invariants[1:] == [
             (ExtendedInt(3), ExtendedInt(0), 0, 0), (POS_INF, NEG_INF, None, 0)
         ]
-        expected = "{" + ", ".join(
-            f"({i}, {b}): {v}" for i, b, v in tables[0].entries
-        ) + "}"
-        assert texts[0] == expected
+        assert texts[0] == self.printed_entries(tables[0])
+
+    @given(wide_ideals, st.sampled_from([0, 2, 3]))
+    @settings(max_examples=20, deadline=None)
+    def test_the_table_prints_as_its_entries(self, i, char):
+        # spread(i) has exponents past 2^61, the printer's widest pieces.
+        for table in (betti_table(i, char), betti_table(spread(i), char)):
+            assert str(table) == self.printed_entries(table)
 
     @given(wide_ideals, st.sampled_from([0, 2, 3]))
     @settings(max_examples=20, deadline=None)
