@@ -6,10 +6,18 @@ in a canonical minimal form: the generating set is a divisibility
 antichain sorted by total degree and then by reverse-lexicographic
 exponent vectors, stored as the exponent tuples that every operation
 reads and builds.  Two ideals are equal exactly when those tuples are,
-and an ideal prints straight from them (``_monomial_text``): only
-``repr`` and reading ``generators`` build its ``Monomial`` values.
+and an ideal prints straight from them: only ``repr`` and reading
+``generators`` build its ``Monomial`` values.
 Every product of ideals, ``ideal_product`` included, is a ``_binomial_sum``
 of products A_t B_(s-t), canonicalised once.
+
+Every monomial, ideal and Betti table prints through one printer of
+exponent tuples (``_texts``).  It reads one piece table per variable,
+exponent -> "" for 0, the name for 1 and ``name^k`` otherwise
+(``_Pieces``), filled on first read and kept, for exponents below
+``_PIECE_BOUND`` only.  The tables of a ring are a memo (``_memo``) keyed
+by its variable names, so equal rings share them across prints; at most
+``_MEMO_SIZE`` name tuples keep at most ``_PIECE_BOUND`` entries per variable.
 
 The decomposition and Betti kernels pack an exponent tuple into one int
 (``_layout``): for exponents up to top, each variable gets a field of
@@ -25,6 +33,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import cached_property, lru_cache, reduce
+from operator import getitem
 
 
 class RingMismatchError(ValueError):
@@ -43,6 +52,9 @@ _set = object.__setattr__
 # float argument never reads the entry of the equal int.
 _MEMO_SIZE = 1024
 _memo = lru_cache(maxsize=_MEMO_SIZE, typed=True)
+# A piece table keeps the exponents below this; a larger one is formatted
+# each time it is printed.
+_PIECE_BOUND = 32
 
 
 def _whole_numbers(values) -> tuple[int, ...]:
@@ -248,7 +260,7 @@ class Monomial(_Value):
         return (self.degree(), tuple(-e for e in self.exponents))
 
     def __str__(self):
-        return _monomial_text(self.ring.variables, self.exponents)
+        return _texts(self.ring.variables, (self.exponents,))[0]
 
     @classmethod
     def parse(cls, ring: Ring, text: str) -> "Monomial":
@@ -286,10 +298,36 @@ def _monomial(ring: Ring, exponents: tuple[int, ...]) -> Monomial:
     return m
 
 
-def _monomial_text(names, e) -> str:
-    """The exponent tuple ``e`` over the variables ``names``, printed as
-    ``Monomial.__str__`` prints it."""
-    return "*".join([name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k]) or "1"
+class _Pieces(dict):
+    """One variable's piece table: exponent -> its printed factor, "" for 0,
+    the name for 1 and ``name^k`` otherwise.  A missing exponent is
+    formatted, and kept only below ``_PIECE_BOUND``."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__({0: "", 1: name})
+        self.name = name
+
+    def __missing__(self, k):
+        text = f"{self.name}^{k}"
+        if 1 < k < _PIECE_BOUND:
+            self[k] = text
+        return text
+
+
+@_memo
+def _pieces(names: tuple[str, ...]) -> tuple[_Pieces, ...]:
+    """The piece table of each variable of ``names``, shared by every ring
+    with these names (``_memo``)."""
+    return tuple([_Pieces(name) for name in names])
+
+
+def _texts(names, exps) -> list[str]:
+    """Each exponent tuple of ``exps`` over the variables ``names``, printed
+    as a product of the variables' pieces, or "1" when it has none."""
+    pieces = _pieces(names)
+    return ["*".join(filter(None, map(getitem, pieces, e))) or "1" for e in exps]
 
 
 def _contains(gens, e) -> bool:
@@ -448,8 +486,7 @@ class MonomialIdeal(_Value):
     def __str__(self):
         if not self._exps:
             return "(0)"
-        names = self.ring.variables
-        return "(" + ", ".join([_monomial_text(names, e) for e in self._exps]) + ")"
+        return "(" + ", ".join(_texts(self.ring.variables, self._exps)) + ")"
 
 
 class MonomialPrime(_Value):

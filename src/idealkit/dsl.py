@@ -21,7 +21,10 @@ given, otherwise the most recently declared ring).
 Tokens are NAMEs (an ASCII letter or '_', then ASCII letters, digits or
 '_', as in ``Ring`` names), INTs (runs of ASCII digits) and the
 punctuation ( ) [ ] , ; + * ^ =; spaces, tabs and carriage returns
-separate them; any other character is an error.  Every token and error
+separate them; any other character is an error, and so is an INT longer
+than the interpreter converts (``sys.get_int_max_str_digits``).  A
+``print`` whose value holds a number too long to convert back fails at
+the statement.  Every token and error
 carries a 1-based line and column, the column counting characters from the
 line's start.  A comment does not advance the column, so the end of input
 after a trailing comment sits at its '#'.
@@ -207,6 +210,18 @@ class Parser:
             self._fail(f"expected {text!r}")
         self.index += 1
 
+    def _int(self, tok) -> int:
+        """The value of the int token ``tok``; one longer than the interpreter
+        converts to int (``sys.get_int_max_str_digits``) fails at ``tok``."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            message = (
+                f"integer of {len(tok[1])} digits is longer than the limit of "
+                f"{sys.get_int_max_str_digits()} digits"
+            )
+            raise ParseError(message, tok[2], tok[3]) from None
+
     def _expect_name(self) -> str:
         kind, text, _, _ = self.tokens[self.index]
         if kind != "name":
@@ -276,12 +291,12 @@ class Parser:
         tok = tokens[self.index]
         if tok[1] == "^":
             self.index += 1
-            kind, text, _, _ = tokens[self.index]
-            if kind != "int":
+            exponent = tokens[self.index]
+            if exponent[0] != "int":
                 self._fail("expected an integer exponent")
             self.index += 1
             self._deeper(tok, self.depth)
-            node = PowOp(node, int(text), pos=tok[2:])
+            node = PowOp(node, self._int(exponent), pos=tok[2:])
         return node
 
     def _parse_entries(self, tok, close, allow_empty=False):
@@ -308,7 +323,7 @@ class Parser:
         if kind == "int":
             self.index += 1
             self.depth = 0
-            return IntLit(int(text), pos=pos)
+            return IntLit(self._int(tok), pos=pos)
         if kind == "name":
             if text in KEYWORDS:
                 self._fail(f"keyword {text!r} cannot start an expression")
@@ -398,7 +413,12 @@ class Evaluator:
         self.bindings[statement.name] = value
 
     def _print(self, statement, ctx) -> str:
-        return render_value(self._eval(statement.value, ctx))
+        value = self._eval(statement.value, ctx)
+        try:
+            return render_value(value)
+        except ValueError:  # an int past the interpreter's int-string limit
+            message = f"cannot print a number of more than {sys.get_int_max_str_digits()} digits"
+            raise EvalError(message, statement.pos) from None
 
     def _name(self, node, ctx):
         text = node.text

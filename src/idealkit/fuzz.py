@@ -136,9 +136,19 @@ def generate_instance(rng: random.Random, cfg: FuzzConfig) -> Instance:
 class CaseOutcome(_Value):
     """One checked case: the verdict, the expected and actual texts a failure
     reports, the script body that reruns it, and ``counters``, a tuple of
-    ``(name, count)`` pairs that ``run_suite`` sums over the cases."""
+    ``(name, count)`` pairs that ``run_suite`` sums over the cases.  A
+    passing case has empty texts (``_outcome``)."""
 
     __match_args__ = ("ok", "expected", "actual", "script_body", "counters")
+
+
+def _outcome(ok: bool, counters: tuple, failure) -> CaseOutcome:
+    """The outcome of a case, with the (expected, actual, script body) that
+    ``failure()`` returns; it is called only when the case failed, so a
+    passing case prints no ideal and no report."""
+    if ok:
+        return CaseOutcome(True, "", "", "", counters)
+    return CaseOutcome(False, *failure(), counters)
 
 
 def _check_thm38(inst: Instance, char: int) -> CaseOutcome:
@@ -148,16 +158,18 @@ def _check_thm38(inst: Instance, char: int) -> CaseOutcome:
     direct = _binomial.direct_saturated_sum(
         inst.ideal_i, inst.sat_k, inst.ideal_j, inst.sat_l, inst.s
     )
-    body = (
-        f"print binom_sat(I, K, J, L, {inst.s});\n"
-        "ring R = join(A, B);\n"
-        f"print saturate((extend(I, R) + extend(J, R))^{inst.s}, "
-        f"extend(K, R) * extend(L, R));"
-    )
-    label = "saturated power of the sum"
-    return CaseOutcome(
-        direct == expansion, f"{label}: {direct}", f"{label}: {expansion}", body, ()
-    )
+
+    def failure():
+        body = (
+            f"print binom_sat(I, K, J, L, {inst.s});\n"
+            "ring R = join(A, B);\n"
+            f"print saturate((extend(I, R) + extend(J, R))^{inst.s}, "
+            f"extend(K, R) * extend(L, R));"
+        )
+        label = "saturated power of the sum"
+        return f"{label}: {direct}", f"{label}: {expansion}", body
+
+    return _outcome(direct == expansion, (), failure)
 
 
 def symbolic_route_consistency(
@@ -196,20 +208,24 @@ def _check_thm41(inst: Instance, char: int, notion: str) -> CaseOutcome:
     n_max = _binomial._ass_star_bound(inst.s)
     ok_i, counters_i = symbolic_route_consistency(inst.ideal_i, inst.s, notion, n_max)
     ok_j, counters_j = symbolic_route_consistency(inst.ideal_j, inst.s, notion, n_max)
-    label = f"symbolic power ({notion}) of the sum"
-    expected, actual = f"{label}: {direct}", f"{label}: {expansion}"
     routes_ok = ok_i and ok_j
-    if not routes_ok:
-        expected += "; all saturation routes agree"
-        actual += "; a saturation route disagreed"
-    body = (
-        f"print binom_symb(I, J, {inst.s}, {notion});\n"
-        "ring R = join(A, B);\n"
-        "ideal P = extend(I, R) + extend(J, R);\n"
-        f"print satpow(P, satk_{notion}(P, {inst.s}), {inst.s});"
-    )
+
+    def failure():
+        label = f"symbolic power ({notion}) of the sum"
+        expected, actual = f"{label}: {direct}", f"{label}: {expansion}"
+        if not routes_ok:
+            expected += "; all saturation routes agree"
+            actual += "; a saturation route disagreed"
+        body = (
+            f"print binom_symb(I, J, {inst.s}, {notion});\n"
+            "ring R = join(A, B);\n"
+            "ideal P = extend(I, R) + extend(J, R);\n"
+            f"print satpow(P, satk_{notion}(P, {inst.s}), {inst.s});"
+        )
+        return expected, actual, body
+
     counters = tuple(counters_i.items()) + tuple(counters_j.items())
-    return CaseOutcome(direct == expansion and routes_ok, expected, actual, body, counters)
+    return _outcome(direct == expansion and routes_ok, counters, failure)
 
 
 def _check_lem32_36(inst: Instance, char: int) -> CaseOutcome:
@@ -235,38 +251,36 @@ def _check_lem32_36(inst: Instance, char: int) -> CaseOutcome:
     terms = _binomial.check_term_inclusions(i, k, j, l, s)
     ok = ordinary.passed and saturated.passed and terms.passed
 
-    k_list = listing("K^{}")
-    body = (
-        f"print check_filt({listing('I^{}')}, {k_list}, {listing('J^{}')}, K, {s});\n"
-        f"print check_filt({listing('satpow(I, K, {})')}, {k_list}, "
-        f"{listing('satpow(J, L, {})')}, K, {s});\n"
-        f"print check_terms(I, K, J, L, {s});"
-    )
-    return CaseOutcome(
-        ok=ok,
-        expected="all filtration identities and term inclusions hold",
-        actual=f"ordinary: {ordinary}; saturated: {saturated}; {terms}",
-        script_body=body,
-        counters=(),
-    )
+    def failure():
+        k_list = listing("K^{}")
+        body = (
+            f"print check_filt({listing('I^{}')}, {k_list}, {listing('J^{}')}, K, {s});\n"
+            f"print check_filt({listing('satpow(I, K, {})')}, {k_list}, "
+            f"{listing('satpow(J, L, {})')}, K, {s});\n"
+            f"print check_terms(I, K, J, L, {s});"
+        )
+        return (
+            "all filtration identities and term inclusions hold",
+            f"ordinary: {ordinary}; saturated: {saturated}; {terms}",
+            body,
+        )
+
+    return _outcome(ok, (), failure)
 
 
 def _check_lem45(inst: Instance, char: int) -> CaseOutcome:
     high = _powers.saturated_power(inst.ideal_i, inst.sat_k, inst.s)
     low = _powers.saturated_power(inst.ideal_i, inst.sat_k, inst.s - 1)
     derived = _homology.deriv_star(high)
-    ok = low.contains_ideal(derived)
-    body = (
-        f"print dstar(satpow(I, K, {inst.s}));\n"
-        f"print satpow(I, K, {inst.s - 1});"
-    )
-    return CaseOutcome(
-        ok=ok,
-        expected=f"dstar contained in {low}",
-        actual=str(derived),
-        script_body=body,
-        counters=(),
-    )
+
+    def failure():
+        body = (
+            f"print dstar(satpow(I, K, {inst.s}));\n"
+            f"print satpow(I, K, {inst.s - 1});"
+        )
+        return f"dstar contained in {low}", str(derived), body
+
+    return _outcome(low.contains_ideal(derived), (), failure)
 
 
 # suite -> (script built-in, argument letters, expected text, counter): the
@@ -299,12 +313,11 @@ def _check_report(builtin, letters, expected, counter, inst: Instance, char: int
     if row.with_char:
         args.append(char)
     report = getattr(row.module, row.attr)(*args)
-    return CaseOutcome(
-        ok=report.passed,
-        expected=expected,
-        actual=str(report),
-        script_body=f"print {builtin}({', '.join(letters)}, {inst.s});",
-        counters=((counter, 1 if getattr(report, counter) else 0),) if counter else (),
+    counters = ((counter, 1 if getattr(report, counter) else 0),) if counter else ()
+    return _outcome(
+        report.passed,
+        counters,
+        lambda: (expected, str(report), f"print {builtin}({', '.join(letters)}, {inst.s});"),
     )
 
 

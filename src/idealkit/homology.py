@@ -50,9 +50,9 @@ of ``Monomial.sort_key`` (a descending packed int is a descending
 exponent tuple), and each multidegree is unpacked once.  The table keeps
 its rows as (i, exponent tuple, beta) triples, as an ideal keeps
 ``_exps``: printing it, comparing it and reading its invariants build no
-Monomial, and its ``entries`` are built on first read.  It prints from one
-piece map per variable, {exponent: text}, over the exponents its rows
-hold, so each (variable, exponent) is formatted once.
+Monomial, and its ``entries`` are built on first read.  It prints its
+multidegrees through ``core._texts``, from the piece tables that every
+ideal and monomial over the same variable names prints from.
 
 An independent Taylor-complex oracle computes the same numbers from the
 generator-subset strands and backs the test suite; it shares only
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import compress
-from operator import getitem, lshift, lt, or_
+from operator import lshift, lt, or_
 
 from .core import (
     IdealArgumentError,
@@ -76,6 +76,7 @@ from .core import (
     _layout,
     _memo,
     _monomial,
+    _texts,
     _unchecked,
     _Value,
     _whole_numbers,
@@ -409,7 +410,7 @@ class BettiTable(_Value):
     then kept.  The public constructor takes ``entries`` and derives the
     rows from them on first use.  Equality, the hash, ``str`` and every
     invariant read the rows, so a table that is only compared or printed
-    builds no ``Monomial``.
+    builds no ``Monomial``; ``str`` prints each b through ``core._texts``.
     """
 
     __match_args__ = ("ring", "against", "entries")
@@ -462,14 +463,10 @@ class BettiTable(_Value):
     def __str__(self):
         if not self._rows:
             return "{}"
-        columns = zip(*[e for _, e, _ in self._rows])
-        pieces = [
-            {k: name if k == 1 else f"{name}^{k}" for k in set(column)} | {0: ""}
-            for name, column in zip(self.ring.variables, columns)
-        ]
+        rows = self._rows
+        texts = _texts(self.ring.variables, [e for _, e, _ in rows])
         return "{" + ", ".join([
-            f"({i}, {'*'.join(filter(None, map(getitem, pieces, e))) or '1'}): {v}"
-            for i, e, v in self._rows
+            f"({i}, {text}): {v}" for (i, _, v), text in zip(rows, texts)
         ]) + "}"
 
 

@@ -533,6 +533,21 @@ class TestFuzz:
             first, second = out.splitlines()
             assert first != second
 
+    def test_a_passing_case_prints_no_ideal_and_no_report(self, monkeypatch):
+        # Failure texts are built only for a failing case.
+        def unread(value):
+            raise AssertionError(f"printed a {type(value).__name__} of a passing case")
+
+        printed = [core.MonomialIdeal] + [
+            cls for cls in vars(binomial).values()
+            if isinstance(cls, type) and cls.__name__.endswith("Report")
+        ]
+        for cls in printed:
+            monkeypatch.setattr(cls, "__str__", unread)
+        status, reports = fuzz.run_fuzz(fuzz.FuzzConfig(seed=1, cases=3))
+        assert status == 0
+        assert all(r["passes"] == 3 and r["failures"] == [] for r in reports)
+
     def test_parser_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["fuzz"])
         assert fuzz.FuzzConfig(
@@ -636,6 +651,28 @@ class TestRepl:
         assert code == 0
         assert f"error: 1:{6 + 2 * (dsl.MAX_DEPTH + 1)}: " in out
         assert out.endswith("a^2\n")
+
+    def test_numbers_past_the_int_string_limit_are_errors(self, capsys, monkeypatch):
+        import io
+
+        nines = "9" * 4299
+        lines = (
+            "ring A = [a];\n"
+            f"print a^{'9' * 5000};\n"
+            f"print {'9' * 5000};\n"
+            f"ideal I = (a^{nines}) in A; print I^11;\n"
+            "print I;\n"
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, err = run_cli(capsys, "repl")
+        assert (code, err) == (0, "")
+        limit = sys.get_int_max_str_digits()
+        assert out.splitlines()[1:] == [
+            f"error: 1:9: integer of 5000 digits is longer than the limit of {limit} digits",
+            f"error: 1:7: integer of 5000 digits is longer than the limit of {limit} digits",
+            f"error: 1:{len(nines) + 22}: cannot print a number of more than {limit} digits",
+            f"(a^{nines})",
+        ]
 
     def test_output_comes_before_a_later_error_on_the_same_line(
         self, capsys, monkeypatch

@@ -645,6 +645,7 @@ class TestMemoContract:
         }
         names = [
             "idealkit.core._power",
+            "idealkit.core._pieces",
             "idealkit.decomposition._irredundant",
             "idealkit.powers._saturated",
             "idealkit.powers._symbolic_direct",
