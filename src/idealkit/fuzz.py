@@ -10,14 +10,19 @@ of side B, the ideals J then L, and finally the power s (uniform in
 least one generator is drawn, so no ideal is zero.  Side A variables are
 named x1, x2, ...; side B y1, y2, ....
 
-A failing case is reported with a re-runnable script that rebuilds the
-instance and prints both sides of the failed identity.
+Each suite is one row of ``_SUITE_CHECKS``: a check(instance, char) that
+returns the triple (ok, counters, failure).  ``counters`` is a tuple of
+(name, count) pairs summed over the cases, and ``failure()`` gives a failed
+case's (expected, actual, script body) texts; ``run_suite`` calls it only
+for the first five failures, the ones a report keeps.  Each is reported
+with a re-runnable script that rebuilds the instance and prints both sides
+of the failed identity.
 """
 
 from __future__ import annotations
 
-import functools
 import random
+from functools import partial
 
 from . import binomial as _binomial
 from . import dsl as _dsl
@@ -26,53 +31,7 @@ from . import powers as _powers
 from .core import MonomialIdeal, Ring, _ideal, _Value, _whole_numbers, ideal_power, principal
 from .decomposition import ass_star_bounded, associated_primes
 
-SUITE_NAMES = (
-    "thm38",
-    "thm41_min",
-    "thm41_ass",
-    "lem32_36",
-    "lem25_29",
-    "thm44",
-    "cor46",
-    "lem45",
-    "cor39_310",
-    "cor43",
-)
-
 REPORT_SCHEMA = "idealkit-report/1"
-
-
-class FuzzConfig(_Value):
-    __match_args__ = (
-        "seed",
-        "max_vars_per_side",
-        "max_generators",
-        "max_exponent",
-        "max_s",
-        "cases",
-        "suites",
-    )
-
-    def __init__(
-        self,
-        seed: int = 1,
-        max_vars_per_side: int = 3,
-        max_generators: int = 4,
-        max_exponent: int = 3,
-        max_s: int = 3,
-        cases: int = 500,
-        suites: tuple[str, ...] = SUITE_NAMES,
-    ):
-        # Whole numbers only: the draw (_randint) takes their bit lengths.
-        sizes = _whole_numbers((max_vars_per_side, max_generators, max_exponent, max_s, cases))
-        for name, size in zip(self.__match_args__[1:], sizes):
-            if size < 1:
-                raise ValueError(f"{name} must be at least 1")
-        suites = tuple(suites)
-        unknown = [s for s in suites if s not in SUITE_NAMES]
-        if unknown:
-            raise ValueError(f"unknown suites: {unknown}")
-        super().__init__(seed, *sizes, suites)
 
 
 class Instance(_Value):
@@ -133,25 +92,7 @@ def generate_instance(rng: random.Random, cfg: FuzzConfig) -> Instance:
     return Instance(ring_a, ideal_i, sat_k, ring_b, ideal_j, sat_l, s)
 
 
-class CaseOutcome(_Value):
-    """One checked case: the verdict, the expected and actual texts a failure
-    reports, the script body that reruns it, and ``counters``, a tuple of
-    ``(name, count)`` pairs that ``run_suite`` sums over the cases.  A
-    passing case has empty texts (``_outcome``)."""
-
-    __match_args__ = ("ok", "expected", "actual", "script_body", "counters")
-
-
-def _outcome(ok: bool, counters: tuple, failure) -> CaseOutcome:
-    """The outcome of a case, with the (expected, actual, script body) that
-    ``failure()`` returns; it is called only when the case failed, so a
-    passing case prints no ideal and no report."""
-    if ok:
-        return CaseOutcome(True, "", "", "", counters)
-    return CaseOutcome(False, *failure(), counters)
-
-
-def _check_thm38(inst: Instance, char: int) -> CaseOutcome:
+def _check_thm38(inst: Instance, char: int) -> tuple:
     expansion = _binomial.binomial_saturated(
         inst.ideal_i, inst.sat_k, inst.ideal_j, inst.sat_l, inst.s
     )
@@ -169,7 +110,7 @@ def _check_thm38(inst: Instance, char: int) -> CaseOutcome:
         label = "saturated power of the sum"
         return f"{label}: {direct}", f"{label}: {expansion}", body
 
-    return _outcome(direct == expansion, (), failure)
+    return direct == expansion, (), failure
 
 
 def symbolic_route_consistency(
@@ -202,7 +143,7 @@ def symbolic_route_consistency(
     }
 
 
-def _check_thm41(inst: Instance, char: int, notion: str) -> CaseOutcome:
+def _check_thm41(notion: str, inst: Instance, char: int) -> tuple:
     expansion = _binomial.binomial_symbolic(inst.ideal_i, inst.ideal_j, inst.s, notion)
     direct = _binomial.symbolic_of_sum(inst.ideal_i, inst.ideal_j, inst.s, notion)
     n_max = _binomial._ass_star_bound(inst.s)
@@ -225,10 +166,10 @@ def _check_thm41(inst: Instance, char: int, notion: str) -> CaseOutcome:
         return expected, actual, body
 
     counters = tuple(counters_i.items()) + tuple(counters_j.items())
-    return _outcome(direct == expansion and routes_ok, counters, failure)
+    return direct == expansion and routes_ok, counters, failure
 
 
-def _check_lem32_36(inst: Instance, char: int) -> CaseOutcome:
+def _check_lem32_36(inst: Instance, char: int) -> tuple:
     i, k, j, l, s = inst.ideal_i, inst.sat_k, inst.ideal_j, inst.sat_l, inst.s
     ts = range(1, s + 1)
 
@@ -265,10 +206,10 @@ def _check_lem32_36(inst: Instance, char: int) -> CaseOutcome:
             body,
         )
 
-    return _outcome(ok, (), failure)
+    return ok, (), failure
 
 
-def _check_lem45(inst: Instance, char: int) -> CaseOutcome:
+def _check_lem45(inst: Instance, char: int) -> tuple:
     high = _powers.saturated_power(inst.ideal_i, inst.sat_k, inst.s)
     low = _powers.saturated_power(inst.ideal_i, inst.sat_k, inst.s - 1)
     derived = _homology.deriv_star(high)
@@ -280,58 +221,94 @@ def _check_lem45(inst: Instance, char: int) -> CaseOutcome:
         )
         return f"dstar contained in {low}", str(derived), body
 
-    return _outcome(low.contains_ideal(derived), (), failure)
+    return low.contains_ideal(derived), (), failure
 
-
-# suite -> (script built-in, argument letters, expected text, counter): the
-# suite calls the built-in on the named ideals and s, and passes when the
-# returned report does; a counter names a report flag tallied per case.
-_REPORT_SUITES = {
-    "lem25_29": (
-        "check_ass", "IJ", "tensor, bounds, grade and saturator checks all hold",
-        "inconclusive",
-    ),
-    "thm44": ("check_depthreg", "IKJL", "depth and regularity formulas agree", None),
-    "cor46": ("check_depthreg_ass", "IJ", "depth and regularity formulas agree", None),
-    "cor39_310": (
-        "check_eq", "IKJL", "joint equality iff componentwise equalities", None
-    ),
-    "cor43": (
-        "check_symb_eq", "IJ", "ordinary symbolic equality propagates to both sides",
-        "joint_equal",
-    ),
-}
 
 _LETTERS = {"I": "ideal_i", "K": "sat_k", "J": "ideal_j", "L": "sat_l"}
 
 
-def _check_report(builtin, letters, expected, counter, inst: Instance, char: int):
-    """Run a report-returning built-in; its function and whether it takes the
-    characteristic are read from the script language's table at call time."""
+def _check_report(builtin, letters, expected, counter, inst: Instance, char: int) -> tuple:
+    """Call a script built-in on the ideals named by ``letters`` and s; the
+    case passes when the returned report does, and ``counter``, if given,
+    names a report flag tallied per case.  The built-in's function and
+    whether it takes the characteristic are read from the script language's
+    table at call time."""
     row = _dsl._SIGNATURES[builtin]
     args = [getattr(inst, _LETTERS[letter]) for letter in letters] + [inst.s]
     if row.with_char:
         args.append(char)
     report = getattr(row.module, row.attr)(*args)
     counters = ((counter, 1 if getattr(report, counter) else 0),) if counter else ()
-    return _outcome(
+    return (
         report.passed,
         counters,
         lambda: (expected, str(report), f"print {builtin}({', '.join(letters)}, {inst.s});"),
     )
 
 
+# Every suite, in report order; SUITE_NAMES reads its keys.  A report suite
+# binds (script built-in, argument letters, expected text, counter).
 _SUITE_CHECKS = {
     "thm38": _check_thm38,
-    "thm41_min": lambda inst, char: _check_thm41(inst, char, "min"),
-    "thm41_ass": lambda inst, char: _check_thm41(inst, char, "ass"),
+    "thm41_min": partial(_check_thm41, "min"),
+    "thm41_ass": partial(_check_thm41, "ass"),
     "lem32_36": _check_lem32_36,
+    "lem25_29": partial(
+        _check_report, "check_ass", "IJ", "tensor, bounds, grade and saturator checks all hold",
+        "inconclusive",
+    ),
+    "thm44": partial(
+        _check_report, "check_depthreg", "IKJL", "depth and regularity formulas agree", None
+    ),
+    "cor46": partial(
+        _check_report, "check_depthreg_ass", "IJ", "depth and regularity formulas agree", None
+    ),
     "lem45": _check_lem45,
-    **{
-        name: functools.partial(_check_report, *row)
-        for name, row in _REPORT_SUITES.items()
-    },
+    "cor39_310": partial(
+        _check_report, "check_eq", "IKJL", "joint equality iff componentwise equalities", None
+    ),
+    "cor43": partial(
+        _check_report, "check_symb_eq", "IJ",
+        "ordinary symbolic equality propagates to both sides", "joint_equal",
+    ),
 }
+
+SUITE_NAMES = tuple(_SUITE_CHECKS)
+
+
+class FuzzConfig(_Value):
+    __match_args__ = (
+        "seed",
+        "max_vars_per_side",
+        "max_generators",
+        "max_exponent",
+        "max_s",
+        "cases",
+        "suites",
+    )
+
+    def __init__(
+        self,
+        seed: int = 1,
+        max_vars_per_side: int = 3,
+        max_generators: int = 4,
+        max_exponent: int = 3,
+        max_s: int = 3,
+        cases: int = 500,
+        suites: tuple[str, ...] = SUITE_NAMES,
+    ):
+        # Whole numbers only: the draw (_randint) takes their bit lengths.
+        sizes = _whole_numbers((max_vars_per_side, max_generators, max_exponent, max_s, cases))
+        for name, size in zip(self.__match_args__[1:], sizes):
+            if size < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if isinstance(suites, str):
+            raise ValueError(f"suites must be a sequence of names, not the string {suites!r}")
+        suites = tuple(suites)
+        unknown = [s for s in suites if s not in _SUITE_CHECKS]
+        if unknown:
+            raise ValueError(f"unknown suites: {unknown}")
+        super().__init__(seed, *sizes, suites)
 
 
 def _report(suite: str, cases: int, passes: int, failures: list[dict], **extra) -> dict:
@@ -343,7 +320,7 @@ def _report(suite: str, cases: int, passes: int, failures: list[dict], **extra) 
 
 def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
     """Run one suite over the seeded instance stream and report results."""
-    if name not in SUITE_NAMES:
+    if name not in _SUITE_CHECKS:
         raise ValueError(f"unknown suite {name!r}")
     check = _SUITE_CHECKS[name]
     rng = random.Random(config.seed)
@@ -352,18 +329,15 @@ def run_suite(name: str, config: FuzzConfig, char: int = 0) -> dict:
     counters: dict[str, int] = {}
     for _ in range(config.cases):
         instance = generate_instance(rng, config)
-        outcome = check(instance, char)
-        for key, value in outcome.counters:
+        ok, case_counters, failure = check(instance, char)
+        for key, value in case_counters:
             counters[key] = counters.get(key, 0) + value
-        if outcome.ok:
+        if ok:
             passes += 1
         elif len(failures) < 5:
+            expected, actual, body = failure()
             failures.append(
-                {
-                    "instance_script": instance.script(outcome.script_body),
-                    "expected": outcome.expected,
-                    "actual": outcome.actual,
-                }
+                {"instance_script": instance.script(body), "expected": expected, "actual": actual}
             )
     report = _report(name, config.cases, passes, failures)
     if counters:

@@ -21,13 +21,9 @@ from idealkit.powers import (
     symbolic_ass,
     symbolic_min,
 )
+from small_ideals import A, ideal
 
-A = Ring.of("a", "b")
 R4 = Ring.of("x", "y", "z", "t")
-
-
-def ideal(ring, text):
-    return MonomialIdeal.parse(ring, text)
 
 
 def report(number, label, elapsed, detail=""):

@@ -32,16 +32,12 @@ from idealkit.binomial import (
 )
 from idealkit.decomposition import _mask, _primes, _summands, _supports, associated_primes
 from idealkit.powers import NOTIONS, _binomial_sum, _symbolic_direct, saturated_power
+from small_ideals import R3, ideal
 
 A2 = Ring.of("x", "y")
 B2 = Ring.of("z", "t")
 AB = Ring.of("a", "b")
 CD = Ring.of("c", "d")
-R3 = Ring.of("x", "y", "z")
-
-
-def ideal(ring, text):
-    return MonomialIdeal.parse(ring, text)
 
 
 small_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))

@@ -350,6 +350,11 @@ class TestFuzz:
             fuzz.FuzzConfig(suites=["thm38", "nope"])
         with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
             fuzz.run_suite("nope", fuzz.FuzzConfig())
+        # A string is a sequence too, but its letters are no suite names.
+        with pytest.raises(
+            ValueError, match=r"^suites must be a sequence of names, not the string 'thm38'$"
+        ):
+            fuzz.FuzzConfig(suites="thm38")
 
     def test_identical_config_gives_identical_bytes(self, capsys):
         args = ("fuzz", "--seed", "3", "--cases", "4", "--suite", "thm38", "--json")
@@ -547,6 +552,23 @@ class TestFuzz:
         status, reports = fuzz.run_fuzz(fuzz.FuzzConfig(seed=1, cases=3))
         assert status == 0
         assert all(r["passes"] == 3 and r["failures"] == [] for r in reports)
+
+    def test_only_the_reported_failures_are_formatted(self, monkeypatch):
+        # A report keeps the first five failures, so a suite that fails on
+        # every case formats five failure texts, not one per case.
+        formatted = []
+
+        class Failing:
+            passed = False
+
+            def __str__(self):
+                formatted.append(self)
+                return "failing"
+
+        monkeypatch.setattr(binomial, "check_term_inclusions", lambda *args: Failing())
+        report = fuzz.run_suite("lem32_36", fuzz.FuzzConfig(seed=1, cases=8))
+        assert (report["passes"], len(report["failures"])) == (0, 5)
+        assert len(formatted) == 5
 
     def test_parser_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["fuzz"])

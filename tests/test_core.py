@@ -31,27 +31,9 @@ from idealkit.binomial import RingEmbedding
 from idealkit.decomposition import IrreducibleComponent, irreducible_decomposition
 from idealkit.dsl import run_script
 from monomial_boxes import monomials_of_degree_at_most
+from small_ideals import A, R3, XY, exponent_vectors, ideal, ideals3, monomials3, proper3
 
-A = Ring.of("a", "b")
-XY = Ring.of("x", "y")
-R3 = Ring.of("x", "y", "z")
-
-
-def ideal(ring, text):
-    return MonomialIdeal.parse(ring, text)
-
-
-# -- hypothesis strategies over a fixed 3-variable ring --
-
-exponent_vectors = st.tuples(
-    st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
-)
-monomials3 = exponent_vectors.map(lambda e: R3.monomial(e))
-ideals3 = st.lists(monomials3, min_size=1, max_size=4).map(
-    lambda gens: MonomialIdeal(R3, tuple(gens))
-)
 nonzero3 = ideals3.filter(lambda i: not i.is_zero)
-proper3 = ideals3.filter(lambda i: not i.is_zero and not i.is_unit)
 
 
 class TestRingAndMonomial:

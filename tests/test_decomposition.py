@@ -41,26 +41,9 @@ from idealkit.homology import taylor_betti_table
 from idealkit.powers import saturator_min, symbolic_min
 from monomial_boxes import monomials_below
 from packed_meet import packed_meet, tuple_components, tuple_meet
+from small_ideals import A, R3, XY, ideal, proper3
 
-A = Ring.of("a", "b")
-XY = Ring.of("x", "y")
-R3 = Ring.of("x", "y", "z")
 R4 = Ring.of("x", "y", "z", "t")
-
-
-def ideal(ring, text):
-    return MonomialIdeal.parse(ring, text)
-
-
-exponent_vectors = st.tuples(
-    st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
-)
-monomials3 = exponent_vectors.map(lambda e: R3.monomial(e))
-proper3 = (
-    st.lists(monomials3, min_size=1, max_size=4)
-    .map(lambda gens: MonomialIdeal(R3, tuple(gens)))
-    .filter(lambda i: not i.is_zero and not i.is_unit)
-)
 
 
 monomials4 = st.tuples(*[st.integers(0, 3)] * 4).map(R4.monomial)

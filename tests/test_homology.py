@@ -55,15 +55,11 @@ from idealkit.binomial import (
 from idealkit.powers import saturated_power
 from lattice_betti import lattice_betti_table, lattice_points, lattice_walk, walk_facets
 from packed_cone import packed_cone_ranks, tuple_collapse_keys, tuple_cone_ranks
+from small_ideals import R3, ideal
 
 AB = Ring.of("a", "b")
-R3 = Ring.of("x", "y", "z")
 R4 = Ring.of("x", "y", "z", "t")
 ABCD = Ring.of("a", "b", "c", "d")
-
-
-def ideal(ring, text):
-    return MonomialIdeal.parse(ring, text)
 
 
 

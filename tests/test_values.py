@@ -102,12 +102,6 @@ VALUES = {
         lambda: fuzz.generate_instance(random.Random(5), fuzz.FuzzConfig()),
         ["ring_a", "ideal_i", "sat_k", "ring_b", "ideal_j", "sat_l", "s"],
     ),
-    "CaseOutcome": (
-        lambda: fuzz.CaseOutcome(
-            False, "x", "y", "print I;", (("global_checked", 1), ("witness_missing", 0))
-        ),
-        ["ok", "expected", "actual", "script_body", "counters"],
-    ),
     "Script": (
         lambda: parse("ring A = [a, b];\nideal I = (a^2, a*b) in A;\nprint I^2 + a;"),
         ["statements"],
@@ -199,7 +193,6 @@ RECORDS = {
         "AssStructureReport",
         "FiltrationReport",
         "Instance",
-        "CaseOutcome",
         "Script",
     ]
 }
