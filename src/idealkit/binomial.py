@@ -89,8 +89,7 @@ def join_rings(a: Ring, b: Ring) -> tuple[Ring, RingEmbedding, RingEmbedding]:
 
 def extend(ideal: MonomialIdeal, emb: RingEmbedding) -> MonomialIdeal:
     """The ideal generated by ``ideal`` in the target ring of ``emb``; not memoised."""
-    if ideal.ring != emb.source:
-        raise IdealArgumentError("ideal does not live in the embedding source")
+    _require_source(ideal, emb)
     zeros = [0] * emb.target.nvars
     extended = []
     for g in ideal._exps:
@@ -101,9 +100,19 @@ def extend(ideal: MonomialIdeal, emb: RingEmbedding) -> MonomialIdeal:
     return _ideal(emb.target, extended)
 
 
+def _require_source(value, emb: RingEmbedding):
+    if value.ring != emb.source:
+        raise IdealArgumentError("ideal does not live in the embedding source")
+
+
 def prime_sum(
     p: MonomialPrime, q: MonomialPrime, emb_a: RingEmbedding, emb_b: RingEmbedding
 ) -> MonomialPrime:
+    """p + q in the common target of ``emb_a`` (from p's ring) and ``emb_b``."""
+    _require_source(p, emb_a)
+    _require_source(q, emb_b)
+    if emb_a.target != emb_b.target:
+        raise IdealArgumentError("the embeddings have different targets")
     return MonomialPrime(
         emb_a.target,
         tuple(emb_a.index_map[i] for i in p.support)

@@ -171,6 +171,8 @@ class Ring(_Value):
         return _monomial(self, (0,) * self.nvars)
 
     def variable(self, index: int) -> "Monomial":
+        if not 0 <= index < self.nvars:
+            raise ValueError(f"variable index out of range: {index!r}")
         exps = [0] * self.nvars
         exps[index] = 1
         return _monomial(self, tuple(exps))
@@ -220,6 +222,7 @@ class Monomial(_Value):
         return tuple(i for i, e in enumerate(self.exponents) if e > 0)
 
     def divides(self, other: "Monomial") -> bool:
+        _require_same_ring(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -510,6 +513,7 @@ class MonomialPrime(_Value):
         return _ideal(self.ring, [zeros[:i] + (1,) + zeros[i + 1:] for i in self.support])
 
     def contains_monomial(self, m: Monomial) -> bool:
+        _require_same_ring(self, m)
         return any(m.exponents[i] > 0 for i in self.support)
 
     def sort_key(self):

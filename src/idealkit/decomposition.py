@@ -42,6 +42,7 @@ from .core import (
     _ideal,
     _layout,
     _memo,
+    _require_same_ring,
     _unchecked,
     _Value,
     _whole_numbers,
@@ -372,6 +373,7 @@ def grade_zero(p: MonomialPrime, ideal: MonomialIdeal) -> bool:
     For variable-generated primes this is equivalent to grade(p, A/I) = 0
     by prime avoidance.
     """
+    _require_same_ring(p, ideal)
     if not p.support:
         raise IdealArgumentError("prime with empty support")
     return _inside_some(_mask(p.support), _supports(ideal))

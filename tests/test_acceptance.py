@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from idealkit.core import MonomialIdeal, Ring, ideal_power
+from idealkit.core import MonomialIdeal, ideal_power
 from idealkit.core import saturate as core_saturate
 from idealkit.decomposition import irreducible_decomposition
 from idealkit.fuzz import FuzzConfig, generate_instance, run_suite
@@ -21,9 +21,7 @@ from idealkit.powers import (
     symbolic_ass,
     symbolic_min,
 )
-from small_ideals import A, ideal
-
-R4 = Ring.of("x", "y", "z", "t")
+from small_ideals import A, R4, ideal
 
 
 def report(number, label, elapsed, detail=""):

@@ -32,11 +32,9 @@ from idealkit.binomial import (
 )
 from idealkit.decomposition import _mask, _primes, _summands, _supports, associated_primes
 from idealkit.powers import NOTIONS, _binomial_sum, _symbolic_direct, saturated_power
-from small_ideals import R3, ideal
+from small_ideals import A, R3, XY, ideal
 
-A2 = Ring.of("x", "y")
 B2 = Ring.of("z", "t")
-AB = Ring.of("a", "b")
 CD = Ring.of("c", "d")
 
 
@@ -95,7 +93,7 @@ SPLIT_J = ideal(Ring(tuple("efghijkl")), "e*f, g*h, i*j*k*l")
 
 class TestJoin:
     def test_disjoint_names_concatenate(self):
-        joined, emb_a, emb_b = join_rings(A2, B2)
+        joined, emb_a, emb_b = join_rings(XY, B2)
         assert joined == Ring.of("x", "y", "z", "t")
         assert emb_a.index_map == (0, 1)
         assert emb_b.index_map == (2, 3)
@@ -109,7 +107,7 @@ class TestJoin:
         assert joined == Ring.of("x", "x_1", "x_2")
 
     def test_plain_join(self):
-        joined, _, _ = join_rings(AB, CD)
+        joined, _, _ = join_rings(A, CD)
         assert joined == Ring.of("a", "b", "c", "d")
 
 
@@ -141,17 +139,17 @@ class TestMaskSums:
 
 class TestExtend:
     def test_extension_keeps_generators(self):
-        joined, emb_a, _ = join_rings(A2, B2)
-        extended = extend(ideal(A2, "x^2, x*y"), emb_a)
+        joined, emb_a, _ = join_rings(XY, B2)
+        extended = extend(ideal(XY, "x^2, x*y"), emb_a)
         assert extended == ideal(joined, "x^2, x*y")
 
     def test_unit_and_zero(self):
-        joined, emb_a, _ = join_rings(A2, B2)
-        assert extend(MonomialIdeal.unit(A2), emb_a).is_unit
-        assert extend(MonomialIdeal.zero(A2), emb_a).is_zero
+        joined, emb_a, _ = join_rings(XY, B2)
+        assert extend(MonomialIdeal.unit(XY), emb_a).is_unit
+        assert extend(MonomialIdeal.zero(XY), emb_a).is_zero
 
     def test_wrong_source_rejected(self):
-        _, emb_a, _ = join_rings(A2, B2)
+        _, emb_a, _ = join_rings(XY, B2)
         with pytest.raises(IdealArgumentError):
             extend(ideal(B2, "z"), emb_a)
 
@@ -163,13 +161,13 @@ class TestJoinAndExtendMemos:
         assert not hasattr(extend, "cache_info")
 
     def test_a_repeated_join_is_one_entry(self):
-        first = join_rings(A2, B2)
+        first = join_rings(XY, B2)
         assert join_rings(Ring.of("x", "y"), Ring.of("z", "t")) is first
         assert join_rings.cache_info()[:2] == (1, 1)
 
     def test_results_live_in_the_callers_ring(self):
         # Equal exponent tuples over other rings are other keys.
-        i, renamed = ideal(A2, "x^2, x*y"), ideal(AB, "a^2, a*b")
+        i, renamed = ideal(XY, "x^2, x*y"), ideal(A, "a^2, a*b")
         assert i._exps == renamed._exps
         seen = set()
         for base in (i, renamed):
@@ -184,7 +182,7 @@ class TestJoinAndExtendMemos:
         assert len(seen) == 4
 
     def test_wrong_source_raises_the_same_cold_and_warm(self):
-        _, emb_a, emb_b = join_rings(A2, B2)
+        _, emb_a, emb_b = join_rings(XY, B2)
         wrong = ideal(B2, "z")
 
         def error():
@@ -193,13 +191,13 @@ class TestJoinAndExtendMemos:
             return str(info.value)
 
         cold = error()
-        extend(ideal(A2, "x"), emb_a), extend(wrong, emb_b)
+        extend(ideal(XY, "x"), emb_a), extend(wrong, emb_b)
         assert error() == cold == "ideal does not live in the embedding source"
 
 
 class TestBinomialSaturated:
     def test_derived_example_s1(self):
-        i, k = ideal(A2, "x^2, x*y"), ideal(A2, "x, y")
+        i, k = ideal(XY, "x^2, x*y"), ideal(XY, "x, y")
         j, l = ideal(B2, "z^2, z*t"), ideal(B2, "z, t")
         joined = Ring.of("x", "y", "z", "t")
         result = binomial_saturated(i, k, j, l, 1)
@@ -207,7 +205,7 @@ class TestBinomialSaturated:
         assert result == direct_saturated_sum(i, k, j, l, 1)
 
     def test_derived_example_s2(self):
-        i, k = ideal(A2, "x^2, x*y"), ideal(A2, "x, y")
+        i, k = ideal(XY, "x^2, x*y"), ideal(XY, "x, y")
         j, l = ideal(B2, "z^2, z*t"), ideal(B2, "z, t")
         joined = Ring.of("x", "y", "z", "t")
         result = binomial_saturated(i, k, j, l, 2)
@@ -215,16 +213,16 @@ class TestBinomialSaturated:
         assert result == direct_saturated_sum(i, k, j, l, 2)
 
     def test_unit_saturators_give_ordinary_power(self):
-        i, j = ideal(A2, "x^2, x*y"), ideal(B2, "z^2, z*t")
+        i, j = ideal(XY, "x^2, x*y"), ideal(B2, "z^2, z*t")
         _, _, _, total = joined_sum(i, j)
         for s in (1, 2, 3):
             assert binomial_saturated(
-                i, MonomialIdeal.unit(A2), j, MonomialIdeal.unit(B2), s
+                i, MonomialIdeal.unit(XY), j, MonomialIdeal.unit(B2), s
             ) == ideal_power(total, s)
 
     @given(
-        ideals_over(A2, True),
-        ideals_over(A2, False),
+        ideals_over(XY, True),
+        ideals_over(XY, False),
         ideals_over(B2, True),
         ideals_over(B2, False),
         st.integers(1, 3),
@@ -234,8 +232,8 @@ class TestBinomialSaturated:
         assert binomial_saturated(i, k, j, l, s) == direct_saturated_sum(i, k, j, l, s)
 
     @given(
-        ideals_over(A2, True),
-        ideals_over(A2, False),
+        ideals_over(XY, True),
+        ideals_over(XY, False),
         ideals_over(B2, True),
         ideals_over(B2, False),
         st.integers(1, 3),
@@ -253,14 +251,14 @@ class TestBinomialSaturated:
 
 class TestBinomialSymbolic:
     def test_min_example(self):
-        i, j = ideal(AB, "a^2, a*b"), ideal(CD, "c^2, c*d")
+        i, j = ideal(A, "a^2, a*b"), ideal(CD, "c^2, c*d")
         joined = Ring.of("a", "b", "c", "d")
         result = binomial_symbolic(i, j, 2, "min")
         assert result == ideal(joined, "a^2, a*c, c^2")
         assert result == symbolic_of_sum(i, j, 2, "min")
 
     def test_ass_example_is_ordinary_square(self):
-        i, j = ideal(AB, "a^2, a*b"), ideal(CD, "c^2, c*d")
+        i, j = ideal(A, "a^2, a*b"), ideal(CD, "c^2, c*d")
         _, _, _, total = joined_sum(i, j)
         assert binomial_symbolic(i, j, 2, "ass") == ideal_power(total, 2)
 
@@ -270,7 +268,7 @@ class TestBinomialSymbolic:
         result = binomial_symbolic(i, j, 1, "min")
         assert result == ideal(Ring.of("x", "x_1"), "x, x_1")
 
-    @given(ideals_over(A2, True), ideals_over(B2, True), st.integers(1, 2))
+    @given(ideals_over(XY, True), ideals_over(B2, True), st.integers(1, 2))
     @settings(max_examples=25, deadline=None)
     def test_expansion_matches_direct_symbolic(self, i, j, s):
         for notion in ("min", "ass"):
@@ -294,7 +292,7 @@ class TestBinomialSymbolic:
     @pytest.mark.parametrize("zero_first", [True, False])
     def test_errors_keep_their_order(self, zero_first):
         # s, then a unit side, then the notion, then a zero side.
-        zero = MonomialIdeal.zero(AB)
+        zero = MonomialIdeal.zero(A)
 
         def expand(other, s, notion):
             pair = (zero, other) if zero_first else (other, zero)
@@ -316,14 +314,14 @@ class TestBinomialSymbolic:
 class TestEqualityCriteria:
     def test_saturating_primes_by_outside_variables(self):
         report = check_equality_criteria(
-            ideal(A2, "x"), ideal(A2, "y"), ideal(B2, "z"), ideal(B2, "t"), 3
+            ideal(XY, "x"), ideal(XY, "y"), ideal(B2, "z"), ideal(B2, "t"), 3
         )
         assert report.joint_equal and report.componentwise and report.passed
 
     def test_mixed_example(self):
         report = check_equality_criteria(
-            ideal(A2, "x^2, x*y"),
-            ideal(A2, "x, y"),
+            ideal(XY, "x^2, x*y"),
+            ideal(XY, "x, y"),
             ideal(B2, "z"),
             MonomialIdeal.unit(B2),
             1,
@@ -335,8 +333,8 @@ class TestEqualityCriteria:
 
     def test_doubly_saturated_example(self):
         report = check_equality_criteria(
-            ideal(AB, "a^2, a*b"),
-            ideal(AB, "a, b"),
+            ideal(A, "a^2, a*b"),
+            ideal(A, "a, b"),
             ideal(CD, "c^2, c*d"),
             ideal(CD, "c, d"),
             2,
@@ -347,13 +345,13 @@ class TestEqualityCriteria:
 
     def test_powers_of_proper_ideals_never_stabilize(self):
         for text in ("x", "x^2, x*y", "x*y"):
-            i = ideal(A2, text)
+            i = ideal(XY, text)
             for s in (1, 2, 3):
                 assert ideal_power(i, s) != ideal_power(i, s + 1)
 
     @given(
-        ideals_over(A2, True),
-        ideals_over(A2, False),
+        ideals_over(XY, True),
+        ideals_over(XY, False),
         ideals_over(B2, True),
         ideals_over(B2, False),
         st.integers(1, 3),
@@ -362,7 +360,7 @@ class TestEqualityCriteria:
     def test_biconditional(self, i, k, j, l, s):
         assert check_equality_criteria(i, k, j, l, s).passed
 
-    @given(ideals_over(A2, True), ideals_over(B2, True), st.integers(1, 2))
+    @given(ideals_over(XY, True), ideals_over(B2, True), st.integers(1, 2))
     @settings(max_examples=20, deadline=None)
     def test_symbolic_implication(self, i, j, s):
         assert check_symbolic_equality_implication(i, j, s).passed
@@ -385,16 +383,16 @@ class TestProperPairGuards:
         ids=["check_eq", "check_symb_eq", "check_ass"],
     )
     def test_a_zero_or_unit_side_is_refused(self, check, message):
-        i, j = ideal(A2, "x"), ideal(B2, "z")
+        i, j = ideal(XY, "x"), ideal(B2, "z")
         for side in (MonomialIdeal.zero, MonomialIdeal.unit):
-            for pair in ((side(A2), j), (i, side(B2))):
+            for pair in ((side(XY), j), (i, side(B2))):
                 with pytest.raises(IdealArgumentError, match=f"^{message}$"):
                     check(*pair)
 
 
 class TestAssStructure:
     def test_tensor_example(self):
-        report = check_ass_structure(ideal(AB, "a^2, a*b"), ideal(CD, "c^2, c*d"), 2)
+        report = check_ass_structure(ideal(A, "a^2, a*b"), ideal(CD, "c^2, c*d"), 2)
         assert report.passed and not report.inconclusive
 
     def test_two_variables(self):
@@ -409,18 +407,18 @@ class TestAssStructure:
         assert check_ass_structure(i, j, 1).passed
 
     def test_sum_example(self):
-        report = check_ass_structure(ideal(A2, "x^2, x*y"), ideal(B2, "z^2, z*t"), 1)
+        report = check_ass_structure(ideal(XY, "x^2, x*y"), ideal(B2, "z^2, z*t"), 1)
         assert report.passed
 
     def test_prime_sum_helper(self):
-        _, emb_a, emb_b = join_rings(A2, B2)
-        p = MonomialPrime.of_names(A2, "x")
+        _, emb_a, emb_b = join_rings(XY, B2)
+        p = MonomialPrime.of_names(XY, "x")
         q = MonomialPrime.of_names(B2, "z", "t")
         assert prime_sum(p, q, emb_a, emb_b) == MonomialPrime.of_names(
             Ring.of("x", "y", "z", "t"), "x", "z", "t"
         )
 
-    @given(ideals_over(A2, True), ideals_over(B2, True), st.integers(1, 2))
+    @given(ideals_over(XY, True), ideals_over(B2, True), st.integers(1, 2))
     @settings(max_examples=15, deadline=None)
     def test_structure_fuzz(self, i, j, s):
         report = check_ass_structure(i, j, s)
@@ -435,7 +433,7 @@ class TestAssStructure:
             return primes - {max(primes, key=MonomialPrime.sort_key)}
 
         monkeypatch.setattr(binomial, "ass_module_quotient", dropping)
-        report = check_ass_structure(ideal(AB, "a^2, a*b"), ideal(CD, "c^2, c*d"), 2)
+        report = check_ass_structure(ideal(A, "a^2, a*b"), ideal(CD, "c^2, c*d"), 2)
         assert report.quotient_ass_agrees is False
         assert not report.passed
 
@@ -451,7 +449,7 @@ class TestAssStructure:
 
         for module in (binomial, decomposition, powers):
             monkeypatch.setattr(module, "_supports", counted)
-        i = ideal(AB, "a^2, a*b")
+        i = ideal(A, "a^2, a*b")
         j = ideal(CD, "c^2, c*d")
         s, n_max = 2, 3
         assert check_ass_structure(i, j, s, n_max).passed
@@ -466,7 +464,7 @@ class TestAssStructure:
     def test_grade_check_catches_an_overlap_rule(self, monkeypatch):
         # Overlap is not containment: under it, (b) + (c) would have grade
         # zero on the sum, though (b) has positive grade on k[a, b]/(a).
-        i, j = ideal(AB, "a"), ideal(CD, "c^2")
+        i, j = ideal(A, "a"), ideal(CD, "c^2")
         assert check_ass_structure(i, j, 2).grade_dichotomy_holds
         monkeypatch.setattr(binomial, "_inside_some", lambda m, ms: any(m & x for x in ms))
         report = check_ass_structure(i, j, 2)
@@ -501,12 +499,12 @@ class TestFiltrationIdentities:
 
     def test_ordinary_power_filtrations(self):
         report = self._ordinary(
-            ideal(A2, "x^2, x*y"), ideal(A2, "x, y"), ideal(B2, "z^2, z*t"), 3
+            ideal(XY, "x^2, x*y"), ideal(XY, "x, y"), ideal(B2, "z^2, z*t"), 3
         )
         assert report.passed
 
     def test_saturated_power_filtrations(self):
-        i, k = ideal(A2, "x^2, x*y"), ideal(A2, "x, y")
+        i, k = ideal(XY, "x^2, x*y"), ideal(XY, "x, y")
         j, l = ideal(B2, "z^2, z*t"), ideal(B2, "z, t")
         s = 3
         report = check_filtration_identities(
@@ -519,34 +517,34 @@ class TestFiltrationIdentities:
         assert report.passed
 
     def test_base_case_reduces_to_sum_intersection(self):
-        report = self._ordinary(ideal(A2, "x^2"), ideal(A2, "y"), ideal(B2, "z"), 1)
+        report = self._ordinary(ideal(XY, "x^2"), ideal(XY, "y"), ideal(B2, "z"), 1)
         assert report.passed
 
     def test_non_filtration_premise_fails(self):
         # ascending chain is not a filtration
         report = check_filtration_identities(
-            [ideal(A2, "x^2"), ideal(A2, "x")],
-            [ideal(A2, "y"), ideal(A2, "y^2")],
+            [ideal(XY, "x^2"), ideal(XY, "x")],
+            [ideal(XY, "y"), ideal(XY, "y^2")],
             [ideal(B2, "z"), ideal(B2, "z^2")],
-            ideal(A2, "y"),
+            ideal(XY, "y"),
             2,
         )
         assert not report.premises_ok and not report.passed
 
     @pytest.mark.parametrize(
         "i_terms",
-        [[ideal(A2, "x")], [ideal(A2, "x"), ideal(A2, "x^3")]],
+        [[ideal(XY, "x")], [ideal(XY, "x"), ideal(XY, "x^3")]],
         ids=["too-short", "not-closed-under-products"],
     )
     def test_failed_premise_clears_every_flag(self, i_terms):
-        k = ideal(A2, "y")
+        k = ideal(XY, "y")
         report = check_filtration_identities(
             i_terms, [k, ideal_power(k, 2)], [ideal(B2, "z"), ideal(B2, "z^2")], k, 2
         )
         assert report == FiltrationReport(False, False, False, False, False, False)
 
     def test_empty_filtration_rejected(self):
-        x, z = ideal(A2, "x"), ideal(B2, "z")
+        x, z = ideal(XY, "x"), ideal(B2, "z")
         for lists in (([], [x], [z]), ([x], [], [z]), ([x], [x], [])):
             with pytest.raises(IdealArgumentError, match="^empty filtration$"):
                 check_filtration_identities(*lists, x, 1)
@@ -554,7 +552,7 @@ class TestFiltrationIdentities:
     @pytest.mark.parametrize("s", [1, 2])
     def test_second_filtration_in_another_ring_is_refused(self, s):
         # Only the inclusion of its first term in the prepended (1) sees it.
-        i_terms = [ideal(A2, "x"), ideal(A2, "x^2")]
+        i_terms = [ideal(XY, "x"), ideal(XY, "x^2")]
         k_terms = [ideal(B2, "t"), ideal(B2, "t^2")]
         j_terms = [ideal(B2, "z"), ideal(B2, "z^2")]
         message = r"^ring mismatch: \[x, y\] vs \[z, t\]$"
@@ -562,8 +560,8 @@ class TestFiltrationIdentities:
             check_filtration_identities(i_terms, k_terms, j_terms, i_terms[0], s)
 
     @given(
-        ideals_over(A2, True),
-        ideals_over(A2, False),
+        ideals_over(XY, True),
+        ideals_over(XY, False),
         ideals_over(B2, True),
         st.integers(1, 3),
     )
@@ -630,16 +628,16 @@ class TestReportFlags:
 class TestEmbeddingValidation:
     def test_non_injective_rejected(self):
         with pytest.raises(ValueError):
-            RingEmbedding(A2, Ring.of("u", "v"), (0, 0))
+            RingEmbedding(XY, Ring.of("u", "v"), (0, 0))
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
-            RingEmbedding(A2, Ring.of("u", "v"), (0,))
+            RingEmbedding(XY, Ring.of("u", "v"), (0,))
 
     def test_out_of_range_rejected(self):
         for index_map in ((0, 2), (-1, 0)):
             with pytest.raises(ValueError, match="^index map out of range$"):
-                RingEmbedding(A2, Ring.of("u", "v"), index_map)
+                RingEmbedding(XY, Ring.of("u", "v"), index_map)
 
 
 class TestDirectRouteIndependence:
@@ -650,7 +648,7 @@ class TestDirectRouteIndependence:
     @pytest.mark.parametrize(
         "i, j",
         [
-            (ideal(AB, "a^2, a*b"), ideal(CD, "c^2, c*d")),
+            (ideal(A, "a^2, a*b"), ideal(CD, "c^2, c*d")),
             # I splits into (x^2, x*y) and (z^2); J is connected.
             (ideal(Ring.of("x", "y", "z"), "x^2, x*y, z^2"), ideal(CD, "c^3, c*d, d^2")),
         ],
@@ -680,4 +678,4 @@ class TestDirectRouteIndependence:
 
     def test_symbolic_of_sum_still_rejects_a_bad_notion(self):
         with pytest.raises(ValueError, match="notion must be one of"):
-            symbolic_of_sum(ideal(AB, "a^2, a*b"), ideal(CD, "c"), 2, "max")
+            symbolic_of_sum(ideal(A, "a^2, a*b"), ideal(CD, "c"), 2, "max")

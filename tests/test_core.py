@@ -27,11 +27,13 @@ from idealkit.core import (
     radical,
     saturate,
 )
-from idealkit.binomial import RingEmbedding
-from idealkit.decomposition import IrreducibleComponent, irreducible_decomposition
+from idealkit.binomial import RingEmbedding, extend, prime_sum
+from idealkit.decomposition import IrreducibleComponent, grade_zero, irreducible_decomposition
 from idealkit.dsl import run_script
+from idealkit.powers import saturated_power
 from monomial_boxes import monomials_of_degree_at_most
-from small_ideals import A, R3, XY, exponent_vectors, ideal, ideals3, monomials3, proper3
+from small_ideals import A, R3, R4, XY, exponent_vectors, ideal, ideals3, monomials3, proper3
+from small_ideals import module_container_sizes
 
 nonzero3 = ideals3.filter(lambda i: not i.is_zero)
 
@@ -94,8 +96,13 @@ class TestRingAndMonomial:
             lambda: IrreducibleComponent(A, ((5, 1),)),
             lambda: IrreducibleComponent(A, ((-1, 2),)),
             lambda: IrreducibleComponent(A, ((0, 1), (2, 3))),
+            lambda: A.variable(2),
+            lambda: A.variable(-1),
         ],
-        ids=["prime-high", "prime-low", "component-high", "component-low", "component-mixed"],
+        ids=[
+            "prime-high", "prime-low", "component-high", "component-low", "component-mixed",
+            "variable-high", "variable-low",
+        ],
     )
     def test_constructors_reject_variable_indices_out_of_range(self, build):
         with pytest.raises(ValueError, match="^variable index out of range: "):
@@ -139,16 +146,55 @@ class TestRingAndMonomial:
         assert value != other and not value == other
 
     def test_arithmetic_error_messages(self):
-        a, x = Monomial.parse(A, "a"), Monomial.parse(XY, "x")
-        mismatch = r"^ring mismatch: \[a, b\] vs \[x, y\]$"
-        for operation in (Monomial.__mul__, Monomial.lcm, Monomial.divide_out,
-                          Monomial.divide_exact):
-            with pytest.raises(RingMismatchError, match=mismatch):
-                operation(a, x)
+        x = Monomial.parse(XY, "x")
         with pytest.raises(ValueError, match="^negative power$"):
             x.power(-1)
         with pytest.raises(ValueError, match=r"^x\^2 does not divide x\*y$"):
             Monomial.parse(XY, "x*y").divide_exact(Monomial.parse(XY, "x^2"))
+
+
+# Values over [a, b], [x, y] and [x, y, z], embeddings of the first two into
+# [a, b, x, y], and the error each public two-value entry documents for them.
+I_A, I_XY = ideal(A, "a"), ideal(XY, "x")
+M_A, M_XY = Monomial.parse(A, "a"), Monomial.parse(XY, "x")
+P_A, P_XY, P_R3 = MonomialPrime(A, (0,)), MonomialPrime(XY, (0,)), MonomialPrime(R3, (2,))
+FROM_A = RingEmbedding(A, Ring.of("a", "b", "x", "y"), (0, 1))
+FROM_XY = RingEmbedding(XY, FROM_A.target, (2, 3))
+MISMATCH = (RingMismatchError, r"^ring mismatch: \[a, b\] vs \[x, y\]$")
+SOURCE = (IdealArgumentError, "^ideal does not live in the embedding source$")
+TWO_RINGS = {
+    "ideal_sum": (lambda: ideal_sum(I_A, I_XY), MISMATCH),
+    "ideal_product": (lambda: ideal_product(I_A, I_XY), MISMATCH),
+    "intersect": (lambda: intersect(I_A, I_XY), MISMATCH),
+    "colon": (lambda: colon(I_A, I_XY), MISMATCH),
+    "colon_monomial": (lambda: colon_monomial(I_A, M_XY), MISMATCH),
+    "saturate": (lambda: saturate(I_A, I_XY), MISMATCH),
+    "contains": (lambda: contains(I_A, M_XY), MISMATCH),
+    "saturated_power": (lambda: saturated_power(I_A, I_XY, 2), MISMATCH),
+    "grade_zero": (lambda: grade_zero(P_A, I_XY), MISMATCH),
+    "extend": (lambda: extend(I_XY, FROM_A), SOURCE),
+    "prime_sum": (lambda: prime_sum(P_XY, P_XY, FROM_A, FROM_XY), SOURCE),
+    "prime_sum-third-ring": (lambda: prime_sum(P_A, P_R3, FROM_A, FROM_XY), SOURCE),
+    "prime_sum-two-targets": (
+        lambda: prime_sum(P_A, P_XY, FROM_A, RingEmbedding(XY, R4, (0, 1))),
+        (IdealArgumentError, "^the embeddings have different targets$"),
+    ),
+    "MonomialIdeal.contains": (lambda: I_A.contains(M_XY), MISMATCH),
+    "contains_ideal": (lambda: I_A.contains_ideal(I_XY), MISMATCH),
+    "Monomial.__mul__": (lambda: M_A * M_XY, MISMATCH),
+    "lcm": (lambda: M_A.lcm(M_XY), MISMATCH),
+    "divide_out": (lambda: M_A.divide_out(M_XY), MISMATCH),
+    "divide_exact": (lambda: M_A.divide_exact(M_XY), MISMATCH),
+    "divides": (lambda: M_A.divides(M_XY), MISMATCH),
+    "contains_monomial": (lambda: P_A.contains_monomial(M_XY), MISMATCH),
+}
+
+
+@pytest.mark.parametrize("entry", TWO_RINGS)
+def test_values_over_two_rings_are_refused(entry):
+    call, (error, message) = TWO_RINGS[entry]
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestCanonicalForm:
@@ -283,14 +329,6 @@ def product_loop(i, s):
     return result
 
 
-def module_container_sizes():
-    return sum(
-        len(value)
-        for value in vars(core).values()
-        if isinstance(value, (dict, set, list))
-    )
-
-
 class TestPowerMemo:
     @given(
         st.one_of(
@@ -342,10 +380,10 @@ class TestPowerMemo:
             core._power.cache_clear()
 
     def test_memo_is_bounded(self):
-        before = module_container_sizes()
+        before = module_container_sizes(core)
         for a in range(1, 61):
             ideal_power(ideal(XY, f"x^{a}, y"), 20)
-        assert module_container_sizes() == before
+        assert module_container_sizes(core) == before
         info = core._power.cache_info()
         assert info.maxsize == core._MEMO_SIZE == 1024
         assert info.currsize <= 1024

@@ -1,29 +1,33 @@
-"""The script corpus, run through ``idealkit run`` in-process.
+"""The script corpus, run through ``idealkit run``.
 
 A case is ``NAME.idk``, a script, and ``NAME.out``, its exact stdout.  A
 case with ``NAME.err`` must write exactly that stderr and exit 2; any other
 case must exit 0 and write nothing on stderr.  An optional first line
 ``# --char P`` is the one flag a case passes.
 
-Three directories hold cases in this format: ``tests/scripts``, the cases
-the CI workflow also runs through the installed console script;
-``tests/scripts/hard``, large powers whose cases take seconds each, run
-under the ``slow`` marker; and the package's ``golden`` directory, the
-checks of ``idealkit verify``, named ``NN-name`` with the prefixes 01, 02,
-... in order, which take no flag and no ``.err``.  The integrity checks
-make a lost or renamed file fail here, so the coverage cannot quietly
-shrink.
+Three directories hold cases in this format: ``tests/scripts``, whose
+cases run both in-process and in a fresh interpreter, which also sees
+what is written at interpreter exit; ``tests/scripts/hard``, large powers
+whose cases take seconds each, run under the ``slow`` marker; and the
+package's ``golden`` directory, the checks of ``idealkit verify``, named
+``NN-name`` with the prefixes 01, 02, ... in order, which take no flag and
+no ``.err``.  The integrity checks make a lost or renamed file fail here,
+so the coverage cannot quietly shrink.
 """
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from idealkit import cli
 from idealkit.cli import main
 
-SCRIPTS = os.path.join(os.path.dirname(__file__), "scripts")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+SCRIPTS = os.path.join(TESTS, "scripts")
 DIRECTORIES = {
     "scripts": SCRIPTS,
     "hard": os.path.join(SCRIPTS, "hard"),
@@ -48,6 +52,13 @@ def flags(script):
     return ["--char", header[1]] if header else []
 
 
+def pinned(stem):
+    """The exit code, stdout and stderr of a case, read from its directory."""
+    if os.path.exists(f"{stem}.err"):
+        return 2, read(f"{stem}.out"), read(f"{stem}.err")
+    return 0, read(f"{stem}.out"), ""
+
+
 CASES = [
     pytest.param(
         label, stem, id=f"{label}/{stem}", marks=[pytest.mark.slow] if label == "hard" else []
@@ -61,15 +72,23 @@ CASES = [
 def test_case_prints_its_pinned_output(label, stem, capsys, monkeypatch):
     # From the case's own directory, so an error names the bare file name.
     monkeypatch.chdir(DIRECTORIES[label])
-    err_file = f"{stem}.err"
-    expected_err = read(err_file) if os.path.exists(err_file) else None
     code = main(["run", *flags(read(f"{stem}.idk")), f"{stem}.idk"])
-    out, err = capsys.readouterr()
-    assert out == read(f"{stem}.out")
-    if expected_err is None:
-        assert (code, err) == (0, "")
-    else:
-        assert (code, err) == (2, expected_err)
+    assert (code, *capsys.readouterr()) == pinned(stem)
+
+
+@pytest.mark.parametrize("stem", stems(SCRIPTS, ".idk"), ids=lambda stem: f"scripts/{stem}")
+def test_case_prints_its_pinned_bytes_in_a_fresh_interpreter(stem, monkeypatch):
+    # The environment is inherited, PYTHONHASHSEED included, with this
+    # checkout's src first on the path.
+    monkeypatch.chdir(SCRIPTS)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "idealkit.cli", "run", *flags(read(f"{stem}.idk")), f"{stem}.idk"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    code, out, err = pinned(stem)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
 
 
 @pytest.mark.parametrize("label", DIRECTORIES)

@@ -41,9 +41,8 @@ from idealkit.homology import taylor_betti_table
 from idealkit.powers import saturator_min, symbolic_min
 from monomial_boxes import monomials_below
 from packed_meet import packed_meet, tuple_components, tuple_meet
-from small_ideals import A, R3, XY, ideal, proper3
-
-R4 = Ring.of("x", "y", "z", "t")
+from small_ideals import A, PATHOLOGICAL, R12, R13, R3, R4, R5, X1, XY, ideal, proper3
+from small_ideals import boundary_ideals, module_container_sizes, sparse_ideal
 
 
 monomials4 = st.tuples(*[st.integers(0, 3)] * 4).map(R4.monomial)
@@ -73,7 +72,6 @@ ideals_up_to_4 = st.one_of(
 )
 
 
-R5 = Ring.of("a", "b", "c", "d", "e")
 # Exponent tuples of degree d or d + 1 with entries <= 4: a drawn list of them
 # reduces to a mixed-degree antichain of 6-24 generators far more often than
 # uniformly drawn tuples do: the size of the duals folded for small ideals.
@@ -134,14 +132,6 @@ def reference_decomposition(i):
         c
         for c in raw
         if not any(d is not c and ideals[c].contains_ideal(ideals[d]) for d in raw)
-    )
-
-
-def module_container_sizes():
-    return sum(
-        len(value)
-        for value in vars(decomposition).values()
-        if isinstance(value, (dict, set, list))
     )
 
 
@@ -230,14 +220,12 @@ class TestIrreducibleDecomposition:
             assert irreducible_decomposition(power) == reference_decomposition(power)
 
     def test_roadmap_pathological_square(self):
-        ring = Ring(tuple("abcdefghijkl"))
-        square = ideal_power(ideal(ring, "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"), 2)
+        square = ideal_power(ideal(R12, PATHOLOGICAL), 2)
         assert len(irreducible_decomposition(square)) == 400
         assert len(associated_primes(square)) == 64
 
     def test_roadmap_pathological_cube(self):
-        ring = Ring(tuple("abcdefghijkl"))
-        i = ideal(ring, "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l")
+        i = ideal(R12, PATHOLOGICAL)
         cube = ideal_power(i, 3)
         decomposition._irredundant.cache_clear()
         started = time.monotonic()
@@ -330,33 +318,12 @@ class TestMeet:
         assert ass_module_quotient_exhaustive(i, 3) == primes
 
 
-# Exponents at the packed kernel's field-width boundaries: 2^k - 1 fills k
-# bits, and 2^k and 2^k + 1 need one more, up to k = 62, where a field with
-# its guard bit passes 64 bits.
-BOUNDARY_EXPONENTS = sorted({2**k + d for k in (1, 2, 3, 30, 62) for d in (-1, 0, 1)})
-X1 = Ring.of("x")
-# 13 fields of 3 or more bits span several 30-bit CPython digits.
-R13 = Ring(tuple("abcdefghijklm"))
-
-
-def sparse_ideal(ring, gens):
-    """The ideal of ``ring`` generated by {variable index: exponent} dicts."""
-    return _ideal(ring, [tuple(g.get(i, 0) for i in range(ring.nvars)) for g in gens])
-
-
-def boundary_ideals(ring):
-    """Ideals of 1-3 generators, each in 1-2 variables, with boundary exponents."""
-    generator = st.dictionaries(
-        st.integers(0, ring.nvars - 1), st.sampled_from(BOUNDARY_EXPONENTS), min_size=1, max_size=2
-    )
-    return st.lists(generator, min_size=1, max_size=3).map(lambda gens: sparse_ideal(ring, gens))
-
-
 class TestFieldWidths:
     """Every decomposition and symbolic fold at the field-width boundaries,
     against the tuple kernel and against ``intersect``."""
 
-    @given(st.one_of(boundary_ideals(X1), boundary_ideals(R13)), st.integers(1, 2))
+    # Ideals of 1-3 generators, each in 1-2 variables.
+    @given(st.one_of(boundary_ideals(X1, 2, 3), boundary_ideals(R13, 2, 3)), st.integers(1, 2))
     @example(sparse_ideal(X1, [{0: 2**62}]), 2)
     @example(sparse_ideal(R13, [{0: 2**62 + 1, 12: 1}, {12: 2**30}, {5: 7, 6: 2**62 - 1}]), 2)
     @example(sparse_ideal(R13, [{0: 3, 1: 4}, {1: 2, 12: 8}, {0: 1, 12: 9}]), 2)
@@ -403,11 +370,11 @@ class TestDecompositionMemo:
         ]
 
     def test_memo_is_bounded(self):
-        before = module_container_sizes()
+        before = module_container_sizes(decomposition)
         for a in range(1, 35):
             for b in range(2, 36):
                 irreducible_decomposition(ideal(XY, f"x^{a}*y, y^{b}"))
-        assert module_container_sizes() == before
+        assert module_container_sizes(decomposition) == before
         info = decomposition._irredundant.cache_info()
         assert info.maxsize == 1024
         assert info.currsize <= 1024

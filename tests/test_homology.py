@@ -23,7 +23,6 @@ from idealkit.core import (
     MonomialIdeal,
     Ring,
     _MEMO_SIZE,
-    _ideal,
     ideal_power,
 )
 from idealkit.homology import (
@@ -55,10 +54,9 @@ from idealkit.binomial import (
 from idealkit.powers import saturated_power
 from lattice_betti import lattice_betti_table, lattice_points, lattice_walk, walk_facets
 from packed_cone import packed_cone_ranks, tuple_collapse_keys, tuple_cone_ranks
-from small_ideals import R3, ideal
+from small_ideals import A, PATHOLOGICAL, R12, R13, R3, R4, R5, X1, ideal
+from small_ideals import boundary_ideals, sparse_ideal
 
-AB = Ring.of("a", "b")
-R4 = Ring.of("x", "y", "z", "t")
 ABCD = Ring.of("a", "b", "c", "d")
 
 
@@ -371,8 +369,8 @@ class TestBettiTable:
         assert table.regularity() == ExtendedInt(0)
 
     def test_depth_reg_of_principal_ideal(self):
-        assert depth_quotient(ideal(AB, "a")) == ExtendedInt(1)
-        assert reg_quotient(ideal(AB, "a")) == ExtendedInt(0)
+        assert depth_quotient(ideal(A, "a")) == ExtendedInt(1)
+        assert reg_quotient(ideal(A, "a")) == ExtendedInt(0)
 
     def test_square_of_two_variable_prime(self):
         i = ideal_power(ideal(ABCD, "a, c"), 2)
@@ -400,9 +398,9 @@ class TestBettiTable:
     def test_cone_multidegree_has_no_betti_number(self):
         # At a^2*b^2 the generator a*b gives the facet {a, b}, which holds
         # the facets {b} of a^2 and {a} of b^2: K^b is a simplex, a cone.
-        i = ideal(AB, "a^2, a*b, b^2")
+        i = ideal(A, "a^2, a*b, b^2")
         gens = [g.exponents for g in i.generators]
-        b = AB.monomial((2, 2))
+        b = A.monomial((2, 2))
         assert b.exponents in tuple_closure(gens)
         assert generator_facets(gens, b.exponents) == [0b11]
         # A simplex, so the walk never yields it.
@@ -470,9 +468,6 @@ def bfs_upper_koszul_faces(i, b):
 
 def as_mask(face):
     return sum(1 << v for v in face)
-
-
-R5 = Ring.of("a", "b", "c", "d", "e")
 
 
 def wide_generators(ring, count):
@@ -729,11 +724,6 @@ class TestCollapseCore:
         facets = [0b0011, 0b0101, 0b0110, 0b1100]
         assert _collapse_core(tuple(facets)) == (0b011, 0b101, 0b110)
         assert _core_homology(_collapse_core(tuple(facets)), 0) == ((1, 1),)
-
-
-R12 = Ring.of(*"abcdefghijkl")
-# Six summands in disjoint variables; K^b lives on up to 12 vertices.
-PATHOLOGICAL = "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"
 
 
 def total_betti_polynomial(table):
@@ -1195,34 +1185,18 @@ class TestLatticeReference:
         assert betti_table(cube, char) == lattice_betti_table(cube, char)
 
 
-# Exponents at the field-width boundaries of the packed tree: 2^k - 1 fills
-# k bits, and 2^k and 2^k + 1 need one more.  The fields hold degrees, so
-# 13 variables at 2^62 + 1 take 67 bits each, over several CPython digits.
-BOUNDARY_EXPONENTS = sorted({2**k + d for k in (1, 2, 3, 30, 62) for d in (-1, 0, 1)})
-X1 = Ring.of("x")
-R13 = Ring(tuple("abcdefghijklm"))
 R20 = Ring(tuple("abcdefghijklmnopqrst"))
-
-
-def sparse_ideal(ring, gens):
-    """The ideal of ``ring`` generated by {variable index: exponent} dicts."""
-    return _ideal(ring, [tuple(g.get(i, 0) for i in range(ring.nvars)) for g in gens])
-
-
-def boundary_ideals(ring):
-    """Ideals of 1-5 generators, each in 1-3 variables, with boundary exponents."""
-    generator = st.dictionaries(
-        st.integers(0, ring.nvars - 1), st.sampled_from(BOUNDARY_EXPONENTS), min_size=1, max_size=3
-    )
-    return st.lists(generator, min_size=1, max_size=5).map(lambda gens: sparse_ideal(ring, gens))
 
 
 class TestFieldWidths:
     """Betti tables at the field-width boundaries, against the Taylor
-    oracle up to its cap of 14 generators and the lattice walk past it."""
+    oracle up to its cap of 14 generators and the lattice walk past it.
+    The packed tree's fields hold degrees, so 13 variables at 2^62 + 1 take
+    67 bits each."""
 
+    # Ideals of 1-5 generators, each in 1-3 variables.
     @given(
-        st.one_of(boundary_ideals(X1), boundary_ideals(R13), boundary_ideals(R20)),
+        st.one_of(*(boundary_ideals(ring, 3, 5) for ring in (X1, R13, R20))),
         st.integers(1, 3),
         st.sampled_from([0, 2, 3]),
     )
@@ -1344,7 +1318,7 @@ class TestBettiRows:
 
 class TestDerivStar:
     def test_example_ideal(self):
-        assert deriv_star(ideal(AB, "a^2, a*b")) == ideal(AB, "a, b")
+        assert deriv_star(ideal(A, "a^2, a*b")) == ideal(A, "a, b")
 
     def test_single_variable(self):
         assert deriv_star(ideal(R3, "x")).is_unit
@@ -1382,8 +1356,8 @@ class TestDepthRegFormulas:
 
     def test_worked_example(self):
         report = check_depth_reg_binomial(
-            ideal(AB, "a^2, a*b"),
-            ideal(AB, "a, b"),
+            ideal(A, "a^2, a*b"),
+            ideal(A, "a, b"),
             ideal(Ring.of("c", "d"), "c^2, c*d"),
             ideal(Ring.of("c", "d"), "c, d"),
             2,
@@ -1416,7 +1390,7 @@ class TestDepthRegFormulas:
 
     def test_symbolic_ass_variant(self):
         report = check_depth_reg_symbolic_ass(
-            ideal(AB, "a^2, a*b"), ideal(Ring.of("c", "d"), "c^2, c*d"), 2
+            ideal(A, "a^2, a*b"), ideal(Ring.of("c", "d"), "c^2, c*d"), 2
         )
         assert report.passed
 

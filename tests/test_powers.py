@@ -47,9 +47,7 @@ from idealkit.powers import (
 from conftest import idealkit_memos
 from monomial_boxes import monomials_of_degree_at_most
 from packed_meet import tuple_meet, unpack, unpack_powers
-from small_ideals import A, R3, XY, ideal, proper3
-
-R4 = Ring.of("x", "y", "z", "t")
+from small_ideals import A, PATHOLOGICAL as PATHOLOGICAL_TEXT, R12, R3, R4, XY, ideal, proper3
 
 
 class TestSaturatedPower:
@@ -380,8 +378,7 @@ class TestWitnessFromSaturatorGenerators:
         assert regular_witness_candidates(i, "min") == [A.monomial((0, 1))]
 
     def test_twelve_variable_sum(self):
-        ring = Ring(tuple("abcdefghijkl"))
-        i = ideal(ring, "a^2, a*b, c^2, c*d, e^2, e*f, g^2, g*h, i^2, i*j, k^2, k*l")
+        i = ideal(R12, "a^2, a*b, c^2, c*d, e^2, e*f, g^2, g*h, i^2, i*j, k^2, k*l")
         decomposition._irredundant.cache_clear()
         started = time.monotonic()
         assert str(regular_witness(i, "min", 2)) == "b*d*f*h*j*l"
@@ -826,9 +823,7 @@ def principal_over(ring, variables):
 
 
 R6 = Ring.of("a", "b", "c", "d", "e", "f")
-PATHOLOGICAL = ideal(
-    Ring(tuple("abcdefghijkl")), "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"
-)
+PATHOLOGICAL = ideal(R12, PATHOLOGICAL_TEXT)
 
 
 class TestDirectRoute:

@@ -26,9 +26,8 @@ from idealkit.core import Monomial, MonomialIdeal, MonomialPrime, Ring, _Value
 from idealkit.decomposition import IrreducibleComponent, primary_decomposition
 from idealkit.dsl import AddOp, MulOp, Name, parse
 from idealkit.homology import ExtendedInt, betti_table
+from small_ideals import A, R3
 
-A = Ring.of("a", "b")
-B = Ring.of("x", "y", "z")
 I = MonomialIdeal.parse(A, "a^2, a*b")
 
 # Each case builds one value afresh and names its fields in constructor order.
@@ -44,7 +43,7 @@ VALUES = {
     "PrimaryDecomposition": (lambda: primary_decomposition(I), ["components"]),
     # The constructor, not the memoised join_rings, which returns one object.
     "RingEmbedding": (
-        lambda: RingEmbedding(B, Ring.of("a", "b", "x", "y", "z"), (2, 3, 4)),
+        lambda: RingEmbedding(R3, Ring.of("a", "b", "x", "y", "z"), (2, 3, 4)),
         ["source", "target", "index_map"],
     ),
     "BettiTable": (lambda: betti_table(I), ["ring", "against", "entries"]),
