@@ -140,6 +140,10 @@ class Ring(_Value):
     __match_args__ = ("variables",)
 
     def __init__(self, variables: tuple[str, ...]):
+        if isinstance(variables, str):
+            raise ValueError(
+                f"variables must be a sequence of names, not the string {variables!r}"
+            )
         variables = tuple(variables)
         if not variables or not all(
             isinstance(v, str) and _NAME_RE.fullmatch(v) for v in variables
@@ -171,6 +175,7 @@ class Ring(_Value):
         return _monomial(self, (0,) * self.nvars)
 
     def variable(self, index: int) -> "Monomial":
+        (index,) = _whole_numbers((index,))
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index out of range: {index!r}")
         exps = [0] * self.nvars

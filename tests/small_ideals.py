@@ -1,11 +1,12 @@
 """The rings, ideals and hypothesis strategies that several test modules
-share: small rings, the ideal parser, strategies over a fixed 3-variable
-ring, the pathological ideal, and ideals with exponents at the packed
-kernels' field-width boundaries."""
+share: small rings, the ideal parser, memo-free references for powers
+and printed monomials, strategies over a fixed 3-variable ring, the
+pathological ideal and the real projective plane, and ideals with
+exponents at the packed kernels' field-width boundaries."""
 
 from hypothesis import strategies as st
 
-from idealkit.core import MonomialIdeal, Ring, _ideal
+from idealkit.core import MonomialIdeal, Ring, _ideal, ideal_product
 
 A = Ring.of("a", "b")
 XY = Ring.of("x", "y")
@@ -15,15 +16,27 @@ R5 = Ring.of("a", "b", "c", "d", "e")
 R12 = Ring(tuple("abcdefghijkl"))
 # A sum of four summands in disjoint variables, over R12.
 PATHOLOGICAL = "a^2*b, a*b*c, c^2*d, e*f, g*h, i*j*k*l"
+# The Stanley-Reisner ideal of the 6-vertex real projective plane, over
+# ABCDEF; at a*b*c*d*e*f its cone ranks are {2: 1, 3: 1}.
+ABCDEF = Ring.of(*"abcdef")
+PROJECTIVE_PLANE = "a*b*d, a*b*e, a*c*d, a*c*f, a*e*f, b*c*e, b*c*f, b*d*f, c*d*e, d*e*f"
 
 
 def ideal(ring, text):
     return MonomialIdeal.parse(ring, text)
 
 
-def module_container_sizes(module):
-    """The total length of the dicts, sets and lists at a module's top level."""
-    return sum(len(v) for v in vars(module).values() if isinstance(v, (dict, set, list)))
+def product_loop(i, s):
+    """I^s as s products from the unit ideal, with no memo."""
+    result = MonomialIdeal.unit(i.ring)
+    for _ in range(s):
+        result = ideal_product(result, i)
+    return result
+
+
+def monomial_text(names, e):
+    """The monomial x^e over ``names``, printed one f-string per variable."""
+    return "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k) or "1"
 
 
 exponent_vectors = st.tuples(

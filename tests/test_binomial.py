@@ -32,7 +32,7 @@ from idealkit.binomial import (
 )
 from idealkit.decomposition import _mask, _primes, _summands, _supports, associated_primes
 from idealkit.powers import NOTIONS, _binomial_sum, _symbolic_direct, saturated_power
-from small_ideals import A, R3, XY, ideal
+from small_ideals import A, R3, R4, XY, ideal
 
 B2 = Ring.of("z", "t")
 CD = Ring.of("c", "d")
@@ -94,7 +94,7 @@ SPLIT_J = ideal(Ring(tuple("efghijkl")), "e*f, g*h, i*j*k*l")
 class TestJoin:
     def test_disjoint_names_concatenate(self):
         joined, emb_a, emb_b = join_rings(XY, B2)
-        assert joined == Ring.of("x", "y", "z", "t")
+        assert joined == R4
         assert emb_a.index_map == (0, 1)
         assert emb_b.index_map == (2, 3)
 
@@ -199,7 +199,7 @@ class TestBinomialSaturated:
     def test_derived_example_s1(self):
         i, k = ideal(XY, "x^2, x*y"), ideal(XY, "x, y")
         j, l = ideal(B2, "z^2, z*t"), ideal(B2, "z, t")
-        joined = Ring.of("x", "y", "z", "t")
+        joined = R4
         result = binomial_saturated(i, k, j, l, 1)
         assert result == ideal(joined, "x, z")
         assert result == direct_saturated_sum(i, k, j, l, 1)
@@ -207,7 +207,7 @@ class TestBinomialSaturated:
     def test_derived_example_s2(self):
         i, k = ideal(XY, "x^2, x*y"), ideal(XY, "x, y")
         j, l = ideal(B2, "z^2, z*t"), ideal(B2, "z, t")
-        joined = Ring.of("x", "y", "z", "t")
+        joined = R4
         result = binomial_saturated(i, k, j, l, 2)
         assert result == ideal(joined, "x^2, x*z, z^2")
         assert result == direct_saturated_sum(i, k, j, l, 2)
@@ -414,9 +414,7 @@ class TestAssStructure:
         _, emb_a, emb_b = join_rings(XY, B2)
         p = MonomialPrime.of_names(XY, "x")
         q = MonomialPrime.of_names(B2, "z", "t")
-        assert prime_sum(p, q, emb_a, emb_b) == MonomialPrime.of_names(
-            Ring.of("x", "y", "z", "t"), "x", "z", "t"
-        )
+        assert prime_sum(p, q, emb_a, emb_b) == MonomialPrime.of_names(R4, "x", "z", "t")
 
     @given(ideals_over(XY, True), ideals_over(B2, True), st.integers(1, 2))
     @settings(max_examples=15, deadline=None)
@@ -650,7 +648,7 @@ class TestDirectRouteIndependence:
         [
             (ideal(A, "a^2, a*b"), ideal(CD, "c^2, c*d")),
             # I splits into (x^2, x*y) and (z^2); J is connected.
-            (ideal(Ring.of("x", "y", "z"), "x^2, x*y, z^2"), ideal(CD, "c^3, c*d, d^2")),
+            (ideal(R3, "x^2, x*y, z^2"), ideal(CD, "c^3, c*d, d^2")),
         ],
     )
     def test_checks_never_take_the_fast_path(self, monkeypatch, i, j):

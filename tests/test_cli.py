@@ -16,6 +16,10 @@ from idealkit import binomial, cli, core, dsl, fuzz, homology, powers
 from idealkit.cli import build_parser, main
 
 
+# The larger tier's bounds.
+LARGER = dict(max_vars_per_side=4, max_generators=5, max_exponent=4, max_s=4)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -354,7 +358,7 @@ class TestFuzz:
         "config",
         [
             fuzz.FuzzConfig(),
-            fuzz.FuzzConfig(max_vars_per_side=4, max_generators=5, max_exponent=4, max_s=4),
+            fuzz.FuzzConfig(**LARGER),
         ],
         ids=["default", "larger"],
     )
@@ -392,7 +396,7 @@ class TestFuzz:
         digest = hashlib.sha256()
         for config in (
             fuzz.FuzzConfig(),
-            fuzz.FuzzConfig(max_vars_per_side=4, max_generators=5, max_exponent=4, max_s=4),
+            fuzz.FuzzConfig(**LARGER),
         ):
             for seed in range(1, 41):
                 rng = random.Random(seed)
@@ -601,25 +605,31 @@ class TestFuzz:
         assert err == f"error: characteristic must be 0 or a prime, got {char}\n"
 
     @pytest.mark.parametrize(
-        "seed",
+        "suites, seed, cases, char",
         [
-            1,
-            pytest.param(2, marks=pytest.mark.slow),
-            pytest.param(3, marks=pytest.mark.slow),
+            pytest.param(fuzz.SUITE_NAMES, 1, 5, 0, id="1"),
+            pytest.param(fuzz.SUITE_NAMES, 2, 5, 0, id="2", marks=pytest.mark.slow),
+            pytest.param(fuzz.SUITE_NAMES, 3, 5, 0, id="3", marks=pytest.mark.slow),
+            # The Ass-structure suite: its grade check ranges over every prime
+            # of 4 + 4-variable rings.
+            pytest.param(["lem25_29"], 1, 50, 0, id="ass-structure"),
+            # The depth and regularity suites read the largest Betti tables, up
+            # to 138 generators, in characteristics 0, 2 and 3, those of the
+            # betti benchmark workload.
+            *(
+                pytest.param(["cor46", "thm44"], 3, 5, char, id=f"betti-route-char{char}")
+                for char in (0, 2, 3)
+            ),
+            # The symbolic-power suites read the min and ass folds of the
+            # decomposition route, the ass one built on the min power.
+            pytest.param(["thm41_min", "thm41_ass", "cor43"], 3, 20, 0, id="symbolic-routes"),
         ],
     )
-    def test_larger_tier_passes_every_suite(self, seed):
-        config = fuzz.FuzzConfig(
-            seed=seed,
-            max_vars_per_side=4,
-            max_generators=5,
-            max_exponent=4,
-            max_s=4,
-            cases=5,
-        )
-        status, reports = fuzz.run_fuzz(config)
-        assert [r["suite"] for r in reports] == list(fuzz.SUITE_NAMES)
-        assert [(r["passes"], r["failures"]) for r in reports] == [(5, [])] * 10
+    def test_larger_tier_passes_every_suite(self, suites, seed, cases, char):
+        config = fuzz.FuzzConfig(seed=seed, cases=cases, suites=suites, **LARGER)
+        status, reports = fuzz.run_fuzz(config, char)
+        assert [r["suite"] for r in reports] == list(suites)
+        assert [(r["passes"], r["failures"]) for r in reports] == [(cases, [])] * len(suites)
         assert status == 0
 
 

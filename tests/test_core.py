@@ -1,7 +1,4 @@
-import random
 import re
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +30,8 @@ from idealkit.dsl import run_script
 from idealkit.powers import saturated_power
 from monomial_boxes import monomials_of_degree_at_most
 from small_ideals import A, R3, R4, XY, exponent_vectors, ideal, ideals3, monomials3, proper3
-from small_ideals import module_container_sizes
+from small_ideals import product_loop
+from memo_rows import ROW, check_cold_past_the_bound, check_threads_find
 
 nonzero3 = ideals3.filter(lambda i: not i.is_zero)
 
@@ -46,6 +44,11 @@ class TestRingAndMonomial:
     def test_ring_rejects_empty_name(self):
         with pytest.raises(ValueError):
             Ring(("",))
+
+    def test_ring_rejects_a_bare_string(self):
+        message = "^variables must be a sequence of names, not the string 'x1'$"
+        with pytest.raises(ValueError, match=message):
+            Ring("x1")
 
     def test_monomial_parse_and_render(self):
         m = Monomial.parse(R3, "x^2*z")
@@ -70,6 +73,8 @@ class TestRingAndMonomial:
             (lambda: A.monomial((0, float("nan"))), "nan"),
             (lambda: A.monomial((None, 0)), "None"),
             (lambda: A.monomial(("x", 0)), "'x'"),
+            (lambda: A.variable(2.5), "2.5"),
+            (lambda: A.variable("1"), "'1'"),
         ],
         ids=[
             "monomial",
@@ -82,6 +87,8 @@ class TestRingAndMonomial:
             "nan",
             "none",
             "word",
+            "variable",
+            "variable-string",
         ],
     )
     def test_constructors_reject_values_that_are_not_whole(self, build, shown):
@@ -98,10 +105,11 @@ class TestRingAndMonomial:
             lambda: IrreducibleComponent(A, ((0, 1), (2, 3))),
             lambda: A.variable(2),
             lambda: A.variable(-1),
+            lambda: A.variable(2.0),
         ],
         ids=[
             "prime-high", "prime-low", "component-high", "component-low", "component-mixed",
-            "variable-high", "variable-low",
+            "variable-high", "variable-low", "variable-whole-float",
         ],
     )
     def test_constructors_reject_variable_indices_out_of_range(self, build):
@@ -123,6 +131,7 @@ class TestRingAndMonomial:
         m, n = R3.monomial(e), R3.monomial(f)
         pairs = [
             (R3.variable(k % 3), [int(i == k % 3) for i in range(3)]),
+            (R3.variable(float(k % 3)), [int(i == k % 3) for i in range(3)]),
             (m * n, [a + b for a, b in zip(e, f)]),
             (m.power(k), [a * k for a in e]),
             (m.power(True), list(e)),
@@ -321,14 +330,6 @@ class TestIntersectAll:
         assert not any(a.is_unit for a, _ in calls)
 
 
-def product_loop(i, s):
-    """I^s as s products from the unit ideal, with no memo."""
-    result = MonomialIdeal.unit(i.ring)
-    for _ in range(s):
-        result = ideal_product(result, i)
-    return result
-
-
 class TestPowerMemo:
     @given(
         st.one_of(
@@ -365,7 +366,6 @@ class TestPowerMemo:
             return real(a, b)
 
         i = ideal(R3, "x^2, y*z, x*z^3")
-        core._power.cache_clear()
         monkeypatch.setattr(core, "ideal_product", counted)
         try:
             assert ideal_power(i, 4) == product_loop(i, 4)
@@ -380,54 +380,13 @@ class TestPowerMemo:
             core._power.cache_clear()
 
     def test_memo_is_bounded(self):
-        before = module_container_sizes(core)
-        for a in range(1, 61):
-            ideal_power(ideal(XY, f"x^{a}, y"), 20)
-        assert module_container_sizes(core) == before
-        info = core._power.cache_info()
-        assert info.maxsize == core._MEMO_SIZE == 1024
-        assert info.currsize <= 1024
+        check_cold_past_the_bound(ROW["core._power"])
 
     def test_concurrent_use_matches_serial(self):
-        rnd = random.Random(5)
-        cases = []
-        while len(cases) < 60:
-            gens = [
-                R3.monomial([rnd.randint(0, 3) for _ in range(3)])
-                for _ in range(rnd.randint(1, 4))
-            ]
-            cases.append((MonomialIdeal(R3, tuple(gens)), rnd.randint(0, 5)))
-        # More distinct powers than the memo holds, so threads also evict.
-        cases += [
-            (ideal(XY, f"x^{a}, x*y, y^{b}"), 10) for a in range(2, 14) for b in range(2, 14)
-        ]
-        serial = [product_loop(i, s) for i, s in cases]
-        core._power.cache_clear()
-        results = [None] * 4
-
-        def work(k):
-            order = list(range(len(cases)))
-            random.Random(k).shuffle(order)
-            found = [None] * len(cases)
-            for n in order:
-                found[n] = ideal_power(*cases[n])
-            results[k] = found
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(r == serial for r in results)
+        row = ROW["core._power"]
+        check_threads_find(row, [product_loop(*case) for case in row.cases])
 
     def test_long_chain_stays_shallow(self):
-        core._power.cache_clear()
         assert run_script("ring A = [x];\nprint (x)^5000;") == ["x^5000"]
         # (x) alone is a monomial; the declared ideal takes the ideal power.
         script = "ring A = [x];\nideal I = (x) in A;\nprint I^5000;"
@@ -494,7 +453,7 @@ class TestColon:
 
 class TestSaturate:
     def test_sum_example(self):
-        ring = Ring.of("x", "y", "z", "t")
+        ring = R4
         i = ideal(ring, "x^2, x*y, z^2, z*t")
         k = ideal(ring, "x, y, z, t")
         assert saturate(i, k) == ideal(ring, "x*z, x^2, x*y, z^2, z*t")

@@ -1,8 +1,5 @@
 import itertools
 import operator
-import random
-import sys
-import threading
 import time
 from functools import reduce
 
@@ -42,7 +39,8 @@ from idealkit.powers import saturator_min, symbolic_min
 from monomial_boxes import monomials_below
 from packed_meet import packed_meet, tuple_components, tuple_meet
 from small_ideals import A, PATHOLOGICAL, R12, R13, R3, R4, R5, X1, XY, ideal, proper3
-from small_ideals import boundary_ideals, module_container_sizes, sparse_ideal
+from small_ideals import boundary_ideals, sparse_ideal
+from memo_rows import ROW, check_cold_past_the_bound, check_threads_find
 
 
 monomials4 = st.tuples(*[st.integers(0, 3)] * 4).map(R4.monomial)
@@ -370,52 +368,11 @@ class TestDecompositionMemo:
         ]
 
     def test_memo_is_bounded(self):
-        before = module_container_sizes(decomposition)
-        for a in range(1, 35):
-            for b in range(2, 36):
-                irreducible_decomposition(ideal(XY, f"x^{a}*y, y^{b}"))
-        assert module_container_sizes(decomposition) == before
-        info = decomposition._irredundant.cache_info()
-        assert info.maxsize == 1024
-        assert info.currsize <= 1024
+        check_cold_past_the_bound(ROW["decomposition._irredundant"])
 
     def test_concurrent_use_matches_serial(self):
-        rnd = random.Random(11)
-        ideals = []
-        while len(ideals) < 150:
-            gens = [
-                R4.monomial([rnd.randint(0, 3) for _ in range(4)])
-                for _ in range(rnd.randint(1, 4))
-            ]
-            i = MonomialIdeal(R4, tuple(gens))
-            if not i.is_zero and not i.is_unit:
-                ideals += [i, ideal_power(i, 2)]
-        # More distinct ideals than the memo holds, so threads also evict.
-        ideals += [
-            ideal(XY, f"x^{a}, x*y, y^{b}") for a in range(2, 40) for b in range(2, 40)
-        ]
-        serial = {i: irreducible_decomposition(i) for i in ideals}
-        decomposition._irredundant.cache_clear()
-        results = [{} for _ in range(4)]
-
-        def work(k):
-            order = list(ideals)
-            random.Random(k).shuffle(order)
-            for i in order:
-                results[k][i] = irreducible_decomposition(i)
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(r == serial for r in results)
+        row = ROW["decomposition._irredundant"]
+        check_threads_find(row, [row.reference(*case) for case in row.cases])
 
 
 class TestPrimaryDecomposition:

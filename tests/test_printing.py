@@ -2,16 +2,15 @@
 
 Monomials, ideals, Betti tables, primary decompositions, irreducible
 components and the script's printed values all print through the piece
-tables of ``core._texts``.  Each is checked here against ``text``, an
-f-string per (variable, exponent), at the exponents where a table
-changes behaviour: 0, 1, 2, the bound just below, at and above it, and
-near 2^62, both cold and with the tables already warm from an equal ring.
+tables of ``core._texts``.  Each is checked here against ``text``
+(``small_ideals.monomial_text``), an f-string per (variable, exponent),
+at the exponents where a table changes behaviour: 0, 1, 2, the bound
+just below, at and above it, and near 2^62, both cold and with the
+tables already warm from an equal ring.
 """
 
 import itertools
 import random
-import sys
-import threading
 
 import pytest
 
@@ -19,15 +18,12 @@ from idealkit import core, dsl
 from idealkit.core import Monomial, MonomialIdeal, Ring
 from idealkit.decomposition import irreducible_decomposition, primary_decomposition
 from idealkit.homology import betti_table
+from conftest import in_threads
+from small_ideals import monomial_text as text
 
 BOUND = core._PIECE_BOUND
 EXPONENTS = (0, 1, 2, BOUND - 1, BOUND, BOUND + 1, 2**62 - 1, 2**62, 2**62 + 1)
 NAMES = ("x", "y", "z")
-
-
-def text(names, e):
-    """The monomial x^e over ``names``, printed one f-string per variable."""
-    return "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k) or "1"
 
 
 def ideal_text(ideal):
@@ -137,29 +133,7 @@ class TestPieceTables:
     def test_threads_filling_one_table_print_alike(self):
         ring = Ring(NAMES)
         rnd = random.Random(7)
-        cases = [tuple(rnd.randint(0, 2 * BOUND) for _ in NAMES) for _ in range(3000)]
-        expected = [text(NAMES, e) for e in cases]
-        results = [None] * 4
-
-        def work(k):
-            core._pieces.cache_clear()
-            order = list(range(len(cases)))
-            random.Random(k).shuffle(order)
-            found = [None] * len(cases)
-            for n in order:
-                found[n] = str(Monomial(ring, cases[n]))
-            results[k] = found
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(r == expected for r in results)
+        cases = [(tuple(rnd.randint(0, 2 * BOUND) for _ in NAMES),) for _ in range(3000)]
+        expected = [text(NAMES, e) for (e,) in cases]
+        assert in_threads(lambda e: str(Monomial(ring, e)), cases) == [expected] * 4
         assert_tables_bounded(NAMES)
